@@ -168,7 +168,8 @@ def load_embeddings(path):
     if dim < 1 or count < 0:
         raise StoreError(f"malformed-file(line 1): dim={dim}, count={count}")
 
-    records = [ln for ln in lines[1:] if ln.strip()]
+    # (physical line number, text) of each non-blank record line
+    records = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(records) != count:
         raise StoreError(
             f"malformed-file(line {len(lines)}): header promises {count} records, "
@@ -176,7 +177,7 @@ def load_embeddings(path):
         )
     out = []
     seen = set()
-    for lineno, line in enumerate(records, start=2):
+    for lineno, line in records:
         fields = line.split()
         rec_id = fields[0]
         if rec_id in seen:

@@ -9,12 +9,16 @@ aggregated similarity falls below the threshold.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import _kernels
 from .core import ConfigError, DataError, seeded_rng
+
+
+# a bin index must have magnitude below 2**63 to be cast to int64 exactly
+_BIN_LIMIT = 2.0**63
 
 
 @dataclass(frozen=True)
@@ -74,24 +78,83 @@ class MinHashSignature:
             raise DataError(f"dimension-mismatch: {arr.shape[0]} minima for k={self.k}")
 
 
-@dataclass(frozen=True)
 class SketchLibrary:
     """The baseline: one signature per trusted image, plus the configs that
-    produced them (so incompatible comparisons can be rejected)."""
+    produced them (so incompatible comparisons can be rejected).
 
-    entries: tuple
-    sketch_config: SketchConfig
-    quant_config: QuantConfig
-    extract_fingerprint: str = ""
+    The minima live in one read-only, C-contiguous (m, k) uint64 matrix,
+    built once when the library is created: row i holds the signature of
+    ``ids[i]``. The ``(source_id, signature)`` pairs in ``entries`` are made
+    on first use, each ``signature.minima`` a read-only view of its row, so
+    the library holds a single copy of the minima. ``minima_matrix()``
+    returns that matrix without copying, and the union minima are computed
+    on first use and kept.
+    The library is read-only: its attributes cannot be reassigned.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries, sketch_config, quant_config, extract_fingerprint=""):
+        entries = tuple(entries)
+        for _, sig in entries:
+            _check_compatible(sig, sketch_config)
+        self._fill(
+            [sid for sid, _ in entries],
+            [sig.minima for _, sig in entries],
+            sketch_config,
+            quant_config,
+            extract_fingerprint,
+        )
+
+    @classmethod
+    def from_minima(cls, ids, minima, sketch_config, quant_config, extract_fingerprint=""):
+        """Library from ids and their minima rows (any (m, k) array-like),
+        filled into the matrix in one step."""
+        lib = cls.__new__(cls)
+        lib._fill(ids, minima, sketch_config, quant_config, extract_fingerprint)
+        return lib
+
+    def _fill(self, ids, minima, sketch_config, quant_config, extract_fingerprint):
+        ids = tuple(ids)
+        k = sketch_config.k
+        matrix = np.array(minima, dtype=np.uint64).reshape(len(ids), -1 if ids else k)
+        if matrix.shape[1] != k:
+            raise DataError(f"dimension-mismatch: {matrix.shape[1]} minima for k={k}")
+        matrix.flags.writeable = False
+        vars(self).update(
+            ids=ids,
+            sketch_config=sketch_config,
+            quant_config=quant_config,
+            extract_fingerprint=extract_fingerprint,
+            _matrix=matrix,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SketchLibrary is read-only: cannot set {name!r}")
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.ids)
 
     def minima_matrix(self):
-        return np.stack([sig.minima for _, sig in self.entries])
+        """The (m, k) minima matrix itself: read-only, never copied."""
+        return self._matrix
+
+    @cached_property
+    def entries(self):
+        """``(source_id, signature)`` pairs in row order, made on first use."""
+        k, hash_seed = self.sketch_config.k, self.sketch_config.hash_seed
+        return tuple(
+            (sid, MinHashSignature(minima=row, k=k, hash_seed=hash_seed))
+            for sid, row in zip(self.ids, self._matrix)
+        )
+
+    @cached_property
+    def union_signature(self):
+        """Signature of the union of every entry's token set: the column
+        minima, by the MinHash union property."""
+        return MinHashSignature(
+            minima=self._matrix.min(axis=0),
+            k=self.sketch_config.k,
+            hash_seed=self.sketch_config.hash_seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -125,7 +188,8 @@ def tokenize(v, q):
     Component i with value x maps to token hash64(i, floor((x - origin) /
     bin_width)); hash64 is the documented splitmix64-based mixer in
     `_kernels`. Vectors that agree bin-wise in every dimension produce
-    identical token sets.
+    identical token sets. A bin index outside the int64 range raises
+    DataError("value-out-of-range") instead of wrapping in the cast.
     """
     q.validate()
     values = v.values if hasattr(v, "values") else np.asarray(v, dtype=np.float64)
@@ -133,8 +197,15 @@ def tokenize(v, q):
         raise DataError("non-finite-value: cannot tokenize")
     if q.clamp_lo is not None:
         values = np.clip(values, q.clamp_lo, q.clamp_hi)
-    bins = np.floor((values - q.origin) / q.bin_width).astype(np.int64)
-    return TokenSet(tokens=_kernels.hash_bins(bins))
+    with np.errstate(over="ignore"):
+        bins = np.floor((values - q.origin) / q.bin_width)
+    if not np.abs(bins).max(initial=0.0) < _BIN_LIMIT:  # also catches NaN
+        bad = int(np.argmax(~(np.abs(bins) < _BIN_LIMIT)))
+        raise DataError(
+            f"value-out-of-range: component {bad} = {float(values[bad])!r} falls in a "
+            f"quantization bin outside the int64 range"
+        )
+    return TokenSet(tokens=_kernels.hash_bins(bins.astype(np.int64)))
 
 
 @lru_cache(maxsize=64)
@@ -188,19 +259,16 @@ def build_library(features, q, s, extract_fingerprint=""):
     s.validate()
     if not features:
         raise DataError("empty-input")
-    entries = []
+    ids = []
+    rows = []
     seen = set()
     for v in features:
         if v.source_id in seen:
             raise DataError(f"duplicate-source-id: {v.source_id!r}")
         seen.add(v.source_id)
-        entries.append((v.source_id, minhash(tokenize(v, q), s)))
-    return SketchLibrary(
-        entries=tuple(entries),
-        sketch_config=s,
-        quant_config=q,
-        extract_fingerprint=extract_fingerprint,
-    )
+        ids.append(v.source_id)
+        rows.append(minhash(tokenize(v, q), s).minima)
+    return SketchLibrary.from_minima(ids, rows, s, q, extract_fingerprint)
 
 
 def gate_check(lib, v, g, extract_fingerprint=None):
@@ -210,6 +278,10 @@ def gate_check(lib, v, g, extract_fingerprint=None):
     signature of the union of all library token sets (the elementwise minima,
     by the MinHash union property). Anomalous iff score < j_alpha; a score
     exactly at the threshold is acceptable.
+
+    Per query the cost is sketching `v` plus one O(m*k) compare against the
+    library's stored minima matrix, which is read in place, not copied; the
+    union minima are computed once per library and reused.
     """
     g.validate()
     if len(lib) == 0:
@@ -227,14 +299,10 @@ def gate_check(lib, v, g, extract_fingerprint=None):
     if len(tokens) == 0:
         raise DataError("empty-token-set")
     sig = minhash(tokens, lib.sketch_config)
-    matrix = lib.minima_matrix()
     if g.aggregation == "union":
-        union_sig = MinHashSignature(
-            minima=matrix.min(axis=0), k=sig.k, hash_seed=sig.hash_seed
-        )
-        score = estimate_jaccard(union_sig, sig)
+        score = estimate_jaccard(lib.union_signature, sig)
     else:
-        counts = _kernels.match_counts(matrix, sig.minima)
+        counts = _kernels.match_counts(lib.minima_matrix(), sig.minima)
         fractions = counts / sig.k
         score = float(fractions.max() if g.aggregation == "max" else fractions.mean())
     source_id = v.source_id if hasattr(v, "source_id") else ""

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import ConfigError, DataError, ImageGrid, StoreError, seeded_rng
 from .extract import EMBEDDING_MAGIC
-from .sketchlib import MinHashSignature, QuantConfig, SketchConfig, SketchLibrary
+from .sketchlib import QuantConfig, SketchConfig, SketchLibrary
 from .stats import DriftReport, PeriodStats
 from .noiselab import SensitivityReport, SensitivityRow
 
@@ -207,8 +207,8 @@ def save_library(lib):
         },
         "extract_fingerprint": lib.extract_fingerprint,
         "entries": [
-            {"source_id": sid, "minima": [int(x) for x in sig.minima]}
-            for sid, sig in lib.entries
+            {"source_id": sid, "minima": row}
+            for sid, row in zip(lib.ids, lib.minima_matrix().tolist())
         ],
     }
     payload = _jdump(payload_obj, sort_keys=True).encode("utf-8")
@@ -240,24 +240,15 @@ def load_library(data):
     try:
         sketch = SketchConfig(**obj["sketch"])
         quant = QuantConfig(**obj["quant"])
-        entries = tuple(
-            (
-                e["source_id"],
-                MinHashSignature(
-                    minima=np.array(e["minima"], dtype=np.uint64),
-                    k=sketch.k,
-                    hash_seed=sketch.hash_seed,
-                ),
-            )
-            for e in obj["entries"]
+        entries = obj["entries"]
+        return SketchLibrary.from_minima(
+            [e["source_id"] for e in entries],
+            [e["minima"] for e in entries],
+            sketch,
+            quant,
+            obj["extract_fingerprint"],
         )
-        return SketchLibrary(
-            entries=entries,
-            sketch_config=sketch,
-            quant_config=quant,
-            extract_fingerprint=obj["extract_fingerprint"],
-        )
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise StoreError(f"malformed-payload: {exc}")
 
 

@@ -278,6 +278,14 @@ class TestErrors:
         code = main(["gate", baseline_dir, "--library", str(lib), "--out", "-"])
         assert code == 3
 
+    def test_out_of_range_embedding_exits_three(self, tmp_path, capsys):
+        emb = tmp_path / "huge.emb"
+        emb.write_text("driftsketch-emb v1 dim=2 count=2\na 0.1 0.2\nb 1e20 5\n")
+        code = main(["build-baseline", str(emb), "--out", str(tmp_path / "lib.dskl")])
+        assert code == 3
+        assert "value-out-of-range" in capsys.readouterr().err
+        assert not (tmp_path / "lib.dskl").exists()
+
     def test_config_flag_overrides_file(self, tmp_path, baseline_dir):
         periods = _period_dirs(tmp_path, n_periods=2)
         cfg = _write_config(tmp_path, "stats.ks_alpha = 0.2")

@@ -213,6 +213,17 @@ class TestLoadEmbeddings:
         with pytest.raises(StoreError, match="malformed-file"):
             load_embeddings(path)
 
+    def test_error_names_the_physical_line(self, tmp_path):
+        path = self._write(
+            tmp_path, "driftsketch-emb v1 dim=2 count=2\n\na 1 2\n\nb 1 x\n"
+        )
+        with pytest.raises(StoreError, match=r"malformed-file\(line 5\)"):
+            load_embeddings(path)
+
+    def test_blank_lines_between_records_are_skipped(self, tmp_path):
+        path = self._write(tmp_path, "driftsketch-emb v1 dim=1 count=2\n\na 1\n  \nb 2\n")
+        assert [v.source_id for v in load_embeddings(path)] == ["a", "b"]
+
     def test_duplicate_id(self, tmp_path):
         path = self._write(tmp_path, "driftsketch-emb v1 dim=1 count=2\na 1\na 2\n")
         with pytest.raises(StoreError, match="duplicate id"):

@@ -7,6 +7,7 @@ from driftsketch import (
     DataError,
     FeatureVector,
     GateConfig,
+    MinHashSignature,
     QuantConfig,
     SketchConfig,
     TokenSet,
@@ -18,7 +19,7 @@ from driftsketch import (
     tokenize,
 )
 from driftsketch.core import seeded_rng
-from driftsketch.sketchlib import _minhash_salts
+from driftsketch.sketchlib import SketchLibrary, _minhash_salts
 
 
 def make_token_set(n_common, n_only_a, n_only_b, base=0):
@@ -60,6 +61,15 @@ class TestTokenize:
         c = tokenize(FeatureVector(values=[-0.01]), q)  # bin -1
         assert exact_jaccard(a, b) == 0.0
         assert exact_jaccard(a, c) == 1.0
+
+    @pytest.mark.parametrize("big", [1e20, -1e20, 1e308])
+    def test_bin_outside_int64_rejected(self, big):
+        with pytest.raises(DataError, match="value-out-of-range: component 0"):
+            tokenize(FeatureVector(values=[big, 5.0]), QuantConfig())
+
+    def test_largest_in_range_bin_accepted(self):
+        # 4.6e17 / 0.05 = 9.2e18 < 2**63
+        assert len(tokenize(FeatureVector(values=[4.6e17, -4.6e17]), QuantConfig())) == 2
 
     def test_clamping_merges_tails(self):
         q = QuantConfig(bin_width=0.05, clamp_lo=0.0, clamp_hi=1.0)
@@ -290,3 +300,110 @@ class TestGateCheck:
             mean_score = gate_check(lib, probe, GateConfig(aggregation="mean")).score
             max_score = gate_check(lib, probe, GateConfig(aggregation="max")).score
             assert mean_score <= max_score
+
+
+def _library_from(entries, lib):
+    return SketchLibrary(
+        entries=entries,
+        sketch_config=lib.sketch_config,
+        quant_config=lib.quant_config,
+        extract_fingerprint=lib.extract_fingerprint,
+    )
+
+
+class TestLibraryMatrix:
+    def _library(self, n=7):
+        rng = seeded_rng(5, "lib-matrix")
+        feats = [_feature(rng.uniform(0, 1, 8), f"f{i}") for i in range(n)]
+        return build_library(feats, QuantConfig(), SketchConfig(k=16))
+
+    def test_minima_matrix_is_one_read_only_object(self):
+        lib = self._library()
+        matrix = lib.minima_matrix()
+        assert lib.minima_matrix() is matrix
+        assert matrix.shape == (7, 16) and matrix.dtype == np.uint64
+        assert matrix.flags.c_contiguous and not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0
+
+    def test_entry_minima_are_views_of_the_matrix(self):
+        lib = self._library()
+        matrix = lib.minima_matrix()
+        for i, (_, sig) in enumerate(lib.entries):
+            assert np.shares_memory(sig.minima, matrix)
+            assert not sig.minima.flags.writeable
+            np.testing.assert_array_equal(sig.minima, matrix[i])
+
+    def test_library_is_read_only(self):
+        lib = self._library()
+        with pytest.raises(AttributeError):
+            lib.entries = ()
+
+    @given(order=st.permutations(range(7)))
+    @settings(max_examples=20, deadline=None)
+    def test_entries_in_any_order_keep_ids_and_rows_aligned(self, order):
+        lib = self._library()
+        by_id = {sid: sig.minima.copy() for sid, sig in lib.entries}
+        shuffled = _library_from([lib.entries[i] for i in order], lib)
+        assert shuffled.ids == tuple(f"f{i}" for i in order)
+        assert [sid for sid, _ in shuffled.entries] == list(shuffled.ids)
+        for sid, row in zip(shuffled.ids, shuffled.minima_matrix()):
+            np.testing.assert_array_equal(row, by_id[sid])
+
+    def test_constructing_copies_the_source_rows(self):
+        lib = self._library()
+        other = _library_from(lib.entries, lib)
+        assert not np.shares_memory(other.minima_matrix(), lib.minima_matrix())
+        np.testing.assert_array_equal(other.minima_matrix(), lib.minima_matrix())
+
+    def test_mismatched_signature_rejected(self):
+        lib = self._library()
+        foreign = minhash(TokenSet(tokens=[1, 2, 3]), SketchConfig(k=16, hash_seed=9))
+        with pytest.raises(DataError, match="incompatible-signatures"):
+            _library_from([("x", foreign)], lib)
+
+    def test_from_minima_checks_row_width(self):
+        with pytest.raises(DataError, match="dimension-mismatch"):
+            SketchLibrary.from_minima(["a"], [[1, 2, 3]], SketchConfig(k=4), QuantConfig())
+
+    def test_union_signature_cached(self):
+        lib = self._library()
+        union = lib.union_signature
+        assert lib.union_signature is union
+        np.testing.assert_array_equal(union.minima, lib.minima_matrix().min(axis=0))
+
+
+_GATE_REFERENCE = {
+    "max": lambda sigs, q: max(estimate_jaccard(s, q) for s in sigs),
+    "mean": lambda sigs, q: float(np.mean([estimate_jaccard(s, q) for s in sigs])),
+    "union": lambda sigs, q: estimate_jaccard(
+        MinHashSignature(
+            minima=np.minimum.reduce([s.minima for s in sigs]), k=q.k, hash_seed=q.hash_seed
+        ),
+        q,
+    ),
+}
+
+
+@given(
+    rows=st.integers(1, 12),
+    dim=st.integers(1, 6),
+    k=st.integers(1, 24),
+    hash_seed=st.integers(0, 50),
+    bin_width=st.sampled_from([0.05, 0.2, 0.5]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_gate_scores_match_per_entry_reference(rows, dim, k, hash_seed, bin_width, data):
+    """gate_check on the matrix equals, bit for bit, the per-entry estimators."""
+    values = st.lists(st.floats(-1, 1, allow_nan=False), min_size=dim, max_size=dim)
+    feats = [_feature(data.draw(values), f"f{i}") for i in range(rows)]
+    q = QuantConfig(bin_width=bin_width)
+    s = SketchConfig(k=k, hash_seed=hash_seed)
+    lib = build_library(feats, q, s)
+    sigs = [minhash(tokenize(v, q), s) for v in feats]
+    probe = _feature(data.draw(values), "probe")
+    query = minhash(tokenize(probe, q), s)
+    for agg, reference in _GATE_REFERENCE.items():
+        res = gate_check(lib, probe, GateConfig(aggregation=agg))
+        assert res.score == reference(sigs, query), agg

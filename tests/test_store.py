@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,29 @@ class TestLibraryPersistence:
         write_library(lib, str(path))
         again = read_library(str(path))
         assert again.sketch_config == lib.sketch_config
+
+    def test_write_read_write_byte_identical(self, tmp_path):
+        lib = self._library()
+        first, second = tmp_path / "a.dskl", tmp_path / "b.dskl"
+        write_library(lib, str(first))
+        again = read_library(str(first))
+        write_library(again, str(second))
+        assert first.read_bytes() == second.read_bytes()
+        assert again.ids == lib.ids
+        np.testing.assert_array_equal(again.minima_matrix(), lib.minima_matrix())
+        assert not again.minima_matrix().flags.writeable
+
+    def test_negative_minimum_is_malformed(self):
+        data = save_library(self._library())
+        payload = data[14:-8].replace(b'"minima":[', b'"minima":[-', 1)
+        forged = (
+            data[:6]
+            + len(payload).to_bytes(8, "little")
+            + payload
+            + hashlib.blake2b(payload, digest_size=8).digest()
+        )
+        with pytest.raises(StoreError, match="malformed-payload"):
+            load_library(forged)
 
     def test_payload_bit_flip_detected(self):
         data = bytearray(save_library(self._library()))
