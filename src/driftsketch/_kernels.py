@@ -1,8 +1,8 @@
-"""NumPy implementation of the hashing kernels.
+"""Hashing kernels: bin hashing, MinHash minima and signature matching.
 
-Reference implementation: the compiled backend in ``_fast.pyx`` must produce
-bit-identical results. All arithmetic is modular uint64 (the splitmix64
-finalizer), so outputs are exact integers on every platform.
+All arithmetic is modular uint64 (the splitmix64 finalizer), so outputs are
+exact integers on every platform and persisted sketches stay comparable
+across machines.
 """
 
 import numpy as np

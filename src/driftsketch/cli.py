@@ -11,8 +11,10 @@ resolved config so every figure is reproducible from its own file.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
+import typing
 from dataclasses import asdict, replace
 
 from . import store
@@ -80,34 +82,41 @@ def _build_parser():
     return parser
 
 
-# config-file keys -> (dataclass section, field, type)
 _BOOL = {"true": True, "false": False, "1": True, "0": False}
 
 
-def _parse_value(text, target_type, key):
+def _parse_value(text, hint, key):
+    """Parse one config value by its field annotation; only Optional fields take none."""
     text = text.strip()
-    try:
-        if target_type is bool:
-            return _BOOL[text.lower()]
-        if target_type is float and text.lower() == "none":
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if text.lower() == "none":
             return None
-        return target_type(text)
+        (hint,) = [a for a in args if a is not type(None)]
+    try:
+        if hint is bool:
+            return _BOOL[text.lower()]
+        return hint(text)
     except (ValueError, KeyError):
         raise ConfigError(f"config-invalid: cannot parse {key} = {text!r}")
 
 
+def _field_hints(cls):
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+# config-file section -> (dataclass, {field: annotation})
 _SECTIONS = {
-    "extract": (ExtractConfig, {"grid": int, "hist_bins": int, "projection_dim": int,
-                                "projection_seed": int, "l2_normalize": bool}),
-    "quant": (QuantConfig, {"bin_width": float, "origin": float,
-                            "clamp_lo": float, "clamp_hi": float}),
-    "sketch": (SketchConfig, {"k": int, "hash_seed": int}),
-    "gate": (GateConfig, {"j_alpha": float, "aggregation": str}),
-    "stats": (StatsConfig, {"ks_alpha": float, "cosine_mode": str,
-                            "pairwise_cap": int, "seed": int}),
-    "train": (TrainConfig, {"lr": float, "beta1": float, "beta2": float, "epsilon": float,
-                            "epochs": int, "batch_size": int, "bias_correction": bool,
-                            "seed": int}),
+    name: (cls, _field_hints(cls))
+    for name, cls in (
+        ("extract", ExtractConfig),
+        ("quant", QuantConfig),
+        ("sketch", SketchConfig),
+        ("gate", GateConfig),
+        ("stats", StatsConfig),
+        ("train", TrainConfig),
+    )
 }
 
 
@@ -144,10 +153,10 @@ def resolve_config(args):
         section, _, field_name = key.partition(".")
         if section not in _SECTIONS or not field_name:
             raise ConfigError(f"config-invalid: unknown config key {key!r}")
-        _, fields = _SECTIONS[section]
-        if field_name not in fields:
+        _, hints = _SECTIONS[section]
+        if field_name not in hints:
             raise ConfigError(f"config-invalid: unknown config key {key!r}")
-        sections[section][field_name] = _parse_value(text, fields[field_name], key)
+        sections[section][field_name] = _parse_value(text, hints[field_name], key)
     if args.seed is not None:
         run_seed = args.seed
     elif file_seed is not None:
@@ -155,7 +164,7 @@ def resolve_config(args):
     else:
         run_seed = 0
 
-    built = {name: _SECTIONS[name][0](**fields) for name, fields in sections.items()}
+    built = {name: _SECTIONS[name][0](**values) for name, values in sections.items()}
     if getattr(args, "j_alpha", None) is not None:
         built["gate"] = replace(built["gate"], j_alpha=args.j_alpha)
     if getattr(args, "ks_alpha", None) is not None:
@@ -258,16 +267,9 @@ def _cmd_gate(args):
         "kind": "gate_report",
         "schema_version": 1,
         "library": os.path.basename(args.library),
-        "config": _config_record(pipeline, run_seed),
     }
-    lines = [store._jdump(header)]
-    for r in results:
-        lines.append(
-            store._jdump({"source_id": r.source_id, "score": r.score, "verdict": r.verdict})
-        )
-    body = ("\n".join(lines) + "\n").encode("utf-8")
-    trailer = store._jdump({"kind": "checksum", "blake2b": store._digest(body)}).encode()
-    payload = body + trailer + b"\n"
+    records = [{"source_id": r.source_id, "score": r.score, "verdict": r.verdict} for r in results]
+    payload = store.encode_jsonl_report(header, records, _config_record(pipeline, run_seed))
     if args.out == "-":
         sys.stdout.buffer.write(payload)
         sys.stdout.flush()

@@ -114,14 +114,20 @@ def _batch_arrays(model, batch):
     return xs, ys
 
 
-def bce_gradient(model, batch):
-    """Analytic BCE gradient over (w, b): mean of (p - y) x and (p - y)."""
-    xs, ys = _batch_arrays(model, batch)
+def _probs_and_gradient(model, xs, ys):
+    """Sigmoid outputs on the rows of xs and the mean BCE gradient over (w, b)."""
     probs = np.array([_sigmoid(z) for z in xs @ model.w + model.b])
     resid = probs - ys
     grad = np.empty(model.w.shape[0] + 1)
-    grad[:-1] = resid @ xs / len(batch)
+    grad[:-1] = resid @ xs / len(ys)
     grad[-1] = resid.mean()
+    return probs, grad
+
+
+def bce_gradient(model, batch):
+    """Analytic BCE gradient over (w, b): mean of (p - y) x and (p - y)."""
+    xs, ys = _batch_arrays(model, batch)
+    _, grad = _probs_and_gradient(model, xs, ys)
     return grad
 
 
@@ -186,13 +192,9 @@ def train_head(data, cfg):
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            bx, by = xs[idx], ys[idx]
-            probs = np.array([_sigmoid(z) for z in bx @ model.w + model.b])
+            by = ys[idx]
+            probs, grad = _probs_and_gradient(model, xs[idx], by)
             epoch_losses.append(bce_loss(probs, by))
-            resid = probs - by
-            grad = np.empty(d + 1)
-            grad[:-1] = resid @ bx / len(idx)
-            grad[-1] = resid.mean()
             state, model = adam_step(state, model, grad, cfg)
         curve.append(float(np.mean(epoch_losses)))
     return model, curve

@@ -12,7 +12,8 @@ Formats owned by this module:
 - Reports (drift and sensitivity): JSON-lines or CSV, one record per
   period/level, reals rendered with 17 significant digits (round-trip
   exact), a trailing checksum record; CSV extras ride in ``#`` comment lines
-  so the files stay directly plottable.
+  so the files stay directly plottable. Gate verdict reports use the same
+  JSON-lines encoding, one record per checked item.
 
 Every loader verifies integrity and raises named StoreErrors; flipping any
 payload bit is detected. All writes are atomic (temp file + rename).
@@ -22,7 +23,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -294,8 +295,6 @@ def _read_checked_json(path, kind):
 
 def save_model(model, path, train_config=None):
     """Persist a HeadModel checkpoint (versioned record of d, w, b)."""
-    from dataclasses import asdict
-
     obj = {
         "kind": "head_model",
         "schema_version": 1,
@@ -381,40 +380,6 @@ def load_split(path):
 # reports
 # ---------------------------------------------------------------------------
 
-DRIFT_FIELDS = (
-    "period_id",
-    "n_images",
-    "ks_d",
-    "ks_p",
-    "cosine_score",
-    "gate_flag_count",
-    "drift_flag",
-)
-SENSITIVITY_FIELDS = ("level", "cosine_score", "ks_d", "ks_p", "anomaly_rate")
-
-
-def _drift_row(p):
-    return {
-        "period_id": p.period_id,
-        "n_images": p.n_images,
-        "ks_d": p.ks_d,
-        "ks_p": p.ks_p,
-        "cosine_score": p.cosine_score,
-        "gate_flag_count": p.gate_flag_count,
-        "drift_flag": p.drift_flag,
-    }
-
-
-def _sensitivity_row(r):
-    return {
-        "level": r.level,
-        "cosine_score": r.cosine_score,
-        "ks_d": r.ks_d,
-        "ks_p": r.ks_p,
-        "anomaly_rate": r.anomaly_rate,
-    }
-
-
 def _report_parts(report):
     if isinstance(report, DriftReport):
         report.validate()
@@ -424,7 +389,7 @@ def _report_parts(report):
             "baseline_id": report.baseline_id,
             "ks_alpha": report.ks_alpha,
         }
-        return header, [_drift_row(p) for p in report.periods]
+        return header, [asdict(p) for p in report.periods]
     if isinstance(report, SensitivityReport):
         report.validate()
         header = {
@@ -432,7 +397,7 @@ def _report_parts(report):
             "schema_version": 1,
             "noise_kind": report.noise_kind,
         }
-        return header, [_sensitivity_row(r) for r in report.rows]
+        return header, [asdict(r) for r in report.rows]
     raise DataError(f"unsupported report type {type(report).__name__}")
 
 
@@ -447,6 +412,19 @@ def _csv_cell(value):
     return text
 
 
+def encode_jsonl_report(header, records, config=None):
+    """JSON-lines report bytes: the header with ``config`` appended, one line
+    per record, then a checksum record over everything before it.
+
+    Shared by every JSON-lines report (drift, sensitivity, gate verdicts), so
+    all of them read back through the same checked reader.
+    """
+    lines = [_jdump(dict(header, config=config))] + [_jdump(r) for r in records]
+    body = ("\n".join(lines) + "\n").encode("utf-8")
+    trailer = _jdump({"kind": "checksum", "blake2b": _digest(body)}).encode("utf-8")
+    return body + trailer + b"\n"
+
+
 def write_report(report, format, path, config=None):
     """Write a report as JSON-lines or CSV, one record per period/level.
 
@@ -458,12 +436,7 @@ def write_report(report, format, path, config=None):
     """
     header, rows = _report_parts(report)
     if format == "jsonl":
-        header = dict(header)
-        header["config"] = config
-        lines = [_jdump(header)] + [_jdump(r) for r in rows]
-        body = ("\n".join(lines) + "\n").encode("utf-8")
-        trailer = _jdump({"kind": "checksum", "blake2b": _digest(body)}).encode("utf-8")
-        atomic_write_bytes(path, body + trailer + b"\n")
+        atomic_write_bytes(path, encode_jsonl_report(header, rows, config))
     elif format == "csv":
         fields = list(rows[0].keys())
         lines = []

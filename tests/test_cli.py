@@ -8,7 +8,7 @@ from driftsketch import load_embeddings, read_drift_report, read_sensitivity_rep
 from driftsketch.cli import main
 from driftsketch.core import derive_seed, seeded_rng
 from driftsketch.noiselab import salt_pepper
-from driftsketch.store import load_model, load_split, read_library
+from driftsketch.store import _read_report_lines, load_model, load_split, read_library
 from synthcorpus import corpus, uniform_noise_images
 
 
@@ -108,6 +108,19 @@ class TestBuildBaselineAndGate:
         out = capsys.readouterr().out
         lines = [json.loads(ln) for ln in out.splitlines()]
         assert sum(1 for r in lines if "verdict" in r) == 30
+
+    def test_gate_report_passes_checksum_verification(self, tmp_path, baseline_dir, capsys):
+        lib = str(tmp_path / "lib.dskl")
+        main(["build-baseline", baseline_dir, "--out", lib])
+        out = tmp_path / "verdicts.jsonl"
+        assert main(["gate", baseline_dir, "--library", lib, "--seed", "4", "--out", str(out)]) == 0
+        header, records, config = _read_report_lines(str(out), "gate_report")
+        assert header["library"] == "lib.dskl"
+        assert config["seed"] == 4
+        assert [r["source_id"] for r in records] == sorted(os.listdir(baseline_dir))
+        capsys.readouterr()
+        main(["gate", baseline_dir, "--library", lib, "--seed", "4", "--out", "-"])
+        assert capsys.readouterr().out == out.read_text()
 
     def test_j_alpha_flag_tightens_gate(self, tmp_path, baseline_dir):
         lib = str(tmp_path / "lib.dskl")
@@ -271,6 +284,29 @@ class TestErrors:
         cfg = _write_config(tmp_path, "nonsense.key = 1")
         code = main(["extract", baseline_dir, "--config", cfg, "--out", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "key", ["gate.j_alpha", "train.lr", "stats.ks_alpha", "quant.bin_width"]
+    )
+    def test_none_for_required_float_exits_two(self, tmp_path, baseline_dir, capsys, key):
+        cfg = _write_config(tmp_path, f"{key} = none")
+        code = main(["build-baseline", baseline_dir, "--config", cfg,
+                     "--out", str(tmp_path / "lib.dskl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config-invalid" in err and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "lib.dskl").exists()
+
+    @pytest.mark.parametrize(
+        "lo, hi, expected", [("none", "None", (None, None)), ("-1", "1.5", (-1.0, 1.5))]
+    )
+    def test_optional_clamp_parsed(self, tmp_path, baseline_dir, lo, hi, expected):
+        cfg = _write_config(tmp_path, f"quant.clamp_lo = {lo}\nquant.clamp_hi = {hi}")
+        lib = str(tmp_path / "lib.dskl")
+        assert main(["build-baseline", baseline_dir, "--config", cfg, "--out", lib]) == 0
+        quant = read_library(lib).quant_config
+        assert (quant.clamp_lo, quant.clamp_hi) == expected
 
     def test_corrupt_library_exits_three(self, tmp_path, baseline_dir):
         lib = tmp_path / "lib.dskl"

@@ -113,7 +113,7 @@ class TestExactJaccard:
 
 class TestMinHash:
     def test_singleton_minima_are_the_hashes(self):
-        from driftsketch._kernels.pure import _mix64
+        from driftsketch._kernels import _mix64
 
         cfg = SketchConfig(k=16, hash_seed=3)
         single = minhash(TokenSet(tokens=[42]), cfg)
