@@ -19,7 +19,7 @@ from dataclasses import asdict, replace
 
 from . import store
 from .core import ConfigError, DataError, PipelineConfig
-from .extract import ExtractConfig, extract_batch, extract_fingerprint, load_embeddings
+from .extract import ExtractConfig, extract_builtin, extract_fingerprint, load_embeddings
 from .head import TrainConfig, train_head
 from .noiselab import NOISE_KINDS, sensitivity_sweep
 from .sketchlib import GateConfig, QuantConfig, SketchConfig, build_library, gate_check
@@ -198,20 +198,34 @@ def _classify_input(path):
     raise DataError(f"unsupported-format: {path} is neither an image nor an embedding file")
 
 
-def _load_features(path, extract_cfg):
-    """Feature vectors from an image dir, a single image, or an embedding file.
+def _extract_images(paths, extract_cfg):
+    """Built-in feature vectors of image files and directories, ids the basenames.
 
-    Returns (features, extracted_here); the flag says whether the built-in
-    extractor produced them (and its fingerprint therefore applies).
+    Colliding ids are rejected before any image is decoded; then images are
+    decoded and extracted one at a time, so at most one decoded image is alive.
     """
-    kind = _classify_input(path)
-    if kind == "embeddings":
-        return load_embeddings(path), False
-    if kind == "image":
-        images, names = [store.load_image(path)], [os.path.basename(path)]
-    else:
-        images, names = store.load_images_dir(path)
-    return extract_batch(images, extract_cfg, names), True
+    sources = []
+    for path in paths:
+        kind = _classify_input(path)
+        if kind == "embeddings":
+            raise DataError(f"unsupported-format: extract expects images, got {path}")
+        if kind == "image":
+            sources.append((path, os.path.basename(path)))
+        else:
+            sources += [(os.path.join(path, n), n) for n in store.list_images_dir(path)]
+    if len({sid for _, sid in sources}) != len(sources):
+        raise DataError("duplicate-source-id: input basenames collide")
+    return [extract_builtin(store.load_image(p), extract_cfg, sid) for p, sid in sources]
+
+
+def _load_features(path, extract_cfg):
+    """(features, extractor fingerprint) of an image dir, an image or an embedding file.
+
+    An embedding file's fingerprint is None: its extractor is unknown.
+    """
+    if _classify_input(path) == "embeddings":
+        return load_embeddings(path), None
+    return _extract_images([path], extract_cfg), extract_fingerprint(extract_cfg)
 
 
 def _config_record(pipeline, run_seed):
@@ -226,31 +240,15 @@ def _echo_config(record):
 
 def _cmd_extract(args):
     pipeline, _, run_seed = resolve_config(args)
-    images, names = [], []
-    for inp in args.inputs:
-        kind = _classify_input(inp)
-        if kind == "image":
-            images.append(store.load_image(inp))
-            names.append(os.path.basename(inp))
-        elif kind == "images":
-            imgs, ids = store.load_images_dir(inp)
-            images.extend(imgs)
-            names.extend(ids)
-        else:
-            raise DataError(f"unsupported-format: extract expects images, got {inp}")
-    if len(set(names)) != len(names):
-        raise DataError("duplicate-source-id: input basenames collide")
-    features = extract_batch(images, pipeline.extract, names)
-    store.write_embeddings(features, args.out)
+    store.write_embeddings(_extract_images(args.inputs, pipeline.extract), args.out)
     _echo_config(_config_record(pipeline, run_seed))
     return 0
 
 
 def _cmd_build_baseline(args):
     pipeline, _, run_seed = resolve_config(args)
-    features, extracted = _load_features(args.input, pipeline.extract)
-    fingerprint = extract_fingerprint(pipeline.extract) if extracted else ""
-    library = build_library(features, pipeline.quant, pipeline.sketch, fingerprint)
+    features, fingerprint = _load_features(args.input, pipeline.extract)
+    library = build_library(features, pipeline.quant, pipeline.sketch, fingerprint or "")
     store.write_library(library, args.out)
     _echo_config(_config_record(pipeline, run_seed))
     return 0
@@ -259,8 +257,7 @@ def _cmd_build_baseline(args):
 def _cmd_gate(args):
     pipeline, _, run_seed = resolve_config(args)
     library = store.read_library(args.library)
-    features, extracted = _load_features(args.input, pipeline.extract)
-    fingerprint = extract_fingerprint(pipeline.extract) if extracted else None
+    features, fingerprint = _load_features(args.input, pipeline.extract)
     results = [gate_check(library, v, pipeline.gate, fingerprint) for v in features]
 
     header = {
@@ -280,18 +277,14 @@ def _cmd_gate(args):
 
 def _cmd_drift(args):
     pipeline, _, run_seed = resolve_config(args)
-    base_feats, base_extracted = _load_features(args.baseline, pipeline.extract)
-    fingerprint = extract_fingerprint(pipeline.extract) if base_extracted else ""
-    library = build_library(base_feats, pipeline.quant, pipeline.sketch, fingerprint)
+    base_feats, base_fingerprint = _load_features(args.baseline, pipeline.extract)
+    library = build_library(base_feats, pipeline.quant, pipeline.sketch, base_fingerprint or "")
 
     periods = []
     gate_counts = []
     for path in args.periods:
-        feats, extracted = _load_features(path, pipeline.extract)
-        check_fp = extract_fingerprint(pipeline.extract) if extracted else None
-        flags = sum(
-            gate_check(library, v, pipeline.gate, check_fp).anomalous for v in feats
-        )
+        feats, fingerprint = _load_features(path, pipeline.extract)
+        flags = sum(gate_check(library, v, pipeline.gate, fingerprint).anomalous for v in feats)
         periods.append((_period_id(path), feats))
         gate_counts.append(flags)
 

@@ -53,12 +53,12 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if self.lr <= 0:
-            raise ConfigError(f"config-invalid: lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"config-invalid: lr must lie in (0, inf), got {self.lr}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConfigError("config-invalid: betas must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigError("config-invalid: epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError(f"config-invalid: epsilon must lie in (0, inf), got {self.epsilon}")
         if self.epochs < 1:
             raise ConfigError(f"config-invalid: epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

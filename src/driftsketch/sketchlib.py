@@ -29,13 +29,15 @@ class QuantConfig:
     clamp_hi: float | None = None
 
     def validate(self):
-        if not self.bin_width > 0:
-            raise ConfigError(f"config-invalid: bin_width must be > 0, got {self.bin_width}")
+        if not 0 < self.bin_width < np.inf:
+            raise ConfigError(f"config-invalid: bin_width must lie in (0, inf), got {self.bin_width}")
+        if not -np.inf < self.origin < np.inf:
+            raise ConfigError(f"config-invalid: origin must be finite, got {self.origin}")
         if (self.clamp_lo is None) != (self.clamp_hi is None):
             raise ConfigError("config-invalid: clamp_lo and clamp_hi must be set together")
-        if self.clamp_lo is not None and not self.clamp_lo < self.clamp_hi:
+        if self.clamp_lo is not None and not -np.inf < self.clamp_lo < self.clamp_hi < np.inf:
             raise ConfigError(
-                f"config-invalid: clamp_lo {self.clamp_lo} must be < clamp_hi {self.clamp_hi}"
+                f"config-invalid: need finite clamp_lo {self.clamp_lo} < clamp_hi {self.clamp_hi}"
             )
 
 

@@ -148,18 +148,21 @@ def save_image(img, path):
     atomic_write_bytes(path, header + raster)
 
 
+def list_images_dir(directory):
+    """Sorted filenames of the .pgm/.ppm files in a directory; empty-input if none."""
+    names = sorted(n for n in os.listdir(directory) if n.lower().endswith((".pgm", ".ppm")))
+    if not names:
+        raise StoreError(f"empty-input: no .pgm/.ppm files in {directory}")
+    return names
+
+
 def load_images_dir(directory):
     """Load every .pgm/.ppm file in a directory, sorted by filename.
 
     Returns (images, source_ids) with ids the bare filenames.
     """
-    names = sorted(
-        n for n in os.listdir(directory) if n.lower().endswith((".pgm", ".ppm"))
-    )
-    if not names:
-        raise StoreError(f"empty-input: no .pgm/.ppm files in {directory}")
-    images = [load_image(os.path.join(directory, n)) for n in names]
-    return images, names
+    names = list_images_dir(directory)
+    return [load_image(os.path.join(directory, n)) for n in names], names
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +297,8 @@ def _read_checked_json(path, kind):
 
 
 def save_model(model, path, train_config=None):
-    """Persist a HeadModel checkpoint (versioned record of d, w, b)."""
+    """Persist a finite HeadModel checkpoint (versioned record of d, w, b)."""
+    model.validate()
     obj = {
         "kind": "head_model",
         "schema_version": 1,

@@ -8,6 +8,7 @@ import functools
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ def test_criterion_11_gate_behavior(pipeline, baseline_features):
 @acceptance(12, "persistence round-trips; every single-bit corruption detected")
 def test_criterion_12_persistence(tmp_path, pipeline, baseline_features):
     def all_flips_detected(path, loader, step):
-        original = open(path, "rb").read()
+        original = Path(path).read_bytes()
         rng = seeded_rng(7, "acc12-bits")
         for pos in range(0, len(original), step):
             corrupted = bytearray(original)
@@ -384,4 +385,4 @@ def test_criterion_13_cli_determinism(tmp_path):
             ["drift", baseline, p1, p2, "--seed", "9", "--format", fmt, "--out", out_b]
         )
         assert code_a == code_b == 1  # period 2 is corrupted
-        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+        assert Path(out_a).read_bytes() == Path(out_b).read_bytes()

@@ -1,13 +1,18 @@
 import json
 import os
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from driftsketch import load_embeddings, read_drift_report, read_sensitivity_report, save_image
+from driftsketch import store
 from driftsketch.cli import main
 from driftsketch.core import derive_seed, seeded_rng
+from driftsketch.extract import ExtractConfig, extract_batch, extract_fingerprint
 from driftsketch.noiselab import salt_pepper
+from driftsketch.sketchlib import GateConfig, gate_check
 from driftsketch.store import _read_report_lines, load_model, load_split, read_library
 from synthcorpus import corpus, uniform_noise_images
 
@@ -57,6 +62,89 @@ class TestExtract:
         assert code == 3
 
 
+def _count_alive_images(monkeypatch):
+    """Wrap store.load_image; per call, how many images it returned are still alive."""
+    decode, refs, alive = store.load_image, [], []
+
+    def load_image(path):
+        alive.append(sum(ref() is not None for ref in refs))
+        img = decode(path)
+        refs.append(weakref.ref(img))
+        return img
+
+    monkeypatch.setattr(store, "load_image", load_image)
+    return alive
+
+
+class TestStreamingInput:
+    @pytest.mark.parametrize("command", ["extract", "gate"])
+    def test_one_decoded_image_alive(self, tmp_path, baseline_dir, monkeypatch, command):
+        lib = str(tmp_path / "lib.dskl")
+        main(["build-baseline", baseline_dir, "--out", lib])
+        alive = _count_alive_images(monkeypatch)
+        extra = ["--library", lib] if command == "gate" else []
+        assert main([command, baseline_dir, *extra, "--out", str(tmp_path / "out")]) == 0
+        assert len(alive) == 30
+        assert max(alive) <= 1
+
+    def test_colliding_basenames_rejected_before_decoding(self, tmp_path, monkeypatch, capsys):
+        a = write_corpus(str(tmp_path / "a"), corpus(1, 3, "a"))
+        b = write_corpus(str(tmp_path / "b"), corpus(2, 2, "b"))
+        alive = _count_alive_images(monkeypatch)
+        out = tmp_path / "x.emb"
+        assert main(["extract", a, b, "--out", str(out)]) == 3
+        assert "duplicate-source-id" in capsys.readouterr().err
+        assert alive == []
+        assert not out.exists()
+
+    def test_embedding_input_to_extract_rejected(self, tmp_path, baseline_dir, capsys):
+        emb = str(tmp_path / "base.emb")
+        main(["extract", baseline_dir, "--out", emb])
+        capsys.readouterr()
+        out = tmp_path / "again.emb"
+        assert main(["extract", emb, "--out", str(out)]) == 3
+        assert f"unsupported-format: extract expects images, got {emb}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "gate"])
+    def test_truncated_last_image_leaves_no_output(self, tmp_path, baseline_dir, command):
+        lib = str(tmp_path / "lib.dskl")
+        main(["build-baseline", baseline_dir, "--out", lib])
+        last = Path(baseline_dir) / sorted(os.listdir(baseline_dir))[-1]
+        last.write_bytes(last.read_bytes()[:-10])
+        extra = ["--library", lib] if command == "gate" else []
+        out = tmp_path / "out"
+        assert main([command, baseline_dir, *extra, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_extract_equals_batch_path(self, tmp_path, baseline_dir):
+        out = tmp_path / "cli.emb"
+        ref = tmp_path / "batch.emb"
+        assert main(["extract", baseline_dir, "--out", str(out)]) == 0
+        images, names = store.load_images_dir(baseline_dir)
+        store.write_embeddings(extract_batch(images, ExtractConfig(), names), str(ref))
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_gate_report_equals_per_item_gate_check(self, tmp_path, baseline_dir):
+        lib = str(tmp_path / "lib.dskl")
+        main(["build-baseline", baseline_dir, "--out", lib])
+        mixed = write_corpus(str(tmp_path / "mixed"), corpus(777, 6, "held"), prefix="held")
+        write_corpus(mixed, uniform_noise_images(5, 4), prefix="junk")
+        out = str(tmp_path / "verdicts.jsonl")
+        assert main(["gate", mixed, "--library", lib, "--out", out]) == 1
+        _, records, _ = _read_report_lines(out, "gate_report")
+        images, names = store.load_images_dir(mixed)
+        cfg = ExtractConfig()
+        expected = [
+            gate_check(read_library(lib), v, GateConfig(), extract_fingerprint(cfg))
+            for v in extract_batch(images, cfg, names)
+        ]
+        assert [(r["source_id"], r["score"], r["verdict"]) for r in records] == [
+            (e.source_id, e.score, e.verdict) for e in expected
+        ]
+        assert {r["verdict"] for r in records} == {"acceptable", "anomalous"}
+
+
 class TestBuildBaselineAndGate:
     def test_gate_clean_inputs_exit_zero(self, tmp_path, baseline_dir):
         lib = str(tmp_path / "lib.dskl")
@@ -64,7 +152,7 @@ class TestBuildBaselineAndGate:
         held = write_corpus(str(tmp_path / "held"), corpus(777, 10, "held"))
         out = str(tmp_path / "verdicts.jsonl")
         assert main(["gate", held, "--library", lib, "--out", out]) == 0
-        lines = [json.loads(ln) for ln in open(out)]
+        lines = [json.loads(ln) for ln in Path(out).read_text().splitlines()]
         verdicts = [r for r in lines if "verdict" in r]
         assert len(verdicts) == 10
         assert all(r["verdict"] == "acceptable" for r in verdicts)
@@ -75,7 +163,7 @@ class TestBuildBaselineAndGate:
         junk = write_corpus(str(tmp_path / "junk"), uniform_noise_images(5, 6))
         out = str(tmp_path / "verdicts.jsonl")
         assert main(["gate", junk, "--library", lib, "--out", out]) == 1
-        lines = [json.loads(ln) for ln in open(out)]
+        lines = [json.loads(ln) for ln in Path(out).read_text().splitlines()]
         assert all(r["verdict"] == "anomalous" for r in lines if "verdict" in r)
 
     def test_gate_embeds_config(self, tmp_path, baseline_dir):
@@ -83,7 +171,7 @@ class TestBuildBaselineAndGate:
         main(["build-baseline", baseline_dir, "--out", lib])
         out = str(tmp_path / "verdicts.jsonl")
         main(["gate", baseline_dir, "--library", lib, "--out", out])
-        header = json.loads(open(out).readline())
+        header = json.loads(Path(out).read_text().splitlines()[0])
         assert header["config"]["sketch"]["k"] == 128
 
     def test_gate_with_mismatched_extract_config(self, tmp_path, baseline_dir):
@@ -171,7 +259,7 @@ class TestDrift:
         out2 = str(tmp_path / "b.jsonl")
         main(["drift", baseline_dir, *periods, "--seed", "5", "--out", out1])
         main(["drift", baseline_dir, *periods, "--seed", "5", "--out", out2])
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_embedding_file_baseline(self, tmp_path, baseline_dir):
         emb = str(tmp_path / "base.emb")
@@ -241,13 +329,13 @@ class TestTrainHead:
         assert code == 0
         model = load_model(model_path)
         assert model.w.shape == (2,)
-        lines = open(curve_path).read().splitlines()
+        lines = Path(curve_path).read_text().splitlines()
         assert lines[0] == "epoch,mean_loss"
         assert len(lines) == 11
 
     def test_missing_label_is_data_error(self, tmp_path):
         emb, lab = self._labeled_embeddings(tmp_path)
-        open(lab, "w").write("s0 1\n")
+        Path(lab).write_text("s0 1\n")
         code = main(["train-head", emb, "--labels", lab, "--out", str(tmp_path / "m.json")])
         assert code == 3
 
@@ -297,6 +385,30 @@ class TestErrors:
         assert "config-invalid" in err and key in err
         assert "Traceback" not in err
         assert not (tmp_path / "lib.dskl").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "quant.bin_width = inf",
+            "quant.origin = nan",
+            "quant.clamp_lo = -inf\nquant.clamp_hi = 1",
+            "quant.clamp_hi = inf\nquant.clamp_lo = 0",
+            "train.lr = nan",
+            "train.epsilon = nan",
+        ],
+        ids=lambda text: text.partition(" ")[0],
+    )
+    def test_non_finite_float_exits_two(self, tmp_path, baseline_dir, capsys, text):
+        if text.startswith("train."):
+            emb, lab = TestTrainHead()._labeled_embeddings(tmp_path)
+            argv = ["train-head", emb, "--labels", lab]
+        else:
+            argv = ["build-baseline", baseline_dir]
+        out = tmp_path / "out"
+        code = main([*argv, "--config", _write_config(tmp_path, text), "--out", str(out)])
+        assert code == 2
+        assert "config-invalid" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "lo, hi, expected", [("none", "None", (None, None)), ("-1", "1.5", (-1.0, 1.5))]

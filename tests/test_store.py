@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ class TestLoadImage:
 
 def _every_bit_flip_detected(path, loader, step=1):
     """Flip one bit at a sample of byte positions; the loader must raise."""
-    original = open(path, "rb").read()
+    original = Path(path).read_bytes()
     rng = seeded_rng(99, "bitflip")
     for pos in range(0, len(original), step):
         bit = int(rng.integers(0, 8))
@@ -206,6 +207,12 @@ class TestModelPersistence:
         path = tmp_path / "model.json"
         save_model(model, str(path))
         _every_bit_flip_detected(str(path), load_model)
+
+    def test_non_finite_parameter_not_written(self, tmp_path):
+        path = tmp_path / "model.json"
+        with pytest.raises(DataError, match="non-finite-parameter"):
+            save_model(HeadModel(w=[float("nan")], b=0), str(path))
+        assert not path.exists()
 
 
 def _drift_report():
