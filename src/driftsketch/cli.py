@@ -164,23 +164,14 @@ def resolve_config(args):
     else:
         run_seed = 0
 
-    built = {name: _SECTIONS[name][0](**values) for name, values in sections.items()}
+    # flags merge in before anything is built, so a value they override is never checked
     if getattr(args, "j_alpha", None) is not None:
-        built["gate"] = replace(built["gate"], j_alpha=args.j_alpha)
+        sections["gate"]["j_alpha"] = args.j_alpha
     if getattr(args, "ks_alpha", None) is not None:
-        built["stats"] = replace(built["stats"], ks_alpha=args.ks_alpha)
-
-    pipeline = PipelineConfig(
-        extract=built["extract"],
-        quant=built["quant"],
-        sketch=built["sketch"],
-        gate=built["gate"],
-        stats=built["stats"],
-    )
-    pipeline.validate()
-    train_cfg = built["train"]
-    train_cfg.validate()
-    return pipeline, train_cfg, run_seed
+        sections["stats"]["ks_alpha"] = args.ks_alpha
+    built = {name: _SECTIONS[name][0](**values) for name, values in sections.items()}
+    train_cfg = built.pop("train")
+    return PipelineConfig(**built), train_cfg, run_seed
 
 
 def _classify_input(path):

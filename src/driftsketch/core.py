@@ -7,7 +7,7 @@ seed give independent streams.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -112,6 +112,13 @@ def _check_seed(seed):
     return int(seed)
 
 
+def _check_count(name, value, low):
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"config-invalid: {name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"config-invalid: {name} must be >= {low}, got {value}")
+
+
 def seeded_rng(seed, stream_label):
     """Deterministic random stream for (seed, label).
 
@@ -148,21 +155,24 @@ class PipelineConfig:
     """Bundle of all stage configs; the unit recorded in report outputs.
 
     Field types live in their own modules (extract, sketchlib, stats); the
-    imports here are deferred to keep the module graph acyclic.
+    imports here are deferred to keep the module graph acyclic. Each stage
+    config checks itself on construction; this one checks the schema version.
     """
 
+    schema_version: int = SCHEMA_VERSION
     extract: object = None
     quant: object = None
     sketch: object = None
     gate: object = None
     stats: object = None
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         from .extract import ExtractConfig
         from .sketchlib import GateConfig, QuantConfig, SketchConfig
         from .stats import StatsConfig
 
+        if self.schema_version != SCHEMA_VERSION:
+            raise ConfigError(f"config-invalid: schema_version must be {SCHEMA_VERSION}")
         defaults = {
             "extract": ExtractConfig,
             "quant": QuantConfig,
@@ -174,23 +184,8 @@ class PipelineConfig:
             if getattr(self, name) is None:
                 object.__setattr__(self, name, cls())
 
-    def validate(self):
-        if self.schema_version != SCHEMA_VERSION:
-            raise ConfigError(f"config-invalid: schema_version must be {SCHEMA_VERSION}")
-        for name in ("extract", "quant", "sketch", "gate", "stats"):
-            getattr(self, name).validate()
-
     def to_dict(self):
-        from dataclasses import asdict
-
-        return {
-            "schema_version": self.schema_version,
-            "extract": asdict(self.extract),
-            "quant": asdict(self.quant),
-            "sketch": asdict(self.sketch),
-            "gate": asdict(self.gate),
-            "stats": asdict(self.stats),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

@@ -20,6 +20,8 @@ from .core import (
     DataError,
     FeatureVector,
     StoreError,
+    _check_count,
+    _check_seed,
     seeded_rng,
     validate_image,
 )
@@ -33,15 +35,11 @@ class ExtractConfig:
     projection_seed: int = 0
     l2_normalize: bool = True
 
-    def validate(self):
-        if self.grid < 1:
-            raise ConfigError(f"config-invalid: grid must be >= 1, got {self.grid}")
-        if self.hist_bins < 2:
-            raise ConfigError(f"config-invalid: hist_bins must be >= 2, got {self.hist_bins}")
-        if self.projection_dim < 0:
-            raise ConfigError(
-                f"config-invalid: projection_dim must be >= 0, got {self.projection_dim}"
-            )
+    def __post_init__(self):
+        _check_count("grid", self.grid, 1)
+        _check_count("hist_bins", self.hist_bins, 2)
+        _check_count("projection_dim", self.projection_dim, 0)
+        _check_seed(self.projection_seed)
 
     def raw_dim(self, channels):
         """Feature length before projection for an image with `channels`."""
@@ -74,7 +72,6 @@ def extract_builtin(img, cfg, source_id=""):
     patch order, then the b-bin normalized histogram; channels concatenated
     in order. Value 1.0 falls in the last histogram bin.
     """
-    cfg.validate()
     validate_image(img)
     if img.width < cfg.grid or img.height < cfg.grid:
         raise DataError(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, seeded_rng
+from .core import ConfigError, DataError, _check_count, _check_seed, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,6 @@ class HeadModel:
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", float(self.b))
-
-    def validate(self):
         if not (np.isfinite(self.w).all() and math.isfinite(self.b)):
             raise DataError("non-finite-parameter")
 
@@ -52,17 +50,16 @@ class TrainConfig:
     bias_correction: bool = True
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"config-invalid: lr must lie in (0, inf), got {self.lr}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConfigError("config-invalid: betas must lie in [0, 1)")
         if not 0 < self.epsilon < math.inf:
             raise ConfigError(f"config-invalid: epsilon must lie in (0, inf), got {self.epsilon}")
-        if self.epochs < 1:
-            raise ConfigError(f"config-invalid: epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"config-invalid: batch_size must be >= 1, got {self.batch_size}")
+        _check_count("epochs", self.epochs, 1)
+        _check_count("batch_size", self.batch_size, 1)
+        _check_seed(self.seed)
 
 
 PROB_CLAMP = 1e-12
@@ -163,9 +160,10 @@ def train_head(data, cfg):
     Runs epochs x ceil(N/B) Adam steps over seeded-shuffled mini-batches
     (final partial batch included). Weights start from a seeded unit normal
     scaled by 1/sqrt(d); bias starts at 0. Returns the model and the
-    per-epoch mean batch loss.
+    per-epoch mean batch loss. A step that makes a parameter non-finite
+    raises DataError("non-finite-parameter: training diverged at epoch E"),
+    E counted from 0 as in the loss curve.
     """
-    cfg.validate()
     if not data:
         raise DataError("empty-data")
     if len(data) < 2:
@@ -193,8 +191,13 @@ def train_head(data, cfg):
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             by = ys[idx]
-            probs, grad = _probs_and_gradient(model, xs[idx], by)
-            epoch_losses.append(bce_loss(probs, by))
-            state, model = adam_step(state, model, grad, cfg)
+            # a diverging step overflows; the HeadModel it yields rejects the result
+            with np.errstate(over="ignore", invalid="ignore"):
+                probs, grad = _probs_and_gradient(model, xs[idx], by)
+                epoch_losses.append(bce_loss(probs, by))
+                try:
+                    state, model = adam_step(state, model, grad, cfg)
+                except DataError as exc:
+                    raise DataError(f"{exc}: training diverged at epoch {epoch}") from None
         curve.append(float(np.mean(epoch_losses)))
     return model, curve

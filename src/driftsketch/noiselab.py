@@ -30,7 +30,7 @@ class NoiseSpec:
     level: float
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"config-invalid: unknown noise kind {self.kind!r}")
         _check_level(self.kind, self.level)
@@ -130,7 +130,6 @@ _NOISE_OPS = {
 
 def apply_noise(img, spec):
     """Corrupt an image per a NoiseSpec."""
-    spec.validate()
     return _NOISE_OPS[spec.kind](img, spec.level, spec.seed)
 
 
@@ -150,8 +149,6 @@ class SensitivityReport:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-
-    def validate(self):
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"config-invalid: unknown noise kind {self.noise_kind!r}")
         if not self.rows:
@@ -189,7 +186,6 @@ def sensitivity_sweep(baseline_images, test_images, kind, levels, pipeline, seed
         raise ConfigError(f"invalid-levels: not strictly increasing: {levels}")
     for lv in levels:
         _check_level(kind, lv)
-    pipeline.validate()
 
     noise_op = _NOISE_OPS[kind]
     fingerprint = extract_fingerprint(pipeline.extract)
@@ -222,6 +218,4 @@ def sensitivity_sweep(baseline_images, test_images, kind, levels, pipeline, seed
                 anomaly_rate=flags / len(feats),
             )
         )
-    report = SensitivityReport(noise_kind=kind, rows=tuple(rows))
-    report.validate()
-    return report
+    return SensitivityReport(noise_kind=kind, rows=tuple(rows))

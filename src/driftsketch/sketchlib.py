@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _kernels
-from .core import ConfigError, DataError, seeded_rng
+from .core import ConfigError, DataError, _check_count, _check_seed, seeded_rng
 
 
 # a bin index must have magnitude below 2**63 to be cast to int64 exactly
@@ -28,7 +28,7 @@ class QuantConfig:
     clamp_lo: float | None = None
     clamp_hi: float | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.bin_width < np.inf:
             raise ConfigError(f"config-invalid: bin_width must lie in (0, inf), got {self.bin_width}")
         if not -np.inf < self.origin < np.inf:
@@ -61,9 +61,9 @@ class SketchConfig:
     k: int = 128
     hash_seed: int = 0
 
-    def validate(self):
-        if self.k < 1:
-            raise ConfigError(f"config-invalid: k must be >= 1, got {self.k}")
+    def __post_init__(self):
+        _check_count("k", self.k, 1)
+        _check_seed(self.hash_seed)
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ class GateConfig:
     j_alpha: float = 0.5
     aggregation: str = "max"
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 <= self.j_alpha <= 1.0:
             raise ConfigError(f"config-invalid: j_alpha must lie in [0,1], got {self.j_alpha}")
         if self.aggregation not in ("max", "mean", "union"):
@@ -193,7 +193,6 @@ def tokenize(v, q):
     identical token sets. A bin index outside the int64 range raises
     DataError("value-out-of-range") instead of wrapping in the cast.
     """
-    q.validate()
     values = v.values if hasattr(v, "values") else np.asarray(v, dtype=np.float64)
     if not np.isfinite(values).all():
         raise DataError("non-finite-value: cannot tokenize")
@@ -224,7 +223,6 @@ def _minhash_salts(k, hash_seed):
 
 def minhash(t, cfg):
     """MinHash signature of a token set: per-function minima over the tokens."""
-    cfg.validate()
     if len(t) == 0:
         raise DataError("empty-token-set")
     salts = _minhash_salts(cfg.k, cfg.hash_seed)
@@ -257,8 +255,6 @@ def exact_jaccard(a, b):
 
 def build_library(features, q, s, extract_fingerprint=""):
     """Sketch every feature vector into a library, preserving input order."""
-    q.validate()
-    s.validate()
     if not features:
         raise DataError("empty-input")
     ids = []
@@ -285,7 +281,6 @@ def gate_check(lib, v, g, extract_fingerprint=None):
     library's stored minima matrix, which is read in place, not copied; the
     union minima are computed once per library and reused.
     """
-    g.validate()
     if len(lib) == 0:
         raise DataError("empty-library")
     if (

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, seeded_rng
+from .core import ConfigError, DataError, _check_count, _check_seed, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class StatsConfig:
     pairwise_cap: int = 10000
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 < self.ks_alpha < 1.0:
             raise ConfigError(f"config-invalid: ks_alpha must lie in (0,1), got {self.ks_alpha}")
         if self.cosine_mode not in ("centroid", "mean_pairwise"):
@@ -30,10 +30,8 @@ class StatsConfig:
                 f"config-invalid: cosine_mode must be centroid or mean_pairwise, "
                 f"got {self.cosine_mode!r}"
             )
-        if self.pairwise_cap < 1:
-            raise ConfigError(
-                f"config-invalid: pairwise_cap must be >= 1, got {self.pairwise_cap}"
-            )
+        _check_count("pairwise_cap", self.pairwise_cap, 1)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -55,8 +53,6 @@ class DriftReport:
 
     def __post_init__(self):
         object.__setattr__(self, "periods", tuple(self.periods))
-
-    def validate(self):
         if not self.periods:
             raise DataError("empty-report: at least one period required")
         for p in self.periods:
@@ -159,7 +155,6 @@ def batch_cosine(batch_a, batch_b, cfg):
     cosine over all cross pairs, or over `pairwise_cap` seeded-sampled pairs
     (with replacement) when the cross product exceeds the cap.
     """
-    cfg.validate()
     mat_a = _batch_matrix(batch_a, "a")
     mat_b = _batch_matrix(batch_b, "b")
     if mat_a.shape[1] != mat_b.shape[1]:
@@ -197,7 +192,6 @@ def drift_report(baseline, periods, cfg, gate_flag_counts=None, baseline_id="bas
     optionally carries the per-period count of gate-anomalous items (zeros
     when the gate was not run).
     """
-    cfg.validate()
     if not periods:
         raise DataError("empty-report: no periods supplied")
     if gate_flag_counts is None:
@@ -223,6 +217,4 @@ def drift_report(baseline, periods, cfg, gate_flag_counts=None, baseline_id="bas
                 drift_flag=p_val < cfg.ks_alpha,
             )
         )
-    report = DriftReport(baseline_id=baseline_id, ks_alpha=cfg.ks_alpha, periods=tuple(rows))
-    report.validate()
-    return report
+    return DriftReport(baseline_id=baseline_id, ks_alpha=cfg.ks_alpha, periods=tuple(rows))

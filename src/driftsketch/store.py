@@ -298,7 +298,6 @@ def _read_checked_json(path, kind):
 
 def save_model(model, path, train_config=None):
     """Persist a finite HeadModel checkpoint (versioned record of d, w, b)."""
-    model.validate()
     obj = {
         "kind": "head_model",
         "schema_version": 1,
@@ -386,7 +385,6 @@ def load_split(path):
 
 def _report_parts(report):
     if isinstance(report, DriftReport):
-        report.validate()
         header = {
             "kind": "drift_report",
             "schema_version": 1,
@@ -395,7 +393,6 @@ def _report_parts(report):
         }
         return header, [asdict(p) for p in report.periods]
     if isinstance(report, SensitivityReport):
-        report.validate()
         header = {
             "kind": "sensitivity_report",
             "schema_version": 1,
@@ -592,7 +589,6 @@ def read_drift_report(path):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"malformed-payload: {exc}")
-    report.validate()
     return report, config
 
 
@@ -615,5 +611,4 @@ def read_sensitivity_report(path):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"malformed-payload: {exc}")
-    report.validate()
     return report, config

@@ -1,11 +1,17 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import driftsketch
 from driftsketch import load_embeddings, read_drift_report, read_sensitivity_report, save_image
 from driftsketch import store
 from driftsketch.cli import main
@@ -333,6 +339,25 @@ class TestTrainHead:
         assert lines[0] == "epoch,mean_loss"
         assert len(lines) == 11
 
+    def test_diverging_step_size_named(self, tmp_path):
+        emb, lab = self._labeled_embeddings(tmp_path)
+        model_path = tmp_path / "model.json"
+        cfg = _write_config(tmp_path, "train.lr = 1e308")
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(driftsketch.__file__).parents[1]),
+            PYTHONWARNINGS="default",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "driftsketch.cli", "train-head", emb, "--labels", lab,
+             "--config", cfg, "--out", str(model_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 3
+        assert "driftsketch: non-finite-parameter: training diverged at epoch" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not model_path.exists()
+
     def test_missing_label_is_data_error(self, tmp_path):
         emb, lab = self._labeled_embeddings(tmp_path)
         Path(lab).write_text("s0 1\n")
@@ -434,6 +459,20 @@ class TestErrors:
         assert "value-out-of-range" in capsys.readouterr().err
         assert not (tmp_path / "lib.dskl").exists()
 
+    @pytest.mark.parametrize(
+        "text, flag, value",
+        [("gate.j_alpha = 5", "--j-alpha", 0.5), ("stats.ks_alpha = 5", "--ks-alpha", 0.05)],
+    )
+    def test_flag_overrides_bad_file_value(self, tmp_path, baseline_dir, capsys, text, flag, value):
+        argv = ["build-baseline", baseline_dir, "--config", _write_config(tmp_path, text),
+                "--out", str(tmp_path / "lib.dskl")]
+        assert main([*argv, flag, str(value)]) == 0
+        section, _, key = text.partition(" ")[0].partition(".")
+        echoed = json.loads(capsys.readouterr().err.partition("config: ")[2])
+        assert echoed[section][key] == value
+        assert main([*argv, flag, "5"]) == 2
+        assert "config-invalid" in capsys.readouterr().err
+
     def test_config_flag_overrides_file(self, tmp_path, baseline_dir):
         periods = _period_dirs(tmp_path, n_periods=2)
         cfg = _write_config(tmp_path, "stats.ks_alpha = 0.2")
@@ -441,3 +480,53 @@ class TestErrors:
         main(["drift", baseline_dir, *periods, "--config", cfg, "--ks-alpha", "0.01", "--out", out])
         report, _ = read_drift_report(out)
         assert report.ks_alpha == 0.01
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+# values drawn from 0, -1, nan, inf, a string, null and a list that each library
+# config field rejects; the other clamp bound stays null, so a clamp value is set alone
+_FORGED_VALUES = {
+    ("sketch", "k"): [0, -1, _NAN, _INF, "x", None, [1]],
+    ("sketch", "hash_seed"): [-1, _NAN, _INF, "x", None, [1]],
+    ("quant", "bin_width"): [0, -1, _NAN, _INF, "x", None, [1]],
+    ("quant", "origin"): [_NAN, _INF, "x", None, [1]],
+    ("quant", "clamp_lo"): [0, -1, _NAN, _INF, "x", [1]],
+    ("quant", "clamp_hi"): [0, -1, _NAN, _INF, "x", [1]],
+}
+_FORGED = [(s, f, v) for (s, f), values in _FORGED_VALUES.items() for v in values]
+
+
+class TestCorruptLibrary:
+    @pytest.fixture
+    def library_bytes(self, tmp_path, baseline_dir):
+        lib = tmp_path / "lib.dskl"
+        assert main(["build-baseline", baseline_dir, "--out", str(lib)]) == 0
+        return lib.read_bytes()
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(forged=st.sampled_from(_FORGED))
+    def test_forged_config_is_malformed_payload(
+        self, tmp_path, baseline_dir, library_bytes, capsys, forged
+    ):
+        """A checksummed library whose sketch/quant config is invalid is bad data (exit 3)."""
+        section, field, value = forged
+        obj = json.loads(library_bytes[14:-8])
+        obj[section][field] = value
+        payload = json.dumps(obj).encode("utf-8")
+        lib = tmp_path / "forged.dskl"
+        lib.write_bytes(
+            library_bytes[:6]
+            + len(payload).to_bytes(8, "little")
+            + payload
+            + hashlib.blake2b(payload, digest_size=8).digest()
+        )
+        capsys.readouterr()
+        query = os.path.join(baseline_dir, "img000.pgm")
+        code = main(["gate", query, "--library", str(lib), "--out", "-"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "malformed-payload" in err
+        assert "Traceback" not in err

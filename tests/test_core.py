@@ -1,10 +1,19 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import driftsketch
 from driftsketch import ConfigError, DataError, ImageGrid, PipelineConfig, validate_image
+from driftsketch.cli import _SECTIONS
 from driftsketch.core import derive_seed, seeded_rng
+from driftsketch.extract import ExtractConfig
+from driftsketch.head import TrainConfig
+from driftsketch.noiselab import NoiseSpec
+from driftsketch.sketchlib import SketchConfig
+from driftsketch.stats import StatsConfig
 
 
 class TestValidateImage:
@@ -97,7 +106,6 @@ class TestSeededRng:
 class TestPipelineConfig:
     def test_defaults_validate(self):
         cfg = PipelineConfig()
-        cfg.validate()
         assert cfg.schema_version == 1
 
     def test_dict_round_trip(self):
@@ -106,13 +114,76 @@ class TestPipelineConfig:
         assert again == cfg
 
     def test_bad_schema_version_rejected(self):
-        cfg = PipelineConfig(schema_version=2)
         with pytest.raises(ConfigError, match="schema_version"):
-            cfg.validate()
+            PipelineConfig(schema_version=2)
 
     def test_nested_validation_propagates(self):
         from driftsketch import QuantConfig
 
-        cfg = PipelineConfig(quant=QuantConfig(bin_width=0.0))
         with pytest.raises(ConfigError, match="bin_width"):
-            cfg.validate()
+            PipelineConfig(quant=QuantConfig(bin_width=0.0))
+
+
+# a valid record of every config-file section, plus a noise spec
+_VALID = {name: cls() for name, (cls, _) in _SECTIONS.items()}
+_VALID["noise"] = NoiseSpec(kind="gaussian", level=0.1)
+
+# per record: a field, a value its constructor rejects, and the error it names
+_BAD_FIELD = {
+    "extract": ("grid", 0, "grid must be >= 1"),
+    "quant": ("bin_width", 0.0, "bin_width must lie in"),
+    "sketch": ("k", 0, "k must be >= 1"),
+    "gate": ("j_alpha", 1.5, "j_alpha must lie in"),
+    "stats": ("ks_alpha", 0.0, "ks_alpha must lie in"),
+    "train": ("epochs", 0, "epochs must be >= 1"),
+    "noise": ("level", -1.0, "invalid-sigma"),
+}
+
+
+class TestValidByConstruction:
+    @pytest.mark.parametrize("name", sorted(_VALID))
+    def test_bad_value_rejected_by_constructor_and_replace(self, name):
+        good = _VALID[name]
+        field, value, message = _BAD_FIELD[name]
+        with pytest.raises(ConfigError, match=message):
+            type(good)(**{**asdict(good), field: value})
+        with pytest.raises(ConfigError, match=message):
+            replace(good, **{field: value})
+
+    @pytest.mark.parametrize(
+        "cls, field",
+        [
+            (SketchConfig, "hash_seed"),
+            (ExtractConfig, "projection_seed"),
+            (StatsConfig, "seed"),
+            (TrainConfig, "seed"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2**64, "0", None])
+    def test_bad_seed_rejected(self, cls, field, seed):
+        with pytest.raises(ConfigError, match="invalid-seed"):
+            cls(**{field: seed})
+
+    @pytest.mark.parametrize(
+        "cls, field",
+        [
+            (SketchConfig, "k"),
+            (ExtractConfig, "grid"),
+            (ExtractConfig, "hist_bins"),
+            (ExtractConfig, "projection_dim"),
+            (StatsConfig, "pairwise_cap"),
+            (TrainConfig, "epochs"),
+            (TrainConfig, "batch_size"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [4.0, float("nan"), float("inf"), "4", None])
+    def test_non_integer_count_rejected(self, cls, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            cls(**{field: value})
+
+    def test_integer_counts_and_seeds_accepted(self):
+        assert SketchConfig(k=np.int64(8), hash_seed=np.uint64(2**64 - 1)).k == 8
+
+    def test_no_public_class_has_validate(self):
+        classes = [obj for obj in vars(driftsketch).values() if isinstance(obj, type)]
+        assert [c.__name__ for c in classes if hasattr(c, "validate")] == []

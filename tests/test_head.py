@@ -234,3 +234,10 @@ class TestTrainHead:
     def test_empty_rejected(self):
         with pytest.raises(DataError, match="empty-data"):
             train_head([], TrainConfig())
+
+    def test_diverging_step_size_named(self):
+        # any NumPy RuntimeWarning on the way fails this test (pytest filterwarnings)
+        with pytest.raises(
+            DataError, match=r"^non-finite-parameter: training diverged at epoch \d+$"
+        ):
+            train_head(separable_blobs(21), TrainConfig(lr=1e308, epochs=5, seed=3))

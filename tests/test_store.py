@@ -29,6 +29,7 @@ from driftsketch.head import HeadModel, TrainConfig
 from driftsketch.noiselab import SensitivityReport, SensitivityRow
 from driftsketch.stats import DriftReport, PeriodStats
 from driftsketch.store import (
+    _digest,
     load_model,
     load_split,
     read_library,
@@ -214,6 +215,13 @@ class TestModelPersistence:
             save_model(HeadModel(w=[float("nan")], b=0), str(path))
         assert not path.exists()
 
+    def test_non_finite_checkpoint_rejected(self, tmp_path):
+        line = b'{"kind":"head_model","schema_version":1,"dim":2,"w":[0.5,NaN],"b":0.0,"train":null}'
+        path = tmp_path / "model.json"
+        path.write_bytes(line + b"\n# blake2b=" + _digest(line).encode("ascii") + b"\n")
+        with pytest.raises(DataError, match="non-finite-parameter"):
+            load_model(str(path))
+
 
 def _drift_report():
     return DriftReport(
@@ -304,8 +312,8 @@ class TestReportPersistence:
             write_report(_drift_report(), "xml", str(tmp_path / "r.xml"))
 
     def test_empty_period_report_rejected(self, tmp_path):
-        empty = DriftReport(baseline_id="b", ks_alpha=0.05, periods=())
         with pytest.raises(DataError, match="empty-report"):
+            empty = DriftReport(baseline_id="b", ks_alpha=0.05, periods=())
             write_report(empty, "jsonl", str(tmp_path / "e.jsonl"))
 
 
