@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, ImageGrid, derive_seed, seeded_rng, validate_image
+from .core import (
+    ConfigError,
+    DataError,
+    ImageGrid,
+    _check_seed,
+    derive_seed,
+    seeded_rng,
+    validate_image,
+)
 from .extract import extract_batch, extract_fingerprint
 from .sketchlib import build_library, gate_check
 from .stats import batch_cosine, ks_pvalue, ks_statistic, pool_scalars
@@ -34,6 +42,7 @@ class NoiseSpec:
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"config-invalid: unknown noise kind {self.kind!r}")
         _check_level(self.kind, self.level)
+        _check_seed(self.seed)
 
 
 def _check_level(kind, level):

@@ -84,50 +84,60 @@ class SketchLibrary:
     """The baseline: one signature per trusted image, plus the configs that
     produced them (so incompatible comparisons can be rejected).
 
-    The minima live in one read-only, C-contiguous (m, k) uint64 matrix,
-    built once when the library is created: row i holds the signature of
-    ``ids[i]``. The ``(source_id, signature)`` pairs in ``entries`` are made
-    on first use, each ``signature.minima`` a read-only view of its row, so
-    the library holds a single copy of the minima. ``minima_matrix()``
-    returns that matrix without copying, and the union minima are computed
-    on first use and kept.
+    Each distinct minima row is stored once. ``distinct_minima`` is a
+    read-only, C-contiguous (u, k) uint64 matrix of the distinct rows in
+    first-occurrence order, and ``row_index`` (read-only, length m) maps
+    ``ids[i]`` to its row, so the signature of ``ids[i]`` is
+    ``distinct_minima[row_index[i]]``. Near-duplicate baselines quantize to
+    few distinct rows (u << m), and the gate compares a query with the u
+    rows only: O(u*k) per query instead of O(m*k).
+
+    ``from_minima`` is the only constructor. The ``(source_id, signature)``
+    pairs in ``entries`` are made on first use, each ``signature.minima`` a
+    read-only view of its distinct row. ``minima_matrix()`` gathers the
+    (m, k) rows aligned with ``ids`` on first call and keeps them; the union
+    minima are likewise computed on first use and kept.
     The library is read-only: its attributes cannot be reassigned.
     """
 
-    def __init__(self, entries, sketch_config, quant_config, extract_fingerprint=""):
-        entries = tuple(entries)
-        for _, sig in entries:
-            _check_compatible(sig, sketch_config)
-        self._fill(
-            [sid for sid, _ in entries],
-            [sig.minima for _, sig in entries],
-            sketch_config,
-            quant_config,
-            extract_fingerprint,
-        )
-
     @classmethod
     def from_minima(cls, ids, minima, sketch_config, quant_config, extract_fingerprint=""):
-        """Library from ids and their minima rows (any (m, k) array-like),
-        filled into the matrix in one step."""
-        lib = cls.__new__(cls)
-        lib._fill(ids, minima, sketch_config, quant_config, extract_fingerprint)
-        return lib
+        """Library from distinct ids and their minima rows (any (m, k)
+        array-like).
 
-    def _fill(self, ids, minima, sketch_config, quant_config, extract_fingerprint):
+        Equal rows are stored once, in order of first occurrence, so two
+        libraries with the same ids and rows are identical.
+        """
         ids = tuple(ids)
+        seen = set()
+        for sid in ids:
+            if sid in seen:
+                raise DataError(f"duplicate-source-id: {sid!r}")
+            seen.add(sid)
         k = sketch_config.k
-        matrix = np.array(minima, dtype=np.uint64).reshape(len(ids), -1 if ids else k)
-        if matrix.shape[1] != k:
-            raise DataError(f"dimension-mismatch: {matrix.shape[1]} minima for k={k}")
-        matrix.flags.writeable = False
-        vars(self).update(
+        rows = np.array(minima, dtype=np.uint64).reshape(len(ids), -1 if ids else k)
+        if rows.shape[1] != k:
+            raise DataError(f"dimension-mismatch: {rows.shape[1]} minima for k={k}")
+        # the first occurrence of each row's bytes takes the next distinct slot
+        data, width = rows.tobytes(), rows.itemsize * k
+        slots = {}
+        row_index = np.array(
+            [slots.setdefault(data[i : i + width], len(slots)) for i in range(0, len(data), width)],
+            dtype=np.intp,
+        )
+        distinct = rows[np.unique(row_index, return_index=True)[1]]
+        distinct.flags.writeable = False
+        row_index.flags.writeable = False
+        lib = cls.__new__(cls)
+        vars(lib).update(
             ids=ids,
             sketch_config=sketch_config,
             quant_config=quant_config,
             extract_fingerprint=extract_fingerprint,
-            _matrix=matrix,
+            distinct_minima=distinct,
+            row_index=row_index,
         )
+        return lib
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SketchLibrary is read-only: cannot set {name!r}")
@@ -136,24 +146,32 @@ class SketchLibrary:
         return len(self.ids)
 
     def minima_matrix(self):
-        """The (m, k) minima matrix itself: read-only, never copied."""
-        return self._matrix
+        """The read-only (m, k) minima rows aligned with ``ids``, gathered
+        from the distinct rows on first call and kept."""
+        return self._gathered
+
+    @cached_property
+    def _gathered(self):
+        matrix = self.distinct_minima[self.row_index]
+        matrix.flags.writeable = False
+        return matrix
 
     @cached_property
     def entries(self):
         """``(source_id, signature)`` pairs in row order, made on first use."""
         k, hash_seed = self.sketch_config.k, self.sketch_config.hash_seed
         return tuple(
-            (sid, MinHashSignature(minima=row, k=k, hash_seed=hash_seed))
-            for sid, row in zip(self.ids, self._matrix)
+            (sid, MinHashSignature(minima=self.distinct_minima[j], k=k, hash_seed=hash_seed))
+            for sid, j in zip(self.ids, self.row_index)
         )
 
     @cached_property
     def union_signature(self):
         """Signature of the union of every entry's token set: the column
-        minima, by the MinHash union property."""
+        minima, by the MinHash union property. The distinct rows have the
+        same column minima as all m rows."""
         return MinHashSignature(
-            minima=self._matrix.min(axis=0),
+            minima=self.distinct_minima.min(axis=0),
             k=self.sketch_config.k,
             hash_seed=self.sketch_config.hash_seed,
         )
@@ -257,16 +275,10 @@ def build_library(features, q, s, extract_fingerprint=""):
     """Sketch every feature vector into a library, preserving input order."""
     if not features:
         raise DataError("empty-input")
-    ids = []
-    rows = []
-    seen = set()
-    for v in features:
-        if v.source_id in seen:
-            raise DataError(f"duplicate-source-id: {v.source_id!r}")
-        seen.add(v.source_id)
-        ids.append(v.source_id)
-        rows.append(minhash(tokenize(v, q), s).minima)
-    return SketchLibrary.from_minima(ids, rows, s, q, extract_fingerprint)
+    rows = [minhash(tokenize(v, q), s).minima for v in features]
+    return SketchLibrary.from_minima(
+        [v.source_id for v in features], rows, s, q, extract_fingerprint
+    )
 
 
 def gate_check(lib, v, g, extract_fingerprint=None):
@@ -277,9 +289,11 @@ def gate_check(lib, v, g, extract_fingerprint=None):
     by the MinHash union property). Anomalous iff score < j_alpha; a score
     exactly at the threshold is acceptable.
 
-    Per query the cost is sketching `v` plus one O(m*k) compare against the
-    library's stored minima matrix, which is read in place, not copied; the
-    union minima are computed once per library and reused.
+    Per query the cost is sketching `v` plus one O(u*k) compare against the
+    library's u distinct minima rows, read in place. Under mean the u match
+    counts are spread back over the m rows through ``row_index``, an O(m)
+    gather, so every score equals the one a compare with all m rows gives,
+    bit for bit. The union minima are computed once per library and reused.
     """
     if len(lib) == 0:
         raise DataError("empty-library")
@@ -299,8 +313,10 @@ def gate_check(lib, v, g, extract_fingerprint=None):
     if g.aggregation == "union":
         score = estimate_jaccard(lib.union_signature, sig)
     else:
-        counts = _kernels.match_counts(lib.minima_matrix(), sig.minima)
-        fractions = counts / sig.k
-        score = float(fractions.max() if g.aggregation == "max" else fractions.mean())
+        fractions = _kernels.match_counts(lib.distinct_minima, sig.minima) / sig.k
+        if g.aggregation == "max":
+            score = float(fractions.max())
+        else:
+            score = float(fractions[lib.row_index].mean())
     source_id = v.source_id if hasattr(v, "source_id") else ""
     return GateResult(source_id=source_id, score=score, anomalous=score < g.j_alpha)

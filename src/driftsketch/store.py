@@ -5,8 +5,15 @@ Formats owned by this module:
 - Images: 8-bit binary PGM (P5, grayscale) and PPM (P6, RGB); maxval <= 255.
 - Embedding files: header ``driftsketch-emb v1 dim=<d> count=<n>``, then one
   ``<id> <v1> ... <vd>`` record per line.
-- Sketch library: binary, magic ``DSKL``, u16 version, u64 payload length,
-  JSON payload, 8-byte BLAKE2b checksum of the payload.
+- Sketch library (v2): binary, magic ``DSKL``, u16 version, u64 header
+  length, a JSON header (configs, extractor fingerprint, ids, m, u, k), the
+  u distinct minima rows as a u x k little-endian uint64 matrix in order of
+  first occurrence, the m row indices (``ids[i]`` has row ``index[i]``) as
+  little-endian uint32, then an 8-byte BLAKE2b checksum of every byte before
+  it. v1 files (u64 payload length, one JSON payload holding every row,
+  8-byte BLAKE2b checksum of the payload) still load; either version is
+  rebuilt through ``SketchLibrary.from_minima``, so gate scores do not
+  depend on which one a library came from.
 - Model checkpoints and split plans: one-line JSON followed by a
   ``# blake2b=<hex>`` integrity line.
 - Reports (drift and sensitivity): JSON-lines or CSV, one record per
@@ -34,7 +41,7 @@ from .stats import DriftReport, PeriodStats
 from .noiselab import SensitivityReport, SensitivityRow
 
 LIBRARY_MAGIC = b"DSKL"
-LIBRARY_VERSION = 1
+LIBRARY_VERSION = 2
 _CHECKSUM_PREFIX = "# blake2b="
 
 
@@ -199,9 +206,9 @@ def write_embeddings(features, path, dim=None):
 
 
 def save_library(lib):
-    """Serialize a SketchLibrary to bytes (magic, version, payload, checksum)."""
-    payload_obj = {
-        "schema_version": 1,
+    """Serialize a SketchLibrary to v2 bytes (see the module docstring)."""
+    u, k = lib.distinct_minima.shape
+    header = {
         "sketch": {"k": lib.sketch_config.k, "hash_seed": lib.sketch_config.hash_seed},
         "quant": {
             "bin_width": lib.quant_config.bin_width,
@@ -210,27 +217,25 @@ def save_library(lib):
             "clamp_hi": lib.quant_config.clamp_hi,
         },
         "extract_fingerprint": lib.extract_fingerprint,
-        "entries": [
-            {"source_id": sid, "minima": row}
-            for sid, row in zip(lib.ids, lib.minima_matrix().tolist())
-        ],
+        "ids": list(lib.ids),
+        "m": len(lib),
+        "u": u,
+        "k": k,
     }
-    payload = _jdump(payload_obj, sort_keys=True).encode("utf-8")
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    header = LIBRARY_MAGIC + LIBRARY_VERSION.to_bytes(2, "little")
-    return header + len(payload).to_bytes(8, "little") + payload + digest
+    header = _jdump(header, sort_keys=True).encode("utf-8")
+    data = b"".join((
+        LIBRARY_MAGIC,
+        LIBRARY_VERSION.to_bytes(2, "little"),
+        len(header).to_bytes(8, "little"),
+        header,
+        lib.distinct_minima.astype("<u8").tobytes(),
+        lib.row_index.astype("<u4").tobytes(),
+    ))
+    return data + hashlib.blake2b(data, digest_size=8).digest()
 
 
-def load_library(data):
-    """Deserialize bytes produced by save_library, verifying the checksum."""
-    if len(data) < 6 or data[:4] != LIBRARY_MAGIC:
-        raise StoreError("bad-magic: not a sketch library file")
-    version = int.from_bytes(data[4:6], "little")
-    if version != LIBRARY_VERSION:
-        raise StoreError(f"version-unsupported: {version}")
-    if len(data) < 14:
-        raise StoreError("checksum-mismatch: truncated file")
-    length = int.from_bytes(data[6:14], "little")
+def _read_library_v1(data, length):
+    """(header object, ids, minima rows) of a v1 file: one JSON payload."""
     payload = data[14 : 14 + length]
     trailer = data[14 + length : 14 + length + 8]
     if len(payload) != length or len(trailer) != 8:
@@ -241,15 +246,64 @@ def load_library(data):
         obj = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StoreError(f"checksum-mismatch: undecodable payload ({exc})")
+    entries = obj["entries"]
+    return obj, [e["source_id"] for e in entries], [e["minima"] for e in entries]
+
+
+def _header_size(obj, key):
+    value = obj[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise StoreError(f"malformed-payload: {key} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _read_library_v2(data, length):
+    """(header object, ids, minima rows) of a v2 file, its sizes checked."""
+    body, trailer = data[:-8], data[-8:]
+    if len(data) < 22 or hashlib.blake2b(body, digest_size=8).digest() != trailer:
+        raise StoreError("checksum-mismatch")
+    start = 14 + length
+    obj = json.loads(body[14:start].decode("utf-8"))
+    m, u, k = (_header_size(obj, key) for key in ("m", "u", "k"))
+    ids = obj["ids"]
+    if len(ids) != m or k != obj["sketch"]["k"] or len(body) != start + 8 * u * k + 4 * m:
+        raise StoreError(
+            f"malformed-payload: m={m}, u={u}, k={k} disagree with {len(ids)} ids, "
+            f"sketch k {obj['sketch']['k']!r} or {len(body) - start} data bytes"
+        )
+    distinct = np.frombuffer(body, "<u8", u * k, start).reshape(u, k)
+    row_index = np.frombuffer(body, "<u4", m, start + 8 * u * k)
+    if m and row_index.max() >= u:
+        raise StoreError(f"malformed-payload: row index {int(row_index.max())} >= u={u}")
+    return obj, ids, distinct[row_index]
+
+
+_LIBRARY_READERS = {1: _read_library_v1, 2: _read_library_v2}
+
+
+def load_library(data):
+    """Deserialize a v2 (or v1) library, verifying the checksum and sizes.
+
+    Either version is rebuilt through ``SketchLibrary.from_minima``, so the
+    library in memory is the same whichever file it came from.
+    """
+    if len(data) < 6 or data[:4] != LIBRARY_MAGIC:
+        raise StoreError("bad-magic: not a sketch library file")
+    version = int.from_bytes(data[4:6], "little")
+    if version not in _LIBRARY_READERS:
+        raise StoreError(f"version-unsupported: {version}")
+    if len(data) < 14:
+        raise StoreError("checksum-mismatch: truncated file")
+    length = int.from_bytes(data[6:14], "little")
     try:
-        sketch = SketchConfig(**obj["sketch"])
-        quant = QuantConfig(**obj["quant"])
-        entries = obj["entries"]
+        obj, ids, rows = _LIBRARY_READERS[version](data, length)
+        if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
+            raise StoreError("malformed-payload: ids must be a list of strings")
         return SketchLibrary.from_minima(
-            [e["source_id"] for e in entries],
-            [e["minima"] for e in entries],
-            sketch,
-            quant,
+            ids,
+            rows,
+            SketchConfig(**obj["sketch"]),
+            QuantConfig(**obj["quant"]),
             obj["extract_fingerprint"],
         )
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
@@ -609,6 +663,6 @@ def read_sensitivity_report(path):
                 for r in rows
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise StoreError(f"malformed-payload: {exc}")
     return report, config

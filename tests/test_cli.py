@@ -513,16 +513,15 @@ class TestCorruptLibrary:
     ):
         """A checksummed library whose sketch/quant config is invalid is bad data (exit 3)."""
         section, field, value = forged
-        obj = json.loads(library_bytes[14:-8])
+        end = 14 + int.from_bytes(library_bytes[6:14], "little")
+        obj = json.loads(library_bytes[14:end])
         obj[section][field] = value
-        payload = json.dumps(obj).encode("utf-8")
-        lib = tmp_path / "forged.dskl"
-        lib.write_bytes(
-            library_bytes[:6]
-            + len(payload).to_bytes(8, "little")
-            + payload
-            + hashlib.blake2b(payload, digest_size=8).digest()
+        header = json.dumps(obj).encode("utf-8")
+        forged_bytes = (
+            library_bytes[:6] + len(header).to_bytes(8, "little") + header + library_bytes[end:-8]
         )
+        lib = tmp_path / "forged.dskl"
+        lib.write_bytes(forged_bytes + hashlib.blake2b(forged_bytes, digest_size=8).digest())
         capsys.readouterr()
         query = os.path.join(baseline_dir, "img000.pgm")
         code = main(["gate", query, "--library", str(lib), "--out", "-"])

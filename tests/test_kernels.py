@@ -53,7 +53,7 @@ class TestKnownAnswers:
         ]
 
     def test_saved_library_bytes(self):
-        # pins salts, tokenize, minhash and the v1 library encoding end to end
+        # pins salts, tokenize, minhash and the v2 library encoding end to end
         feats = [
             FeatureVector(values=np.array([0.1 * i, -0.25, 0.5 + 0.01 * i, 1.0]),
                           source_id=f"v{i}")
@@ -61,8 +61,8 @@ class TestKnownAnswers:
         ]
         lib = build_library(feats, QuantConfig(), SketchConfig(k=8, hash_seed=7), "fp")
         data = save_library(lib)
-        assert len(data) == 954
-        assert hashlib.blake2b(data, digest_size=8).hexdigest() == "6908aa4380a4c227"
+        assert len(data) == 421
+        assert hashlib.blake2b(data, digest_size=8).hexdigest() == "c84d98941aba2044"
 
 
 class TestKernelProperties:

@@ -151,6 +151,12 @@ class TestApplyNoise:
         with pytest.raises(ConfigError, match="unknown noise kind"):
             apply_noise(constant_image(0.5), NoiseSpec(kind="cosmic", level=0.1))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2**64])
+    def test_bad_seed_rejected_on_construction(self, seed):
+        # sigma 0 never draws, so only the construction check can catch it
+        with pytest.raises(ConfigError, match="invalid-seed"):
+            apply_noise(constant_image(0.5), NoiseSpec("gaussian", 0.0, seed=seed))
+
 
 class TestSensitivitySweep:
     def test_level_zero_on_identical_sets(self):

@@ -18,6 +18,7 @@ from driftsketch import (
     minhash,
     tokenize,
 )
+from driftsketch import _kernels
 from driftsketch.core import seeded_rng
 from driftsketch.sketchlib import SketchLibrary, _minhash_salts
 
@@ -248,32 +249,18 @@ class TestGateCheck:
         assert res.verdict == "acceptable"
 
     def test_permutation_invariance_max_and_union(self):
-        from driftsketch.sketchlib import SketchLibrary
-
         feats, lib = self._library(n=6)
         rng = seeded_rng(2, "gate-perm")
         probe = _feature(rng.uniform(0, 1, 8), "probe")
-        shuffled = SketchLibrary(
-            entries=tuple(reversed(lib.entries)),
-            sketch_config=lib.sketch_config,
-            quant_config=lib.quant_config,
-            extract_fingerprint=lib.extract_fingerprint,
-        )
+        shuffled = _library_from(tuple(reversed(lib.entries)), lib)
         for agg in ("max", "union"):
             a = gate_check(lib, probe, GateConfig(aggregation=agg))
             b = gate_check(shuffled, probe, GateConfig(aggregation=agg))
             assert a.score == b.score and a.anomalous == b.anomalous
 
     def test_enlarging_library_never_decreases_max_score(self):
-        from driftsketch.sketchlib import SketchLibrary
-
         feats, lib = self._library(n=8)
-        small = SketchLibrary(
-            entries=lib.entries[:4],
-            sketch_config=lib.sketch_config,
-            quant_config=lib.quant_config,
-            extract_fingerprint=lib.extract_fingerprint,
-        )
+        small = _library_from(lib.entries[:4], lib)
         rng = seeded_rng(3, "gate-mono")
         for i in range(20):
             probe = _feature(rng.uniform(0, 1, 8), f"p{i}")
@@ -303,8 +290,9 @@ class TestGateCheck:
 
 
 def _library_from(entries, lib):
-    return SketchLibrary(
-        entries=entries,
+    return SketchLibrary.from_minima(
+        [sid for sid, _ in entries],
+        [sig.minima for _, sig in entries],
         sketch_config=lib.sketch_config,
         quant_config=lib.quant_config,
         extract_fingerprint=lib.extract_fingerprint,
@@ -330,7 +318,7 @@ class TestLibraryMatrix:
         lib = self._library()
         matrix = lib.minima_matrix()
         for i, (_, sig) in enumerate(lib.entries):
-            assert np.shares_memory(sig.minima, matrix)
+            assert np.shares_memory(sig.minima, lib.distinct_minima[lib.row_index[i]])
             assert not sig.minima.flags.writeable
             np.testing.assert_array_equal(sig.minima, matrix[i])
 
@@ -358,8 +346,8 @@ class TestLibraryMatrix:
 
     def test_mismatched_signature_rejected(self):
         lib = self._library()
-        foreign = minhash(TokenSet(tokens=[1, 2, 3]), SketchConfig(k=16, hash_seed=9))
-        with pytest.raises(DataError, match="incompatible-signatures"):
+        foreign = minhash(TokenSet(tokens=[1, 2, 3]), SketchConfig(k=8, hash_seed=9))
+        with pytest.raises(DataError, match="dimension-mismatch"):
             _library_from([("x", foreign)], lib)
 
     def test_from_minima_checks_row_width(self):
@@ -407,3 +395,56 @@ def test_gate_scores_match_per_entry_reference(rows, dim, k, hash_seed, bin_widt
     for agg, reference in _GATE_REFERENCE.items():
         res = gate_check(lib, probe, GateConfig(aggregation=agg))
         assert res.score == reference(sigs, query), agg
+
+
+@given(
+    m=st.integers(1, 12),
+    k=st.integers(1, 16),
+    all_distinct=st.booleans(),
+    probe=st.lists(st.floats(-1, 1, allow_nan=False), min_size=4, max_size=4),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_distinct_rows_gate_equals_full_matrix_reference(m, k, all_distinct, probe, data):
+    """Gating against the u distinct rows scores every aggregation exactly as
+    a compare with all m rows does, and the views give back the input rows."""
+    q, s = QuantConfig(bin_width=0.2), SketchConfig(k=k, hash_seed=3)
+    query = minhash(tokenize(_feature(probe, "probe"), q), s).minima
+    # pool rows agree with the query on a drawn subset of positions, so
+    # match counts spread over 0..k
+    u_pool = m if all_distinct else data.draw(st.integers(1, m), label="u_pool")
+    uint64s = st.integers(0, 2**64 - 1)
+    pool = np.array(
+        [
+            np.where(
+                data.draw(st.lists(st.booleans(), min_size=k, max_size=k), label="match"),
+                query,
+                np.array(data.draw(st.lists(uint64s, min_size=k, max_size=k)), dtype=np.uint64),
+            )
+            for _ in range(u_pool)
+        ],
+        dtype=np.uint64,
+    )
+    if all_distinct:
+        choice = data.draw(st.permutations(range(m)), label="order")
+    else:
+        choice = data.draw(st.lists(st.integers(0, u_pool - 1), min_size=m, max_size=m))
+    rows = pool[choice]
+    ids = [f"r{i}" for i in range(m)]
+    lib = SketchLibrary.from_minima(ids, rows, s, q)
+
+    assert lib.distinct_minima.shape == (len(np.unique(rows, axis=0)), k)
+    np.testing.assert_array_equal(lib.minima_matrix(), rows)
+    assert [sid for sid, _ in lib.entries] == ids
+    for (_, sig), row in zip(lib.entries, rows):
+        np.testing.assert_array_equal(sig.minima, row)
+
+    fractions = _kernels.match_counts(rows, query) / k
+    reference = {
+        "max": float(fractions.max()),
+        "mean": float(fractions.mean()),
+        "union": float(np.count_nonzero(rows.min(axis=0) == query)) / k,
+    }
+    for agg, expected in reference.items():
+        score = gate_check(lib, _feature(probe, "probe"), GateConfig(aggregation=agg)).score
+        assert score == expected, agg

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,13 @@ from driftsketch import (
     ConfigError,
     DataError,
     FeatureVector,
+    GateConfig,
     ImageGrid,
     QuantConfig,
     SketchConfig,
     StoreError,
     build_library,
+    gate_check,
     load_embeddings,
     load_image,
     load_library,
@@ -118,6 +121,19 @@ def _every_bit_flip_detected(path, loader, step=1):
         fh.write(original)
 
 
+# a v1 library, as the v1 writer saved _v1_fixture_library()
+V1_LIBRARY = Path(__file__).parent / "data" / "library_v1.dskl"
+
+
+def _forge_v1(old, new):
+    """The v1 fixture with one payload edit, under a valid checksum."""
+    data = V1_LIBRARY.read_bytes()
+    payload = data[14:-8].replace(old, new, 1)
+    assert payload != data[14:-8]
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    return data[:6] + len(payload).to_bytes(8, "little") + payload + digest
+
+
 class TestLibraryPersistence:
     def _library(self):
         rng = seeded_rng(3, "lib-rt")
@@ -160,16 +176,8 @@ class TestLibraryPersistence:
         assert not again.minima_matrix().flags.writeable
 
     def test_negative_minimum_is_malformed(self):
-        data = save_library(self._library())
-        payload = data[14:-8].replace(b'"minima":[', b'"minima":[-', 1)
-        forged = (
-            data[:6]
-            + len(payload).to_bytes(8, "little")
-            + payload
-            + hashlib.blake2b(payload, digest_size=8).digest()
-        )
         with pytest.raises(StoreError, match="malformed-payload"):
-            load_library(forged)
+            load_library(_forge_v1(b'"minima":[', b'"minima":[-'))
 
     def test_payload_bit_flip_detected(self):
         data = bytearray(save_library(self._library()))
@@ -191,6 +199,108 @@ class TestLibraryPersistence:
         data[4] = 99
         with pytest.raises(StoreError, match="version-unsupported"):
             load_library(bytes(data))
+
+
+def _v1_fixture_library():
+    """The library the v1 fixture file was written from."""
+    feats = [
+        FeatureVector(values=np.array([0.1 * i, -0.25, 0.5 + 0.01 * i, 1.0]), source_id=f"v{i}")
+        for i in range(4)
+    ]
+    return build_library(feats, QuantConfig(), SketchConfig(k=8, hash_seed=7), "fp")
+
+
+def _split_v2(data):
+    """(header object, distinct-row bytes, row-index bytes) of a v2 library."""
+    end = 14 + int.from_bytes(data[6:14], "little")
+    header = json.loads(data[14:end])
+    split = end + 8 * header["u"] * header["k"]
+    return header, data[end:split], data[split:-8]
+
+
+def _seal_v2(header, matrix, index):
+    """A v2 library file with a valid checksum around any header and data."""
+    head = json.dumps(header).encode("utf-8")
+    data = b"DSKL" + (2).to_bytes(2, "little") + len(head).to_bytes(8, "little") + head
+    data += matrix + index
+    return data + hashlib.blake2b(data, digest_size=8).digest()
+
+
+class TestLibraryVersions:
+    def test_v1_file_loads_to_the_built_library(self):
+        built = _v1_fixture_library()
+        old = load_library(V1_LIBRARY.read_bytes())
+        assert old.ids == built.ids
+        assert (old.sketch_config, old.quant_config) == (built.sketch_config, built.quant_config)
+        assert old.extract_fingerprint == built.extract_fingerprint
+        np.testing.assert_array_equal(old.minima_matrix(), built.minima_matrix())
+        np.testing.assert_array_equal(old.distinct_minima, built.distinct_minima)
+        np.testing.assert_array_equal(old.row_index, built.row_index)
+        assert save_library(old) == save_library(built)
+
+    def test_v1_file_gates_identically(self):
+        built = _v1_fixture_library()
+        old = load_library(V1_LIBRARY.read_bytes())
+        rng = seeded_rng(8, "v1-gate")
+        probes = [FeatureVector(values=rng.uniform(-0.3, 1.1, 4), source_id="p") for _ in range(20)]
+        probes += [FeatureVector(values=np.array([0.1, -0.25, 0.51, 1.0]), source_id="v1")]
+        for agg in ("max", "mean", "union"):
+            for v in probes:
+                a = gate_check(old, v, GateConfig(aggregation=agg))
+                b = gate_check(built, v, GateConfig(aggregation=agg))
+                assert (a.score, a.anomalous) == (b.score, b.anomalous)
+
+    def test_v1_non_string_id_is_malformed(self):
+        with pytest.raises(StoreError, match="malformed-payload: ids must be"):
+            load_library(_forge_v1(b'"source_id":"v0"', b'"source_id":0'))
+
+    def test_duplicate_id_rejected(self):
+        header, matrix, index = _split_v2(save_library(_v1_fixture_library()))
+        forged = _seal_v2(dict(header, ids=["v0", "v1", "v0", "v3"]), matrix, index)
+        with pytest.raises(DataError, match="duplicate-source-id: 'v0'"):
+            load_library(forged)
+
+    def test_v2_stores_each_distinct_row_once(self):
+        data = save_library(_v1_fixture_library())
+        header, matrix, index = _split_v2(data)
+        assert (header["m"], header["u"], header["k"]) == (4, 3, 8)
+        assert len(matrix) == 3 * 8 * 8
+        assert np.frombuffer(index, "<u4").tolist() == [0, 1, 2, 2]
+        assert len(data) < len(V1_LIBRARY.read_bytes())
+
+    def test_resealed_v2_file_loads(self):
+        # the forgeries below differ from this one only in the field they break
+        data = save_library(_v1_fixture_library())
+        again = load_library(_seal_v2(*_split_v2(data)))
+        assert save_library(again) == data
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            pytest.param(lambda h, mx, ix: (h, mx, ix[:-4] + (3).to_bytes(4, "little")),
+                         id="index-at-u"),
+            pytest.param(lambda h, mx, ix: (h, mx, ix[:-4] + (2**32 - 1).to_bytes(4, "little")),
+                         id="index-far-beyond-u"),
+            pytest.param(lambda h, mx, ix: (h, mx[:-8], ix), id="truncated-matrix"),
+            pytest.param(lambda h, mx, ix: (h, mx, ix[:-4]), id="truncated-index"),
+            pytest.param(lambda h, mx, ix: (dict(h, m=5), mx, ix), id="m-too-large"),
+            pytest.param(lambda h, mx, ix: (dict(h, u=2), mx, ix), id="u-too-small"),
+            pytest.param(lambda h, mx, ix: (dict(h, u=4), mx, ix), id="u-too-large"),
+            pytest.param(lambda h, mx, ix: (dict(h, k=4, u=6), mx, ix), id="k-disagrees"),
+            pytest.param(lambda h, mx, ix: (dict(h, u=-3), mx, ix), id="negative-u"),
+            pytest.param(lambda h, mx, ix: (dict(h, m=4.0), mx, ix), id="float-m"),
+            pytest.param(lambda h, mx, ix: (dict(h, ids=["v0", "v1", "v2", 3]), mx, ix),
+                         id="non-string-id"),
+            pytest.param(lambda h, mx, ix: ({k: v for k, v in h.items() if k != "u"}, mx, ix),
+                         id="missing-u"),
+        ],
+    )
+    def test_forged_v2_is_malformed(self, tmp_path, forge):
+        data = save_library(_v1_fixture_library())
+        path = tmp_path / "forged.dskl"
+        path.write_bytes(_seal_v2(*forge(*_split_v2(data))))
+        with pytest.raises(StoreError, match="malformed-payload"):
+            read_library(str(path))
 
 
 class TestModelPersistence:
@@ -263,6 +373,22 @@ class TestReportPersistence:
         write_report(report, fmt, str(path))
         again, _ = read_sensitivity_report(str(path))
         assert again == report
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_unknown_noise_kind_is_malformed_payload(self, tmp_path, fmt):
+        path = tmp_path / f"sens.{fmt}"
+        write_report(_sensitivity_report(), fmt, str(path))
+        raw = path.read_bytes()
+        cut = raw.rfind(b"\n", 0, len(raw) - 1) + 1
+        body = raw[:cut].replace(b'"noise_kind":"salt_pepper"', b'"noise_kind":"cosmic"')
+        assert body != raw[:cut]
+        if fmt == "jsonl":
+            trailer = json.dumps({"kind": "checksum", "blake2b": _digest(body)})
+        else:
+            trailer = "# blake2b=" + _digest(body)
+        path.write_bytes(body + trailer.encode("ascii") + b"\n")
+        with pytest.raises(StoreError, match="malformed-payload"):
+            read_sensitivity_report(str(path))
 
     def test_config_embedded_and_recovered(self, tmp_path):
         path = tmp_path / "drift.jsonl"
