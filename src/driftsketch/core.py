@@ -81,14 +81,15 @@ def validate_image(img):
         raise DataError(
             f"dimension-mismatch: {img.pixels.shape[0]} pixels supplied, expected {expected}"
         )
+    in_range = (img.pixels >= 0.0) & (img.pixels <= 1.0)
+    if in_range.all():
+        return  # NaN fails both comparisons, so this one pass also rules it out
     finite = np.isfinite(img.pixels)
     if not finite.all():
         idx = int(np.argmin(finite))
         raise DataError(f"non-finite-pixel({idx})")
-    in_range = (img.pixels >= 0.0) & (img.pixels <= 1.0)
-    if not in_range.all():
-        idx = int(np.argmin(in_range))
-        raise DataError(f"out-of-range-pixel({idx}): value {img.pixels[idx]!r}")
+    idx = int(np.argmin(in_range))
+    raise DataError(f"out-of-range-pixel({idx}): value {img.pixels[idx]!r}")
 
 
 @dataclass(frozen=True)

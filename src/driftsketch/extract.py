@@ -78,28 +78,32 @@ def extract_builtin(img, cfg, source_id=""):
             f"image-smaller-than-grid: {img.width}x{img.height} image, grid {cfg.grid}"
         )
 
-    g, b = cfg.grid, cfg.hist_bins
-    raster = img.pixels.reshape(img.height, img.width, img.channels)
+    g, b, ch = cfg.grid, cfg.hist_bins, img.channels
+    raster = img.pixels.reshape(img.height, img.width, ch)
     row_edges = _patch_edges(img.height, g)
     col_edges = _patch_edges(img.width, g)
+    # reduceat needs every patch non-empty (at equal consecutive edges it
+    # returns one element, not an empty sum); the grid check above ensures it
+    rows_per = np.diff(row_edges)
+    cols_per = np.diff(col_edges)
+    counts = np.outer(rows_per, cols_per)[:, :, None]
 
-    parts = []
-    for c in range(img.channels):
-        plane = raster[:, :, c]
-        stats = np.empty(2 * g * g)
-        pos = 0
-        for i in range(g):
-            for j in range(g):
-                patch = plane[row_edges[i] : row_edges[i + 1], col_edges[j] : col_edges[j + 1]]
-                stats[pos] = patch.mean()
-                stats[pos + 1] = patch.std()
-                pos += 2
-        # right-closed bins (i/b, (i+1)/b], first bin closed at 0
-        bins = np.maximum(np.ceil(plane.reshape(-1) * b).astype(np.int64) - 1, 0)
-        hist = np.bincount(bins, minlength=b).astype(np.float64) / plane.size
-        parts.append(stats)
-        parts.append(hist)
-    vec = np.concatenate(parts)
+    def patch_sums(x):
+        # (h, w, ch) -> (g, g, ch): rows within each band, then columns
+        return np.add.reduceat(np.add.reduceat(x, row_edges[:-1], axis=0), col_edges[:-1], axis=1)
+
+    means = patch_sums(raster) / counts
+    # two-pass std: each pixel's deviation from the mean of its own patch
+    dev = raster - np.repeat(np.repeat(means, rows_per, axis=0), cols_per, axis=1)
+    stds = np.sqrt(patch_sums(dev * dev) / counts)
+    # (g, g, ch, 2) -> per channel, (mean, std) in row-major patch order
+    stats = np.stack([means, stds], axis=-1).transpose(2, 0, 1, 3).reshape(ch, 2 * g * g)
+
+    # right-closed bins (i/b, (i+1)/b], first bin closed at 0; channel c
+    # counts into slots [c*b, (c+1)*b) of one bincount
+    bins = np.maximum(np.ceil(raster * b).astype(np.int64) - 1, 0) + np.arange(ch) * b
+    hist = np.bincount(bins.ravel(), minlength=ch * b).reshape(ch, b) / (img.height * img.width)
+    vec = np.concatenate([stats, hist], axis=1).ravel()
 
     if cfg.projection_dim > 0:
         if cfg.projection_dim > vec.shape[0]:

@@ -66,11 +66,14 @@ PROB_CLAMP = 1e-12
 
 
 def _sigmoid(z):
-    # numerically stable split form
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+    """Elementwise logistic function in the numerically stable split form.
+
+    exp only ever sees -|z|, so it never overflows: 1/(1+e^-z) for z >= 0,
+    e^z/(1+e^z) below.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def predict(model, x):
@@ -80,7 +83,7 @@ def predict(model, x):
         raise DataError(
             f"dimension-mismatch: input dim {values.shape[0]}, model dim {model.w.shape[0]}"
         )
-    return _sigmoid(float(model.w @ values) + model.b)
+    return float(_sigmoid(float(model.w @ values) + model.b))
 
 
 def bce_loss(probs, labels):
@@ -113,7 +116,7 @@ def _batch_arrays(model, batch):
 
 def _probs_and_gradient(model, xs, ys):
     """Sigmoid outputs on the rows of xs and the mean BCE gradient over (w, b)."""
-    probs = np.array([_sigmoid(z) for z in xs @ model.w + model.b])
+    probs = _sigmoid(xs @ model.w + model.b)
     resid = probs - ys
     grad = np.empty(model.w.shape[0] + 1)
     grad[:-1] = resid @ xs / len(ys)

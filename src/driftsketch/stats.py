@@ -124,17 +124,28 @@ def _vector_values(v):
     return v.values if hasattr(v, "values") else np.asarray(v, dtype=np.float64)
 
 
+def _pow2_scaled(x, axis=None):
+    """x times the power of two (per row with axis=1) that brings its largest
+    magnitude into [0.5, 1). Cosines are scale-invariant and this scale is
+    exact short of deep underflow, so normal-range scores keep every bit,
+    while near the overflow or subnormal limit no dot product overflows and
+    no norm vanishes."""
+    _, exp = np.frexp(np.abs(x).max(axis=axis, keepdims=True, initial=0.0))
+    return np.ldexp(x, -exp)
+
+
 def cosine(a, b):
     """Cosine similarity a.b / (|a||b|), clamped into [-1, 1]."""
     av, bv = _vector_values(a), _vector_values(b)
     if av.shape[0] != bv.shape[0]:
         raise DataError(f"dimension-mismatch: {av.shape[0]} vs {bv.shape[0]}")
-    na, nb = np.linalg.norm(av), np.linalg.norm(bv)
+    sa, sb = _pow2_scaled(av), _pow2_scaled(bv)
+    na, nb = np.linalg.norm(sa), np.linalg.norm(sb)
     if na == 0.0 or nb == 0.0:
         raise DataError("zero-vector")
     if np.array_equal(av, bv):
         return 1.0  # exact reflexivity; the quotient form can be one ulp off
-    return float(np.clip(av @ bv / (na * nb), -1.0, 1.0))
+    return float(np.clip(sa @ sb / (na * nb), -1.0, 1.0))
 
 
 def _batch_matrix(batch, name):
@@ -160,7 +171,8 @@ def batch_cosine(batch_a, batch_b, cfg):
     if mat_a.shape[1] != mat_b.shape[1]:
         raise DataError(f"dimension-mismatch: {mat_a.shape[1]} vs {mat_b.shape[1]}")
     if cfg.cosine_mode == "centroid":
-        return cosine(mat_a.mean(axis=0), mat_b.mean(axis=0))
+        return cosine(_pow2_scaled(mat_a).mean(axis=0), _pow2_scaled(mat_b).mean(axis=0))
+    mat_a, mat_b = _pow2_scaled(mat_a, axis=1), _pow2_scaled(mat_b, axis=1)
     norms_a = np.linalg.norm(mat_a, axis=1)
     norms_b = np.linalg.norm(mat_b, axis=1)
     if (norms_a == 0.0).any() or (norms_b == 0.0).any():

@@ -30,6 +30,18 @@ def corpus(seed, n, label="corpus", width=28, height=28):
     ]
 
 
+def rgb_corpus(seed, n, label="rgb", width=28, height=28):
+    """n RGB images, each channel a structured plane from its own stream."""
+
+    def plane(i, c):
+        return structured_image(seeded_rng(seed, f"{label}.{i}.{c}"), width, height).to_array()
+
+    return [
+        ImageGrid.from_array(np.concatenate([plane(i, c) for c in range(3)], axis=-1))
+        for i in range(n)
+    ]
+
+
 def uniform_noise_images(seed, n, width=28, height=28):
     rng = seeded_rng(seed, "uniform-junk")
     return [ImageGrid.from_array(rng.uniform(0.0, 1.0, (height, width))) for _ in range(n)]

@@ -274,6 +274,26 @@ class TestDrift:
         out = str(tmp_path / "drift.jsonl")
         assert main(["drift", emb, *periods, "--out", out]) == 0
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-320])
+    def test_extreme_magnitude_embeddings(self, tmp_path, scale):
+        """Finite components near the overflow or subnormal limit give a clean
+        report, not out-of-range-statistic, zero-vector or a RuntimeWarning."""
+        rng = seeded_rng(17, "cli-extreme")
+        paths = []
+        for name in ("big", "big2"):
+            path = tmp_path / f"{name}.emb"
+            rows = [
+                f"r{i} " + " ".join(repr(float(x)) for x in rng.uniform(0.5, 1.0, 4) * scale)
+                for i in range(5)
+            ]
+            path.write_text("driftsketch-emb v1 dim=4 count=5\n" + "\n".join(rows) + "\n")
+            paths.append(str(path))
+        cfg = _write_config(tmp_path, "quant.clamp_lo = -1\nquant.clamp_hi = 1")
+        out = str(tmp_path / "drift.jsonl")
+        assert main(["drift", *paths, "--config", cfg, "--out", out]) == 0
+        report, _ = read_drift_report(out)
+        assert 0.9 < report.periods[0].cosine_score <= 1.0
+
     def test_ks_alpha_flag_loosens_flags(self, tmp_path, baseline_dir):
         periods = _period_dirs(tmp_path, n_periods=2)
         out = str(tmp_path / "drift.jsonl")

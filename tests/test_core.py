@@ -36,6 +36,23 @@ class TestValidateImage:
         with pytest.raises(DataError, match=r"non-finite-pixel\(1\)"):
             validate_image(img)
 
+    @pytest.mark.parametrize(
+        "pixels, error",
+        [
+            ([0.5, 1.5, np.nan, 0.25], r"non-finite-pixel\(2\)"),
+            ([0.5, np.nan, 1.5, 0.25], r"non-finite-pixel\(1\)"),
+            ([-0.5, 0.5, 1.0, np.inf], r"non-finite-pixel\(3\)"),
+            ([0.5, 0.25, 1.0, -1e-300], r"out-of-range-pixel\(3\)"),
+        ],
+        ids=["nan-after-range", "nan-before-range", "inf-after-range", "tiny-negative"],
+    )
+    def test_non_finite_reported_before_out_of_range(self, pixels, error):
+        # the first pass only asks whether every pixel lies in [0, 1]; the
+        # error names the first non-finite pixel, else the first out of range
+        img = ImageGrid(width=2, height=2, channels=1, pixels=pixels)
+        with pytest.raises(DataError, match=error):
+            validate_image(img)
+
     def test_bad_channel_count(self):
         img = ImageGrid(width=1, height=1, channels=2, pixels=[0.5, 0.5])
         with pytest.raises(DataError, match="channels"):

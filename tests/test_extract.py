@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driftsketch import (
     ConfigError,
@@ -9,12 +12,15 @@ from driftsketch import (
     ExtractConfig,
     FeatureVector,
     ImageGrid,
+    QuantConfig,
     StoreError,
     l2_normalize,
     load_embeddings,
+    tokenize,
 )
 from driftsketch.core import seeded_rng
 from driftsketch.extract import extract_batch, extract_builtin, extract_fingerprint
+from synthcorpus import corpus, rgb_corpus
 
 
 def oracle_extract(img, cfg):
@@ -150,6 +156,56 @@ class TestExtractBuiltin:
     def test_fingerprint_tracks_config(self):
         assert extract_fingerprint(ExtractConfig()) == extract_fingerprint(ExtractConfig())
         assert extract_fingerprint(ExtractConfig()) != extract_fingerprint(ExtractConfig(grid=5))
+
+
+@st.composite
+def image_and_config(draw):
+    grid = draw(st.integers(1, 6))
+    h, w = draw(st.integers(grid, 24)), draw(st.integers(grid, 24))
+    channels = draw(st.sampled_from([1, 3]))
+    hist_bins = draw(st.integers(2, 16))
+    raw_dim = channels * (2 * grid * grid + hist_bins)
+    cfg = ExtractConfig(
+        grid=grid,
+        hist_bins=hist_bins,
+        projection_dim=draw(st.one_of(st.just(0), st.integers(1, raw_dim))),
+        projection_seed=draw(st.integers(0, 3)),
+        l2_normalize=draw(st.booleans()),
+    )
+    # histogram edges and both ends of the range, among arbitrary values
+    pixel = st.one_of(
+        st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 1.0 / hist_bins, 0.5])
+    )
+    return ImageGrid.from_array(draw(arrays(np.float64, (h, w, channels), elements=pixel))), cfg
+
+
+@given(case=image_and_config())
+@settings(max_examples=150, deadline=None)
+def test_extractor_matches_oracle_to_rounding(case):
+    """The extractor sums in another order than the oracle's sequential loops,
+    so they agree to rounding: a sum of n terms of magnitude <= 1 in two
+    orders differs by at most n ulp of 1. The longest sums here are a patch
+    (at most h*w pixels) and a projected component (raw_dim terms)."""
+    img, cfg = case
+    got = extract_builtin(img, cfg).values
+    expected = oracle_extract(img, cfg)
+    assert got.shape == expected.shape
+    n_terms = img.height * img.width + cfg.raw_dim(img.channels)
+    atol = n_terms * np.finfo(np.float64).eps * max(1.0, np.abs(expected).max())
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize(
+    "images",
+    [lambda: corpus(71, 40, "extract-tokens"), lambda: rgb_corpus(72, 15)],
+    ids=["gray", "rgb"],
+)
+def test_default_token_sets_match_oracle(images):
+    """At the default configs the rounding never moves a quantization bin."""
+    cfg, q = ExtractConfig(), QuantConfig()
+    for img in images():
+        expected = tokenize(FeatureVector(values=oracle_extract(img, cfg)), q).tokens
+        np.testing.assert_array_equal(tokenize(extract_builtin(img, cfg), q).tokens, expected)
 
 
 class TestL2Normalize:

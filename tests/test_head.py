@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from driftsketch import (
     train_head,
 )
 from driftsketch.core import seeded_rng
+from driftsketch.head import _sigmoid
 
 # independently computed at 50-digit precision
 SIGMOID_1_5 = 0.8175744761936437
@@ -43,6 +46,21 @@ class TestPredict:
         model = HeadModel(w=[1.0, 2.0], b=0.0)
         with pytest.raises(DataError, match="dimension-mismatch"):
             predict(model, FeatureVector(values=[1.0]))
+
+    def test_sigmoid_matches_scalar_split_form(self):
+        # the whole-array sigmoid against the per-element form it replaced;
+        # np.exp and math.exp may round differently, by an ulp or so
+        def scalar(t):
+            if t >= 0.0:
+                return 1.0 / (1.0 + math.exp(-t))
+            e = math.exp(t)
+            return e / (1.0 + e)
+
+        z = np.concatenate([np.linspace(-800.0, 800.0, 321), [0.0, -0.0, 1e-300, -1e-300, 0.5]])
+        got = _sigmoid(z)
+        expected = [scalar(t) for t in z]
+        np.testing.assert_allclose(got, expected, rtol=4 * np.finfo(float).eps, atol=0)
+        assert got[0] == 0.0 and got[320] == 1.0  # both tails saturate without overflow
 
     def test_complement_symmetry(self):
         rng = seeded_rng(11, "head-sym")

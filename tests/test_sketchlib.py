@@ -448,3 +448,40 @@ def test_distinct_rows_gate_equals_full_matrix_reference(m, k, all_distinct, pro
     for agg, expected in reference.items():
         score = gate_check(lib, _feature(probe, "probe"), GateConfig(aggregation=agg)).score
         assert score == expected, agg
+
+
+@given(
+    base=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+    extra=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+    k=st.integers(1, 32),
+    hash_seed=st.integers(0, 50),
+)
+@settings(max_examples=80, deadline=None)
+def test_adding_tokens_never_raises_a_minimum(base, extra, k, hash_seed):
+    cfg = SketchConfig(k=k, hash_seed=hash_seed)
+    before = minhash(TokenSet(tokens=base), cfg).minima
+    after = minhash(TokenSet(tokens=base + extra), cfg).minima
+    assert (after <= before).all()
+    if set(extra) <= set(base):
+        np.testing.assert_array_equal(after, before)
+
+
+@given(
+    rows=st.lists(
+        st.lists(st.floats(-1, 1, allow_nan=False), min_size=3, max_size=3), min_size=1, max_size=10
+    ),
+    k=st.integers(1, 32),
+    hash_seed=st.integers(0, 50),
+)
+@settings(max_examples=60, deadline=None)
+def test_union_signature_is_column_minima_of_members(rows, k, hash_seed):
+    """The library's union signature equals the column minima of its members'
+    signatures, and the signature of the union of their token sets."""
+    q, s = QuantConfig(bin_width=0.2), SketchConfig(k=k, hash_seed=hash_seed)
+    feats = [_feature(r, f"f{i}") for i, r in enumerate(rows)]
+    lib = build_library(feats, q, s)
+    token_sets = [tokenize(v, q) for v in feats]
+    members = np.array([minhash(t, s).minima for t in token_sets])
+    union = TokenSet(tokens=np.concatenate([t.tokens for t in token_sets]))
+    np.testing.assert_array_equal(lib.union_signature.minima, members.min(axis=0))
+    np.testing.assert_array_equal(lib.union_signature.minima, minhash(union, s).minima)

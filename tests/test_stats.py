@@ -155,6 +155,36 @@ class TestCosine:
         with pytest.raises(DataError, match="dimension-mismatch"):
             cosine(FeatureVector(values=[1.0]), FeatureVector(values=[1.0, 2.0]))
 
+    @pytest.mark.parametrize("exponent", [-1074 + 60, -1022, -600, 600, 1000])
+    def test_extreme_finite_magnitudes(self, exponent):
+        # |v|^2 overflows above 2^512 and underflows below 2^-538; the score
+        # must still equal the one at unit scale, with no RuntimeWarning
+        rng = seeded_rng(8, "cos-extreme")
+        a, b = rng.uniform(0.5, 1.0, 6), rng.uniform(-1.0, 1.0, 6)
+        expected = cosine(a, b)
+        scale = 2.0**exponent
+        assert cosine(a * scale, b) == expected
+        assert cosine(a * scale, b * scale) == expected
+
+    def test_subnormal_vector_is_not_zero(self):
+        assert cosine([1e-320, 1e-320], [3e-320, 3e-320]) == pytest.approx(1.0)
+        assert cosine([1e-320, 0.0], [0.0, 5e-324]) == 0.0
+
+    @given(
+        # magnitudes in [1e-3, 1e3] stay normal under any shift drawn here
+        values=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
+            min_size=2,
+            max_size=8,
+        ).filter(any),
+        shift=st.integers(-900, 900),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_scaling_keeps_every_bit(self, values, shift):
+        a = np.array(values)
+        b = np.arange(a.size) + 1.0
+        assert cosine(np.ldexp(a, shift), b) == cosine(a, b)
+
 
 class TestBatchCosine:
     def test_same_batch_centroid_is_one(self):
@@ -188,6 +218,20 @@ class TestBatchCosine:
     def test_empty_batch_rejected(self):
         with pytest.raises(DataError, match="empty-batch"):
             batch_cosine([], [FeatureVector(values=[1.0])], StatsConfig())
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-320])
+    @pytest.mark.parametrize("mode", ["centroid", "mean_pairwise"])
+    def test_extreme_finite_magnitudes(self, scale, mode):
+        # unscaled, every squared norm overflows at 1e200 and underflows to
+        # zero at 1e-320
+        rng = seeded_rng(9, "bc-extreme")
+        a = [FeatureVector(values=rng.uniform(0.5, 1.0, 4) * scale) for _ in range(5)]
+        b = [FeatureVector(values=rng.uniform(0.5, 1.0, 4) * scale) for _ in range(5)]
+        got = batch_cosine(a, b, StatsConfig(cosine_mode=mode))
+        assert 0.9 < got <= 1.0
+        if scale > 1.0:  # subnormal inputs carry too few bits to compare
+            unit = [[FeatureVector(values=v.values / scale) for v in vs] for vs in (a, b)]
+            assert got == pytest.approx(batch_cosine(*unit, StatsConfig(cosine_mode=mode)))
 
 
 class TestPoolScalars:
