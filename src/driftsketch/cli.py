@@ -62,7 +62,7 @@ def _build_parser():
     common(p)
 
     p = sub.add_parser("sweep", help="noise-sensitivity ladder")
-    p.add_argument("baseline", metavar="BASELINE_DIR")
+    p.add_argument("baseline", metavar="BASELINE")
     p.add_argument("test", metavar="TEST_DIR")
     p.add_argument("--noise", required=True, choices=[k.replace("_", "-") for k in NOISE_KINDS])
     p.add_argument("--levels", required=True, help="comma-separated increasing levels")
@@ -302,11 +302,9 @@ def _cmd_sweep(args):
         levels = [float(x) for x in args.levels.split(",") if x.strip() != ""]
     except ValueError:
         raise ConfigError(f"config-invalid: unparseable --levels {args.levels!r}")
-    baseline_images, _ = store.load_images_dir(args.baseline)
-    test_images, _ = store.load_images_dir(args.test)
-    report = sensitivity_sweep(
-        baseline_images, test_images, kind, levels, pipeline, seed=run_seed
-    )
+    base_feats, _ = _load_features(args.baseline, pipeline.extract)
+    test_images, _ = store.load_images_dir(args.test)  # held whole: re-noised at every level
+    report = sensitivity_sweep(base_feats, test_images, kind, levels, pipeline, seed=run_seed)
     store.write_report(report, args.format, args.out, config=_config_record(pipeline, run_seed))
     return 0
 

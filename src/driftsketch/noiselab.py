@@ -3,7 +3,8 @@
 Four corruption operators (additive Gaussian, salt-and-pepper impulses,
 multiplicative speckle, Poisson shot noise) share a "larger level = more
 noise" scalar, and a sweep runner corrupts a test set at an increasing
-ladder of levels, recording cosine, KS, and gate statistics per level.
+ladder of levels and scores each level against baseline features as one
+drift period: cosine, KS, and the gate's anomaly rate.
 All operators clamp back into [0,1] and are deterministic under a fixed
 seed.
 """
@@ -21,9 +22,9 @@ from .core import (
     seeded_rng,
     validate_image,
 )
-from .extract import extract_batch, extract_fingerprint
+from .extract import extract_batch
 from .sketchlib import build_library, gate_check
-from .stats import batch_cosine, ks_pvalue, ks_statistic, pool_scalars
+from .stats import drift_report
 
 NOISE_KINDS = ("gaussian", "salt_pepper", "speckle", "poisson")
 
@@ -175,19 +176,19 @@ class SensitivityReport:
                 raise DataError(f"out-of-range-statistic: level {r.level}")
 
 
-def sensitivity_sweep(baseline_images, test_images, kind, levels, pipeline, seed=0):
+def sensitivity_sweep(baseline, test_images, kind, levels, pipeline, seed=0):
     """Corrupt the test set at each ladder level and score it against the baseline.
 
-    Baseline features are extracted once and sketched into a gate library.
-    Per level: every test image is corrupted (independent seeded streams per
-    image), re-extracted, and scored -- batch cosine against the baseline,
-    KS on pooled scalar components, and the fraction of images the gate
-    flags anomalous.
+    `baseline` is a list of FeatureVectors, sketched once into a gate
+    library. Per level every test image is corrupted (independent seeded
+    streams per image) and extracted; the levels are then scored against the
+    baseline as the periods of one `drift_report`, and each level's anomaly
+    rate is the fraction of its images the gate flags.
     """
     if kind not in NOISE_KINDS:
         raise ConfigError(f"config-invalid: unknown noise kind {kind!r}")
-    if not baseline_images or not test_images:
-        raise DataError("empty-batch: baseline and test image sets must be non-empty")
+    if not baseline or not test_images:
+        raise DataError("empty-batch: baseline and test sets must be non-empty")
     levels = [float(lv) for lv in levels]
     if not levels:
         raise ConfigError("invalid-levels: empty ladder")
@@ -197,34 +198,20 @@ def sensitivity_sweep(baseline_images, test_images, kind, levels, pipeline, seed
         _check_level(kind, lv)
 
     noise_op = _NOISE_OPS[kind]
-    fingerprint = extract_fingerprint(pipeline.extract)
-    base_feats = extract_batch(
-        baseline_images, pipeline.extract, [f"baseline/{i}" for i in range(len(baseline_images))]
-    )
-    library = build_library(base_feats, pipeline.quant, pipeline.sketch, fingerprint)
-    base_pool = pool_scalars(base_feats)
-
-    rows = []
+    library = build_library(baseline, pipeline.quant, pipeline.sketch)
+    batches = []
+    flag_counts = []
     for li, level in enumerate(levels):
         corrupted = [
             noise_op(img, level, derive_seed(seed, f"sweep.{kind}.{li}.{j}"))
             for j, img in enumerate(test_images)
         ]
-        feats = extract_batch(
-            corrupted, pipeline.extract, [f"test/{li}/{j}" for j in range(len(corrupted))]
-        )
-        pool = pool_scalars(feats)
-        d_stat = ks_statistic(base_pool, pool)
-        flags = sum(
-            gate_check(library, v, pipeline.gate, fingerprint).anomalous for v in feats
-        )
-        rows.append(
-            SensitivityRow(
-                level=level,
-                cosine_score=batch_cosine(base_feats, feats, pipeline.stats),
-                ks_d=d_stat,
-                ks_p=ks_pvalue(d_stat, base_pool.size, pool.size),
-                anomaly_rate=flags / len(feats),
-            )
-        )
-    return SensitivityReport(noise_kind=kind, rows=tuple(rows))
+        feats = extract_batch(corrupted, pipeline.extract)
+        flag_counts.append(sum(gate_check(library, v, pipeline.gate).anomalous for v in feats))
+        batches.append((str(level), feats))
+    scored = drift_report(baseline, batches, pipeline.stats, gate_flag_counts=flag_counts)
+    rows = [
+        SensitivityRow(level, p.cosine_score, p.ks_d, p.ks_p, p.gate_flag_count / p.n_images)
+        for level, p in zip(levels, scored.periods)
+    ]
+    return SensitivityReport(noise_kind=kind, rows=rows)

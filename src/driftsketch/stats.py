@@ -62,13 +62,17 @@ class DriftReport:
                 raise DataError(f"inconsistent-flag: period {p.period_id!r}")
 
 
+def _check_finite(arr, name):
+    if not np.isfinite(arr).all():
+        raise DataError(f"non-finite-value: {name}")
+    return arr
+
+
 def _as_sample(x, name):
     arr = np.asarray(x, dtype=np.float64).ravel()
     if arr.size == 0:
         raise DataError(f"empty-sample: {name}")
-    if not np.isfinite(arr).all():
-        raise DataError(f"non-finite-value: {name}")
-    return arr
+    return _check_finite(arr, name)
 
 
 def ks_statistic(a, b):
@@ -139,6 +143,8 @@ def cosine(a, b):
     av, bv = _vector_values(a), _vector_values(b)
     if av.shape[0] != bv.shape[0]:
         raise DataError(f"dimension-mismatch: {av.shape[0]} vs {bv.shape[0]}")
+    _check_finite(av, "a")
+    _check_finite(bv, "b")
     sa, sb = _pow2_scaled(av), _pow2_scaled(bv)
     na, nb = np.linalg.norm(sa), np.linalg.norm(sb)
     if na == 0.0 or nb == 0.0:
@@ -156,7 +162,7 @@ def _batch_matrix(batch, name):
     for i, r in enumerate(rows):
         if r.shape[0] != d:
             raise DataError(f"dimension-mismatch: {name}[{i}] has dim {r.shape[0]}, expected {d}")
-    return np.stack(rows)
+    return _check_finite(np.stack(rows), name)
 
 
 def batch_cosine(batch_a, batch_b, cfg):

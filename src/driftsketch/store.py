@@ -462,7 +462,9 @@ def _csv_cell(value):
     if isinstance(value, float):
         return _format_float(value)
     text = str(value)
-    if any(c in text for c in ",\"\n"):
+    if "\n" in text:  # the reader splits lines before fields
+        raise DataError(f"unsupported-value: CSV text cell with a newline: {text!r}")
+    if any(c in text for c in ',"') or text.startswith("#"):
         text = '"' + text.replace('"', '""') + '"'
     return text
 
@@ -508,6 +510,11 @@ def write_report(report, format, path, config=None):
         raise ConfigError(f"config-invalid: unknown report format {format!r}")
 
 
+def _report_json(text):
+    # _format_float writes -0.0 as "-0", which JSON reads as the integer 0
+    return json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t))
+
+
 def _read_report_lines(path, expected_kind):
     """Split a report file into verified body lines plus the checksum trailer.
 
@@ -542,8 +549,8 @@ def _read_report_lines(path, expected_kind):
         if _digest(body) != last.get("blake2b"):
             raise StoreError("checksum-mismatch")
         try:
-            header = json.loads(lines[0])
-            records = [json.loads(ln) for ln in lines[1:]]
+            header = _report_json(lines[0])
+            records = [_report_json(ln) for ln in lines[1:]]
         except json.JSONDecodeError as exc:
             raise StoreError(f"malformed-payload: {exc}")
         if header.get("kind") != expected_kind:
@@ -562,9 +569,9 @@ def _read_report_lines(path, expected_kind):
     try:
         for ln in lines:
             if ln.startswith("# config="):
-                config = json.loads(ln[len("# config=") :])
+                config = _report_json(ln[len("# config=") :])
             elif ln.startswith("# "):
-                header = json.loads(ln[2:])
+                header = _report_json(ln[2:])
             else:
                 data_lines.append(ln)
     except json.JSONDecodeError as exc:

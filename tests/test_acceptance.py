@@ -262,7 +262,9 @@ def test_criterion_10_monotone_sweep(pipeline):
     baseline = corpus(31, 200, "acc-sweep-base")
     test = corpus(32, 200, "acc-sweep-test")
     levels = [0.0, 0.05, 0.2, 0.3, 0.5, 0.6, 0.8, 0.9, 1.0]
-    report = ds.sensitivity_sweep(baseline, test, "salt_pepper", levels, pipeline, seed=5)
+    report = ds.sensitivity_sweep(
+        ds.extract_batch(baseline, pipeline.extract), test, "salt_pepper", levels, pipeline, seed=5
+    )
     cosines = [r.cosine_score for r in report.rows]
     rho = spearman(levels, cosines)
     assert rho <= -0.9, f"Spearman {rho:.3f}"
@@ -340,8 +342,8 @@ def test_criterion_12_persistence(tmp_path, pipeline, baseline_features):
     periods = [("p1", baseline_features), ("p2", baseline_features[:20])]
     drift = ds.drift_report(baseline_features, periods, pipeline.stats)
     sens = ds.sensitivity_sweep(
-        corpus(61, 6, "acc12-b"), corpus(62, 6, "acc12-t"), "speckle", [0.0, 0.5],
-        pipeline, seed=3,
+        ds.extract_batch(corpus(61, 6, "acc12-b"), pipeline.extract), corpus(62, 6, "acc12-t"),
+        "speckle", [0.0, 0.5], pipeline, seed=3,
     )
     for fmt in ("jsonl", "csv"):
         drift_path = str(tmp_path / f"drift.{fmt}")

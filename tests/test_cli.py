@@ -259,6 +259,14 @@ class TestDrift:
         assert len(report.periods) == 2
         assert config is not None
 
+    def test_csv_period_id_with_newline_is_data_error(self, tmp_path, baseline_dir, capsys):
+        # the CSV reader is line-based, so such a report could not be read back
+        period = write_corpus(str(tmp_path / "p\n1"), corpus(9001, 4, "p1"))
+        out = tmp_path / "drift.csv"
+        assert main(["drift", baseline_dir, period, "--format", "csv", "--out", str(out)]) == 3
+        assert "unsupported-value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path, baseline_dir):
         periods = _period_dirs(tmp_path, n_periods=2)
         out1 = str(tmp_path / "a.jsonl")
@@ -317,6 +325,38 @@ class TestSweep:
         assert [r.level for r in report.rows] == [0.0, 0.2, 0.8]
         assert report.rows[-1].cosine_score < report.rows[0].cosine_score
         assert config is not None
+
+    @pytest.fixture
+    def test_dir(self, tmp_path):
+        return write_corpus(str(tmp_path / "test"), corpus(31, 6, "sweep"))
+
+    def _sweep(self, baseline, test_dir, out):
+        return main(
+            ["sweep", baseline, test_dir, "--noise", "speckle", "--levels", "0,0.1,0.5",
+             "--out", out]
+        )
+
+    def test_embedding_baseline_matches_image_baseline(self, tmp_path, baseline_dir, test_dir):
+        emb = str(tmp_path / "base.emb")
+        assert main(["extract", baseline_dir, "--out", emb]) == 0
+        from_images, from_emb = tmp_path / "images.jsonl", tmp_path / "emb.jsonl"
+        assert self._sweep(baseline_dir, test_dir, str(from_images)) == 0
+        assert self._sweep(emb, test_dir, str(from_emb)) == 0
+        assert from_emb.read_bytes() == from_images.read_bytes()
+
+    def test_single_image_baseline(self, tmp_path, baseline_dir, test_dir):
+        first = os.path.join(baseline_dir, "img000.pgm")
+        out = str(tmp_path / "sweep.jsonl")
+        assert self._sweep(first, test_dir, out) == 0
+        assert len(read_sensitivity_report(out)[0].rows) == 3
+
+    def test_embedding_baseline_of_other_dimension_is_data_error(self, tmp_path, test_dir, capsys):
+        emb = tmp_path / "two.emb"
+        emb.write_text("driftsketch-emb v1 dim=2 count=2\na 0.5 0.25\nb 0.25 0.5\n")
+        out = tmp_path / "sweep.jsonl"
+        assert self._sweep(str(emb), test_dir, str(out)) == 3
+        assert "dimension-mismatch" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_levels_usage_error(self, tmp_path, baseline_dir):
         code = main(

@@ -9,6 +9,7 @@ from driftsketch import (
     NoiseSpec,
     PipelineConfig,
     apply_noise,
+    extract_batch,
     gaussian_noise,
     poisson_noise,
     salt_pepper,
@@ -159,10 +160,13 @@ class TestApplyNoise:
 
 
 class TestSensitivitySweep:
+    cfg = PipelineConfig().extract
+
     def test_level_zero_on_identical_sets(self):
         imgs = corpus(31, 12, "sweep-id")
-        pipe = PipelineConfig()
-        report = sensitivity_sweep(imgs, imgs, "salt_pepper", [0.0], pipe, seed=1)
+        report = sensitivity_sweep(
+            extract_batch(imgs, self.cfg), imgs, "salt_pepper", [0.0], PipelineConfig(), seed=1
+        )
         row = report.rows[0]
         assert row.cosine_score == pytest.approx(1.0, abs=1e-12)
         assert row.ks_d == 0.0 and row.ks_p == 1.0
@@ -170,7 +174,9 @@ class TestSensitivitySweep:
     def test_total_corruption_drops_cosine(self):
         base = corpus(32, 12, "sweep-base")
         test = corpus(33, 12, "sweep-test")
-        report = sensitivity_sweep(base, test, "salt_pepper", [0.0, 1.0], PipelineConfig(), seed=2)
+        report = sensitivity_sweep(
+            extract_batch(base, self.cfg), test, "salt_pepper", [0.0, 1.0], PipelineConfig(), seed=2
+        )
         assert report.rows[1].cosine_score < report.rows[0].cosine_score
 
     def test_monotone_trend_salt_pepper_and_speckle(self):
@@ -178,7 +184,9 @@ class TestSensitivitySweep:
         test = corpus(35, 25, "sweep-mono-t")
         levels = [0.0, 0.1, 0.3, 0.6, 0.9]
         for kind in ("salt_pepper", "speckle"):
-            report = sensitivity_sweep(base, test, kind, levels, PipelineConfig(), seed=3)
+            report = sensitivity_sweep(
+                extract_batch(base, self.cfg), test, kind, levels, PipelineConfig(), seed=3
+            )
             cosines = [r.cosine_score for r in report.rows]
             assert spearman(levels, cosines) <= -0.9
 
@@ -186,17 +194,23 @@ class TestSensitivitySweep:
         base = corpus(36, 8, "sweep-ord-b")
         test = corpus(37, 8, "sweep-ord-t")
         levels = [0.0, 0.2, 0.5]
-        report = sensitivity_sweep(base, test, "gaussian", levels, PipelineConfig(), seed=4)
+        report = sensitivity_sweep(
+            extract_batch(base, self.cfg), test, "gaussian", levels, PipelineConfig(), seed=4
+        )
         assert [r.level for r in report.rows] == levels
 
     def test_non_increasing_levels_rejected(self):
         imgs = corpus(38, 4, "sweep-bad")
         with pytest.raises(ConfigError, match="invalid-levels"):
-            sensitivity_sweep(imgs, imgs, "gaussian", [0.3, 0.1], PipelineConfig(), seed=5)
+            sensitivity_sweep(
+                extract_batch(imgs, self.cfg), imgs, "gaussian", [0.3, 0.1], PipelineConfig(),
+                seed=5,
+            )
 
     def test_deterministic_under_seed(self):
         base = corpus(39, 6, "sweep-det-b")
         test = corpus(40, 6, "sweep-det-t")
-        r1 = sensitivity_sweep(base, test, "speckle", [0.0, 0.4], PipelineConfig(), seed=6)
-        r2 = sensitivity_sweep(base, test, "speckle", [0.0, 0.4], PipelineConfig(), seed=6)
+        feats = extract_batch(base, self.cfg)
+        r1 = sensitivity_sweep(feats, test, "speckle", [0.0, 0.4], PipelineConfig(), seed=6)
+        r2 = sensitivity_sweep(feats, test, "speckle", [0.0, 0.4], PipelineConfig(), seed=6)
         assert r1 == r2

@@ -155,6 +155,13 @@ class TestCosine:
         with pytest.raises(DataError, match="dimension-mismatch"):
             cosine(FeatureVector(values=[1.0]), FeatureVector(values=[1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite-value: a"):
+            cosine([bad, 1.0], [1.0, 1.0])
+        with pytest.raises(DataError, match="non-finite-value: b"):
+            cosine([1.0, 1.0], [1.0, bad])
+
     @pytest.mark.parametrize("exponent", [-1074 + 60, -1022, -600, 600, 1000])
     def test_extreme_finite_magnitudes(self, exponent):
         # |v|^2 overflows above 2^512 and underflows below 2^-538; the score
@@ -218,6 +225,16 @@ class TestBatchCosine:
     def test_empty_batch_rejected(self):
         with pytest.raises(DataError, match="empty-batch"):
             batch_cosine([], [FeatureVector(values=[1.0])], StatsConfig())
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("mode", ["centroid", "mean_pairwise"])
+    def test_non_finite_rejected(self, bad, mode):
+        good = [np.ones(3), np.arange(3.0) + 1.0]
+        cfg = StatsConfig(cosine_mode=mode)
+        with pytest.raises(DataError, match="non-finite-value: a"):
+            batch_cosine([good[0], np.array([1.0, bad, 1.0])], good, cfg)
+        with pytest.raises(DataError, match="non-finite-value: b"):
+            batch_cosine(good, [np.array([bad, 1.0, 1.0]), good[1]], cfg)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-320])
     @pytest.mark.parametrize("mode", ["centroid", "mean_pairwise"])

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from driftsketch import (
     ConfigError,
@@ -29,10 +31,12 @@ from driftsketch import (
 )
 from driftsketch.core import seeded_rng
 from driftsketch.head import HeadModel, TrainConfig
-from driftsketch.noiselab import SensitivityReport, SensitivityRow
+from driftsketch.noiselab import NOISE_KINDS, SensitivityReport, SensitivityRow
 from driftsketch.stats import DriftReport, PeriodStats
 from driftsketch.store import (
     _digest,
+    _read_report_lines,
+    encode_jsonl_report,
     load_model,
     load_split,
     read_library,
@@ -356,6 +360,111 @@ def _sensitivity_report():
     )
 
 
+# text cells drawn with the characters CSV quoting and line splitting care about
+_texts = st.text(st.one_of(st.sampled_from(',"\r\n# '), st.characters()), max_size=6)
+_units = st.floats(0.0, 1.0)
+_configs = st.none() | st.dictionaries(
+    _texts, st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _texts, max_size=3
+)
+
+
+@st.composite
+def _drift_reports(draw):
+    ks_alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    periods = []
+    for _ in range(draw(st.integers(1, 3))):
+        ks_p = draw(_units)
+        periods.append(
+            PeriodStats(
+                period_id=draw(_texts),
+                n_images=draw(st.integers(0, 10**6)),
+                ks_d=draw(_units),
+                ks_p=ks_p,
+                cosine_score=draw(st.floats(-1.0, 1.0)),
+                gate_flag_count=draw(st.integers(0, 10**6)),
+                drift_flag=ks_p < ks_alpha,
+            )
+        )
+    return DriftReport(baseline_id=draw(_texts), ks_alpha=ks_alpha, periods=periods)
+
+
+@st.composite
+def _sensitivity_reports(draw):
+    levels = draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3, unique=True
+        )
+    )
+    rows = [
+        SensitivityRow(level, draw(st.floats(-1.0, 1.0)), draw(_units), draw(_units), draw(_units))
+        for level in sorted(levels)
+    ]
+    return SensitivityReport(noise_kind=draw(st.sampled_from(NOISE_KINDS)), rows=rows)
+
+
+def _rewrite(path, reader, fmt):
+    report, config = reader(path)
+    again = path + ".again"
+    write_report(report, fmt, again, config=config)
+    return Path(again).read_bytes()
+
+
+class TestReportRoundTripProperty:
+    """write -> read -> write reproduces every report file byte for byte."""
+
+    @given(report=_drift_reports(), config=_configs, fmt=st.sampled_from(["jsonl", "csv"]))
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_drift_report(self, tmp_path, report, config, fmt):
+        path = str(tmp_path / f"drift.{fmt}")
+        Path(path).unlink(missing_ok=True)
+        if fmt == "csv" and any("\n" in p.period_id for p in report.periods):
+            with pytest.raises(DataError, match="unsupported-value"):
+                write_report(report, fmt, path, config=config)
+            assert not Path(path).exists()
+            return
+        write_report(report, fmt, path, config=config)
+        assert read_drift_report(path) == (report, config)
+        assert _rewrite(path, read_drift_report, fmt) == Path(path).read_bytes()
+
+    @given(report=_sensitivity_reports(), config=_configs, fmt=st.sampled_from(["jsonl", "csv"]))
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_sensitivity_report(self, tmp_path, report, config, fmt):
+        path = str(tmp_path / f"sens.{fmt}")
+        write_report(report, fmt, path, config=config)
+        assert read_sensitivity_report(path) == (report, config)
+        assert _rewrite(path, read_sensitivity_report, fmt) == Path(path).read_bytes()
+
+    @given(
+        library=_texts,
+        records=st.lists(
+            st.fixed_dictionaries(
+                {
+                    "source_id": _texts,
+                    "score": _units,
+                    "verdict": st.sampled_from(["acceptable", "anomalous"]),
+                }
+            ),
+            max_size=4,
+        ),
+        config=_configs,
+    )
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_gate_report(self, tmp_path, library, records, config):
+        header = {"kind": "gate_report", "schema_version": 1, "library": library}
+        path = tmp_path / "gate.jsonl"
+        path.write_bytes(encode_jsonl_report(header, records, config))
+        got_header, got_records, got_config = _read_report_lines(str(path), "gate_report")
+        assert got_header.pop("config") == got_config == config
+        assert (got_header, got_records) == (header, records)
+        assert encode_jsonl_report(got_header, got_records, got_config) == path.read_bytes()
+
+
 class TestReportPersistence:
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_drift_round_trip(self, tmp_path, fmt):
@@ -432,6 +541,23 @@ class TestReportPersistence:
             again, _ = read_drift_report(str(path))
             assert again.periods[0].ks_d == 1 / 3
             assert again.periods[0].cosine_score == 0.1 + 0.2
+
+    def test_csv_newline_in_text_cell_rejected(self, tmp_path):
+        # the reader splits a file into lines before it splits fields
+        report = DriftReport("b", 0.05, (PeriodStats("p\n1", 1, 0.1, 0.5, 0.9, 0, False),))
+        path = tmp_path / "drift.csv"
+        with pytest.raises(DataError, match="unsupported-value"):
+            write_report(report, "csv", str(path))
+        assert not path.exists()
+        write_report(report, "jsonl", str(tmp_path / "drift.jsonl"))
+        assert read_drift_report(str(tmp_path / "drift.jsonl"))[0] == report
+
+    @pytest.mark.parametrize("period_id", ["# x", "# config={}", "#", "#x,y"])
+    def test_csv_comment_like_text_cell_round_trips(self, tmp_path, period_id):
+        report = DriftReport("b", 0.05, (PeriodStats(period_id, 1, 0.1, 0.5, 0.9, 0, False),))
+        path = tmp_path / "drift.csv"
+        write_report(report, "csv", str(path))
+        assert read_drift_report(str(path))[0] == report
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="config-invalid"):
