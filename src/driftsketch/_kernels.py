@@ -2,7 +2,8 @@
 
 All arithmetic is modular uint64 (the splitmix64 finalizer), so outputs are
 exact integers on every platform and persisted sketches stay comparable
-across machines.
+across machines. Every operation is on arrays, whose integer arithmetic
+wraps without a warning (only NumPy scalar arithmetic warns on overflow).
 """
 
 import numpy as np
@@ -18,10 +19,19 @@ _BIN_MULT = _U64(0xC2B2AE3D27D4EB4F)
 
 
 def _mix64(z):
-    """splitmix64 finalizer, vectorized over a uint64 array."""
-    z = (z ^ (z >> _U64(30))) * _MIX_A
-    z = (z ^ (z >> _U64(27))) * _MIX_B
-    return z ^ (z >> _U64(31))
+    """splitmix64 finalizer over a writable uint64 array, in place; returns z.
+
+    One shift buffer is the only allocation.
+    """
+    shifted = z >> _U64(30)
+    z ^= shifted
+    z *= _MIX_A
+    np.right_shift(z, _U64(27), out=shifted)
+    z ^= shifted
+    z *= _MIX_B
+    np.right_shift(z, _U64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 def hash_bins(bins):
@@ -32,10 +42,22 @@ def hash_bins(bins):
     equal bins in different dimensions never share a token.
     """
     bins = np.ascontiguousarray(bins, dtype=np.int64)
-    with np.errstate(over="ignore"):
-        dims = np.arange(bins.shape[0], dtype=np.uint64)
-        z = (dims * _DIM_MULT) ^ (bins.view(np.uint64) * _BIN_MULT)
-        return _mix64(z)
+    dims = np.arange(bins.shape[0], dtype=np.uint64)
+    z = (dims * _DIM_MULT) ^ (bins.view(np.uint64) * _BIN_MULT)
+    return _mix64(z)
+
+
+def salted_hashes(tokens, salts, out=None):
+    """mix64(token ^ salt) for every (token, salt) pair.
+
+    tokens: uint64 array of length n (may be empty); salts: uint64 array of
+    length k. Returns an (n, k) uint64 array, row i the k hashed values of
+    token i; written into `out`, an (n, k) uint64 array, if given.
+    """
+    tokens = np.ascontiguousarray(tokens, dtype=np.uint64)
+    salts = np.ascontiguousarray(salts, dtype=np.uint64)
+    z = np.bitwise_xor(tokens[:, None], salts[None, :], out=out)
+    return _mix64(z)
 
 
 def minhash_signature(tokens, salts):
@@ -44,11 +66,7 @@ def minhash_signature(tokens, salts):
     tokens: uint64 array (non-empty); salts: uint64 array of length k.
     Returns a uint64 array of length k.
     """
-    tokens = np.ascontiguousarray(tokens, dtype=np.uint64)
-    salts = np.ascontiguousarray(salts, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        hashed = _mix64(tokens[:, None] ^ salts[None, :])
-    return hashed.min(axis=0)
+    return salted_hashes(tokens, salts).min(axis=0)
 
 
 def match_counts(minima, query):

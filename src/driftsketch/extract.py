@@ -60,9 +60,19 @@ def _projection_matrix(seed, d_in, d_out):
     return mat
 
 
-def _patch_edges(size, grid):
-    # floor-based cell boundaries; unambiguous for non-divisible sizes
-    return [(size * i) // grid for i in range(grid + 1)]
+@lru_cache(maxsize=64)
+def _patch_geometry(height, width, grid):
+    """(row starts, column starts, rows per band, columns per band, pixels
+    per patch) of the g x g grid; floor-based cell boundaries, unambiguous
+    for non-divisible sizes."""
+    row_edges = [(height * i) // grid for i in range(grid + 1)]
+    col_edges = [(width * i) // grid for i in range(grid + 1)]
+    rows_per = np.diff(row_edges)
+    cols_per = np.diff(col_edges)
+    counts = np.outer(rows_per, cols_per)
+    for arr in (rows_per, cols_per, counts):
+        arr.flags.writeable = False
+    return row_edges[:-1], col_edges[:-1], rows_per, cols_per, counts
 
 
 def extract_builtin(img, cfg, source_id=""):
@@ -70,7 +80,8 @@ def extract_builtin(img, cfg, source_id=""):
 
     Layout, per channel: (mean, std) for each of the g*g patches in row-major
     patch order, then the b-bin normalized histogram; channels concatenated
-    in order. Value 1.0 falls in the last histogram bin.
+    in order. Value 1.0 falls in the last histogram bin. Each channel is
+    computed exactly as a gray image of that plane would be.
     """
     validate_image(img)
     if img.width < cfg.grid or img.height < cfg.grid:
@@ -79,29 +90,27 @@ def extract_builtin(img, cfg, source_id=""):
         )
 
     g, b, ch = cfg.grid, cfg.hist_bins, img.channels
-    raster = img.pixels.reshape(img.height, img.width, ch)
-    row_edges = _patch_edges(img.height, g)
-    col_edges = _patch_edges(img.width, g)
+    # channel-major (ch, h, w) copy: every step below runs along long rows
+    planes = np.ascontiguousarray(img.pixels.reshape(img.height, img.width, ch).transpose(2, 0, 1))
+    row_starts, col_starts, rows_per, cols_per, counts = _patch_geometry(img.height, img.width, g)
     # reduceat needs every patch non-empty (at equal consecutive edges it
     # returns one element, not an empty sum); the grid check above ensures it
-    rows_per = np.diff(row_edges)
-    cols_per = np.diff(col_edges)
-    counts = np.outer(rows_per, cols_per)[:, :, None]
 
     def patch_sums(x):
-        # (h, w, ch) -> (g, g, ch): rows within each band, then columns
-        return np.add.reduceat(np.add.reduceat(x, row_edges[:-1], axis=0), col_edges[:-1], axis=1)
+        # (ch, h, w) -> (ch, g, g): rows within each band, then columns
+        return np.add.reduceat(np.add.reduceat(x, row_starts, axis=1), col_starts, axis=2)
 
-    means = patch_sums(raster) / counts
+    means = patch_sums(planes) / counts
     # two-pass std: each pixel's deviation from the mean of its own patch
-    dev = raster - np.repeat(np.repeat(means, rows_per, axis=0), cols_per, axis=1)
+    dev = planes - np.repeat(np.repeat(means, rows_per, axis=1), cols_per, axis=2)
     stds = np.sqrt(patch_sums(dev * dev) / counts)
-    # (g, g, ch, 2) -> per channel, (mean, std) in row-major patch order
-    stats = np.stack([means, stds], axis=-1).transpose(2, 0, 1, 3).reshape(ch, 2 * g * g)
+    # (ch, g, g, 2) -> per channel, (mean, std) in row-major patch order
+    stats = np.stack([means, stds], axis=-1).reshape(ch, 2 * g * g)
 
     # right-closed bins (i/b, (i+1)/b], first bin closed at 0; channel c
     # counts into slots [c*b, (c+1)*b) of one bincount
-    bins = np.maximum(np.ceil(raster * b).astype(np.int64) - 1, 0) + np.arange(ch) * b
+    bins = np.maximum(np.ceil(planes * b).astype(np.int64) - 1, 0)
+    bins += (np.arange(ch) * b)[:, None, None]
     hist = np.bincount(bins.ravel(), minlength=ch * b).reshape(ch, b) / (img.height * img.width)
     vec = np.concatenate([stats, hist], axis=1).ravel()
 

@@ -8,6 +8,7 @@ signature against a baseline library and flags it anomalous when the
 aggregated similarity falls below the threshold.
 """
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -48,7 +49,9 @@ class TokenSet:
     tokens: np.ndarray
 
     def __post_init__(self):
-        arr = np.unique(np.asarray(self.tokens, dtype=np.uint64))
+        arr = np.sort(np.asarray(self.tokens, dtype=np.uint64))
+        if (arr[1:] == arr[:-1]).any():
+            arr = np.unique(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "tokens", arr)
 
@@ -97,17 +100,24 @@ class SketchLibrary:
     read-only view of its distinct row. ``minima_matrix()`` gathers the
     (m, k) rows aligned with ``ids`` on first call and keeps them; the union
     minima are likewise computed on first use and kept.
+    ``dim`` is the dimension of the feature vectors the rows were sketched
+    from, or None where it is unknown (a library read from a v1 or v2 file);
+    the gate rejects queries of another dimension.
     The library is read-only: its attributes cannot be reassigned.
     """
 
     @classmethod
-    def from_minima(cls, ids, minima, sketch_config, quant_config, extract_fingerprint=""):
+    def from_minima(
+        cls, ids, minima, sketch_config, quant_config, extract_fingerprint="", dim=None
+    ):
         """Library from distinct ids and their minima rows (any (m, k)
-        array-like).
+        array-like), sketched from ``dim``-dimensional features.
 
         Equal rows are stored once, in order of first occurrence, so two
         libraries with the same ids and rows are identical.
         """
+        if dim is not None:
+            _check_count("dim", dim, 1)
         ids = tuple(ids)
         seen = set()
         for sid in ids:
@@ -134,6 +144,7 @@ class SketchLibrary:
             sketch_config=sketch_config,
             quant_config=quant_config,
             extract_fingerprint=extract_fingerprint,
+            dim=None if dim is None else int(dim),
             distinct_minima=distinct,
             row_index=row_index,
         )
@@ -239,12 +250,102 @@ def _minhash_salts(k, hash_seed):
     return salts
 
 
+# byte cap of one token table; _token_table keeps at most _TABLES of them
+_TABLE_BYTES = 4 << 20
+_TABLES = 4
+_BUCKET_BITS = 13
+
+
+class _TokenTable:
+    """The k hashed values ``mix64(token ^ salt)`` of the tokens already
+    sketched under one (k, hash_seed), so a token is hashed once per process.
+
+    The built-in features give few distinct tokens: a non-negative,
+    L2-normalised component falls in at most ``1/bin_width + 1`` bins, so a
+    d-dimensional feature yields at most 21*d tokens at the default bin width
+    (1,008 gray, 3,024 RGB), however many images are sketched.
+
+    The index has 2**13 buckets of two slots, a token's bucket being its low
+    bits (tokens are splitmix64 outputs, so those bits are uniform). A slot
+    holds a stored token and its row of a (rows, k) value matrix; row 0 is
+    never used, so row 0 marks a free slot. A free slot's key is 0, or 1 in
+    bucket 0: no token of that bucket has that key. The matrix is allocated
+    once, never moved, and filled in order of arrival. A token whose bucket
+    is full, or that arrives once every row is filled, is hashed on each
+    call instead. So a lookup is a fixed number of vectorized steps however
+    full the table is, and nothing is ever re-sorted or copied. One table
+    takes at most ``_TABLE_BYTES`` (4 MiB: 12 bytes per slot plus 8k bytes
+    per row; 3,903 tokens at k=128) and ``_token_table`` keeps at most
+    ``_TABLES`` (4), so all tables together take at most 16 MiB. Pages are
+    zero-filled or left empty until written, so the untouched part of a
+    table costs no resident memory.
+    """
+
+    def __init__(self, salts):
+        buckets = 1 << _BUCKET_BITS
+        k = salts.shape[0]
+        self.salts = salts
+        self.mask = np.int64(buckets - 1)
+        self.keys = np.zeros((buckets, 2), dtype=np.uint64)
+        self.keys[0] = 1
+        self.row_of = np.zeros((buckets, 2), dtype=np.int32)
+        rows = min(2 * buckets, (_TABLE_BYTES - 24 * buckets) // (8 * k))
+        self.values = np.empty((rows, k), dtype=np.uint64)
+        self.filled = 1
+        self._lock = threading.Lock()
+
+    def minima(self, tokens):
+        """Per-salt minima of mix64(token ^ salt) over distinct tokens."""
+        home = tokens.view(np.int64) & self.mask
+        match = self.keys.take(home, 0) == tokens[:, None]
+        rows = self.row_of.take(home, 0)[match]
+        n_hit = rows.shape[0]
+        stacked = np.empty((tokens.shape[0], self.salts.shape[0]), dtype=np.uint64)
+        self.values.take(rows, 0, stacked[:n_hit], "clip")
+        if n_hit < tokens.shape[0]:
+            miss = ~(match[:, 0] | match[:, 1])
+            hashed = _kernels.salted_hashes(tokens[miss], self.salts, out=stacked[n_hit:])
+            if self.filled < self.values.shape[0]:
+                self._add(tokens[miss], home[miss], hashed)
+        return stacked.min(axis=0)
+
+    def _add(self, tokens, home, hashed):
+        """Store absent tokens in the free slots of their buckets while rows
+        last. Writers hold the lock; a lookup needs none, because a slot's
+        row is written before its key."""
+        with self._lock:
+            for _ in range(2):  # a bucket takes at most one new token per pass
+                free = self.row_of[home] == 0
+                # not stored by the first pass, nor by another thread since the lookup
+                absent = (self.keys[home] != tokens[:, None]).all(axis=1)
+                fits = np.flatnonzero((free[:, 0] | free[:, 1]) & absent)
+                first = np.unique(home[fits], return_index=True)[1]
+                new = fits[first][: self.values.shape[0] - self.filled]
+                if new.shape[0] == 0:  # every bucket full, or no rows left
+                    return
+                slot = (~free[new, 0]).astype(np.intp)
+                rows = self.filled + np.arange(new.shape[0])
+                self.values[rows] = hashed[new]
+                self.row_of[home[new], slot] = rows
+                self.keys[home[new], slot] = tokens[new]
+                self.filled += new.shape[0]
+
+
+@lru_cache(maxsize=_TABLES)
+def _token_table(k, hash_seed):
+    return _TokenTable(_minhash_salts(k, hash_seed))
+
+
 def minhash(t, cfg):
-    """MinHash signature of a token set: per-function minima over the tokens."""
+    """MinHash signature of a token set: per-function minima over the tokens.
+
+    Each token's k hashed values come from the process's token table for
+    (k, hash_seed), hashed on first sight (see ``_TokenTable``), so the
+    minima are exactly those of ``_kernels.minhash_signature``.
+    """
     if len(t) == 0:
         raise DataError("empty-token-set")
-    salts = _minhash_salts(cfg.k, cfg.hash_seed)
-    minima = _kernels.minhash_signature(t.tokens, salts)
+    minima = _token_table(cfg.k, cfg.hash_seed).minima(t.tokens)
     return MinHashSignature(minima=minima, k=cfg.k, hash_seed=cfg.hash_seed)
 
 
@@ -272,12 +373,18 @@ def exact_jaccard(a, b):
 
 
 def build_library(features, q, s, extract_fingerprint=""):
-    """Sketch every feature vector into a library, preserving input order."""
+    """Sketch every feature vector into a library, preserving input order.
+
+    Every vector must have the same dimension, which the library records.
+    """
     if not features:
         raise DataError("empty-input")
+    dims = sorted({v.values.shape[0] for v in features})
+    if len(dims) > 1:
+        raise DataError(f"dimension-mismatch: mixed dims {dims}")
     rows = [minhash(tokenize(v, q), s).minima for v in features]
     return SketchLibrary.from_minima(
-        [v.source_id for v in features], rows, s, q, extract_fingerprint
+        [v.source_id for v in features], rows, s, q, extract_fingerprint, dim=dims[0]
     )
 
 
@@ -287,7 +394,9 @@ def gate_check(lib, v, g, extract_fingerprint=None):
     Aggregation max/mean scores against each entry; union scores against the
     signature of the union of all library token sets (the elementwise minima,
     by the MinHash union property). Anomalous iff score < j_alpha; a score
-    exactly at the threshold is acceptable.
+    exactly at the threshold is acceptable. A query whose dimension differs
+    from the library's (where the library records one) raises
+    DataError("dimension-mismatch").
 
     Per query the cost is sketching `v` plus one O(u*k) compare against the
     library's u distinct minima rows, read in place. Under mean the u match
@@ -306,7 +415,13 @@ def gate_check(lib, v, g, extract_fingerprint=None):
             f"incompatible-config: library extractor {lib.extract_fingerprint}, "
             f"gate extractor {extract_fingerprint}"
         )
-    tokens = tokenize(v, lib.quant_config)
+    values = v.values if hasattr(v, "values") else np.asarray(v, dtype=np.float64)
+    if lib.dim is not None and values.shape[0] != lib.dim:
+        raise DataError(
+            f"dimension-mismatch: query has {values.shape[0]} components, "
+            f"library baseline has {lib.dim}"
+        )
+    tokens = tokenize(values, lib.quant_config)
     if len(tokens) == 0:
         raise DataError("empty-token-set")
     sig = minhash(tokens, lib.sketch_config)

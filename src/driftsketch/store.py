@@ -5,15 +5,17 @@ Formats owned by this module:
 - Images: 8-bit binary PGM (P5, grayscale) and PPM (P6, RGB); maxval <= 255.
 - Embedding files: header ``driftsketch-emb v1 dim=<d> count=<n>``, then one
   ``<id> <v1> ... <vd>`` record per line.
-- Sketch library (v2): binary, magic ``DSKL``, u16 version, u64 header
-  length, a JSON header (configs, extractor fingerprint, ids, m, u, k), the
-  u distinct minima rows as a u x k little-endian uint64 matrix in order of
-  first occurrence, the m row indices (``ids[i]`` has row ``index[i]``) as
+- Sketch library (v3): binary, magic ``DSKL``, u16 version, u64 header
+  length, a JSON header (configs, extractor fingerprint, ids, m, u, k, and
+  ``dim``, the feature dimension or null where unknown), the u distinct
+  minima rows as a u x k little-endian uint64 matrix in order of first
+  occurrence, the m row indices (``ids[i]`` has row ``index[i]``) as
   little-endian uint32, then an 8-byte BLAKE2b checksum of every byte before
-  it. v1 files (u64 payload length, one JSON payload holding every row,
-  8-byte BLAKE2b checksum of the payload) still load; either version is
-  rebuilt through ``SketchLibrary.from_minima``, so gate scores do not
-  depend on which one a library came from.
+  it. v2 files have the same layout without ``dim``; v1 files (u64 payload
+  length, one JSON payload holding every row, 8-byte BLAKE2b checksum of the
+  payload) hold every row. Both still load, with the dimension unknown.
+  Every version is rebuilt through ``SketchLibrary.from_minima``, so gate
+  scores do not depend on which one a library came from.
 - Model checkpoints and split plans: one-line JSON followed by a
   ``# blake2b=<hex>`` integrity line.
 - Reports (drift and sensitivity): JSON-lines or CSV, one record per
@@ -41,7 +43,7 @@ from .stats import DriftReport, PeriodStats
 from .noiselab import SensitivityReport, SensitivityRow
 
 LIBRARY_MAGIC = b"DSKL"
-LIBRARY_VERSION = 2
+LIBRARY_VERSION = 3
 _CHECKSUM_PREFIX = "# blake2b="
 
 
@@ -206,7 +208,7 @@ def write_embeddings(features, path, dim=None):
 
 
 def save_library(lib):
-    """Serialize a SketchLibrary to v2 bytes (see the module docstring)."""
+    """Serialize a SketchLibrary to v3 bytes (see the module docstring)."""
     u, k = lib.distinct_minima.shape
     header = {
         "sketch": {"k": lib.sketch_config.k, "hash_seed": lib.sketch_config.hash_seed},
@@ -217,6 +219,7 @@ def save_library(lib):
             "clamp_hi": lib.quant_config.clamp_hi,
         },
         "extract_fingerprint": lib.extract_fingerprint,
+        "dim": lib.dim,
         "ids": list(lib.ids),
         "m": len(lib),
         "u": u,
@@ -258,7 +261,7 @@ def _header_size(obj, key):
 
 
 def _read_library_v2(data, length):
-    """(header object, ids, minima rows) of a v2 file, its sizes checked."""
+    """(header object, ids, minima rows) of a v2 or v3 file, its sizes checked."""
     body, trailer = data[:-8], data[-8:]
     if len(data) < 22 or hashlib.blake2b(body, digest_size=8).digest() != trailer:
         raise StoreError("checksum-mismatch")
@@ -278,14 +281,16 @@ def _read_library_v2(data, length):
     return obj, ids, distinct[row_index]
 
 
-_LIBRARY_READERS = {1: _read_library_v1, 2: _read_library_v2}
+# v3 is the v2 layout with ``dim`` in the header
+_LIBRARY_READERS = {1: _read_library_v1, 2: _read_library_v2, 3: _read_library_v2}
 
 
 def load_library(data):
-    """Deserialize a v2 (or v1) library, verifying the checksum and sizes.
+    """Deserialize a v3 (or v2, v1) library, verifying the checksum and sizes.
 
-    Either version is rebuilt through ``SketchLibrary.from_minima``, so the
-    library in memory is the same whichever file it came from.
+    Every version is rebuilt through ``SketchLibrary.from_minima``, so the
+    library in memory is the same whichever file it came from, except that
+    v1 and v2 files leave its dimension unknown.
     """
     if len(data) < 6 or data[:4] != LIBRARY_MAGIC:
         raise StoreError("bad-magic: not a sketch library file")
@@ -297,6 +302,7 @@ def load_library(data):
     length = int.from_bytes(data[6:14], "little")
     try:
         obj, ids, rows = _LIBRARY_READERS[version](data, length)
+        dim = None if version < 3 or obj["dim"] is None else _header_size(obj, "dim")
         if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
             raise StoreError("malformed-payload: ids must be a list of strings")
         return SketchLibrary.from_minima(
@@ -305,6 +311,7 @@ def load_library(data):
             SketchConfig(**obj["sketch"]),
             QuantConfig(**obj["quant"]),
             obj["extract_fingerprint"],
+            dim,
         )
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise StoreError(f"malformed-payload: {exc}")

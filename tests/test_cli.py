@@ -189,6 +189,17 @@ class TestBuildBaselineAndGate:
         )
         assert code == 3
 
+    def test_gate_with_library_of_other_dimension(self, tmp_path, baseline_dir, capsys):
+        emb = tmp_path / "two.emb"
+        emb.write_text("driftsketch-emb v1 dim=2 count=2\na 0.5 0.25\nb 0.25 0.5\n")
+        lib = str(tmp_path / "two.dskl")
+        assert main(["build-baseline", str(emb), "--out", lib]) == 0
+        assert read_library(lib).dim == 2
+        out = tmp_path / "verdicts.jsonl"
+        assert main(["gate", baseline_dir, "--library", lib, "--out", str(out)]) == 3
+        assert "dimension-mismatch" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_library_records_fingerprint(self, tmp_path, baseline_dir):
         lib = str(tmp_path / "lib.dskl")
         main(["build-baseline", baseline_dir, "--out", lib])

@@ -195,6 +195,24 @@ def test_extractor_matches_oracle_to_rounding(case):
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=atol)
 
 
+@given(
+    size=st.tuples(st.integers(4, 24), st.integers(4, 24)),
+    grid=st.integers(1, 4),
+    hist_bins=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_rgb_features_are_the_gray_features_of_each_plane(size, grid, hist_bins, seed):
+    """Without normalisation an RGB vector is the concatenation of its three
+    planes' gray vectors, bit for bit: every channel is summed alike."""
+    h, w = size
+    pixels = seeded_rng(seed, "rgb-planes").integers(0, 256, (h, w, 3)) / 255.0
+    cfg = ExtractConfig(grid=grid, hist_bins=hist_bins, l2_normalize=False)
+    rgb = extract_builtin(ImageGrid.from_array(pixels), cfg).values
+    planes = [extract_builtin(ImageGrid.from_array(pixels[:, :, c]), cfg).values for c in range(3)]
+    np.testing.assert_array_equal(rgb, np.concatenate(planes))
+
+
 @pytest.mark.parametrize(
     "images",
     [lambda: corpus(71, 40, "extract-tokens"), lambda: rgb_corpus(72, 15)],

@@ -18,7 +18,7 @@ from driftsketch import (
     minhash,
     tokenize,
 )
-from driftsketch import _kernels
+from driftsketch import _kernels, sketchlib
 from driftsketch.core import seeded_rng
 from driftsketch.sketchlib import SketchLibrary, _minhash_salts
 
@@ -91,6 +91,16 @@ class TestTokenize:
         a = tokenize(FeatureVector(values=centered), q)
         b = tokenize(FeatureVector(values=shifted), q)
         np.testing.assert_array_equal(a.tokens, b.tokens)
+
+
+class TestTokenSet:
+    def test_repeated_tokens_sorted_and_unique(self):
+        t = TokenSet(tokens=np.array([9, 3, 2**64 - 1, 3, 0, 9, 9], dtype=np.uint64))
+        assert t.tokens.tolist() == [0, 3, 9, 2**64 - 1]
+        assert len(t) == 4 and not t.tokens.flags.writeable
+
+    def test_distinct_tokens_sorted(self):
+        assert TokenSet(tokens=[5, 1, 4]).tokens.tolist() == [1, 4, 5]
 
 
 class TestExactJaccard:
@@ -212,6 +222,15 @@ class TestBuildLibrary:
         with pytest.raises(DataError, match="empty-input"):
             build_library([], QuantConfig(), SketchConfig())
 
+    def test_mixed_dimensions_rejected(self):
+        feats = [_feature([0.1, 0.2], "a"), _feature([0.1, 0.2, 0.3], "b")]
+        with pytest.raises(DataError, match=r"dimension-mismatch: mixed dims \[2, 3\]"):
+            build_library(feats, QuantConfig(), SketchConfig())
+
+    def test_dimension_recorded(self):
+        feats = [_feature([0.1, 0.2, 0.3], f"f{i}") for i in range(2)]
+        assert build_library(feats, QuantConfig(), SketchConfig()).dim == 3
+
     def test_rebuild_is_identical(self):
         feats = [_feature([0.3, 0.7, 0.1], f"f{i}") for i in range(4)]
         a = build_library(feats, QuantConfig(), SketchConfig(hash_seed=5))
@@ -273,6 +292,21 @@ class TestGateCheck:
         lib = build_library(feats, QuantConfig(), SketchConfig(), extract_fingerprint="abc")
         with pytest.raises(DataError, match="incompatible-config"):
             gate_check(lib, feats[0], GateConfig(), extract_fingerprint="def")
+
+    @pytest.mark.parametrize("agg", ["max", "mean", "union"])
+    def test_query_of_other_dimension_rejected(self, agg):
+        feats, lib = self._library()
+        with pytest.raises(DataError, match="dimension-mismatch: query has 9 components"):
+            gate_check(lib, _feature(np.full(9, 0.5), "wide"), GateConfig(aggregation=agg))
+        with pytest.raises(DataError, match="dimension-mismatch: query has 7 components"):
+            gate_check(lib, np.full(7, 0.5), GateConfig(aggregation=agg))
+
+    def test_unknown_dimension_skips_the_check(self):
+        feats, lib = self._library()
+        unknown = _library_from(lib.entries, lib)
+        assert unknown.dim is None
+        res = gate_check(unknown, _feature(np.full(9, 0.5), "wide"), GateConfig())
+        assert 0.0 <= res.score <= 1.0
 
     def test_union_aggregation_scores(self):
         feats, lib = self._library(n=5)
@@ -485,3 +519,76 @@ def test_union_signature_is_column_minima_of_members(rows, k, hash_seed):
     union = TokenSet(tokens=np.concatenate([t.tokens for t in token_sets]))
     np.testing.assert_array_equal(lib.union_signature.minima, members.min(axis=0))
     np.testing.assert_array_equal(lib.union_signature.minima, minhash(union, s).minima)
+
+
+_TOKENS = st.one_of(st.sampled_from([0, 1, 8, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@given(
+    pool=st.lists(_TOKENS, min_size=1, max_size=60, unique=True),
+    picks=st.lists(st.lists(st.integers(0, 59), min_size=1, max_size=30), min_size=1, max_size=8),
+    config=st.sampled_from([(16, 0), (5, 7)]),
+    small=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_token_table_minhash_equals_kernel(pool, picks, config, small):
+    """minhash through the token table equals hashing every token, bit for
+    bit: while the table grows, when tokens share a bucket, and once it is
+    full (a small table: 4 buckets of 2 slots, 4 rows)."""
+    k, hash_seed = config
+    cfg = SketchConfig(k=k, hash_seed=hash_seed)
+    salts = _minhash_salts(k, hash_seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if small:
+            mp.setattr(sketchlib, "_BUCKET_BITS", 2)
+            mp.setattr(sketchlib, "_TABLE_BYTES", 24 * 4 + 8 * k * 5)
+        sketchlib._token_table.cache_clear()
+        try:
+            table = sketchlib._token_table(k, hash_seed)
+            seen = 0
+            for pick in picks:
+                t = TokenSet(tokens=[pool[i % len(pool)] for i in pick])
+                got = minhash(t, cfg).minima
+                np.testing.assert_array_equal(got, _kernels.minhash_signature(t.tokens, salts))
+                assert seen <= table.filled <= table.values.shape[0]
+                seen = table.filled
+            stored = np.nonzero(table.row_of)
+            assert stored[0].shape[0] == table.filled - 1
+            np.testing.assert_array_equal(
+                table.values[table.row_of[stored]],
+                _kernels.salted_hashes(table.keys[stored], salts),
+            )
+            if small:
+                assert table.values.shape[0] == 5
+        finally:
+            sketchlib._token_table.cache_clear()
+
+
+def test_token_table_shared_by_threads():
+    """Threads sketching overlapping sets through one table all get the
+    kernel's minima."""
+    import threading
+
+    k, hash_seed = 24, 11
+    cfg, salts = SketchConfig(k=k, hash_seed=hash_seed), _minhash_salts(k, hash_seed)
+    pool = seeded_rng(6, "table-threads").integers(0, 2**64, 400, dtype=np.uint64)
+    errors = []
+
+    def work(worker):
+        rng = seeded_rng(worker, "table-thread")
+        for _ in range(60):
+            t = TokenSet(tokens=rng.choice(pool, 40, replace=False))
+            if not np.array_equal(minhash(t, cfg).minima, _kernels.minhash_signature(t.tokens, salts)):
+                errors.append(worker)
+
+    sketchlib._token_table.cache_clear()
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert errors == []
+        assert sketchlib._token_table(k, hash_seed).filled - 1 <= len(pool)
+    finally:
+        sketchlib._token_table.cache_clear()

@@ -30,10 +30,13 @@ from driftsketch import (
     write_report,
 )
 from driftsketch.core import seeded_rng
+from driftsketch.extract import ExtractConfig, extract_builtin, extract_fingerprint
 from driftsketch.head import HeadModel, TrainConfig
 from driftsketch.noiselab import NOISE_KINDS, SensitivityReport, SensitivityRow
+from driftsketch.sketchlib import SketchLibrary
 from driftsketch.stats import DriftReport, PeriodStats
 from driftsketch.store import (
+    LIBRARY_VERSION,
     _digest,
     _read_report_lines,
     encode_jsonl_report,
@@ -44,6 +47,7 @@ from driftsketch.store import (
     save_split,
     write_library,
 )
+from synthcorpus import corpus, uniform_noise_images
 
 
 class TestLoadImage:
@@ -127,6 +131,8 @@ def _every_bit_flip_detected(path, loader, step=1):
 
 # a v1 library, as the v1 writer saved _v1_fixture_library()
 V1_LIBRARY = Path(__file__).parent / "data" / "library_v1.dskl"
+# a v2 library, as the v2 writer saved _v2_fixture_library()
+V2_LIBRARY = Path(__file__).parent / "data" / "library_v2.dskl"
 
 
 def _forge_v1(old, new):
@@ -214,18 +220,39 @@ def _v1_fixture_library():
     return build_library(feats, QuantConfig(), SketchConfig(k=8, hash_seed=7), "fp")
 
 
+def _v2_fixture_library():
+    """The library the v2 fixture file was written from: 8 structured images
+    and 2 noise images under the default extractor, k=16, hash seed 5."""
+    cfg = ExtractConfig()
+    images = corpus(21, 8, "library-v2") + uniform_noise_images(21, 2)
+    feats = [extract_builtin(img, cfg, f"img{i}") for i, img in enumerate(images)]
+    return build_library(
+        feats, QuantConfig(), SketchConfig(k=16, hash_seed=5), extract_fingerprint(cfg)
+    )
+
+
+def _without_dim(lib):
+    """The same library with its dimension unknown, as a v1 or v2 file loads."""
+    return SketchLibrary.from_minima(
+        lib.ids, lib.minima_matrix(), lib.sketch_config, lib.quant_config,
+        lib.extract_fingerprint,
+    )
+
+
 def _split_v2(data):
-    """(header object, distinct-row bytes, row-index bytes) of a v2 library."""
+    """(header object, distinct-row bytes, row-index bytes) of a v2 or v3
+    library (v3 is the v2 layout with ``dim`` in the header)."""
     end = 14 + int.from_bytes(data[6:14], "little")
     header = json.loads(data[14:end])
     split = end + 8 * header["u"] * header["k"]
     return header, data[end:split], data[split:-8]
 
 
-def _seal_v2(header, matrix, index):
-    """A v2 library file with a valid checksum around any header and data."""
+def _seal_v2(header, matrix, index, version=LIBRARY_VERSION):
+    """A v2-layout library file (by default of the current version) with a
+    valid checksum around any header and data."""
     head = json.dumps(header).encode("utf-8")
-    data = b"DSKL" + (2).to_bytes(2, "little") + len(head).to_bytes(8, "little") + head
+    data = b"DSKL" + version.to_bytes(2, "little") + len(head).to_bytes(8, "little") + head
     data += matrix + index
     return data + hashlib.blake2b(data, digest_size=8).digest()
 
@@ -240,7 +267,8 @@ class TestLibraryVersions:
         np.testing.assert_array_equal(old.minima_matrix(), built.minima_matrix())
         np.testing.assert_array_equal(old.distinct_minima, built.distinct_minima)
         np.testing.assert_array_equal(old.row_index, built.row_index)
-        assert save_library(old) == save_library(built)
+        assert (old.dim, built.dim) == (None, 4)
+        assert save_library(old) == save_library(_without_dim(built))
 
     def test_v1_file_gates_identically(self):
         built = _v1_fixture_library()
@@ -272,6 +300,27 @@ class TestLibraryVersions:
         assert np.frombuffer(index, "<u4").tolist() == [0, 1, 2, 2]
         assert len(data) < len(V1_LIBRARY.read_bytes())
 
+    def test_v2_fixture_loads_with_dim_unknown(self):
+        old = load_library(V2_LIBRARY.read_bytes())
+        built = _v2_fixture_library()
+        assert old.dim is None and built.dim == 48
+        assert old.ids == built.ids
+        assert (old.sketch_config, old.quant_config) == (built.sketch_config, built.quant_config)
+        assert old.extract_fingerprint == built.extract_fingerprint
+        np.testing.assert_array_equal(old.distinct_minima, built.distinct_minima)
+        np.testing.assert_array_equal(old.row_index, built.row_index)
+        assert save_library(old) == save_library(_without_dim(built))
+
+    def test_v2_layout_sealed_as_v2_ignores_dim(self):
+        header, matrix, index = _split_v2(save_library(_v1_fixture_library()))
+        assert load_library(_seal_v2(header, matrix, index, version=2)).dim is None
+
+    def test_v3_header_records_dim(self):
+        header, matrix, index = _split_v2(save_library(_v1_fixture_library()))
+        assert header["dim"] == 4
+        assert load_library(_seal_v2(header, matrix, index)).dim == 4
+        assert load_library(_seal_v2(dict(header, dim=None), matrix, index)).dim is None
+
     def test_resealed_v2_file_loads(self):
         # the forgeries below differ from this one only in the field they break
         data = save_library(_v1_fixture_library())
@@ -297,6 +346,11 @@ class TestLibraryVersions:
                          id="non-string-id"),
             pytest.param(lambda h, mx, ix: ({k: v for k, v in h.items() if k != "u"}, mx, ix),
                          id="missing-u"),
+            pytest.param(lambda h, mx, ix: (dict(h, dim=0), mx, ix), id="zero-dim"),
+            pytest.param(lambda h, mx, ix: (dict(h, dim=4.0), mx, ix), id="float-dim"),
+            pytest.param(lambda h, mx, ix: (dict(h, dim=True), mx, ix), id="bool-dim"),
+            pytest.param(lambda h, mx, ix: ({k: v for k, v in h.items() if k != "dim"}, mx, ix),
+                         id="missing-dim"),
         ],
     )
     def test_forged_v2_is_malformed(self, tmp_path, forge):
