@@ -107,14 +107,19 @@ class FeatureVector:
         return self.values.shape[0]
 
 
+def _is_integer(value):
+    """True for Python and NumPy integers; a bool is not a count or a seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seed(seed):
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) <= MAX_SEED:
+    if not _is_integer(seed) or not 0 <= int(seed) <= MAX_SEED:
         raise ConfigError(f"invalid-seed: expected integer in [0, 2^64), got {seed!r}")
     return int(seed)
 
 
 def _check_count(name, value, low):
-    if not isinstance(value, (int, np.integer)):
+    if not _is_integer(value):
         raise ConfigError(f"config-invalid: {name} must be an integer, got {value!r}")
     if value < low:
         raise ConfigError(f"config-invalid: {name} must be >= {low}, got {value}")

@@ -223,6 +223,12 @@ def tokenize(v, q):
     DataError("value-out-of-range") instead of wrapping in the cast.
     """
     values = v.values if hasattr(v, "values") else np.asarray(v, dtype=np.float64)
+    return TokenSet(tokens=_kernels.hash_bins(_quantize(values, q)))
+
+
+def _quantize(values, q):
+    """The int64 bin index of each component of `values`, checked as
+    `tokenize` documents."""
     if not np.isfinite(values).all():
         raise DataError("non-finite-value: cannot tokenize")
     if q.clamp_lo is not None:
@@ -235,7 +241,7 @@ def tokenize(v, q):
             f"value-out-of-range: component {bad} = {float(values[bad])!r} falls in a "
             f"quantization bin outside the int64 range"
         )
-    return TokenSet(tokens=_kernels.hash_bins(bins.astype(np.int64)))
+    return bins.astype(np.int64)
 
 
 @lru_cache(maxsize=64)
@@ -254,6 +260,10 @@ def _minhash_salts(k, hash_seed):
 _TABLE_BYTES = 4 << 20
 _TABLES = 4
 _BUCKET_BITS = 13
+# byte budget of one table's signature memo, and the bytes charged to each
+# entry beside its key and minima (bytes and array headers, dict slot)
+_MEMO_BYTES = 1 << 20
+_MEMO_ENTRY_OVERHEAD = 256
 
 
 class _TokenTable:
@@ -275,10 +285,19 @@ class _TokenTable:
     call instead. So a lookup is a fixed number of vectorized steps however
     full the table is, and nothing is ever re-sorted or copied. One table
     takes at most ``_TABLE_BYTES`` (4 MiB: 12 bytes per slot plus 8k bytes
-    per row; 3,903 tokens at k=128) and ``_token_table`` keeps at most
-    ``_TABLES`` (4), so all tables together take at most 16 MiB. Pages are
-    zero-filled or left empty until written, so the untouched part of a
-    table costs no resident memory.
+    per row; 3,903 tokens at k=128). Pages are zero-filled or left empty
+    until written, so the untouched part of a table costs no resident memory.
+
+    Near-duplicate images quantize to the same bins, so the table also keeps
+    a signature memo: ``memo`` maps the bytes of an int64 bin vector to its
+    read-only minima, so `_sketch` sketches each distinct bin vector once.
+    An entry is charged its key and minima bytes plus
+    ``_MEMO_ENTRY_OVERHEAD`` (256), and entries are added while
+    ``memo_bytes`` stays within ``_MEMO_BYTES`` (1 MiB: 630 gray or 431 RGB
+    vectors at k=128). Entries are never evicted, so a stream of more
+    distinct vectors than fit cannot thrash the memo; the vectors beyond it
+    are sketched on every call. ``_token_table`` keeps at most ``_TABLES``
+    (4) tables, so the tables and their memos together take at most 20 MiB.
     """
 
     def __init__(self, salts):
@@ -292,6 +311,8 @@ class _TokenTable:
         rows = min(2 * buckets, (_TABLE_BYTES - 24 * buckets) // (8 * k))
         self.values = np.empty((rows, k), dtype=np.uint64)
         self.filled = 1
+        self.memo = {}
+        self.memo_bytes = 0
         self._lock = threading.Lock()
 
     def minima(self, tokens):
@@ -330,6 +351,14 @@ class _TokenTable:
                 self.keys[home[new], slot] = tokens[new]
                 self.filled += new.shape[0]
 
+    def remember(self, key, minima):
+        """Memoize a bin vector's minima while the memo's budget lasts."""
+        cost = len(key) + minima.nbytes + _MEMO_ENTRY_OVERHEAD
+        with self._lock:
+            if key not in self.memo and self.memo_bytes + cost <= _MEMO_BYTES:
+                self.memo[key] = minima
+                self.memo_bytes += cost
+
 
 @lru_cache(maxsize=_TABLES)
 def _token_table(k, hash_seed):
@@ -347,6 +376,25 @@ def minhash(t, cfg):
         raise DataError("empty-token-set")
     minima = _token_table(cfg.k, cfg.hash_seed).minima(t.tokens)
     return MinHashSignature(minima=minima, k=cfg.k, hash_seed=cfg.hash_seed)
+
+
+def _sketch(values, q, s):
+    """The minima of ``minhash(tokenize(values, q), s)``, bit for bit.
+
+    The int64 bin vector is the memo key (see ``_TokenTable``), so vectors
+    that differ only within their bins share an entry. A miss hashes the
+    bins and takes the token-table minima through `minhash`, and a vector
+    that fails a check raises before it reaches the memo. `values` must be
+    one-dimensional: a (d, 1) array would share its key with the vector.
+    """
+    bins = _quantize(values, q)
+    table = _token_table(s.k, s.hash_seed)
+    key = bins.tobytes()
+    minima = table.memo.get(key)
+    if minima is None:
+        minima = minhash(TokenSet(tokens=_kernels.hash_bins(bins)), s).minima
+        table.remember(key, minima)
+    return minima
 
 
 def _check_compatible(a, b):
@@ -382,7 +430,7 @@ def build_library(features, q, s, extract_fingerprint=""):
     dims = sorted({v.values.shape[0] for v in features})
     if len(dims) > 1:
         raise DataError(f"dimension-mismatch: mixed dims {dims}")
-    rows = [minhash(tokenize(v, q), s).minima for v in features]
+    rows = [_sketch(v.values, q, s) for v in features]
     return SketchLibrary.from_minima(
         [v.source_id for v in features], rows, s, q, extract_fingerprint, dim=dims[0]
     )
@@ -394,15 +442,17 @@ def gate_check(lib, v, g, extract_fingerprint=None):
     Aggregation max/mean scores against each entry; union scores against the
     signature of the union of all library token sets (the elementwise minima,
     by the MinHash union property). Anomalous iff score < j_alpha; a score
-    exactly at the threshold is acceptable. A query whose dimension differs
-    from the library's (where the library records one) raises
-    DataError("dimension-mismatch").
+    exactly at the threshold is acceptable. A query that is not a vector, or
+    whose dimension differs from the library's (where the library records
+    one), raises DataError("dimension-mismatch").
 
-    Per query the cost is sketching `v` plus one O(u*k) compare against the
-    library's u distinct minima rows, read in place. Under mean the u match
-    counts are spread back over the m rows through ``row_index``, an O(m)
-    gather, so every score equals the one a compare with all m rows gives,
-    bit for bit. The union minima are computed once per library and reused.
+    Per query the cost is quantizing `v`, a memo lookup of its bin vector
+    (hashing and MinHash run only for bin vectors not seen before, see
+    ``_TokenTable``), and one O(u*k) compare against the library's u
+    distinct minima rows, read in place. Under mean the u match counts are
+    spread back over the m rows through ``row_index``, an O(m) gather, so
+    every score equals the one a compare with all m rows gives, bit for bit.
+    The union minima are computed once per library and reused.
     """
     if len(lib) == 0:
         raise DataError("empty-library")
@@ -416,19 +466,19 @@ def gate_check(lib, v, g, extract_fingerprint=None):
             f"gate extractor {extract_fingerprint}"
         )
     values = v.values if hasattr(v, "values") else np.asarray(v, dtype=np.float64)
+    if values.ndim != 1:
+        raise DataError("dimension-mismatch: query is not a vector")
     if lib.dim is not None and values.shape[0] != lib.dim:
         raise DataError(
             f"dimension-mismatch: query has {values.shape[0]} components, "
             f"library baseline has {lib.dim}"
         )
-    tokens = tokenize(values, lib.quant_config)
-    if len(tokens) == 0:
-        raise DataError("empty-token-set")
-    sig = minhash(tokens, lib.sketch_config)
+    s = lib.sketch_config
+    minima = _sketch(values, lib.quant_config, s)
     if g.aggregation == "union":
-        score = estimate_jaccard(lib.union_signature, sig)
+        score = estimate_jaccard(lib.union_signature, MinHashSignature(minima, s.k, s.hash_seed))
     else:
-        fractions = _kernels.match_counts(lib.distinct_minima, sig.minima) / sig.k
+        fractions = _kernels.match_counts(lib.distinct_minima, minima) / s.k
         if g.aggregation == "max":
             score = float(fractions.max())
         else:

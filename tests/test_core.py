@@ -1,4 +1,5 @@
 from dataclasses import asdict, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -197,6 +198,23 @@ class TestValidByConstruction:
     def test_non_integer_count_rejected(self, cls, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             cls(**{field: value})
+
+    @pytest.mark.parametrize(
+        "cls, field, error",
+        [
+            (SketchConfig, "k", "config-invalid: k must be an integer"),
+            (ExtractConfig, "grid", "config-invalid: grid must be an integer"),
+            (TrainConfig, "epochs", "config-invalid: epochs must be an integer"),
+            (SketchConfig, "hash_seed", "invalid-seed"),
+            (StatsConfig, "seed", "invalid-seed"),
+            (partial(NoiseSpec, "gaussian", 0.1), "seed", "invalid-seed"),
+        ],
+        ids=["k", "grid", "epochs", "hash_seed", "stats-seed", "noise-seed"],
+    )
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_count_or_seed_rejected(self, cls, field, error, flag):
+        with pytest.raises(ConfigError, match=error):
+            cls(**{field: flag})
 
     def test_integer_counts_and_seeds_accepted(self):
         assert SketchConfig(k=np.int64(8), hash_seed=np.uint64(2**64 - 1)).k == 8

@@ -592,3 +592,152 @@ def test_token_table_shared_by_threads():
         assert sketchlib._token_table(k, hash_seed).filled - 1 <= len(pool)
     finally:
         sketchlib._token_table.cache_clear()
+
+
+def _reference_minima(v, q, s):
+    """Sketch with no table and no memo: hash every token of `v`."""
+    return _kernels.minhash_signature(tokenize(v, q).tokens, _minhash_salts(s.k, s.hash_seed))
+
+
+def _memo_state(s):
+    table = sketchlib._token_table(s.k, s.hash_seed)
+    return len(table.memo), table.memo_bytes
+
+
+# bin edges, signed zeros and values within one bin, so bin vectors repeat
+_MEMO_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.2, -0.2, 0.1, 0.15, 0.19999999999999998]),
+    st.floats(-1, 1, allow_nan=False),
+)
+
+
+@pytest.mark.parametrize("budget", ["default", "few-entries"])
+@given(
+    dim=st.integers(1, 5),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_memo_sketches_equal_the_no_memo_reference(budget, dim, data):
+    """build_library and gate_check through the signature memo give, bit for
+    bit, the libraries, scores and verdicts of sketching every vector with the
+    kernel; under two (k, hash_seed) configs in one process, with the memo
+    growing and (budget few-entries: two entries of the k=16 table) full."""
+    q = QuantConfig(bin_width=0.2)
+    vector = st.lists(_MEMO_VALUES, min_size=dim, max_size=dim)
+    pool = data.draw(st.lists(vector, min_size=1, max_size=5), label="pool")
+    pick = st.integers(0, len(pool) - 1)
+    base = data.draw(st.lists(pick, min_size=1, max_size=10), label="base")
+    queries = data.draw(st.lists(pick, min_size=1, max_size=10), label="queries")
+    feats = [_feature(pool[i], f"b{j}") for j, i in enumerate(base)]
+    with pytest.MonkeyPatch.context() as mp:
+        if budget == "few-entries":
+            entry = 8 * dim + 8 * 16 + sketchlib._MEMO_ENTRY_OVERHEAD
+            mp.setattr(sketchlib, "_MEMO_BYTES", 2 * entry + 1)
+        sketchlib._token_table.cache_clear()
+        try:
+            for s in (SketchConfig(k=16, hash_seed=0), SketchConfig(k=5, hash_seed=7)):
+                lib = build_library(feats, q, s)
+                rows = [_reference_minima(v, q, s) for v in feats]
+                ref = SketchLibrary.from_minima(lib.ids, rows, s, q)
+                np.testing.assert_array_equal(lib.distinct_minima, ref.distinct_minima)
+                np.testing.assert_array_equal(lib.row_index, ref.row_index)
+                for j in queries:
+                    probe = _feature(pool[j], "probe")
+                    query = _reference_minima(probe, q, s)
+                    fractions = _kernels.match_counts(ref.minima_matrix(), query) / s.k
+                    expected = {
+                        "max": float(fractions.max()),
+                        "mean": float(fractions.mean()),
+                        "union": float(np.count_nonzero(ref.union_signature.minima == query))
+                        / s.k,
+                    }
+                    for agg, score in expected.items():
+                        res = gate_check(lib, probe, GateConfig(aggregation=agg))
+                        assert (res.score, res.anomalous) == (score, score < 0.5), agg
+                table = sketchlib._token_table(s.k, s.hash_seed)
+                assert table.memo_bytes <= sketchlib._MEMO_BYTES
+                for key, minima in table.memo.items():
+                    assert not minima.flags.writeable
+                    bins = np.frombuffer(key, dtype=np.int64)
+                    np.testing.assert_array_equal(
+                        minima,
+                        _kernels.minhash_signature(
+                            _kernels.hash_bins(bins), _minhash_salts(s.k, s.hash_seed)
+                        ),
+                    )
+        finally:
+            sketchlib._token_table.cache_clear()
+
+
+def test_rejected_queries_leave_the_memo_untouched():
+    """A query that a check rejects raises its named error and adds nothing
+    to the memo, through gate_check and through build_library."""
+    q, s = QuantConfig(), SketchConfig(k=16, hash_seed=4)
+    rng = seeded_rng(8, "memo-rejects")
+    feats = [_feature(rng.uniform(0, 1, 4), f"f{i}") for i in range(5)]
+    lib = build_library(feats, q, s, extract_fingerprint="fp")
+    unknown_dim = _library_from(lib.entries, lib)
+    gate_check(lib, feats[0], GateConfig(), "fp")
+    before = _memo_state(s)
+    assert before[0] > 0
+    rejected = [
+        (lib, [0.5, np.nan, 0.5, 0.5], "fp", "non-finite-value"),
+        (lib, [0.5, 0.5, np.inf, 0.5], "fp", "non-finite-value"),
+        (lib, [0.5, 0.5, 0.5, 1e300], "fp", "value-out-of-range: component 3"),
+        (lib, [0.5, 0.5, 0.5], "fp", "dimension-mismatch: query has 3 components"),
+        (lib, feats[1].values, "other", "incompatible-config"),
+        (unknown_dim, [], None, "empty-token-set"),
+        (lib, feats[1].values.reshape(4, 1), "fp", "dimension-mismatch: query is not a vector"),
+        (unknown_dim, feats[1].values.reshape(4, 1), None, "query is not a vector"),
+        (lib, 0.5, "fp", "dimension-mismatch: query is not a vector"),
+        (unknown_dim, 0.5, None, "query is not a vector"),
+    ]
+    for library, values, fingerprint, error in rejected:
+        for agg in ("max", "mean", "union"):
+            with pytest.raises(DataError, match=error):
+                gate_check(library, np.array(values), GateConfig(aggregation=agg), fingerprint)
+            assert _memo_state(s) == before, error
+    for values, error in [([np.nan] * 4, "non-finite-value"), ([], "empty-token-set")]:
+        with pytest.raises(DataError, match=error):
+            build_library([_feature(values, "bad")], q, s)
+        assert _memo_state(s) == before, error
+
+
+def test_memo_shared_by_threads():
+    """Threads sketching overlapping bin vectors through one memo get the
+    kernel's minima, and the memo's byte count is the sum of its entries'
+    charges (a lost update would break it), with the budget reached."""
+    import sys
+    import threading
+
+    q, s = QuantConfig(bin_width=0.2), SketchConfig(k=24, hash_seed=12)
+    pool = seeded_rng(9, "memo-threads").uniform(-1, 1, (60, 6))
+    expected = [_reference_minima(v, q, s) for v in pool]
+    entry = 8 * 6 + 8 * 24 + sketchlib._MEMO_ENTRY_OVERHEAD
+    errors = []
+
+    def work(worker):
+        rng = seeded_rng(worker, "memo-thread")
+        for i in rng.integers(0, len(pool), 300):
+            if not np.array_equal(sketchlib._sketch(pool[i], q, s), expected[i]):
+                errors.append(worker)
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sketchlib, "_MEMO_BYTES", 20 * entry)
+        sketchlib._token_table.cache_clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert errors == []
+            table = sketchlib._token_table(s.k, s.hash_seed)
+            assert len(table.memo) == 20
+            assert table.memo_bytes == 20 * entry
+        finally:
+            sys.setswitchinterval(interval)
+            sketchlib._token_table.cache_clear()
