@@ -18,7 +18,7 @@ import typing
 from dataclasses import asdict, replace
 
 from . import store
-from .core import ConfigError, DataError, PipelineConfig
+from .core import ConfigError, DataError, PipelineConfig, _check_seed
 from .extract import ExtractConfig, extract_builtin, extract_fingerprint, load_embeddings
 from .head import TrainConfig, train_head
 from .noiselab import NOISE_KINDS, sensitivity_sweep
@@ -120,20 +120,28 @@ _SECTIONS = {
 }
 
 
-def _read_config_file(path):
-    values = {}
+def _text_lines(path, error, code):
+    """The lines of a UTF-8 text file; a file that cannot be read or is not
+    UTF-8 raises `error` with the name `code`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"config-invalid: {path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+            return fh.read().split("\n")
     except OSError as exc:
-        raise ConfigError(f"config-invalid: cannot read {path}: {exc}")
+        raise error(f"{code}: cannot read {path}: {exc}")
+    except UnicodeDecodeError:
+        raise error(f"{code}: cannot read {path}: not UTF-8 text")
+
+
+def _read_config_file(path):
+    values = {}
+    for lineno, line in enumerate(_text_lines(path, ConfigError, "config-invalid"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"config-invalid: {path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -141,11 +149,12 @@ def resolve_config(args):
     """Defaults, overridden by the config file, overridden by flags.
 
     Returns (PipelineConfig, TrainConfig, run_seed). The run seed is the
-    --seed flag when given, else the ``seed`` config key, else 0.
+    --seed flag when given, else the ``seed`` config key, else 0; the one in
+    use must lie in [0, 2^64).
     """
     raw = _read_config_file(args.config) if args.config else {}
     sections = {name: {} for name in _SECTIONS}
-    file_seed = None
+    file_seed = 0
     for key, text in raw.items():
         if key == "seed":
             file_seed = _parse_value(text, int, key)
@@ -157,12 +166,7 @@ def resolve_config(args):
         if field_name not in hints:
             raise ConfigError(f"config-invalid: unknown config key {key!r}")
         sections[section][field_name] = _parse_value(text, hints[field_name], key)
-    if args.seed is not None:
-        run_seed = args.seed
-    elif file_seed is not None:
-        run_seed = file_seed
-    else:
-        run_seed = 0
+    run_seed = _check_seed(file_seed if args.seed is None else args.seed)
 
     # flags merge in before anything is built, so a value they override is never checked
     if getattr(args, "j_alpha", None) is not None:
@@ -311,18 +315,14 @@ def _cmd_sweep(args):
 
 def _read_labels(path):
     labels = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split()
-                if len(fields) != 2 or fields[1] not in ("0", "1"):
-                    raise DataError(f"malformed-file(line {lineno}): expected '<id> <0|1>'")
-                labels[fields[0]] = int(fields[1])
-    except OSError as exc:
-        raise DataError(f"io-error: cannot read {path}: {exc}")
+    for lineno, line in enumerate(_text_lines(path, DataError, "io-error"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2 or fields[1] not in ("0", "1"):
+            raise DataError(f"malformed-file(line {lineno}): expected '<id> <0|1>'")
+        labels[fields[0]] = int(fields[1])
     return labels
 
 
@@ -348,11 +348,7 @@ def _cmd_train_head(args):
 
 def _cmd_split(args):
     _, _, run_seed = resolve_config(args)
-    try:
-        with open(args.ids, "r", encoding="utf-8") as fh:
-            ids = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise DataError(f"io-error: cannot read {args.ids}: {exc}")
+    ids = [ln.strip() for ln in _text_lines(args.ids, DataError, "io-error") if ln.strip()]
     plan = store.split_dataset(ids, args.groups, run_seed)
     store.save_split(plan, args.out)
     return 0

@@ -81,14 +81,13 @@ def validate_image(img):
         raise DataError(
             f"dimension-mismatch: {img.pixels.shape[0]} pixels supplied, expected {expected}"
         )
-    in_range = (img.pixels >= 0.0) & (img.pixels <= 1.0)
-    if in_range.all():
-        return  # NaN fails both comparisons, so this one pass also rules it out
+    if img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0:
+        return  # min and max propagate NaN, which fails both comparisons
     finite = np.isfinite(img.pixels)
     if not finite.all():
         idx = int(np.argmin(finite))
         raise DataError(f"non-finite-pixel({idx})")
-    idx = int(np.argmin(in_range))
+    idx = int(np.argmin((img.pixels >= 0.0) & (img.pixels <= 1.0)))
     raise DataError(f"out-of-range-pixel({idx}): value {img.pixels[idx]!r}")
 
 

@@ -90,9 +90,10 @@ def extract_builtin(img, cfg, source_id=""):
         )
 
     g, b, ch = cfg.grid, cfg.hist_bins, img.channels
+    h, w = img.height, img.width
     # channel-major (ch, h, w) copy: every step below runs along long rows
-    planes = np.ascontiguousarray(img.pixels.reshape(img.height, img.width, ch).transpose(2, 0, 1))
-    row_starts, col_starts, rows_per, cols_per, counts = _patch_geometry(img.height, img.width, g)
+    planes = np.ascontiguousarray(img.pixels.reshape(h, w, ch).transpose(2, 0, 1))
+    row_starts, col_starts, rows_per, cols_per, counts = _patch_geometry(h, w, g)
     # reduceat needs every patch non-empty (at equal consecutive edges it
     # returns one element, not an empty sum); the grid check above ensures it
 
@@ -100,19 +101,26 @@ def extract_builtin(img, cfg, source_id=""):
         # (ch, h, w) -> (ch, g, g): rows within each band, then columns
         return np.add.reduceat(np.add.reduceat(x, row_starts, axis=1), col_starts, axis=2)
 
-    means = patch_sums(planes) / counts
-    # two-pass std: each pixel's deviation from the mean of its own patch
-    dev = planes - np.repeat(np.repeat(means, rows_per, axis=1), cols_per, axis=2)
-    stds = np.sqrt(patch_sums(dev * dev) / counts)
-    # (ch, g, g, 2) -> per channel, (mean, std) in row-major patch order
-    stats = np.stack([means, stds], axis=-1).reshape(ch, 2 * g * g)
+    # the raw vector, filled in place: per channel, (mean, std) of each patch
+    # in row-major patch order, then the b-bin histogram
+    out = np.empty((ch, 2 * g * g + b), dtype=np.float64)
+    means, stds = out[:, : 2 * g * g].reshape(ch, g, g, 2).transpose(3, 0, 1, 2)
+    np.divide(patch_sums(planes), counts, out=means, dtype=np.float64)
+    # two-pass std: each pixel's deviation from its own patch's mean, squared in place
+    dev = np.repeat(np.repeat(means, rows_per, axis=1), cols_per, axis=2)
+    np.subtract(planes, dev, out=dev, dtype=np.float64)
+    np.multiply(dev, dev, out=dev, dtype=np.float64)
+    np.sqrt(np.divide(patch_sums(dev), counts, out=stds, dtype=np.float64), out=stds)
 
-    # right-closed bins (i/b, (i+1)/b], first bin closed at 0; channel c
-    # counts into slots [c*b, (c+1)*b) of one bincount
-    bins = np.maximum(np.ceil(planes * b).astype(np.int64) - 1, 0)
-    bins += (np.arange(ch) * b)[:, None, None]
-    hist = np.bincount(bins.ravel(), minlength=ch * b).reshape(ch, b) / (img.height * img.width)
-    vec = np.concatenate([stats, hist], axis=1).ravel()
+    # right-closed bins (i/b, (i+1)/b], first bin closed at 0: ceil(x*b) is a
+    # slot in 0..b, slot 0 (x = 0) folds into bin 0, and channel c counts into
+    # slots [c*(b+1), (c+1)*(b+1)) of one bincount (small float offsets, exact)
+    slots = np.ceil(np.multiply(planes, float(b), out=dev, dtype=np.float64), out=dev)
+    slots += (b + 1) * np.arange(ch, dtype=np.float64)[:, None, None]
+    hist = np.bincount(slots.astype(np.intp).ravel(), minlength=ch * (b + 1)).reshape(ch, b + 1)
+    hist[:, 1] += hist[:, 0]
+    np.divide(hist[:, 1:], float(h * w), out=out[:, 2 * g * g :], dtype=np.float64)
+    vec = out.ravel()
 
     if cfg.projection_dim > 0:
         if cfg.projection_dim > vec.shape[0]:
@@ -122,9 +130,10 @@ def extract_builtin(img, cfg, source_id=""):
             )
         vec = _projection_matrix(cfg.projection_seed, vec.shape[0], cfg.projection_dim) @ vec
     if cfg.l2_normalize:
-        norm = np.linalg.norm(vec)
+        # sqrt(vec . vec) is what np.linalg.norm computes for a real vector
+        norm = np.sqrt(vec.dot(vec))
         if norm > 0.0:
-            vec = vec / norm
+            vec /= norm
     return FeatureVector(values=vec, source_id=source_id)
 
 
@@ -158,7 +167,10 @@ def load_embeddings(path):
         <id> <v1> ... <vd>
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError:
+            raise StoreError(f"malformed-file: cannot read {path}: not UTF-8 text")
     if not lines:
         raise StoreError("malformed-file(line 1): empty file, header expected")
     header = lines[0].split()

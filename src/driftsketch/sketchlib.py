@@ -478,10 +478,10 @@ def gate_check(lib, v, g, extract_fingerprint=None):
     if g.aggregation == "union":
         score = estimate_jaccard(lib.union_signature, MinHashSignature(minima, s.k, s.hash_seed))
     else:
-        fractions = _kernels.match_counts(lib.distinct_minima, minima) / s.k
-        if g.aggregation == "max":
-            score = float(fractions.max())
+        matches = _kernels.match_counts(lib.distinct_minima, minima)
+        if g.aggregation == "max":  # dividing by k > 0 keeps the order: max, then divide
+            score = float(matches.max()) / s.k
         else:
-            score = float(fractions[lib.row_index].mean())
+            score = float(np.divide(matches, float(s.k), dtype=np.float64)[lib.row_index].mean())
     source_id = v.source_id if hasattr(v, "source_id") else ""
     return GateResult(source_id=source_id, score=score, anomalous=score < g.j_alpha)

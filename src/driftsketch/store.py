@@ -31,6 +31,7 @@ payload bit is detected. All writes are atomic (temp file + rename).
 import hashlib
 import json
 import os
+import re
 import tempfile
 from dataclasses import asdict, dataclass
 
@@ -95,36 +96,25 @@ def _jdump(obj, sort_keys=False):
 # ---------------------------------------------------------------------------
 
 
-def _next_header_token(data, pos):
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
-        pos += 1
-    if start == pos:
-        raise StoreError("corrupt-header: truncated header")
-    return data[start:pos], pos
+# width, height and maxval: each a run of bytes other than whitespace (bytes \s,
+# the six bytes.isspace() bytes) and '#', after any whitespace and '#' comments
+# (ended by '\n', '\r' or the end of the file); empty only where the file ends
+_HEADER_SEP = rb"(?:\s|#[^\n\r]*)*"
+_HEADER_FIELDS = re.compile(3 * (_HEADER_SEP + rb"([^\s#]*)"))
 
 
 def load_image(path):
     """Decode an 8-bit binary PGM (P5) or PPM (P6) file into an ImageGrid."""
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
         data = fh.read()
     if len(data) < 2 or data[:2] not in (b"P5", b"P6"):
         raise StoreError(f"unsupported-format: expected P5 or P6 magic in {path}")
     channels = 1 if data[:2] == b"P5" else 3
-    pos = 2
+    header = _HEADER_FIELDS.match(data, 2)
     fields = []
-    for _ in range(3):
-        token, pos = _next_header_token(data, pos)
+    for token in header.groups():
+        if not token:
+            raise StoreError("corrupt-header: truncated header")
         try:
             fields.append(int(token))
         except ValueError:
@@ -135,14 +125,16 @@ def load_image(path):
     if not 1 <= maxval <= 255:
         raise StoreError(f"unsupported-format: maxval {maxval} (8-bit only)")
     # exactly one whitespace byte separates the header from the raster
+    pos = header.end()
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise StoreError("corrupt-header: missing separator before raster")
     pos += 1
     needed = width * height * channels
-    raster = data[pos : pos + needed]
-    if len(raster) < needed:
-        raise StoreError(f"truncated-data: raster has {len(raster)} bytes, needs {needed}")
-    pixels = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / float(maxval)
+    if len(data) - pos < needed:
+        raise StoreError(f"truncated-data: raster has {len(data) - pos} bytes, needs {needed}")
+    # one cast to float64, then the scale in place
+    pixels = np.frombuffer(data, dtype=np.uint8, count=needed, offset=pos).astype(np.float64)
+    pixels /= float(maxval)
     return ImageGrid(width=width, height=height, channels=channels, pixels=pixels)
 
 

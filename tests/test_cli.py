@@ -553,6 +553,79 @@ class TestErrors:
         assert report.ks_alpha == 0.01
 
 
+class TestNonUtf8Inputs:
+    """A text input holding a byte that is not UTF-8 gets a named error that
+    names the file: exit 2 for the config file, a usage input, else exit 3."""
+
+    _BAD = b"\xff"
+
+    def test_config_file_exits_two(self, tmp_path, baseline_dir, capsys):
+        cfg = tmp_path / "driftsketch.cfg"
+        cfg.write_bytes(b"gate.j_alpha = 0.5 # " + self._BAD + b"\n")
+        out = tmp_path / "x.emb"
+        assert main(["extract", baseline_dir, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config-invalid: cannot read {cfg}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_labels_file_exits_three(self, tmp_path, capsys):
+        emb, lab = tmp_path / "train.emb", tmp_path / "labels.txt"
+        emb.write_text("driftsketch-emb v1 dim=2 count=2\ns0 0.1 0.2\ns1 0.3 0.4\n")
+        lab.write_bytes(b"s0 1\ns1 " + self._BAD + b"\n")
+        out = tmp_path / "m.json"
+        assert main(["train-head", str(emb), "--labels", str(lab), "--out", str(out)]) == 3
+        assert f"io-error: cannot read {lab}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_split_ids_file_exits_three(self, tmp_path, capsys):
+        ids = tmp_path / "ids.txt"
+        ids.write_bytes(b"img0\nimg" + self._BAD + b"\n")
+        out = tmp_path / "plan.json"
+        assert main(["split", str(ids), "--groups", "2", "--out", str(out)]) == 3
+        assert f"io-error: cannot read {ids}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_embedding_file_exits_three(self, tmp_path, capsys):
+        emb = tmp_path / "base.emb"
+        emb.write_bytes(b"driftsketch-emb v1 dim=2 count=2\na 0.1 0.2\nb" + self._BAD + b" 0.3 0.4\n")
+        out = tmp_path / "lib.dskl"
+        assert main(["build-baseline", str(emb), "--out", str(out)]) == 3
+        assert f"malformed-file: cannot read {emb}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRunSeed:
+    """Every subcommand checks its run seed, from the flag or the config
+    file, before any work: outside [0, 2^64) it exits 2 with invalid-seed."""
+
+    def test_gate_negative_seed_flag(self, tmp_path, baseline_dir, capsys):
+        lib = str(tmp_path / "lib.dskl")
+        assert main(["build-baseline", baseline_dir, "--out", lib]) == 0
+        out = tmp_path / "v.jsonl"
+        code = main(["gate", baseline_dir, "--library", lib, "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "invalid-seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_drift_seed_flag_past_64_bits(self, tmp_path, baseline_dir, capsys):
+        periods = _period_dirs(tmp_path, n_periods=2, n_images=5)
+        out = tmp_path / "d.jsonl"
+        argv = ["drift", baseline_dir, *periods, "--out", str(out)]
+        assert main([*argv, "--seed", str(2**64)]) == 2
+        assert "invalid-seed" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*argv, "--seed", str(2**64 - 1)]) == 0
+
+    def test_config_file_seed(self, tmp_path, baseline_dir, capsys):
+        cfg = _write_config(tmp_path, "seed = -3")
+        out = tmp_path / "lib.dskl"
+        argv = ["build-baseline", baseline_dir, "--config", cfg, "--out", str(out)]
+        assert main(argv) == 2
+        assert "invalid-seed" in capsys.readouterr().err
+        assert not out.exists()
+        # the flag overrides the file's seed, which is then not the one in use
+        assert main([*argv, "--seed", "7"]) == 0
+
+
 _NAN, _INF = float("nan"), float("inf")
 
 # values drawn from 0, -1, nan, inf, a string, null and a list that each library

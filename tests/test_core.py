@@ -16,6 +16,8 @@ from driftsketch.noiselab import NoiseSpec
 from driftsketch.sketchlib import SketchConfig
 from driftsketch.stats import StatsConfig
 
+import reference_path
+
 
 class TestValidateImage:
     def test_valid_grayscale(self):
@@ -53,6 +55,38 @@ class TestValidateImage:
         img = ImageGrid(width=2, height=2, channels=1, pixels=pixels)
         with pytest.raises(DataError, match=error):
             validate_image(img)
+
+    @given(
+        n=st.integers(1, 40),
+        bad=st.lists(
+            st.tuples(
+                st.integers(0, 39),
+                st.sampled_from([np.nan, np.inf, -np.inf, -1e-300, -0.5, 1.0 + 2**-52, 2.0, -0.0]),
+            ),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_verdict_as_reference(self, n, bad):
+        """The min/max screen accepts and rejects what the reference's one
+        range mask does, with the same message: the first non-finite pixel,
+        else the first out of range. -0.0 is in range."""
+        pixels = np.linspace(0.0, 1.0, n)
+        for idx, value in bad:
+            pixels[idx % n] = value
+        img = ImageGrid(width=n, height=1, channels=1, pixels=pixels)
+
+        def verdict(check):
+            try:
+                check(img)
+            except DataError as exc:
+                return str(exc)
+            return "valid"
+
+        assert verdict(validate_image) == verdict(reference_path.validate_image)
+
+    def test_negative_zero_accepted(self):
+        validate_image(ImageGrid(width=2, height=1, channels=1, pixels=[-0.0, 1.0]))
 
     def test_bad_channel_count(self):
         img = ImageGrid(width=1, height=1, channels=2, pixels=[0.5, 0.5])

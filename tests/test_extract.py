@@ -22,6 +22,8 @@ from driftsketch.core import seeded_rng
 from driftsketch.extract import extract_batch, extract_builtin, extract_fingerprint
 from synthcorpus import corpus, rgb_corpus
 
+import reference_path
+
 
 def oracle_extract(img, cfg):
     """Straight-line reimplementation of the extractor definition.
@@ -172,10 +174,9 @@ def image_and_config(draw):
         projection_seed=draw(st.integers(0, 3)),
         l2_normalize=draw(st.booleans()),
     )
-    # histogram edges and both ends of the range, among arbitrary values
-    pixel = st.one_of(
-        st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 1.0 / hist_bins, 0.5])
-    )
+    # every histogram edge i/b, -0.0 and both ends of the range, among arbitrary values
+    edges = [i / hist_bins for i in range(hist_bins + 1)]
+    pixel = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 0.5, *edges]))
     return ImageGrid.from_array(draw(arrays(np.float64, (h, w, channels), elements=pixel))), cfg
 
 
@@ -193,6 +194,33 @@ def test_extractor_matches_oracle_to_rounding(case):
     n_terms = img.height * img.width + cfg.raw_dim(img.channels)
     atol = n_terms * np.finfo(np.float64).eps * max(1.0, np.abs(expected).max())
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=atol)
+
+
+@given(case=image_and_config())
+@settings(max_examples=300, deadline=None)
+def test_extractor_matches_reference_bit_for_bit(case):
+    """The in-place extractor does the reference's arithmetic in fewer
+    passes, so every feature agrees bit for bit, not only to rounding."""
+    img, cfg = case
+    got = extract_builtin(img, cfg).values
+    assert got.tobytes() == reference_path.extract_builtin(img, cfg).values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "images",
+    [
+        lambda: corpus(73, 40, "extract-bits"),
+        lambda: corpus(74, 10, "extract-bits-64", width=64, height=64),
+        lambda: rgb_corpus(75, 15),
+        lambda: rgb_corpus(76, 5, width=64, height=64),
+    ],
+    ids=["gray", "gray-64", "rgb", "rgb-64"],
+)
+def test_corpus_features_match_reference_bit_for_bit(images):
+    for cfg in (ExtractConfig(), ExtractConfig(projection_dim=24, projection_seed=3)):
+        for img in images():
+            got = extract_builtin(img, cfg).values
+            assert got.tobytes() == reference_path.extract_builtin(img, cfg).values.tobytes()
 
 
 @given(

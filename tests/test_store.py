@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from driftsketch import (
@@ -48,6 +48,8 @@ from driftsketch.store import (
     write_library,
 )
 from synthcorpus import corpus, uniform_noise_images
+
+import reference_path
 
 
 class TestLoadImage:
@@ -111,6 +113,72 @@ class TestLoadImage:
         again = load_image(str(path))
         assert again.channels == 3
         np.testing.assert_allclose(again.pixels, img.pixels)
+
+
+# header pieces: runs of the six bytes.isspace() bytes, '#' comments that end
+# at '\n', '\r' or (as the last piece) the end of the file, and field tokens,
+# some of them not integers or holding bytes that str.isspace() but not
+# bytes.isspace() counts as whitespace
+_SPACE = st.lists(st.sampled_from(list(b" \t\n\r\x0b\x0c")), min_size=1, max_size=4).map(bytes)
+_COMMENT = st.builds(
+    lambda body, end: b"#" + body + end,
+    st.lists(st.sampled_from(list(b"# 5a\t\x0b\x1c\x85\xff")), max_size=6).map(bytes),
+    st.sampled_from([b"\n", b"\r", b""]),
+)
+_SEPARATOR = st.lists(st.one_of(_SPACE, _COMMENT), min_size=1, max_size=3).map(b"".join)
+_TOKEN = st.sampled_from(
+    [b"1", b"2", b"3", b"255", b"7"] * 4
+    + [b"0", b"+2", b"1_0", b"007", b"256", b"-1", b"x", b"\xff", b"3\x1c", b"\x85", b"\xa0"]
+)
+
+
+@st.composite
+def _pnm_bytes(draw):
+    """A P5/P6 file: up to four separated tokens, then a separator, a comment
+    or nothing, then up to 40 raster bytes."""
+    pieces = [draw(st.sampled_from([b"P5", b"P6"]))]
+    for _ in range(draw(st.integers(0, 4))):
+        pieces += [draw(_SEPARATOR), draw(_TOKEN)]
+    pieces.append(draw(st.one_of(_SPACE, _COMMENT, st.just(b""))))
+    pieces.append(draw(st.binary(max_size=40)))
+    return b"".join(pieces)
+
+
+def _decode_outcome(loader, path):
+    try:
+        img = loader(path)
+    except StoreError as exc:
+        return "error", str(exc)
+    return img.width, img.height, img.channels, img.pixels.tobytes()
+
+
+@given(data=_pnm_bytes())
+@example(data=b"P6 #c\r2\x0b1#\n255\x0c" + bytes(range(6)))  # decodes
+@example(data=b"P5\n2 1\n# 255")  # truncated header
+@example(data=b"P5 2 x\x85 255\n")  # non-integer token
+@example(data=b"P5 1 1 255#\n\x00")  # no separator before the raster
+@example(data=b"P5 2 2 255\n\x00")  # truncated raster
+@example(data=b"P5 0 2 255\n")  # bad dimensions
+@example(data=b"P5 1 1 256\n\x00")  # maxval past 8 bits
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_header_parse_matches_reference(tmp_path, data):
+    """The one-regex header tokenizer reads the same fields as the reference
+    byte-at-a-time one, or raises a StoreError with the same text."""
+    path = tmp_path / "h.pgm"
+    path.write_bytes(data)
+    assert _decode_outcome(load_image, str(path)) == _decode_outcome(
+        reference_path.load_image, str(path)
+    )
+
+
+def test_decoded_pixels_match_reference_for_every_maxval(tmp_path):
+    """Every byte value under every 8-bit maxval scales to the same float64
+    as the reference's divide after the cast."""
+    path = tmp_path / "all.pgm"
+    for maxval in range(1, 256):
+        path.write_bytes(b"P5 16 16 %d\n" % maxval + bytes(range(256)))
+        got = load_image(str(path)).pixels
+        assert got.tobytes() == reference_path.load_image(str(path)).pixels.tobytes()
 
 
 def _every_bit_flip_detected(path, loader, step=1):
