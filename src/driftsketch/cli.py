@@ -22,7 +22,7 @@ from .core import ConfigError, DataError, PipelineConfig, _check_seed
 from .extract import ExtractConfig, extract_builtin, extract_fingerprint, load_embeddings
 from .head import TrainConfig, train_head
 from .noiselab import NOISE_KINDS, sensitivity_sweep
-from .sketchlib import GateConfig, QuantConfig, SketchConfig, build_library, gate_check
+from .sketchlib import GateConfig, GateReport, QuantConfig, SketchConfig, build_library, gate_check
 from .stats import StatsConfig, drift_report
 
 
@@ -33,10 +33,11 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p, report=False, needs_out=True):
         p.add_argument("--seed", type=int, default=None, help="run seed for stochastic steps")
         p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-        p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+        if report:
+            p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
         p.add_argument("--j-alpha", type=float, default=None, help="gate threshold override")
         p.add_argument("--ks-alpha", type=float, default=None, help="KS significance override")
         if needs_out:
@@ -53,20 +54,20 @@ def _build_parser():
     p = sub.add_parser("gate", help="check items against a baseline library")
     p.add_argument("input", metavar="INPUT")
     p.add_argument("--library", required=True, metavar="PATH")
-    common(p, needs_out=False)
-    p.add_argument("--out", default="-", metavar="PATH", help="verdicts jsonl ('-' = stdout)")
+    common(p, report=True, needs_out=False)
+    p.add_argument("--out", default="-", metavar="PATH", help="gate report ('-' = stdout)")
 
     p = sub.add_parser("drift", help="score ordered periods against a baseline")
     p.add_argument("baseline", metavar="BASELINE")
     p.add_argument("periods", nargs="+", metavar="PERIOD")
-    common(p)
+    common(p, report=True)
 
     p = sub.add_parser("sweep", help="noise-sensitivity ladder")
     p.add_argument("baseline", metavar="BASELINE")
     p.add_argument("test", metavar="TEST_DIR")
     p.add_argument("--noise", required=True, choices=[k.replace("_", "-") for k in NOISE_KINDS])
     p.add_argument("--levels", required=True, help="comma-separated increasing levels")
-    common(p)
+    common(p, report=True)
 
     p = sub.add_parser("train-head", help="train the sigmoid head on labeled embeddings")
     p.add_argument("embeddings", metavar="EMBEDDINGS")
@@ -253,21 +254,17 @@ def _cmd_gate(args):
     pipeline, _, run_seed = resolve_config(args)
     library = store.read_library(args.library)
     features, fingerprint = _load_features(args.input, pipeline.extract)
-    results = [gate_check(library, v, pipeline.gate, fingerprint) for v in features]
-
-    header = {
-        "kind": "gate_report",
-        "schema_version": 1,
-        "library": os.path.basename(args.library),
-    }
-    records = [{"source_id": r.source_id, "score": r.score, "verdict": r.verdict} for r in results]
-    payload = store.encode_jsonl_report(header, records, _config_record(pipeline, run_seed))
+    report = GateReport(
+        os.path.basename(args.library),
+        [gate_check(library, v, pipeline.gate, fingerprint) for v in features],
+    )
+    config = _config_record(pipeline, run_seed)
     if args.out == "-":
-        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.write(store.encode_report(report, args.format, config))
         sys.stdout.flush()
     else:
-        store.atomic_write_bytes(args.out, payload)
-    return 1 if any(r.anomalous for r in results) else 0
+        store.write_report(report, args.format, args.out, config)
+    return 1 if any(r.anomalous for r in report.rows) else 0
 
 
 def _cmd_drift(args):

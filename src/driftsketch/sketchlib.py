@@ -202,15 +202,32 @@ class GateConfig:
             )
 
 
+_VERDICTS = ("acceptable", "anomalous")
+
+
 @dataclass(frozen=True)
 class GateResult:
     source_id: str
     score: float
-    anomalous: bool
+    verdict: str
 
     @property
-    def verdict(self):
-        return "anomalous" if self.anomalous else "acceptable"
+    def anomalous(self):
+        return self.verdict == "anomalous"
+
+
+@dataclass(frozen=True)
+class GateReport:
+    """The verdicts of one gate run, one row per checked item, in input order."""
+
+    library: str
+    rows: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
+        for r in self.rows:
+            if not 0.0 <= r.score <= 1.0 or r.verdict not in _VERDICTS:
+                raise DataError(f"invalid-verdict: {r.source_id!r}: {r.score!r}, {r.verdict!r}")
 
 
 def tokenize(v, q):
@@ -484,4 +501,4 @@ def gate_check(lib, v, g, extract_fingerprint=None):
         else:
             score = float(np.divide(matches, float(s.k), dtype=np.float64)[lib.row_index].mean())
     source_id = v.source_id if hasattr(v, "source_id") else ""
-    return GateResult(source_id=source_id, score=score, anomalous=score < g.j_alpha)
+    return GateResult(source_id, score, "anomalous" if score < g.j_alpha else "acceptable")

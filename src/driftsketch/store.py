@@ -18,28 +18,31 @@ Formats owned by this module:
   scores do not depend on which one a library came from.
 - Model checkpoints and split plans: one-line JSON followed by a
   ``# blake2b=<hex>`` integrity line.
-- Reports (drift and sensitivity): JSON-lines or CSV, one record per
-  period/level, reals rendered with 17 significant digits (round-trip
-  exact), a trailing checksum record; CSV extras ride in ``#`` comment lines
-  so the files stay directly plottable. Gate verdict reports use the same
-  JSON-lines encoding, one record per checked item.
+- Reports (drift, sensitivity and gate): JSON-lines or CSV, one record per
+  period, level or checked item, reals rendered with 17 significant digits
+  (round-trip exact), a trailing checksum record; CSV extras ride in ``#``
+  comment lines so the files stay directly plottable. One codec serves all
+  three kinds: ``encode_report``/``write_report`` and ``read_report`` take
+  the header fields and columns from the report and row dataclasses.
 
 Every loader verifies integrity and raises named StoreErrors; flipping any
 payload bit is detected. All writes are atomic (temp file + rename).
 """
 
+import dataclasses
 import hashlib
 import json
 import os
 import re
 import tempfile
+import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import ConfigError, DataError, ImageGrid, StoreError, seeded_rng
 from .extract import EMBEDDING_MAGIC
-from .sketchlib import QuantConfig, SketchConfig, SketchLibrary
+from .sketchlib import GateReport, GateResult, QuantConfig, SketchConfig, SketchLibrary
 from .stats import DriftReport, PeriodStats
 from .noiselab import SensitivityReport, SensitivityRow
 
@@ -436,23 +439,36 @@ def load_split(path):
 # reports
 # ---------------------------------------------------------------------------
 
-def _report_parts(report):
-    if isinstance(report, DriftReport):
-        header = {
-            "kind": "drift_report",
-            "schema_version": 1,
-            "baseline_id": report.baseline_id,
-            "ks_alpha": report.ks_alpha,
-        }
-        return header, [asdict(p) for p in report.periods]
-    if isinstance(report, SensitivityReport):
-        header = {
-            "kind": "sensitivity_report",
-            "schema_version": 1,
-            "noise_kind": report.noise_kind,
-        }
-        return header, [asdict(r) for r in report.rows]
-    raise DataError(f"unsupported report type {type(report).__name__}")
+def _to_bool(value):
+    if isinstance(value, bool):
+        return value
+    if value in ("true", "false"):
+        return value == "true"
+    raise StoreError(f"checksum-mismatch: bad boolean {value!r}")
+
+
+_CELL_PARSERS = {str: str, int: int, float: float, bool: _to_bool}
+
+
+def _typed_fields(cls):
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, _CELL_PARSERS.get(hints[f.name])) for f in dataclasses.fields(cls))
+
+
+def _layout(report_cls, row_cls):
+    *header, (rows, _) = _typed_fields(report_cls)
+    return report_cls, tuple(header), rows, row_cls, _typed_fields(row_cls)
+
+
+# kind -> (report class, its header fields, its rows field, row class, row fields).
+# A report's rows are its last field; every other field goes in the header. Each
+# field is a (name, parser) pair, the parser chosen by the field's annotation.
+_REPORTS = {
+    "drift_report": _layout(DriftReport, PeriodStats),
+    "sensitivity_report": _layout(SensitivityReport, SensitivityRow),
+    "gate_report": _layout(GateReport, GateResult),
+}
+_REPORT_SCHEMA_VERSION = 1
 
 
 def _csv_cell(value):
@@ -468,45 +484,40 @@ def _csv_cell(value):
     return text
 
 
-def encode_jsonl_report(header, records, config=None):
-    """JSON-lines report bytes: the header with ``config`` appended, one line
-    per record, then a checksum record over everything before it.
+def encode_report(report, format, config=None):
+    """A drift, sensitivity or gate report as JSON-lines or CSV bytes.
 
-    Shared by every JSON-lines report (drift, sensitivity, gate verdicts), so
-    all of them read back through the same checked reader.
+    The header holds ``kind``, ``schema_version`` and the report's fields
+    other than its rows; the columns are the row class's fields. JSON-lines:
+    the header with ``config`` appended, one record per row, a checksum
+    record. CSV: ``# config=...`` (when given) and ``# <header>`` comment
+    lines, the column header, one line per row, a ``# blake2b=...`` comment.
     """
-    lines = [_jdump(dict(header, config=config))] + [_jdump(r) for r in records]
-    body = ("\n".join(lines) + "\n").encode("utf-8")
-    trailer = _jdump({"kind": "checksum", "blake2b": _digest(body)}).encode("utf-8")
-    return body + trailer + b"\n"
+    kind = next((k for k, layout in _REPORTS.items() if isinstance(report, layout[0])), None)
+    if kind is None:
+        raise DataError(f"unsupported report type {type(report).__name__}")
+    _, header_fields, rows_field, _, columns = _REPORTS[kind]
+    header = {"kind": kind, "schema_version": _REPORT_SCHEMA_VERSION}
+    header.update((name, getattr(report, name)) for name, _ in header_fields)
+    names = [name for name, _ in columns]
+    records = [{n: getattr(r, n) for n in names} for r in getattr(report, rows_field)]
+    if format == "jsonl":
+        lines = [_jdump(dict(header, config=config))] + [_jdump(r) for r in records]
+        body = ("\n".join(lines) + "\n").encode("utf-8")
+        trailer = _jdump({"kind": "checksum", "blake2b": _digest(body)}).encode("utf-8")
+        return body + trailer + b"\n"
+    if format == "csv":
+        lines = [] if config is None else ["# config=" + _jdump(config)]
+        lines += ["# " + _jdump(header), ",".join(names)]
+        lines += [",".join(_csv_cell(v) for v in r.values()) for r in records]
+        body = ("\n".join(lines) + "\n").encode("utf-8")
+        return body + f"{_CHECKSUM_PREFIX}{_digest(body)}\n".encode("ascii")
+    raise ConfigError(f"config-invalid: unknown report format {format!r}")
 
 
 def write_report(report, format, path, config=None):
-    """Write a report as JSON-lines or CSV, one record per period/level.
-
-    JSON-lines: a header object, the records, and a trailing checksum
-    record. CSV: optional ``# config=...`` comment (only when a config is
-    given), ``# <header>`` comment, the column header, the data rows, and a
-    trailing ``# blake2b=...`` comment; comment lines keep the CSV loadable
-    by readers that honor ``#`` comments.
-    """
-    header, rows = _report_parts(report)
-    if format == "jsonl":
-        atomic_write_bytes(path, encode_jsonl_report(header, rows, config))
-    elif format == "csv":
-        fields = list(rows[0].keys())
-        lines = []
-        if config is not None:
-            lines.append("# config=" + _jdump(config))
-        lines.append("# " + _jdump(header))
-        lines.append(",".join(fields))
-        for r in rows:
-            lines.append(",".join(_csv_cell(r[f]) for f in fields))
-        body = ("\n".join(lines) + "\n").encode("utf-8")
-        trailer = f"{_CHECKSUM_PREFIX}{_digest(body)}\n".encode("ascii")
-        atomic_write_bytes(path, body + trailer)
-    else:
-        raise ConfigError(f"config-invalid: unknown report format {format!r}")
+    """Write a report atomically as JSON-lines or CSV (see ``encode_report``)."""
+    atomic_write_bytes(path, encode_report(report, format, config))
 
 
 def _report_json(text):
@@ -515,10 +526,11 @@ def _report_json(text):
 
 
 def _read_report_lines(path, expected_kind):
-    """Split a report file into verified body lines plus the checksum trailer.
+    """(header, records, config) of a report file, its checksum verified.
 
     The digest is checked over the exact body bytes as stored, so any
-    single-bit corruption is caught before parsing.
+    single-bit corruption is caught before parsing. Records are dicts of
+    JSON values (JSON-lines) or of cell text (CSV).
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -575,19 +587,17 @@ def _read_report_lines(path, expected_kind):
                 data_lines.append(ln)
     except json.JSONDecodeError as exc:
         raise StoreError(f"malformed-payload: {exc}")
-    if header is None or header.get("kind") != expected_kind:
+    if not isinstance(header, dict) or header.get("kind") != expected_kind:
         raise StoreError(f"bad-magic: expected {expected_kind!r} header")
     if len(data_lines) < 1:
         raise StoreError("bad-magic: missing column header")
     columns = data_lines[0].split(",")
-    rows = []
-    for ln in data_lines[1:]:
-        rows.append(dict(zip(columns, _split_csv_line(ln))))
-    return header, rows, config
+    return header, [dict(zip(columns, _split_csv_line(ln))) for ln in data_lines[1:]], config
 
 
 def _split_csv_line(line):
-    # minimal CSV field splitter matching _csv_cell quoting
+    # minimal CSV field splitter matching _csv_cell quoting; the csv module
+    # rejects the bare '\r' that _csv_cell leaves unquoted
     out = []
     field = []
     quoted = False
@@ -615,60 +625,30 @@ def _split_csv_line(line):
     return out
 
 
-def _to_bool(value):
-    if isinstance(value, bool):
-        return value
-    if value in ("true", "false"):
-        return value == "true"
-    raise StoreError(f"checksum-mismatch: bad boolean {value!r}")
+def read_report(path, kind):
+    """Re-parse a report of `kind` written by write_report (either format).
+
+    `kind` is ``drift_report``, ``sensitivity_report`` or ``gate_report``.
+    Each cell is parsed by its field's annotation. Returns (report,
+    config-or-None).
+    """
+    if kind not in _REPORTS:
+        raise ConfigError(f"config-invalid: unknown report kind {kind!r}")
+    report_cls, header_fields, rows_field, row_cls, columns = _REPORTS[kind]
+    header, records, config = _read_report_lines(path, kind)
+    try:
+        rows = tuple(row_cls(**{n: parse(r[n]) for n, parse in columns}) for r in records)
+        fields = {n: parse(header[n]) for n, parse in header_fields}
+        return report_cls(**fields, **{rows_field: rows}), config
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+        raise StoreError(f"malformed-payload: {exc}")
 
 
 def read_drift_report(path):
-    """Re-parse a drift report written by write_report (either format).
-
-    Returns (DriftReport, config-or-None).
-    """
-    header, rows, config = _read_report_lines(path, "drift_report")
-    try:
-        periods = tuple(
-            PeriodStats(
-                period_id=str(r["period_id"]),
-                n_images=int(r["n_images"]),
-                ks_d=float(r["ks_d"]),
-                ks_p=float(r["ks_p"]),
-                cosine_score=float(r["cosine_score"]),
-                gate_flag_count=int(r["gate_flag_count"]),
-                drift_flag=_to_bool(r["drift_flag"]),
-            )
-            for r in rows
-        )
-        report = DriftReport(
-            baseline_id=str(header["baseline_id"]),
-            ks_alpha=float(header["ks_alpha"]),
-            periods=periods,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(f"malformed-payload: {exc}")
-    return report, config
+    """(DriftReport, config-or-None) of a drift report file."""
+    return read_report(path, "drift_report")
 
 
 def read_sensitivity_report(path):
-    """Re-parse a sensitivity report written by write_report (either format)."""
-    header, rows, config = _read_report_lines(path, "sensitivity_report")
-    try:
-        report = SensitivityReport(
-            noise_kind=str(header["noise_kind"]),
-            rows=tuple(
-                SensitivityRow(
-                    level=float(r["level"]),
-                    cosine_score=float(r["cosine_score"]),
-                    ks_d=float(r["ks_d"]),
-                    ks_p=float(r["ks_p"]),
-                    anomaly_rate=float(r["anomaly_rate"]),
-                )
-                for r in rows
-            ),
-        )
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise StoreError(f"malformed-payload: {exc}")
-    return report, config
+    """(SensitivityReport, config-or-None) of a sensitivity report file."""
+    return read_report(path, "sensitivity_report")

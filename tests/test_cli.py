@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import driftsketch
@@ -19,7 +21,7 @@ from driftsketch.core import derive_seed, seeded_rng
 from driftsketch.extract import ExtractConfig, extract_batch, extract_fingerprint
 from driftsketch.noiselab import salt_pepper
 from driftsketch.sketchlib import GateConfig, gate_check
-from driftsketch.store import _read_report_lines, load_model, load_split, read_library
+from driftsketch.store import load_model, load_split, read_library, read_report
 from synthcorpus import corpus, uniform_noise_images
 
 
@@ -138,17 +140,15 @@ class TestStreamingInput:
         write_corpus(mixed, uniform_noise_images(5, 4), prefix="junk")
         out = str(tmp_path / "verdicts.jsonl")
         assert main(["gate", mixed, "--library", lib, "--out", out]) == 1
-        _, records, _ = _read_report_lines(out, "gate_report")
+        report, _ = read_report(out, "gate_report")
         images, names = store.load_images_dir(mixed)
         cfg = ExtractConfig()
         expected = [
             gate_check(read_library(lib), v, GateConfig(), extract_fingerprint(cfg))
             for v in extract_batch(images, cfg, names)
         ]
-        assert [(r["source_id"], r["score"], r["verdict"]) for r in records] == [
-            (e.source_id, e.score, e.verdict) for e in expected
-        ]
-        assert {r["verdict"] for r in records} == {"acceptable", "anomalous"}
+        assert report.rows == tuple(expected)
+        assert {r.verdict for r in report.rows} == {"acceptable", "anomalous"}
 
 
 class TestBuildBaselineAndGate:
@@ -219,13 +219,27 @@ class TestBuildBaselineAndGate:
         main(["build-baseline", baseline_dir, "--out", lib])
         out = tmp_path / "verdicts.jsonl"
         assert main(["gate", baseline_dir, "--library", lib, "--seed", "4", "--out", str(out)]) == 0
-        header, records, config = _read_report_lines(str(out), "gate_report")
-        assert header["library"] == "lib.dskl"
+        report, config = read_report(str(out), "gate_report")
+        assert report.library == "lib.dskl"
         assert config["seed"] == 4
-        assert [r["source_id"] for r in records] == sorted(os.listdir(baseline_dir))
+        assert [r.source_id for r in report.rows] == sorted(os.listdir(baseline_dir))
         capsys.readouterr()
         main(["gate", baseline_dir, "--library", lib, "--seed", "4", "--out", "-"])
         assert capsys.readouterr().out == out.read_text()
+
+    def test_gate_csv_format(self, tmp_path, baseline_dir, capsys):
+        lib = str(tmp_path / "lib.dskl")
+        main(["build-baseline", baseline_dir, "--out", lib])
+        mixed = write_corpus(str(tmp_path / "mixed"), corpus(777, 3, "held"), prefix="held")
+        write_corpus(mixed, uniform_noise_images(5, 2), prefix="junk")
+        jsonl, csv = tmp_path / "v.jsonl", tmp_path / "v.csv"
+        assert main(["gate", mixed, "--library", lib, "--out", str(jsonl)]) == 1
+        assert main(["gate", mixed, "--library", lib, "--format", "csv", "--out", str(csv)]) == 1
+        assert csv.read_text().splitlines()[2] == "source_id,score,verdict"
+        assert read_report(str(csv), "gate_report") == read_report(str(jsonl), "gate_report")
+        capsys.readouterr()
+        assert main(["gate", mixed, "--library", lib, "--format", "csv"]) == 1
+        assert capsys.readouterr().out == csv.read_text()
 
     def test_j_alpha_flag_tightens_gate(self, tmp_path, baseline_dir):
         lib = str(tmp_path / "lib.dskl")
@@ -461,6 +475,19 @@ class TestErrors:
         code = main(["extract", baseline_dir, "--out", str(tmp_path / "x"), "--bogus"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["extract", "in"], ["build-baseline", "in"], ["train-head", "e", "--labels", "l"],
+         ["split", "ids"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_format_only_on_report_commands(self, tmp_path, capsys, argv):
+        """Only gate, drift and sweep write reports, so only they take --format."""
+        out = tmp_path / "out"
+        assert main([*argv, "--format", "csv", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_exits_two(self):
         assert main(["frobnicate"]) == 2
 
@@ -673,3 +700,142 @@ class TestCorruptLibrary:
         assert code == 3
         assert "malformed-payload" in err
         assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# whole-CLI property: gate, drift and sweep on arbitrary small inputs
+# ---------------------------------------------------------------------------
+
+
+# at most one defect per generated file; most files have none
+_DEFECTS = st.sampled_from([None] * 6 + ["rgb", "tiny", "over-maxval", "cut", "junk"])
+
+
+@st.composite
+def _image_bytes(draw):
+    """A small 8-bit PGM, or with one defect: RGB, smaller than the 4x4 grid,
+    samples above maxval, cut short, or random bytes behind the magic."""
+    defect = draw(_DEFECTS)
+    magic = b"P6" if defect == "rgb" else b"P5"
+    if defect == "junk":
+        return magic + draw(st.binary(max_size=24))
+    width = draw(st.integers(1, 3) if defect == "tiny" else st.integers(4, 9))
+    height = draw(st.integers(4, 9))
+    maxval = draw(st.sampled_from([7, 1] if defect == "over-maxval" else [255, 255, 7]))
+    size = width * height * (3 if magic == b"P6" else 1)
+    raster = draw(st.binary(min_size=size, max_size=size))
+    if defect != "over-maxval":
+        raster = bytes(b % (maxval + 1) for b in raster)
+    data = magic + f"\n{width} {height}\n{maxval}\n".encode("ascii") + raster
+    return data[: draw(st.integers(0, len(data) - 1))] if defect == "cut" else data
+
+
+@st.composite
+def _embedding_text(draw):
+    """An embedding file of dim 1, 2 or 48 (the gray feature length), whose rows
+    may have another dim or an extreme or unparseable value, and whose count
+    may be off by one."""
+    dim = draw(st.sampled_from([1, 2, 48]))
+    rows = []
+    for i in range(draw(st.integers(0, 3))):
+        values = draw(st.lists(st.floats(-2.0, 2.0).map(repr), min_size=dim, max_size=dim))
+        defect = draw(_DEFECTS)
+        if defect in ("tiny", "cut"):
+            values = values[: draw(st.integers(0, dim - 1))]
+        elif defect == "rgb":
+            values.append("0.5")
+        elif defect is not None:
+            odd = draw(st.sampled_from(["nan", "inf", "1e300", "1e-320", "-0", "x"]))
+            values[draw(st.integers(0, dim - 1))] = odd
+        rows.append(" ".join([f"r{i}", *values]))
+    count = len(rows) + draw(st.sampled_from([0, 0, 0, 1]))
+    return "\n".join([f"driftsketch-emb v1 dim={dim} count={count}", *rows]) + "\n"
+
+
+# an input: an image file, a directory of 0-3 image files, or an embedding file
+_INPUTS = st.one_of(
+    st.tuples(st.just("image"), _image_bytes()),
+    st.tuples(st.just("dir"), st.lists(_image_bytes(), max_size=3)),
+    st.tuples(st.just("emb"), _embedding_text()),
+)
+
+
+_DARK = b"P5\n4 4\n255\n" + bytes(range(16))
+_BRIGHT = b"P5\n4 4\n255\n" + bytes(range(240, 256))
+
+
+def _materialize(root, name, spec):
+    kind, content = spec
+    path = os.path.join(root, name)
+    if kind == "image":
+        path += ".pgm"
+        Path(path).write_bytes(content)
+    elif kind == "emb":
+        path += ".emb"
+        Path(path).write_text(content)
+    else:
+        os.makedirs(path)
+        for i, data in enumerate(content):
+            Path(path, f"i{i}.pgm" if data[:2] == b"P5" else f"i{i}.ppm").write_bytes(data)
+    return path
+
+
+def _run_cli(argv):
+    """main(argv) with every warning recorded; fails on any warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2, 3)
+    return code
+
+
+class TestWholeCliProperty:
+    """gate, drift and sweep on arbitrary small inputs, in both formats: every
+    run exits 0-3, raises nothing, warns nothing, writes a report only when it
+    exits 0 or 1, and exits 1 exactly when that report holds an anomalous
+    verdict or a drift flag."""
+
+    @given(
+        command=st.sampled_from(["gate", "drift", "sweep"]),
+        fmt=st.sampled_from(["jsonl", "csv"]),
+        baseline=_INPUTS,
+        inputs=st.lists(_INPUTS | st.just("baseline"), min_size=1, max_size=2),
+        noise=st.sampled_from(["gaussian", "salt-pepper", "speckle", "poisson"]),
+        levels=st.sampled_from(["0", "0,0.3", "0.5,0.1", "0,2", "nan"]),
+    )
+    @example(  # a dark baseline against a bright period: a drift flag and an anomaly
+        command="drift", fmt="csv", baseline=("image", _DARK), inputs=[("image", _BRIGHT)],
+        noise="gaussian", levels="0",
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exit_code_matches_report(self, command, fmt, baseline, inputs, noise, levels):
+        with tempfile.TemporaryDirectory() as root:
+            base = _materialize(root, "base", baseline)
+            paths = [
+                _materialize(root, f"in{i}", baseline if spec == "baseline" else spec)
+                for i, spec in enumerate(inputs)
+            ]
+            out = os.path.join(root, f"report.{fmt}")
+            if command == "gate":
+                lib = os.path.join(root, "base.dskl")
+                assert _run_cli(["build-baseline", base, "--out", lib]) in (0, 3)
+                argv = ["gate", paths[0], "--library", lib]
+            elif command == "drift":
+                argv = ["drift", base, *paths]
+            else:
+                argv = ["sweep", base, paths[0], "--noise", noise, "--levels", levels]
+            code = _run_cli([*argv, "--format", fmt, "--out", out])
+            event(f"{command} exits {code}")
+            if code in (2, 3):
+                assert not os.path.exists(out)
+                return
+            kind = {"gate": "gate", "drift": "drift", "sweep": "sensitivity"}[command]
+            report, _ = read_report(out, f"{kind}_report")
+            if command == "gate":
+                flagged = any(r.anomalous for r in report.rows)
+            elif command == "drift":
+                flagged = any(p.drift_flag for p in report.periods)
+            else:
+                flagged = False  # a sensitivity report holds no flags
+            assert (code == 1) == flagged

@@ -20,7 +20,7 @@ from driftsketch import (
 )
 from driftsketch import _kernels, sketchlib
 from driftsketch.core import seeded_rng
-from driftsketch.sketchlib import SketchLibrary, _minhash_salts
+from driftsketch.sketchlib import GateReport, GateResult, SketchLibrary, _minhash_salts
 
 
 def make_token_set(n_common, n_only_a, n_only_b, base=0):
@@ -266,6 +266,8 @@ class TestGateCheck:
         feats, lib = self._library()
         res = gate_check(lib, feats[0], GateConfig(j_alpha=0.5))
         assert res.verdict == "acceptable"
+        res = gate_check(lib, _feature(np.full(8, 5.0), "far"), GateConfig(j_alpha=0.5))
+        assert (res.verdict, res.anomalous) == ("anomalous", True)
 
     def test_permutation_invariance_max_and_union(self):
         feats, lib = self._library(n=6)
@@ -321,6 +323,21 @@ class TestGateCheck:
             mean_score = gate_check(lib, probe, GateConfig(aggregation="mean")).score
             max_score = gate_check(lib, probe, GateConfig(aggregation="max")).score
             assert mean_score <= max_score
+
+
+class TestGateReport:
+    def test_rows_become_a_tuple(self):
+        report = GateReport("lib.dskl", [GateResult("a", 0.5, "acceptable")])
+        assert report.rows == (GateResult("a", 0.5, "acceptable"),)
+
+    @pytest.mark.parametrize(
+        "row",
+        [GateResult("a", 0.5, "maybe"), GateResult("a", 1.5, "acceptable"),
+         GateResult("a", float("nan"), "anomalous")],
+    )
+    def test_invalid_row_rejected(self, row):
+        with pytest.raises(DataError, match="invalid-verdict: 'a'"):
+            GateReport("lib.dskl", [GateResult("ok", 0.0, "anomalous"), row])
 
 
 def _library_from(entries, lib):

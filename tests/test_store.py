@@ -22,6 +22,7 @@ from driftsketch import (
     load_image,
     load_library,
     read_drift_report,
+    read_report,
     read_sensitivity_report,
     save_image,
     save_library,
@@ -33,13 +34,12 @@ from driftsketch.core import seeded_rng
 from driftsketch.extract import ExtractConfig, extract_builtin, extract_fingerprint
 from driftsketch.head import HeadModel, TrainConfig
 from driftsketch.noiselab import NOISE_KINDS, SensitivityReport, SensitivityRow
-from driftsketch.sketchlib import SketchLibrary
+from driftsketch.sketchlib import GateReport, GateResult, SketchLibrary
 from driftsketch.stats import DriftReport, PeriodStats
 from driftsketch.store import (
     LIBRARY_VERSION,
     _digest,
-    _read_report_lines,
-    encode_jsonl_report,
+    encode_report,
     load_model,
     load_split,
     read_library,
@@ -482,6 +482,21 @@ def _sensitivity_report():
     )
 
 
+def _gate_report():
+    return GateReport(
+        library="base,lib.dskl",
+        rows=(
+            GateResult("a.pgm", 1.0, "acceptable"),
+            GateResult('#b "x".pgm', 0.1875, "anomalous"),
+            GateResult("c.pgm", 0.5, "acceptable"),
+        ),
+    )
+
+
+def _read_gate_report(path):
+    return read_report(path, "gate_report")
+
+
 # text cells drawn with the characters CSV quoting and line splitting care about
 _texts = st.text(st.one_of(st.sampled_from(',"\r\n# '), st.characters()), max_size=6)
 _units = st.floats(0.0, 1.0)
@@ -562,29 +577,30 @@ class TestReportRoundTripProperty:
 
     @given(
         library=_texts,
-        records=st.lists(
-            st.fixed_dictionaries(
-                {
-                    "source_id": _texts,
-                    "score": _units,
-                    "verdict": st.sampled_from(["acceptable", "anomalous"]),
-                }
+        rows=st.lists(
+            st.builds(
+                GateResult, _texts, _units, st.sampled_from(["acceptable", "anomalous"])
             ),
             max_size=4,
         ),
         config=_configs,
+        fmt=st.sampled_from(["jsonl", "csv"]),
     )
     @settings(
         max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    def test_gate_report(self, tmp_path, library, records, config):
-        header = {"kind": "gate_report", "schema_version": 1, "library": library}
-        path = tmp_path / "gate.jsonl"
-        path.write_bytes(encode_jsonl_report(header, records, config))
-        got_header, got_records, got_config = _read_report_lines(str(path), "gate_report")
-        assert got_header.pop("config") == got_config == config
-        assert (got_header, got_records) == (header, records)
-        assert encode_jsonl_report(got_header, got_records, got_config) == path.read_bytes()
+    def test_gate_report(self, tmp_path, library, rows, config, fmt):
+        report = GateReport(library=library, rows=rows)
+        path = str(tmp_path / f"gate.{fmt}")
+        Path(path).unlink(missing_ok=True)
+        if fmt == "csv" and any("\n" in r.source_id for r in rows):
+            with pytest.raises(DataError, match="unsupported-value"):
+                write_report(report, fmt, path, config=config)
+            assert not Path(path).exists()
+            return
+        write_report(report, fmt, path, config=config)
+        assert _read_gate_report(path) == (report, config)
+        assert _rewrite(path, _read_gate_report, fmt) == Path(path).read_bytes()
 
 
 class TestReportPersistence:
@@ -606,20 +622,82 @@ class TestReportPersistence:
         assert again == report
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-    def test_unknown_noise_kind_is_malformed_payload(self, tmp_path, fmt):
-        path = tmp_path / f"sens.{fmt}"
-        write_report(_sensitivity_report(), fmt, str(path))
+    def test_gate_round_trip(self, tmp_path, fmt):
+        path = str(tmp_path / f"gate.{fmt}")
+        write_report(_gate_report(), fmt, path)
+        assert _read_gate_report(path) == (_gate_report(), None)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_empty_gate_report_round_trips(self, tmp_path, fmt):
+        path = str(tmp_path / f"gate.{fmt}")
+        write_report(GateReport("lib.dskl", ()), fmt, path)
+        assert _read_gate_report(path) == (GateReport("lib.dskl", ()), None)
+
+    def test_gate_report_layout(self):
+        """The header names the library; the columns are source_id, score, verdict."""
+        lines = encode_report(_gate_report(), "jsonl", {"seed": 1}).decode().splitlines()
+        assert lines[0] == (
+            '{"kind":"gate_report","schema_version":1,"library":"base,lib.dskl",'
+            '"config":{"seed":1}}'
+        )
+        assert lines[2] == '{"source_id":"#b \\"x\\".pgm","score":0.1875,"verdict":"anomalous"}'
+        lines = encode_report(_gate_report(), "csv").decode().splitlines()
+        assert lines[:4] == [
+            '# {"kind":"gate_report","schema_version":1,"library":"base,lib.dskl"}',
+            "source_id,score,verdict",
+            "a.pgm,1,acceptable",
+            '"#b ""x"".pgm",0.1875,anomalous',
+        ]
+
+    def test_unknown_report_kind_rejected(self, tmp_path):
+        path = str(tmp_path / "drift.jsonl")
+        write_report(_drift_report(), "jsonl", path)
+        with pytest.raises(ConfigError, match="unknown report kind"):
+            read_report(path, "drift")
+
+    @staticmethod
+    def _forge(path, old, new):
+        """Replace bytes in a report's body, then write a checksum that holds."""
         raw = path.read_bytes()
         cut = raw.rfind(b"\n", 0, len(raw) - 1) + 1
-        body = raw[:cut].replace(b'"noise_kind":"salt_pepper"', b'"noise_kind":"cosmic"')
+        body = raw[:cut].replace(old, new)
         assert body != raw[:cut]
-        if fmt == "jsonl":
+        if raw[:1] == b"{":
             trailer = json.dumps({"kind": "checksum", "blake2b": _digest(body)})
         else:
             trailer = "# blake2b=" + _digest(body)
         path.write_bytes(body + trailer.encode("ascii") + b"\n")
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_unknown_noise_kind_is_malformed_payload(self, tmp_path, fmt):
+        path = tmp_path / f"sens.{fmt}"
+        write_report(_sensitivity_report(), fmt, str(path))
+        self._forge(path, b'"noise_kind":"salt_pepper"', b'"noise_kind":"cosmic"')
         with pytest.raises(StoreError, match="malformed-payload"):
             read_sensitivity_report(str(path))
+
+    def test_infinite_count_is_malformed_payload(self, tmp_path):
+        path = tmp_path / "drift.jsonl"
+        write_report(_drift_report(), "jsonl", str(path))
+        self._forge(path, b'"n_images":18', b'"n_images":1e400')
+        with pytest.raises(StoreError, match="malformed-payload: cannot convert float infinity"):
+            read_drift_report(str(path))
+
+    def test_csv_header_that_is_not_an_object_is_bad_magic(self, tmp_path):
+        path = tmp_path / "gate.csv"
+        write_report(_gate_report(), "csv", str(path))
+        header = b'# {"kind":"gate_report","schema_version":1,"library":"base,lib.dskl"}'
+        self._forge(path, header, b'# ["gate_report"]')
+        with pytest.raises(StoreError, match="bad-magic"):
+            _read_gate_report(str(path))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_invalid_verdict_is_data_error(self, tmp_path, fmt):
+        path = tmp_path / f"gate.{fmt}"
+        write_report(_gate_report(), fmt, str(path))
+        self._forge(path, b"anomalous", b"suspicious")
+        with pytest.raises(DataError, match="invalid-verdict"):
+            _read_gate_report(str(path))
 
     def test_config_embedded_and_recovered(self, tmp_path):
         path = tmp_path / "drift.jsonl"
@@ -648,6 +726,9 @@ class TestReportPersistence:
         path = tmp_path / f"drift.{fmt}"
         write_report(_drift_report(), fmt, str(path))
         _every_bit_flip_detected(str(path), lambda p: read_drift_report(p), step=3)
+        path = tmp_path / f"gate.{fmt}"
+        write_report(_gate_report(), fmt, str(path), config={"seed": 1})
+        _every_bit_flip_detected(str(path), _read_gate_report, step=3)
 
     def test_seventeen_digit_reals_round_trip(self, tmp_path):
         # a value whose shortest repr is shorter than 17 digits still must
@@ -696,8 +777,15 @@ class TestLoadersNeverPanic:
 
     @pytest.mark.parametrize(
         "loader",
-        [read_library, load_model, load_split, read_drift_report, read_sensitivity_report],
-        ids=["library", "model", "split", "drift", "sensitivity"],
+        [
+            read_library,
+            load_model,
+            load_split,
+            read_drift_report,
+            read_sensitivity_report,
+            _read_gate_report,
+        ],
+        ids=["library", "model", "split", "drift", "sensitivity", "gate"],
     )
     def test_random_bytes(self, tmp_path, loader):
         rng = seeded_rng(404, "fuzz")
