@@ -304,7 +304,9 @@ def _cmd_sweep(args):
     except ValueError:
         raise ConfigError(f"config-invalid: unparseable --levels {args.levels!r}")
     base_feats, _ = _load_features(args.baseline, pipeline.extract)
-    test_images, _ = store.load_images_dir(args.test)  # held whole: re-noised at every level
+    names = store.list_images_dir(args.test)
+    # decoded one file at a time: each test image is noised at every level before the next
+    test_images = (store.load_image(os.path.join(args.test, n)) for n in names)
     report = sensitivity_sweep(base_feats, test_images, kind, levels, pipeline, seed=run_seed)
     store.write_report(report, args.format, args.out, config=_config_record(pipeline, run_seed))
     return 0

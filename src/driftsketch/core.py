@@ -88,7 +88,7 @@ def validate_image(img):
         idx = int(np.argmin(finite))
         raise DataError(f"non-finite-pixel({idx})")
     idx = int(np.argmin((img.pixels >= 0.0) & (img.pixels <= 1.0)))
-    raise DataError(f"out-of-range-pixel({idx}): value {img.pixels[idx]!r}")
+    raise DataError(f"out-of-range-pixel({idx}): value {float(img.pixels[idx])!r}")
 
 
 @dataclass(frozen=True)

@@ -180,14 +180,17 @@ def sensitivity_sweep(baseline, test_images, kind, levels, pipeline, seed=0):
     """Corrupt the test set at each ladder level and score it against the baseline.
 
     `baseline` is a list of FeatureVectors, sketched once into a gate
-    library. Per level every test image is corrupted (independent seeded
-    streams per image) and extracted; the levels are then scored against the
-    baseline as the periods of one `drift_report`, and each level's anomaly
-    rate is the fraction of its images the gate flags.
+    library. `test_images` is any iterable of ImageGrids; it is read once, in
+    order, after the kind, baseline and ladder are checked, so a generator
+    that decodes one file at a time keeps one test image (and its noised
+    copies) alive. Every (level, image) pair draws its own seeded stream; the
+    levels are then scored against the baseline as the periods of one
+    `drift_report`, and each level's anomaly rate is the fraction of its
+    images the gate flags.
     """
     if kind not in NOISE_KINDS:
         raise ConfigError(f"config-invalid: unknown noise kind {kind!r}")
-    if not baseline or not test_images:
+    if not baseline:
         raise DataError("empty-batch: baseline and test sets must be non-empty")
     levels = [float(lv) for lv in levels]
     if not levels:
@@ -199,16 +202,20 @@ def sensitivity_sweep(baseline, test_images, kind, levels, pipeline, seed=0):
 
     noise_op = _NOISE_OPS[kind]
     library = build_library(baseline, pipeline.quant, pipeline.sketch)
-    batches = []
-    flag_counts = []
-    for li, level in enumerate(levels):
-        corrupted = [
+    per_level = [[] for _ in levels]
+    flag_counts = [0] * len(levels)
+    for j, img in enumerate(test_images):
+        noised = [
             noise_op(img, level, derive_seed(seed, f"sweep.{kind}.{li}.{j}"))
-            for j, img in enumerate(test_images)
+            for li, level in enumerate(levels)
         ]
-        feats = extract_batch(corrupted, pipeline.extract)
-        flag_counts.append(sum(gate_check(library, v, pipeline.gate).anomalous for v in feats))
-        batches.append((str(level), feats))
+        feats = extract_batch(noised, pipeline.extract, [str(j)] * len(levels))
+        for li, v in enumerate(feats):
+            per_level[li].append(v)
+            flag_counts[li] += gate_check(library, v, pipeline.gate).anomalous
+    if not per_level[0]:
+        raise DataError("empty-batch: baseline and test sets must be non-empty")
+    batches = [(str(level), feats) for level, feats in zip(levels, per_level)]
     scored = drift_report(baseline, batches, pipeline.stats, gate_flag_counts=flag_counts)
     rows = [
         SensitivityRow(level, p.cosine_score, p.ks_d, p.ks_p, p.gate_flag_count / p.n_images)

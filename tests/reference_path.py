@@ -5,13 +5,29 @@ extract with a separate NumPy pass and a fresh array for every step: a
 byte-at-a-time header tokenizer, a divide after the cast, one range mask,
 stacked and concatenated statistics, and a clamped histogram. The package's
 own functions must agree with them bit for bit, and raise the same errors
-with the same text. The package never imports this module.
+with the same text.
+
+`sensitivity_sweep` below is the level-major sweep: it corrupts the whole
+test set at one level, extracts it, then goes on to the next level, so it
+holds the test set and two noised generations at once. The package's
+image-major sweep must give the same report. The package never imports this
+module.
 """
 
 import numpy as np
 
 from driftsketch import ConfigError, DataError, FeatureVector, ImageGrid, StoreError
-from driftsketch.extract import _patch_geometry, _projection_matrix
+from driftsketch.core import derive_seed
+from driftsketch.extract import _patch_geometry, _projection_matrix, extract_batch
+from driftsketch.noiselab import (
+    _NOISE_OPS,
+    NOISE_KINDS,
+    SensitivityReport,
+    SensitivityRow,
+    _check_level,
+)
+from driftsketch.sketchlib import build_library, gate_check
+from driftsketch.stats import drift_report
 
 
 def _next_header_token(data, pos):
@@ -82,7 +98,7 @@ def validate_image(img):
         idx = int(np.argmin(finite))
         raise DataError(f"non-finite-pixel({idx})")
     idx = int(np.argmin(in_range))
-    raise DataError(f"out-of-range-pixel({idx}): value {img.pixels[idx]!r}")
+    raise DataError(f"out-of-range-pixel({idx}): value {float(img.pixels[idx])!r}")
 
 
 def extract_builtin(img, cfg, source_id=""):
@@ -121,3 +137,36 @@ def extract_builtin(img, cfg, source_id=""):
         if norm > 0.0:
             vec = vec / norm
     return FeatureVector(values=vec, source_id=source_id)
+
+
+def sensitivity_sweep(baseline, test_images, kind, levels, pipeline, seed=0):
+    if kind not in NOISE_KINDS:
+        raise ConfigError(f"config-invalid: unknown noise kind {kind!r}")
+    if not baseline or not test_images:
+        raise DataError("empty-batch: baseline and test sets must be non-empty")
+    levels = [float(lv) for lv in levels]
+    if not levels:
+        raise ConfigError("invalid-levels: empty ladder")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError(f"invalid-levels: not strictly increasing: {levels}")
+    for lv in levels:
+        _check_level(kind, lv)
+
+    noise_op = _NOISE_OPS[kind]
+    library = build_library(baseline, pipeline.quant, pipeline.sketch)
+    batches = []
+    flag_counts = []
+    for li, level in enumerate(levels):
+        corrupted = [
+            noise_op(img, level, derive_seed(seed, f"sweep.{kind}.{li}.{j}"))
+            for j, img in enumerate(test_images)
+        ]
+        feats = extract_batch(corrupted, pipeline.extract)
+        flag_counts.append(sum(gate_check(library, v, pipeline.gate).anomalous for v in feats))
+        batches.append((str(level), feats))
+    scored = drift_report(baseline, batches, pipeline.stats, gate_flag_counts=flag_counts)
+    rows = [
+        SensitivityRow(level, p.cosine_score, p.ks_d, p.ks_p, p.gate_flag_count / p.n_images)
+        for level, p in zip(levels, scored.periods)
+    ]
+    return SensitivityReport(noise_kind=kind, rows=rows)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -22,7 +23,7 @@ from driftsketch.extract import ExtractConfig, extract_batch, extract_fingerprin
 from driftsketch.noiselab import salt_pepper
 from driftsketch.sketchlib import GateConfig, gate_check
 from driftsketch.store import load_model, load_split, read_library, read_report
-from synthcorpus import corpus, uniform_noise_images
+from synthcorpus import corpus, rgb_corpus, uniform_noise_images
 
 
 def write_corpus(directory, images, prefix="img"):
@@ -389,6 +390,85 @@ class TestSweep:
              "--levels", "0.5,0.1", "--out", str(tmp_path / "s.jsonl")]
         )
         assert code == 2
+
+    def test_bad_levels_checked_before_corrupt_test_image(self, tmp_path, baseline_dir, test_dir):
+        # the ladder is checked before the first test image is decoded, so
+        # the usage error wins (earlier releases decoded first and exited 3)
+        (Path(test_dir) / "img000.pgm").write_bytes(b"P5\n28 28\n255\n")
+        out = tmp_path / "s.jsonl"
+        assert self._sweep(baseline_dir, test_dir, str(out)) == 3
+        code = main(
+            ["sweep", baseline_dir, test_dir, "--noise", "speckle", "--levels", "0.5,0.1",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_two_bad_test_images_exit_three(self, tmp_path, baseline_dir, capsys):
+        # the error named first may depend on the order images and levels are
+        # visited; the exit code does not
+        test_dir = tmp_path / "bad"
+        test_dir.mkdir()
+        (test_dir / "a.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))  # smaller than the grid
+        (test_dir / "b.pgm").write_bytes(b"P5\n8 8\n7\n" + bytes([255]) * 64)  # above maxval
+        out = tmp_path / "s.jsonl"
+        assert self._sweep(baseline_dir, str(test_dir), str(out)) == 3
+        err = capsys.readouterr().err
+        assert "image-smaller-than-grid" in err or "out-of-range-pixel" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("test_input", ["empty", "missing", "file"])
+    def test_unlistable_test_input_is_data_error(self, tmp_path, baseline_dir, test_input):
+        path = tmp_path / "test"
+        if test_input == "empty":
+            path.mkdir()
+        elif test_input == "file":
+            path = Path(baseline_dir) / "img000.pgm"
+        out = tmp_path / "s.jsonl"
+        assert self._sweep(baseline_dir, str(path), str(out)) == 3
+        assert not out.exists()
+
+    def test_one_decoded_test_image_alive(self, tmp_path, baseline_dir, test_dir, monkeypatch):
+        emb = str(tmp_path / "base.emb")
+        assert main(["extract", baseline_dir, "--out", emb]) == 0
+        alive = _count_alive_images(monkeypatch)
+        assert self._sweep(emb, test_dir, str(tmp_path / "s.jsonl")) == 0
+        assert len(alive) == 6
+        assert max(alive) <= 1
+
+    def test_peak_memory_does_not_grow_with_the_test_set(self, tmp_path):
+        """The sweep's traced peak grows by less than 8 decoded images from 8 to 32."""
+        size = 64
+        image_bytes = size * size * 3 * 8  # one decoded RGB image as float64
+        images = rgb_corpus(77, 32, "sweep-mem", size, size)
+        base = tmp_path / "base"
+        base.mkdir()
+        for i, img in enumerate(images[:8]):
+            save_image(img, str(base / f"b{i:03d}.ppm"))
+        emb = str(tmp_path / "base.emb")
+        assert main(["extract", str(base), "--out", emb]) == 0
+
+        def sweep(n):
+            test = tmp_path / f"test{n}"
+            if not test.exists():
+                test.mkdir()
+                for i, img in enumerate(images[:n]):
+                    save_image(img, str(test / f"t{i:03d}.ppm"))
+            argv = ["sweep", emb, str(test), "--noise", "gaussian", "--levels",
+                    "0,0.05,0.1,0.2,0.4", "--out", str(tmp_path / f"s{n}.jsonl")]
+            assert main(argv) == 0
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                sweep(n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sweep(32)  # fill the process-wide token table and signature memo first
+        small, large = peak(8), peak(32)
+        assert large - small < 8 * image_bytes, (small, large)
 
 
 class TestTrainHead:

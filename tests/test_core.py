@@ -31,7 +31,8 @@ class TestValidateImage:
 
     def test_out_of_range_names_first_index(self):
         img = ImageGrid(width=2, height=2, channels=1, pixels=[1.5, 0.5, 1, 0.25])
-        with pytest.raises(DataError, match=r"out-of-range-pixel\(0\)"):
+        # the plain float, not NumPy 2's np.float64(...) scalar repr
+        with pytest.raises(DataError, match=r"^out-of-range-pixel\(0\): value 1\.5$"):
             validate_image(img)
 
     def test_non_finite_names_index(self):

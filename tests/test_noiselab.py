@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import reference_path
 from driftsketch import (
     ConfigError,
+    DataError,
     ImageGrid,
     NoiseSpec,
     PipelineConfig,
@@ -18,7 +22,9 @@ from driftsketch import (
     validate_image,
 )
 from driftsketch.core import seeded_rng
-from synthcorpus import corpus, spearman
+from driftsketch.noiselab import NOISE_KINDS
+from driftsketch.store import encode_report
+from synthcorpus import corpus, rgb_corpus, spearman
 
 
 def constant_image(value, size=64):
@@ -214,3 +220,77 @@ class TestSensitivitySweep:
         r1 = sensitivity_sweep(feats, test, "speckle", [0.0, 0.4], PipelineConfig(), seed=6)
         r2 = sensitivity_sweep(feats, test, "speckle", [0.0, 0.4], PipelineConfig(), seed=6)
         assert r1 == r2
+
+    def test_empty_test_set_rejected(self):
+        feats = extract_batch(corpus(41, 3, "sweep-empty"), self.cfg)
+        for empty in ([], iter([])):
+            with pytest.raises(DataError, match="^empty-batch: "):
+                sensitivity_sweep(feats, empty, "gaussian", [0.0, 0.1], PipelineConfig())
+
+    @pytest.mark.parametrize(
+        "kind, baseline_size, levels, error",
+        [
+            ("blur", 3, [0.0], "config-invalid"),
+            ("gaussian", 0, [0.0], "empty-batch"),
+            ("gaussian", 3, [], "invalid-levels"),
+            ("gaussian", 3, [0.3, 0.1], "invalid-levels"),
+            ("salt_pepper", 3, [0.0, 1.5], "invalid-fraction"),
+        ],
+    )
+    def test_arguments_checked_before_first_test_image(self, kind, baseline_size, levels, error):
+        feats = extract_batch(corpus(42, baseline_size, "sweep-check"), self.cfg)
+
+        def test_images():
+            raise AssertionError("test set read before the arguments were checked")
+            yield
+
+        with pytest.raises((ConfigError, DataError), match=f"^{error}"):
+            sensitivity_sweep(feats, test_images(), kind, levels, PipelineConfig())
+
+
+@st.composite
+def _ladders(draw, kind):
+    # strictly increasing, starting at level 0; fractions and Poisson levels stay in [0, 1]
+    top = 1.0 if kind in ("salt_pepper", "poisson") else 2.0
+    extra = draw(st.lists(st.floats(0.0, top, exclude_min=True), max_size=3, unique=True))
+    return [0.0] + sorted(extra)
+
+
+@given(
+    data=st.data(),
+    rgb=st.booleans(),
+    kind=st.sampled_from(NOISE_KINDS),
+    n_base=st.integers(1, 5),
+    n_test=st.integers(1, 4),
+    side=st.integers(8, 14),
+    seed=st.integers(0, 2**64 - 1),
+    cosine_mode=st.sampled_from(["centroid", "mean_pairwise"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_sweep_equals_level_major_reference(
+    data, rgb, kind, n_base, n_test, side, seed, cosine_mode
+):
+    """The image-major sweep gives the level-major reference's report and bytes,
+    whether the test set is a list or a one-shot generator."""
+    levels = data.draw(_ladders(kind))
+    make = rgb_corpus if rgb else corpus
+    base = make(seed % 1000, n_base, "prop-base", side, side)
+    test = make(seed % 1000 + 1, n_test, "prop-test", side, side + 1)
+    pipe = PipelineConfig()
+    pipe = replace(pipe, stats=replace(pipe.stats, cosine_mode=cosine_mode))
+    feats = extract_batch(base, pipe.extract)
+    try:
+        expected = reference_path.sensitivity_sweep(feats, test, kind, levels, pipe, seed=seed)
+    except Exception as exc:  # whatever the reference raises, the sweep raises alike
+        event(f"reference raised {type(exc).__name__}")
+        for test_images in (list(test), (img for img in test)):
+            with pytest.raises(type(exc)) as got:
+                sensitivity_sweep(feats, test_images, kind, levels, pipe, seed=seed)
+            assert str(got.value) == str(exc)
+        return
+    for test_images in (list(test), (img for img in test)):
+        got = sensitivity_sweep(feats, test_images, kind, levels, pipe, seed=seed)
+        assert got == expected
+        for fmt in ("jsonl", "csv"):
+            config = {"seed": seed}
+            assert encode_report(got, fmt, config) == encode_report(expected, fmt, config)
