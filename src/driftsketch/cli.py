@@ -36,10 +36,9 @@ def _build_parser():
     def common(p, report=False, needs_out=True):
         p.add_argument("--seed", type=int, default=None, help="run seed for stochastic steps")
         p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-        if report:
+        if report:  # the report subcommands gate, so they take the gate threshold
             p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-        p.add_argument("--j-alpha", type=float, default=None, help="gate threshold override")
-        p.add_argument("--ks-alpha", type=float, default=None, help="KS significance override")
+            p.add_argument("--j-alpha", type=float, default=None, help="gate threshold override")
         if needs_out:
             p.add_argument("--out", required=True, metavar="PATH")
 
@@ -60,6 +59,7 @@ def _build_parser():
     p = sub.add_parser("drift", help="score ordered periods against a baseline")
     p.add_argument("baseline", metavar="BASELINE")
     p.add_argument("periods", nargs="+", metavar="PERIOD")
+    p.add_argument("--ks-alpha", type=float, default=None, help="KS significance override")
     common(p, report=True)
 
     p = sub.add_parser("sweep", help="noise-sensitivity ladder")

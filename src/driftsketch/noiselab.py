@@ -55,6 +55,14 @@ def _check_level(kind, level):
     else:
         if not 0.0 <= level <= 1.0:
             raise ConfigError(f"invalid-{_level_name(kind)}: must lie in [0,1], got {level}")
+    if kind == "poisson" and level > 0.0:
+        # the largest mean Generator.poisson draws from, by NumPy's own formula
+        top = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+        if POISSON_BASE / level > top:
+            raise ConfigError(
+                f"invalid-level: must be 0 or at least {POISSON_BASE / top!r}, "
+                f"the smallest level NumPy's Poisson sampler takes, got {level}"
+            )
 
 
 def _level_name(kind):

@@ -273,10 +273,9 @@ def _minhash_salts(k, hash_seed):
     return salts
 
 
-# byte cap of one token table; _token_table keeps at most _TABLES of them
+# byte cap of one token table's value rows, and how many tables _token_table keeps
 _TABLE_BYTES = 4 << 20
 _TABLES = 4
-_BUCKET_BITS = 13
 # byte budget of one table's signature memo, and the bytes charged to each
 # entry beside its key and minima (bytes and array headers, dict slot)
 _MEMO_BYTES = 1 << 20
@@ -286,87 +285,63 @@ _MEMO_ENTRY_OVERHEAD = 256
 class _TokenTable:
     """The k hashed values ``mix64(token ^ salt)`` of the tokens already
     sketched under one (k, hash_seed), so a token is hashed once per process.
+    Built-in d-dim features give at most 21*d tokens at the default bin width.
 
-    The built-in features give few distinct tokens: a non-negative,
-    L2-normalised component falls in at most ``1/bin_width + 1`` bins, so a
-    d-dimensional feature yields at most 21*d tokens at the default bin width
-    (1,008 gray, 3,024 RGB), however many images are sketched.
+    ``values`` has ``_TABLE_BYTES // (8*k)`` rows (4,096 at k=128), filled
+    in order of arrival and never moved; pages stay empty until written.
+    ``index`` pairs the stored tokens, sorted, with their rows. `_add`
+    writes the rows of new tokens, under the lock, before it publishes a new
+    pair by one assignment, so a lookup needs no lock. Every token is stored
+    until the rows run out; later ones are hashed on each call.
 
-    The index has 2**13 buckets of two slots, a token's bucket being its low
-    bits (tokens are splitmix64 outputs, so those bits are uniform). A slot
-    holds a stored token and its row of a (rows, k) value matrix; row 0 is
-    never used, so row 0 marks a free slot. A free slot's key is 0, or 1 in
-    bucket 0: no token of that bucket has that key. The matrix is allocated
-    once, never moved, and filled in order of arrival. A token whose bucket
-    is full, or that arrives once every row is filled, is hashed on each
-    call instead. So a lookup is a fixed number of vectorized steps however
-    full the table is, and nothing is ever re-sorted or copied. One table
-    takes at most ``_TABLE_BYTES`` (4 MiB: 12 bytes per slot plus 8k bytes
-    per row; 3,903 tokens at k=128). Pages are zero-filled or left empty
-    until written, so the untouched part of a table costs no resident memory.
-
-    Near-duplicate images quantize to the same bins, so the table also keeps
-    a signature memo: ``memo`` maps the bytes of an int64 bin vector to its
-    read-only minima, so `_sketch` sketches each distinct bin vector once.
-    An entry is charged its key and minima bytes plus
-    ``_MEMO_ENTRY_OVERHEAD`` (256), and entries are added while
-    ``memo_bytes`` stays within ``_MEMO_BYTES`` (1 MiB: 630 gray or 431 RGB
-    vectors at k=128). Entries are never evicted, so a stream of more
-    distinct vectors than fit cannot thrash the memo; the vectors beyond it
-    are sketched on every call. ``_token_table`` keeps at most ``_TABLES``
-    (4) tables, so the tables and their memos together take at most 20 MiB.
+    ``memo`` maps the bytes of an int64 bin vector to its read-only minima,
+    so `_sketch` sketches each distinct bin vector once. An entry is charged
+    its key and minima bytes plus ``_MEMO_ENTRY_OVERHEAD`` (256), and entries
+    are added while ``memo_bytes`` stays within ``_MEMO_BYTES`` (1 MiB: 630
+    gray or 431 RGB vectors at k=128). Entries are never evicted, so a stream
+    of more distinct vectors than fit cannot thrash the memo; the vectors
+    beyond it are sketched on every call. ``_token_table`` keeps at most
+    ``_TABLES`` (4) tables, so with their memos they take about 20 MiB.
     """
 
     def __init__(self, salts):
-        buckets = 1 << _BUCKET_BITS
         k = salts.shape[0]
         self.salts = salts
-        self.mask = np.int64(buckets - 1)
-        self.keys = np.zeros((buckets, 2), dtype=np.uint64)
-        self.keys[0] = 1
-        self.row_of = np.zeros((buckets, 2), dtype=np.int32)
-        rows = min(2 * buckets, (_TABLE_BYTES - 24 * buckets) // (8 * k))
-        self.values = np.empty((rows, k), dtype=np.uint64)
-        self.filled = 1
+        self.values = np.empty((_TABLE_BYTES // (8 * k), k), dtype=np.uint64)
+        self.index = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.intp))
         self.memo = {}
         self.memo_bytes = 0
         self._lock = threading.Lock()
 
     def minima(self, tokens):
         """Per-salt minima of mix64(token ^ salt) over distinct tokens."""
-        home = tokens.view(np.int64) & self.mask
-        match = self.keys.take(home, 0) == tokens[:, None]
-        rows = self.row_of.take(home, 0)[match]
-        n_hit = rows.shape[0]
+        keys, rows = self.index
+        at = keys.searchsorted(tokens)
+        hit = keys.searchsorted(tokens, "right") > at
+        found = rows[at[hit]]
+        n_hit = found.shape[0]
         stacked = np.empty((tokens.shape[0], self.salts.shape[0]), dtype=np.uint64)
-        self.values.take(rows, 0, stacked[:n_hit], "clip")
+        self.values.take(found, 0, stacked[:n_hit], "clip")
         if n_hit < tokens.shape[0]:
-            miss = ~(match[:, 0] | match[:, 1])
-            hashed = _kernels.salted_hashes(tokens[miss], self.salts, out=stacked[n_hit:])
-            if self.filled < self.values.shape[0]:
-                self._add(tokens[miss], home[miss], hashed)
+            miss = tokens[~hit]
+            hashed = _kernels.salted_hashes(miss, self.salts, out=stacked[n_hit:])
+            if keys.shape[0] < self.values.shape[0]:
+                self._add(miss, hashed)
         return stacked.min(axis=0)
 
-    def _add(self, tokens, home, hashed):
-        """Store absent tokens in the free slots of their buckets while rows
-        last. Writers hold the lock; a lookup needs none, because a slot's
-        row is written before its key."""
+    def _add(self, tokens, hashed):
+        """Store the tokens not stored yet in the next rows, while rows last."""
         with self._lock:
-            for _ in range(2):  # a bucket takes at most one new token per pass
-                free = self.row_of[home] == 0
-                # not stored by the first pass, nor by another thread since the lookup
-                absent = (self.keys[home] != tokens[:, None]).all(axis=1)
-                fits = np.flatnonzero((free[:, 0] | free[:, 1]) & absent)
-                first = np.unique(home[fits], return_index=True)[1]
-                new = fits[first][: self.values.shape[0] - self.filled]
-                if new.shape[0] == 0:  # every bucket full, or no rows left
-                    return
-                slot = (~free[new, 0]).astype(np.intp)
-                rows = self.filled + np.arange(new.shape[0])
-                self.values[rows] = hashed[new]
-                self.row_of[home[new], slot] = rows
-                self.keys[home[new], slot] = tokens[new]
-                self.filled += new.shape[0]
+            keys, rows = self.index
+            n = keys.shape[0]
+            # another thread may have stored some of them since the lookup
+            absent = keys.searchsorted(tokens, "right") == keys.searchsorted(tokens)
+            new = np.flatnonzero(absent)[: self.values.shape[0] - n]
+            self.values[n : n + new.shape[0]] = hashed[new]
+            merged = np.concatenate((keys, tokens[new]))
+            order = merged.argsort(kind="stable")  # one merge: both parts are sorted
+            new_rows = np.arange(n, n + new.shape[0])
+            self.index = (merged[order], np.concatenate((rows, new_rows))[order])
 
     def remember(self, key, minima):
         """Memoize a bin vector's minima while the memo's budget lasts."""

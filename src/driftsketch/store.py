@@ -107,7 +107,10 @@ _HEADER_FIELDS = re.compile(3 * (_HEADER_SEP + rb"([^\s#]*)"))
 
 
 def load_image(path):
-    """Decode an 8-bit binary PGM (P5) or PPM (P6) file into an ImageGrid."""
+    """Decode an 8-bit binary PGM (P5) or PPM (P6) file into an ImageGrid.
+
+    A sample above the header's maxval raises StoreError("sample-above-maxval").
+    """
     with open(path, "rb", buffering=0) as fh:
         data = fh.read()
     if len(data) < 2 or data[:2] not in (b"P5", b"P6"):
@@ -135,8 +138,13 @@ def load_image(path):
     needed = width * height * channels
     if len(data) - pos < needed:
         raise StoreError(f"truncated-data: raster has {len(data) - pos} bytes, needs {needed}")
+    raster = np.frombuffer(data, dtype=np.uint8, count=needed, offset=pos)
+    if maxval < 255 and raster.max() > maxval:
+        raise StoreError(
+            f"sample-above-maxval: {path}: largest sample {int(raster.max())}, maxval {maxval}"
+        )
     # one cast to float64, then the scale in place
-    pixels = np.frombuffer(data, dtype=np.uint8, count=needed, offset=pos).astype(np.float64)
+    pixels = raster.astype(np.float64)
     pixels /= float(maxval)
     return ImageGrid(width=width, height=height, channels=channels, pixels=pixels)
 

@@ -3,9 +3,10 @@
 `load_image`, `validate_image` and `extract_builtin` below decode, check and
 extract with a separate NumPy pass and a fresh array for every step: a
 byte-at-a-time header tokenizer, a divide after the cast, one range mask,
-stacked and concatenated statistics, and a clamped histogram. The package's
-own functions must agree with them bit for bit, and raise the same errors
-with the same text.
+stacked and concatenated statistics, and a clamped histogram. `load_image`
+also rejects a sample above maxval, with a Python `max` over the raster
+bytes. The package's own functions must agree with them bit for bit, and
+raise the same errors with the same text.
 
 `sensitivity_sweep` below is the level-major sweep: it corrupts the whole
 test set at one level, extracts it, then goes on to the next level, so it
@@ -76,6 +77,10 @@ def load_image(path):
     raster = data[pos : pos + needed]
     if len(raster) < needed:
         raise StoreError(f"truncated-data: raster has {len(raster)} bytes, needs {needed}")
+    if max(raster) > maxval:
+        raise StoreError(
+            f"sample-above-maxval: {path}: largest sample {max(raster)}, maxval {maxval}"
+        )
     pixels = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / float(maxval)
     return ImageGrid(width=width, height=height, channels=channels, pixels=pixels)
 

@@ -417,6 +417,16 @@ class TestSweep:
         assert "image-smaller-than-grid" in err or "out-of-range-pixel" in err
         assert not out.exists()
 
+    def test_poisson_level_below_numpy_limit_exits_two(self, tmp_path, baseline_dir, test_dir,
+                                                        capsys):
+        out = tmp_path / "s.jsonl"
+        code = main(["sweep", baseline_dir, test_dir, "--noise", "poisson", "--levels", "0,1e-17",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid-level: must be 0 or at least" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("test_input", ["empty", "missing", "file"])
     def test_unlistable_test_input_is_data_error(self, tmp_path, baseline_dir, test_input):
         path = tmp_path / "test"
@@ -568,6 +578,24 @@ class TestErrors:
         assert "unrecognized arguments: --format csv" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(argv, flag)
+         for argv in (["extract", "in"], ["build-baseline", "in"],
+                      ["train-head", "e", "--labels", "l"], ["split", "ids"])
+         for flag in ("--j-alpha", "--ks-alpha")]
+        + [(["gate", "in", "--library", "l"], "--ks-alpha"),
+           (["sweep", "b", "t", "--noise", "gaussian", "--levels", "0"], "--ks-alpha")],
+        ids=lambda value: value if isinstance(value, str) else value[0],
+    )
+    def test_alpha_flags_only_where_read(self, tmp_path, capsys, argv, flag):
+        """--j-alpha is taken by the subcommands that gate (gate, drift, sweep)
+        and --ks-alpha by drift alone, the one whose output it changes."""
+        out = tmp_path / "out"
+        assert main([*argv, flag, "0.5", "--out", str(out)]) == 2
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_exits_two(self):
         assert main(["frobnicate"]) == 2
 
@@ -642,14 +670,16 @@ class TestErrors:
         [("gate.j_alpha = 5", "--j-alpha", 0.5), ("stats.ks_alpha = 5", "--ks-alpha", 0.05)],
     )
     def test_flag_overrides_bad_file_value(self, tmp_path, baseline_dir, capsys, text, flag, value):
-        argv = ["build-baseline", baseline_dir, "--config", _write_config(tmp_path, text),
-                "--out", str(tmp_path / "lib.dskl")]
+        out = tmp_path / "d.jsonl"
+        argv = ["drift", baseline_dir, baseline_dir, "--config", _write_config(tmp_path, text),
+                "--out", str(out)]
         assert main([*argv, flag, str(value)]) == 0
         section, _, key = text.partition(" ")[0].partition(".")
-        echoed = json.loads(capsys.readouterr().err.partition("config: ")[2])
-        assert echoed[section][key] == value
+        assert read_drift_report(str(out))[1][section][key] == value
+        out.unlink()
         assert main([*argv, flag, "5"]) == 2
         assert "config-invalid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_flag_overrides_file(self, tmp_path, baseline_dir):
         periods = _period_dirs(tmp_path, n_periods=2)
@@ -871,7 +901,8 @@ def _run_cli(argv):
 
 
 class TestWholeCliProperty:
-    """gate, drift and sweep on arbitrary small inputs, in both formats: every
+    """Every subcommand that reads images or embeddings, on arbitrary small
+    inputs. gate, drift and sweep, in both formats: every
     run exits 0-3, raises nothing, warns nothing, writes a report only when it
     exits 0 or 1, and exits 1 exactly when that report holds an anomalous
     verdict or a drift flag."""
@@ -882,7 +913,7 @@ class TestWholeCliProperty:
         baseline=_INPUTS,
         inputs=st.lists(_INPUTS | st.just("baseline"), min_size=1, max_size=2),
         noise=st.sampled_from(["gaussian", "salt-pepper", "speckle", "poisson"]),
-        levels=st.sampled_from(["0", "0,0.3", "0.5,0.1", "0,2", "nan"]),
+        levels=st.sampled_from(["0", "0,0.3", "0.5,0.1", "0,2", "nan", "0,1e-17"]),
     )
     @example(  # a dark baseline against a bright period: a drift flag and an anomaly
         command="drift", fmt="csv", baseline=("image", _DARK), inputs=[("image", _BRIGHT)],
@@ -919,3 +950,29 @@ class TestWholeCliProperty:
             else:
                 flagged = False  # a sensitivity report holds no flags
             assert (code == 1) == flagged
+
+    @given(
+        command=st.sampled_from(["extract", "build-baseline"]),
+        inputs=st.lists(_INPUTS, min_size=1, max_size=2),
+        seed=st.sampled_from([None, None, 0, 2**64, -1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_extract_and_build_baseline_exit_codes(self, command, inputs, seed):
+        """extract and build-baseline on arbitrary small inputs exit 0 with a
+        readable output, 2 exactly when the seed is out of range, or 3 with no
+        output; they never exit 1, which they have no verdict to report."""
+        with tempfile.TemporaryDirectory() as root:
+            paths = [_materialize(root, f"in{i}", spec) for i, spec in enumerate(inputs)]
+            out = os.path.join(root, "out")
+            argv = [command, *paths] if command == "extract" else [command, paths[0]]
+            if seed is not None:
+                argv += ["--seed", str(seed)]
+            code = _run_cli([*argv, "--out", out])
+            event(f"{command} exits {code}")
+            assert code in (0, 2, 3)
+            assert (code == 2) == (seed in (2**64, -1))
+            assert os.path.exists(out) == (code == 0)
+            if code == 0 and command == "extract":
+                assert len(load_embeddings(out)) > 0
+            elif code == 0:
+                assert len(read_library(out)) > 0

@@ -22,7 +22,8 @@ from driftsketch import (
     validate_image,
 )
 from driftsketch.core import seeded_rng
-from driftsketch.noiselab import NOISE_KINDS
+from driftsketch.extract import ExtractConfig
+from driftsketch.noiselab import NOISE_KINDS, POISSON_BASE
 from driftsketch.store import encode_report
 from synthcorpus import corpus, rgb_corpus, spearman
 
@@ -145,6 +146,22 @@ class TestPoissonNoise:
     def test_level_above_one_rejected(self):
         with pytest.raises(ConfigError, match="invalid-level"):
             poisson_noise(constant_image(0.5), 1.5)
+
+    def test_level_below_numpy_limit_rejected(self):
+        """A level whose photon scale 255/level is past what NumPy's Poisson
+        sampler takes is a named usage error, not NumPy's ValueError; the
+        smallest level it takes still runs."""
+        img = constant_image(1.0)
+        smallest = POISSON_BASE / float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+        validate_image(poisson_noise(img, smallest, seed=1))
+        feats = extract_batch([img], ExtractConfig())
+        for level in (np.nextafter(smallest, 0.0), 1e-17, 5e-324):
+            with pytest.raises(ConfigError, match="^invalid-level: must be 0 or at least"):
+                poisson_noise(img, level)
+            with pytest.raises(ConfigError, match="^invalid-level"):
+                NoiseSpec("poisson", level)
+            with pytest.raises(ConfigError, match="^invalid-level"):
+                sensitivity_sweep(feats, [img], "poisson", [0.0, level], PipelineConfig())
 
 
 class TestApplyNoise:

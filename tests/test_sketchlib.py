@@ -550,64 +550,95 @@ _TOKENS = st.one_of(st.sampled_from([0, 1, 8, 2**63, 2**64 - 1]), st.integers(0,
 @settings(max_examples=80, deadline=None)
 def test_token_table_minhash_equals_kernel(pool, picks, config, small):
     """minhash through the token table equals hashing every token, bit for
-    bit: while the table grows, when tokens share a bucket, and once it is
-    full (a small table: 4 buckets of 2 slots, 4 rows)."""
+    bit: while the table grows, and once its rows run out (a small table of
+    5 rows). Every token is stored until then, each in its own row."""
     k, hash_seed = config
     cfg = SketchConfig(k=k, hash_seed=hash_seed)
     salts = _minhash_salts(k, hash_seed)
     with pytest.MonkeyPatch.context() as mp:
         if small:
-            mp.setattr(sketchlib, "_BUCKET_BITS", 2)
-            mp.setattr(sketchlib, "_TABLE_BYTES", 24 * 4 + 8 * k * 5)
+            mp.setattr(sketchlib, "_TABLE_BYTES", 8 * k * 5 + 7)
         sketchlib._token_table.cache_clear()
         try:
             table = sketchlib._token_table(k, hash_seed)
-            seen = 0
+            seen = set()
             for pick in picks:
                 t = TokenSet(tokens=[pool[i % len(pool)] for i in pick])
                 got = minhash(t, cfg).minima
                 np.testing.assert_array_equal(got, _kernels.minhash_signature(t.tokens, salts))
-                assert seen <= table.filled <= table.values.shape[0]
-                seen = table.filled
-            stored = np.nonzero(table.row_of)
-            assert stored[0].shape[0] == table.filled - 1
-            np.testing.assert_array_equal(
-                table.values[table.row_of[stored]],
-                _kernels.salted_hashes(table.keys[stored], salts),
-            )
+                seen.update(t.tokens.tolist())
+                assert len(table.index[0]) == min(len(seen), table.values.shape[0])
+            keys, rows = table.index
+            assert set(keys.tolist()) <= seen
+            assert (keys[1:] > keys[:-1]).all()
+            np.testing.assert_array_equal(np.sort(rows), np.arange(keys.shape[0]))
+            np.testing.assert_array_equal(table.values[rows], _kernels.salted_hashes(keys, salts))
             if small:
                 assert table.values.shape[0] == 5
         finally:
             sketchlib._token_table.cache_clear()
 
 
+def test_token_table_stores_tokens_that_share_low_bits():
+    """Tokens that agree in their low 13 bits are each stored, and each
+    later lookup reads its own row."""
+    k, hash_seed = 8, 3
+    cfg, salts = SketchConfig(k=k, hash_seed=hash_seed), _minhash_salts(k, hash_seed)
+    tokens = [5, 5 + 2**13, 5 + 2**40]
+    sketchlib._token_table.cache_clear()
+    try:
+        for i in range(len(tokens)):
+            minhash(TokenSet(tokens=tokens[: i + 1]), cfg)
+        keys, rows = sketchlib._token_table(k, hash_seed).index
+        assert keys.tolist() == tokens
+        for token in tokens:
+            t = TokenSet(tokens=[token])
+            np.testing.assert_array_equal(
+                minhash(t, cfg).minima, _kernels.minhash_signature(t.tokens, salts)
+            )
+    finally:
+        sketchlib._token_table.cache_clear()
+
+
 def test_token_table_shared_by_threads():
     """Threads sketching overlapping sets through one table all get the
-    kernel's minima."""
+    kernel's minima, and every token drawn is stored once, in its own row (a
+    lost publish would drop some)."""
+    import sys
     import threading
 
     k, hash_seed = 24, 11
     cfg, salts = SketchConfig(k=k, hash_seed=hash_seed), _minhash_salts(k, hash_seed)
-    pool = seeded_rng(6, "table-threads").integers(0, 2**64, 400, dtype=np.uint64)
-    errors = []
+    # a large pool, so new tokens keep arriving and writers often overlap
+    pool = seeded_rng(6, "table-threads").integers(0, 2**64, 4000, dtype=np.uint64)
+    errors, drawn = [], []
 
     def work(worker):
         rng = seeded_rng(worker, "table-thread")
         for _ in range(60):
             t = TokenSet(tokens=rng.choice(pool, 40, replace=False))
+            drawn.extend(t.tokens.tolist())
             if not np.array_equal(minhash(t, cfg).minima, _kernels.minhash_signature(t.tokens, salts)):
                 errors.append(worker)
 
+    interval = sys.getswitchinterval()
     sketchlib._token_table.cache_clear()
+    sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
         for th in threads:
             th.start()
         for th in threads:
-            th.join()
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
         assert errors == []
-        assert sketchlib._token_table(k, hash_seed).filled - 1 <= len(pool)
+        table = sketchlib._token_table(k, hash_seed)
+        keys, rows = table.index
+        assert keys.tolist() == sorted(set(drawn))
+        np.testing.assert_array_equal(table.values[rows], _kernels.salted_hashes(keys, salts))
+        np.testing.assert_array_equal(np.sort(rows), np.arange(len(keys)))
     finally:
+        sys.setswitchinterval(interval)
         sketchlib._token_table.cache_clear()
 
 

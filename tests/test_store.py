@@ -160,6 +160,7 @@ def _decode_outcome(loader, path):
 @example(data=b"P5 2 2 255\n\x00")  # truncated raster
 @example(data=b"P5 0 2 255\n")  # bad dimensions
 @example(data=b"P5 1 1 256\n\x00")  # maxval past 8 bits
+@example(data=b"P6 1 1 7\n\x07\x08\x00")  # a sample above maxval
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_header_parse_matches_reference(tmp_path, data):
     """The one-regex header tokenizer reads the same fields as the reference
@@ -172,13 +173,21 @@ def test_header_parse_matches_reference(tmp_path, data):
 
 
 def test_decoded_pixels_match_reference_for_every_maxval(tmp_path):
-    """Every byte value under every 8-bit maxval scales to the same float64
-    as the reference's divide after the cast."""
+    """Every sample value under every 8-bit maxval scales to the same float64
+    as the reference's divide after the cast; a sample above maxval raises a
+    StoreError that names the file, the largest sample and maxval."""
     path = tmp_path / "all.pgm"
     for maxval in range(1, 256):
-        path.write_bytes(b"P5 16 16 %d\n" % maxval + bytes(range(256)))
+        path.write_bytes(b"P5 16 16 %d\n" % maxval + bytes(b % (maxval + 1) for b in range(256)))
         got = load_image(str(path)).pixels
         assert got.tobytes() == reference_path.load_image(str(path)).pixels.tobytes()
+        if maxval < 255:
+            path.write_bytes(b"P5 16 16 %d\n" % maxval + bytes([maxval + 1] * 255 + [0]))
+            with pytest.raises(StoreError) as exc:
+                load_image(str(path))
+            assert str(exc.value) == (
+                f"sample-above-maxval: {path}: largest sample {maxval + 1}, maxval {maxval}"
+            )
 
 
 def _every_bit_flip_detected(path, loader, step=1):
