@@ -157,38 +157,102 @@ def l2_normalize(v):
 
 
 EMBEDDING_MAGIC = "driftsketch-emb"
+_V2_PREFIX = f"{EMBEDDING_MAGIC} v2 ".encode("ascii")
 
 
-def load_embeddings(path):
-    """Parse an embedding file into FeatureVectors, preserving record order.
-
-    Format (one record per line after the header):
-        driftsketch-emb v1 dim=<d> count=<n>
-        <id> <v1> ... <vd>
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.read().splitlines()
-        except UnicodeDecodeError:
-            raise StoreError(f"malformed-file: cannot read {path}: not UTF-8 text")
-    if not lines:
-        raise StoreError("malformed-file(line 1): empty file, header expected")
-    header = lines[0].split()
+def _embedding_header(line, version):
+    """(dim, count) of an embedding file's first line, which names `version`."""
+    header = line.split()
     if (
         len(header) != 4
         or header[0] != EMBEDDING_MAGIC
-        or header[1] != "v1"
+        or header[1] != version
         or not header[2].startswith("dim=")
         or not header[3].startswith("count=")
     ):
-        raise StoreError(f"malformed-file(line 1): bad header {lines[0]!r}")
+        raise StoreError(f"malformed-file(line 1): bad header {line!r}")
     try:
         dim = int(header[2][4:])
         count = int(header[3][6:])
     except ValueError:
-        raise StoreError(f"malformed-file(line 1): non-integer dim/count in {lines[0]!r}")
+        raise StoreError(f"malformed-file(line 1): non-integer dim/count in {line!r}")
     if dim < 1 or count < 0:
         raise StoreError(f"malformed-file(line 1): dim={dim}, count={count}")
+    return dim, count
+
+
+def _encode_embeddings(ids, rows):
+    """The bytes of a v2 embedding file holding string `ids` and their (n, d)
+    float64 `rows` (layout: ``load_embeddings``); the caller checks them."""
+    count, dim = rows.shape
+    # JSON escapes every non-ASCII character and newline, so the ids take one
+    # ASCII line; its space padding puts the first row at a multiple of 8 bytes
+    head = f"{EMBEDDING_MAGIC} v2 dim={dim} count={count}\n" + json.dumps(ids, separators=(",", ":"))
+    head = head.encode("ascii") + b" " * (-(len(head) + 1) % 8) + b"\n"
+    data = head + rows.astype("<f8", copy=False).tobytes()
+    return data + hashlib.blake2b(data, digest_size=8).digest()
+
+
+def _load_embeddings_v2(data):
+    """FeatureVectors of a v2 file, each a read-only row of one matrix."""
+    end = len(data) - 8
+    if end < 0 or hashlib.blake2b(memoryview(data)[:end], digest_size=8).digest() != data[end:]:
+        raise StoreError("checksum-mismatch")
+    head_end = data.find(b"\n", 0, end)
+    ids_end = data.find(b"\n", head_end + 1, end)
+    if head_end < 0 or ids_end < 0:
+        raise StoreError("malformed-payload: header and id lines expected")
+    dim, count = _embedding_header(data[:head_end].decode("ascii", "replace"), "v2")
+    try:
+        ids = json.loads(data[head_end + 1 : ids_end].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise StoreError(f"malformed-payload: undecodable ids ({exc})")
+    if not isinstance(ids, list) or len(ids) != count or not all(isinstance(s, str) for s in ids):
+        raise StoreError(f"malformed-payload: ids must be a list of {count} strings")
+    start = ids_end + 1
+    if end - start != 8 * dim * count:
+        raise StoreError(
+            f"malformed-payload: dim={dim}, count={count} need {8 * dim * count} data bytes, "
+            f"found {end - start}"
+        )
+    seen = set()
+    for sid in ids:
+        if sid in seen:
+            raise StoreError(f"malformed-payload: duplicate id {sid!r}")
+        seen.add(sid)
+    matrix = np.frombuffer(data, "<f8", dim * count, start).reshape(count, dim)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite-value({ids[int(np.argmin(finite))]})")
+    return [FeatureVector(values=row, source_id=sid) for sid, row in zip(ids, matrix)]
+
+
+def load_embeddings(path):
+    """Read an embedding file into FeatureVectors, preserving record order.
+
+    v2 (what ``store.write_embeddings`` writes)::
+
+        driftsketch-emb v2 dim=<d> count=<n>
+        <the n ids as one JSON array, space-padded so the rows start 8-byte aligned>
+        <n x d little-endian float64 rows><8-byte BLAKE2b checksum of every byte before it>
+
+    Every vector is a read-only row view of one matrix. v1 (text, no
+    checksum; the format for external producers)::
+
+        driftsketch-emb v1 dim=<d> count=<n>
+        <id> <v1> ... <vd>
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.startswith(_V2_PREFIX):
+        return _load_embeddings_v2(data)
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise StoreError(f"malformed-file: cannot read {path}: not UTF-8 text")
+    if not lines:
+        raise StoreError("malformed-file(line 1): empty file, header expected")
+    dim, count = _embedding_header(lines[0], "v1")
 
     # (physical line number, text) of each non-blank record line
     records = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]

@@ -3,8 +3,10 @@
 Formats owned by this module:
 
 - Images: 8-bit binary PGM (P5, grayscale) and PPM (P6, RGB); maxval <= 255.
-- Embedding files: header ``driftsketch-emb v1 dim=<d> count=<n>``, then one
-  ``<id> <v1> ... <vd>`` record per line.
+- Embedding files: ``write_embeddings`` checks the vectors and writes them
+  as v2, a text header line, the ids, binary float64 rows and a checksum;
+  ``extract`` encodes and reads the format (``extract.load_embeddings``
+  documents it, and still reads v1 text).
 - Sketch library (v3): binary, magic ``DSKL``, u16 version, u64 header
   length, a JSON header (configs, extractor fingerprint, ids, m, u, k, and
   ``dim``, the feature dimension or null where unknown), the u distinct
@@ -25,8 +27,11 @@ Formats owned by this module:
   three kinds: ``encode_report``/``write_report`` and ``read_report`` take
   the header fields and columns from the report and row dataclasses.
 
-Every loader verifies integrity and raises named StoreErrors; flipping any
-payload bit is detected. All writes are atomic (temp file + rename).
+Every loader raises named StoreErrors on malformed input. Libraries, v2
+embedding files, checkpoints, split plans and reports carry a checksum, so
+flipping any bit of one is detected; images and v1 embedding text carry
+none, and a changed pixel or digit loads as a different value. All writes
+are atomic (temp file + rename).
 """
 
 import dataclasses
@@ -41,7 +46,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import ConfigError, DataError, ImageGrid, StoreError, seeded_rng
-from .extract import EMBEDDING_MAGIC
+from .extract import _encode_embeddings
 from .sketchlib import GateReport, GateResult, QuantConfig, SketchConfig, SketchLibrary
 from .stats import DriftReport, PeriodStats
 from .noiselab import SensitivityReport, SensitivityRow
@@ -183,7 +188,7 @@ def load_images_dir(directory):
 
 
 def write_embeddings(features, path, dim=None):
-    """Write FeatureVectors in the embedding file format.
+    """Write FeatureVectors as a v2 embedding file (see ``extract.load_embeddings``).
 
     `dim` is only needed for an empty batch, where it cannot be inferred.
     """
@@ -195,14 +200,15 @@ def write_embeddings(features, path, dim=None):
     elif dim is None:
         raise DataError("empty-input: dim required for an empty embedding file")
     ids = [v.source_id for v in features]
+    if not all(isinstance(sid, str) for sid in ids):
+        raise DataError("malformed-id: source ids must be strings")
     if len(set(ids)) != len(ids):
         raise DataError("duplicate-source-id in embedding batch")
-    lines = [f"{EMBEDDING_MAGIC} v1 dim={dim} count={len(features)}"]
-    for v in features:
-        if not np.isfinite(v.values).all():
-            raise DataError(f"non-finite-value({v.source_id})")
-        lines.append(v.source_id + " " + " ".join(_format_float(x) for x in v.values))
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    rows = np.array([v.values for v in features], dtype=np.float64).reshape(len(ids), dim)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite-value({ids[int(np.argmin(finite))]})")
+    atomic_write_bytes(path, _encode_embeddings(ids, rows))
 
 
 # ---------------------------------------------------------------------------

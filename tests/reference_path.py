@@ -11,8 +11,12 @@ raise the same errors with the same text.
 `sensitivity_sweep` below is the level-major sweep: it corrupts the whole
 test set at one level, extracts it, then goes on to the next level, so it
 holds the test set and two noised generations at once. The package's
-image-major sweep must give the same report. The package never imports this
-module.
+image-major sweep must give the same report.
+
+`load_embeddings` below is the text-only embedding reader: it reads v1 files
+and nothing else. On every v1 file the package's reader must return the same
+vectors or raise the same error with the same text. The package never
+imports this module.
 """
 
 import numpy as np
@@ -175,3 +179,54 @@ def sensitivity_sweep(baseline, test_images, kind, levels, pipeline, seed=0):
         for level, p in zip(levels, scored.periods)
     ]
     return SensitivityReport(noise_kind=kind, rows=rows)
+
+
+def load_embeddings(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError:
+            raise StoreError(f"malformed-file: cannot read {path}: not UTF-8 text")
+    if not lines:
+        raise StoreError("malformed-file(line 1): empty file, header expected")
+    header = lines[0].split()
+    if (
+        len(header) != 4
+        or header[0] != "driftsketch-emb"
+        or header[1] != "v1"
+        or not header[2].startswith("dim=")
+        or not header[3].startswith("count=")
+    ):
+        raise StoreError(f"malformed-file(line 1): bad header {lines[0]!r}")
+    try:
+        dim = int(header[2][4:])
+        count = int(header[3][6:])
+    except ValueError:
+        raise StoreError(f"malformed-file(line 1): non-integer dim/count in {lines[0]!r}")
+    if dim < 1 or count < 0:
+        raise StoreError(f"malformed-file(line 1): dim={dim}, count={count}")
+
+    records = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    if len(records) != count:
+        raise StoreError(
+            f"malformed-file(line {len(lines)}): header promises {count} records, "
+            f"found {len(records)}"
+        )
+    out = []
+    seen = set()
+    for lineno, line in records:
+        fields = line.split()
+        rec_id = fields[0]
+        if rec_id in seen:
+            raise StoreError(f"malformed-file(line {lineno}): duplicate id {rec_id!r}")
+        seen.add(rec_id)
+        if len(fields) - 1 != dim:
+            raise DataError(f"dimension-mismatch({rec_id}): {len(fields) - 1} values, expected {dim}")
+        try:
+            values = np.array([float(x) for x in fields[1:]])
+        except ValueError:
+            raise StoreError(f"malformed-file(line {lineno}): unparseable value")
+        if not np.isfinite(values).all():
+            raise DataError(f"non-finite-value({rec_id})")
+        out.append(FeatureVector(values=values, source_id=rec_id))
+    return out

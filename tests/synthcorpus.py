@@ -74,3 +74,16 @@ def spearman(xs, ys):
     if denom == 0.0:
         return 0.0
     return float((rx * ry).sum() / denom)
+
+
+if __name__ == "__main__":
+    # python tests/synthcorpus.py DIR N: write N seeded structured 28x28 PGM images into DIR
+    import os
+    import sys
+
+    from driftsketch import save_image
+
+    directory, n = sys.argv[1], int(sys.argv[2])
+    os.makedirs(directory, exist_ok=True)
+    for i, img in enumerate(corpus(0, n, "cli")):
+        save_image(img, os.path.join(directory, f"img{i:03d}.pgm"))

@@ -18,7 +18,7 @@ import driftsketch
 from driftsketch import load_embeddings, read_drift_report, read_sensitivity_report, save_image
 from driftsketch import store
 from driftsketch.cli import main
-from driftsketch.core import derive_seed, seeded_rng
+from driftsketch.core import FeatureVector, derive_seed, seeded_rng
 from driftsketch.extract import ExtractConfig, extract_batch, extract_fingerprint
 from driftsketch.noiselab import salt_pepper
 from driftsketch.sketchlib import GateConfig, gate_check
@@ -69,6 +69,96 @@ class TestExtract:
     def test_missing_input_is_data_error(self, tmp_path):
         code = main(["extract", str(tmp_path / "nope"), "--out", str(tmp_path / "o.emb")])
         assert code == 3
+
+
+V1_EMBEDDINGS = Path(__file__).parent / "data" / "embeddings_v1.emb"
+
+
+class TestEmbeddingFiles:
+    def test_space_and_non_ascii_basenames_round_trip(self, tmp_path):
+        """Ids are the basenames as given: one with a space and one outside
+        ASCII go through extract, build-baseline and gate unchanged."""
+        names = ["a b.pgm", "é.pgm", "plain.pgm"]
+        images = tmp_path / "imgs"
+        images.mkdir()
+        for name, img in zip(names, corpus(31, 3, "names")):
+            save_image(img, str(images / name))
+        emb, lib, report = (str(tmp_path / n) for n in ("base.emb", "base.dskl", "gate.jsonl"))
+        assert main(["extract", str(images), "--out", emb]) == 0
+        assert [v.source_id for v in load_embeddings(emb)] == sorted(names)
+        assert main(["build-baseline", emb, "--out", lib]) == 0
+        assert read_library(lib).ids == tuple(sorted(names))
+        assert main(["gate", str(images), "--library", lib, "--out", report]) == 0
+        gate, _ = read_report(report, "gate_report")
+        assert [r.source_id for r in gate.rows] == sorted(names)
+
+    def test_v1_fixture_and_its_v2_rewrite_build_identical_libraries(self, tmp_path):
+        rewrite = tmp_path / "v2.emb"
+        store.write_embeddings(load_embeddings(str(V1_EMBEDDINGS)), str(rewrite))
+        libs = [tmp_path / "from_v1.dskl", tmp_path / "from_v2.dskl"]
+        for source, lib in zip((str(V1_EMBEDDINGS), str(rewrite)), libs):
+            assert main(["build-baseline", source, "--out", str(lib)]) == 0
+        assert libs[0].read_bytes() == libs[1].read_bytes()
+
+    def test_v1_and_v2_inputs_give_identical_reports(self, tmp_path, baseline_dir):
+        """The same features as v1 text and as v2 give byte-identical gate,
+        drift and sweep reports (each file named alike, in its own folder)."""
+        images, names = store.load_images_dir(baseline_dir)
+        feats = extract_batch(images, ExtractConfig(), names)
+        periods = _period_dirs(tmp_path, corrupt_from=2, n_periods=2)
+        outputs = []
+        for version in ("v1", "v2"):
+            folder = tmp_path / version
+            folder.mkdir()
+            emb = folder / "base.emb"
+            if version == "v1":
+                lines = [f"driftsketch-emb v1 dim={feats[0].dim} count={len(feats)}"]
+                lines += [" ".join([v.source_id, *(f"{x:.17g}" for x in v.values)]) for v in feats]
+                emb.write_text("\n".join(lines) + "\n")
+            else:
+                store.write_embeddings(feats, str(emb))
+            assert emb.read_bytes().startswith(f"driftsketch-emb {version} ".encode())
+            lib = str(folder / "base.dskl")
+            assert main(["build-baseline", str(emb), "--out", lib]) == 0
+            runs = [
+                ["gate", str(emb), "--library", lib, "--out", str(folder / "gate.jsonl")],
+                ["drift", str(emb), *periods, "--out", str(folder / "drift.jsonl")],
+                ["sweep", str(emb), periods[1], "--noise", "speckle", "--levels", "0,0.2",
+                 "--format", "csv", "--out", str(folder / "sweep.csv")],
+            ]
+            codes = [main(argv) for argv in runs]
+            files = ("base.dskl", "gate.jsonl", "drift.jsonl", "sweep.csv")
+            outputs.append((codes, [(folder / f).read_bytes() for f in files]))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == [0, 1, 0]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_damaged_v2_file_exits_three(self, tmp_path, data):
+        """A v2 file cut short or with any byte changed exits 3, never with a
+        traceback, on each kind of subcommand that reads embeddings."""
+        good = tmp_path / "good.emb"
+        if not good.exists():
+            store.write_embeddings(load_embeddings(str(V1_EMBEDDINGS)), str(good))
+        raw = good.read_bytes()
+        pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+        if data.draw(st.booleans(), label="truncate"):
+            bad = raw[:pos]
+        else:
+            bad = raw[:pos] + bytes([raw[pos] ^ data.draw(st.integers(1, 255))]) + raw[pos + 1 :]
+        path = tmp_path / "bad.emb"
+        path.write_bytes(bad)
+        lab = tmp_path / "labels.txt"
+        lab.write_text("img000.pgm 0\nx 1\n")
+        out = tmp_path / "out"
+        for argv in (
+            ["build-baseline", str(path)],
+            ["drift", str(path), str(path)],
+            ["train-head", str(path), "--labels", str(lab)],
+        ):
+            assert _run_cli([*argv, "--out", str(out)]) == 3
+            assert not out.exists()
 
 
 def _count_alive_images(monkeypatch):
@@ -862,11 +952,26 @@ def _embedding_text(draw):
     return "\n".join([f"driftsketch-emb v1 dim={dim} count={count}", *rows]) + "\n"
 
 
+@st.composite
+def _embedding_v2(draw):
+    """A v2 embedding file of dim 1, 2 or 48 with 0-3 rows, as the package writes
+    it (ids may hold spaces and non-ASCII), then kept, cut short at some byte,
+    or with one byte xor-ed."""
+    dim = draw(st.sampled_from([1, 2, 48]))
+    values = st.floats(-2.0, 2.0) | st.sampled_from([1e300, -0.0, 5e-324])
+    rows = draw(st.lists(st.lists(values, min_size=dim, max_size=dim), max_size=3))
+    ids = [draw(st.sampled_from([f"r{i}", f"é{i}", f"r {i}"])) for i in range(len(rows))]
+    defect = draw(st.sampled_from([None, None, "cut", "flip"]))
+    return dim, list(zip(ids, rows)), defect, draw(st.integers(0, 2**16)), draw(st.integers(1, 255))
+
+
 # an input: an image file, a directory of 0-3 image files, or an embedding file
+# (v1 text or v2)
 _INPUTS = st.one_of(
     st.tuples(st.just("image"), _image_bytes()),
     st.tuples(st.just("dir"), st.lists(_image_bytes(), max_size=3)),
     st.tuples(st.just("emb"), _embedding_text()),
+    st.tuples(st.just("emb2"), _embedding_v2()),
 )
 
 
@@ -883,6 +988,17 @@ def _materialize(root, name, spec):
     elif kind == "emb":
         path += ".emb"
         Path(path).write_text(content)
+    elif kind == "emb2":
+        path += ".emb"
+        dim, records, defect, where, xor = content
+        store.write_embeddings([FeatureVector(v, sid) for sid, v in records], path, dim=dim)
+        data = Path(path).read_bytes()
+        where %= len(data)
+        if defect == "cut":
+            data = data[:where]
+        elif defect == "flip":
+            data = data[:where] + bytes([data[where] ^ xor]) + data[where + 1 :]
+        Path(path).write_bytes(data)
     else:
         os.makedirs(path)
         for i, data in enumerate(content):
@@ -898,6 +1014,11 @@ def _run_cli(argv):
     assert [str(w.message) for w in caught] == []
     assert code in (0, 1, 2, 3)
     return code
+
+
+# mostly no seed flag, sometimes one out of range
+_SEEDS = st.sampled_from([None, None, None, 0, 2**64, -1])
+_SPLIT_IDS = st.sampled_from(["a", "b", " c ", "d e", "é", "f\tg", "", "   "])
 
 
 class TestWholeCliProperty:
@@ -976,3 +1097,93 @@ class TestWholeCliProperty:
                 assert len(load_embeddings(out)) > 0
             elif code == 0:
                 assert len(read_library(out)) > 0
+
+    @given(
+        embeddings=st.one_of(
+            st.tuples(st.just("emb"), _embedding_text()),
+            st.tuples(st.just("emb2"), _embedding_v2()),
+            _INPUTS,
+        ),
+        # every id the embedding strategies draw that a label line can name,
+        # or arbitrary lines, or bytes that are not UTF-8
+        labels=st.just([f"{p}{i} {i % 2}" for p in ("r", "é") for i in range(4)])
+        | st.lists(
+            st.sampled_from(["r0 1", "r1 0", "r2 1", "r 0 0", "é1 1", "r0 2", "# c", "", "x"]),
+            max_size=5,
+        )
+        | st.just(b"r0 \xff"),
+        config=st.sampled_from(
+            ["", "", "train.epochs = 2", "train.lr = 0.5", "train.lr = 1e308", "train.lr = 0"]
+        ),
+        seed=_SEEDS,
+        curve=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_train_head_exit_codes(self, embeddings, labels, config, seed, curve):
+        """train-head on arbitrary small inputs exits 0 with a loadable model of
+        the embeddings' dimension (and a curve line per epoch when asked), 2
+        exactly for an out-of-range seed or an invalid config, or 3 with no
+        model; it never exits 1, which it has no verdict to report."""
+        with tempfile.TemporaryDirectory() as root:
+            emb = _materialize(root, "emb", embeddings)
+            lab = Path(root, "labels.txt")
+            if isinstance(labels, bytes):
+                lab.write_bytes(labels)
+            else:
+                lab.write_text("\n".join(labels) + "\n", encoding="utf-8")
+            cfg = Path(root, "run.cfg")
+            cfg.write_text(config + "\n")
+            out, curve_path = os.path.join(root, "model.json"), os.path.join(root, "curve.csv")
+            argv = ["train-head", emb, "--labels", str(lab), "--config", str(cfg)]
+            argv += ["--curve", curve_path] if curve else []
+            argv += [] if seed is None else ["--seed", str(seed)]
+            code = _run_cli([*argv, "--out", out])
+            event(f"train-head exits {code}")
+            assert code in (0, 2, 3)
+            assert (code == 2) == (seed in (2**64, -1) or config == "train.lr = 0")
+            assert os.path.exists(out) == (code == 0)
+            if code == 0:
+                assert load_model(out).w.shape == (load_embeddings(emb)[0].dim,)
+                epochs = 2 if config == "train.epochs = 2" else 20
+                assert os.path.exists(curve_path) == curve
+                if curve:
+                    assert len(Path(curve_path).read_text().splitlines()) == 1 + epochs
+
+    @given(
+        ids=st.lists(_SPLIT_IDS, max_size=8, unique_by=str.strip)
+        | st.lists(_SPLIT_IDS, max_size=8)
+        | st.just(b"a\nb\xff\n"),
+        groups=st.sampled_from(["2", "3", "7", "1", "0", "-1", "1000000"]),
+        seed=_SEEDS,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_split_exit_codes(self, ids, groups, seed):
+        """split on arbitrary small id files exits 0 with a plan that puts every
+        stripped, non-blank id in exactly one of the groups, 2 for an
+        out-of-range seed or fewer than two groups, or 3 with no plan (unreadable
+        file, duplicate ids, fewer ids than groups); never 1."""
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root, "ids.txt")
+            if isinstance(ids, bytes):
+                path.write_bytes(ids)
+            else:
+                path.write_text("\n".join(ids) + "\n", encoding="utf-8")
+            out = os.path.join(root, "plan.json")
+            argv = ["split", str(path), "--groups", groups]
+            argv += [] if seed is None else ["--seed", str(seed)]
+            code = _run_cli([*argv, "--out", out])
+            event(f"split exits {code}")
+            assert code in (0, 2, 3)
+            assert os.path.exists(out) == (code == 0)
+            if seed in (2**64, -1):
+                assert code == 2
+            elif int(groups) < 2:
+                assert code in (2, 3)  # 3 only when the ids file is unreadable
+            if code == 0:
+                plan = load_split(out)
+                expected = [x.strip() for x in ids if x.strip()]
+                assert plan.n_groups == int(groups)
+                assert sorted(plan.assignment) == sorted(expected)
+                assert sorted(len(g) for g in plan.groups())[-1] - min(
+                    len(g) for g in plan.groups()
+                ) <= 1

@@ -16,6 +16,7 @@ from driftsketch import (
     ks_statistic,
     pool_scalars,
 )
+from driftsketch import stats
 from driftsketch.core import seeded_rng
 
 # independent high-precision summation of Q(lambda) at D=0.2, n=m=50
@@ -310,3 +311,36 @@ class TestDriftReport:
         periods = [("p1", self._batch(8)), ("p2", self._batch(9))]
         cfg = StatsConfig(cosine_mode="mean_pairwise", pairwise_cap=50, seed=2)
         assert drift_report(base, periods, cfg) == drift_report(base, periods, cfg)
+
+
+def pooled_ks(a, b):
+    """The KS D as ks_statistic computed it before the baseline was sorted
+    once per report: both ECDFs counted at the concatenated sorted samples."""
+    a, b = np.sort(np.asarray(a, dtype=np.float64)), np.sort(np.asarray(b, dtype=np.float64))
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
+    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+# few distinct positive values, so both samples hold ties, within and across
+# them, and a batch of one-component vectors never has a zero centroid
+rounded = st.lists(
+    st.floats(0.1, 3.0).map(lambda x: round(x, 1)), min_size=1, max_size=60
+)
+
+
+class TestSortedBaselineKs:
+    @given(a=rounded, b=rounded)
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_helper_and_report_equal_ks_statistic(self, a, b):
+        """drift_report sorts the pooled baseline once and shares ks_statistic's
+        sorted helper; each period's D is the public function's, bit for bit,
+        and the earlier pooled-query formula's."""
+        d = ks_statistic(a, b)
+        assert d == pooled_ks(a, b) == brute_force_ks(a, b)
+        assert stats._ks_sorted(np.sort(a), np.sort(b)) == d
+        base = [FeatureVector(values=[x]) for x in a]
+        periods = [("b", [FeatureVector(values=[x]) for x in b]), ("a", base)]
+        report = drift_report(base, periods, StatsConfig())
+        assert [p.ks_d for p in report.periods] == [d, 0.0]

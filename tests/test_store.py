@@ -832,6 +832,211 @@ class TestEmbeddingsRoundTrip:
         assert load_embeddings(str(tmp_path / "e.emb")) == []
 
 
+# a v1 embedding file, as the v1 writer saved _v1_fixture_features()
+V1_EMBEDDINGS = Path(__file__).parent / "data" / "embeddings_v1.emb"
+
+
+def _v1_fixture_features():
+    """The features the v1 embedding fixture was written from: 17-digit
+    decimals, -0.0, the smallest subnormal and normal, and a non-ASCII id."""
+    values = [
+        [0.1, -0.25, 1.0 / 3.0, 2.5e-7, 1e10],
+        [-0.0, 5e-324, 2.2250738585072014e-308, -1.7976931348623157e2, 7.0],
+        [0.5, 0.5, 0.5, 0.5, 0.5],
+        [np.nextafter(1.0, 2.0), -np.nextafter(0.1, 0.0), 123456.789, -1e-5, 0.0],
+    ]
+    ids = ["img000.pgm", "scan-été.ppm", "x", 'a,b"c']
+    return [FeatureVector(values=np.array(v), source_id=s) for v, s in zip(values, ids)]
+
+
+def _bits(features):
+    """(id, value bytes) of each vector: equal exactly when every bit is."""
+    return [(v.source_id, v.values.tobytes()) for v in features]
+
+
+def _v2_bytes(ids_json, rows, header=None):
+    """A v2 embedding file assembled by hand from its documented layout: the
+    header line, the ids line space-padded to an 8-byte boundary, the rows as
+    little-endian float64, and the BLAKE2b checksum of all of it."""
+    rows = np.asarray(rows, dtype="<f8")
+    if header is None:
+        header = f"driftsketch-emb v2 dim={rows.shape[1]} count={rows.shape[0]}"
+    head = header.encode("ascii") + b"\n" + ids_json
+    body = head + b" " * (-(len(head) + 1) % 8) + b"\n" + rows.tobytes()
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+def _load_bytes(tmp_path, data):
+    path = tmp_path / "forged.emb"
+    path.write_bytes(data)
+    return load_embeddings(str(path))
+
+
+class TestEmbeddingsV2:
+    def test_layout(self, tmp_path):
+        feats = _v1_fixture_features()
+        path = tmp_path / "e.emb"
+        write_embeddings(feats, str(path))
+        data = path.read_bytes()
+        ids = json.dumps([v.source_id for v in feats], separators=(",", ":")).encode("ascii")
+        assert data == _v2_bytes(ids, [v.values for v in feats])
+        # a text first line, so `head -1` and the CLI's input sniffing still work
+        assert data.split(b"\n", 1)[0] == b"driftsketch-emb v2 dim=5 count=4"
+        assert (len(data) - 8 - 4 * 5 * 8) % 8 == 0
+
+    def test_v1_fixture_loads_bit_for_bit(self):
+        assert _bits(load_embeddings(str(V1_EMBEDDINGS))) == _bits(_v1_fixture_features())
+
+    def test_v1_fixture_rewritten_as_v2_holds_the_same_bits(self, tmp_path):
+        from_v1 = load_embeddings(str(V1_EMBEDDINGS))
+        path = tmp_path / "v2.emb"
+        write_embeddings(from_v1, str(path))
+        assert path.read_bytes().startswith(b"driftsketch-emb v2 ")
+        assert _bits(load_embeddings(str(path))) == _bits(from_v1)
+
+    def test_rows_are_read_only_views_of_one_buffer(self, tmp_path):
+        rng = seeded_rng(8, "emb-views")
+        path = tmp_path / "e.emb"
+        write_embeddings([FeatureVector(rng.standard_normal(6), f"r{i}") for i in range(5)],
+                         str(path))
+        feats = load_embeddings(str(path))
+        assert all(not v.values.flags.writeable and v.values.flags.c_contiguous for v in feats)
+        assert all(np.shares_memory(feats[0].values.base, v.values) for v in feats)
+
+    @given(
+        rows=st.integers(0, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3,
+                         max_size=3),
+                min_size=n, max_size=n,
+            )
+        ),
+        ids=st.lists(st.text(max_size=6), min_size=4, max_size=4, unique=True),
+    )
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip_is_bit_exact(self, tmp_path, rows, ids):
+        """Any finite values and any text ids, whitespace, newlines and
+        non-ASCII included, come back bit for bit and in order."""
+        feats = [FeatureVector(values=np.array(r), source_id=s) for r, s in zip(rows, ids)]
+        path = tmp_path / "e.emb"
+        write_embeddings(feats, str(path), dim=3)
+        assert _bits(load_embeddings(str(path))) == _bits(feats)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_flipped_byte_or_truncation_is_a_named_error(self, tmp_path, data):
+        path = tmp_path / "e.emb"
+        write_embeddings(_v1_fixture_features(), str(path))
+        good = path.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            bad = good[: data.draw(st.integers(0, len(good) - 1), label="length")]
+        else:
+            pos = data.draw(st.integers(0, len(good) - 1), label="position")
+            flip = data.draw(st.integers(1, 255), label="xor")
+            bad = good[:pos] + bytes([good[pos] ^ flip]) + good[pos + 1 :]
+        with pytest.raises(DataError, match=r"^[a-z-]+(\(|:|$)"):
+            _load_bytes(tmp_path, bad)
+
+    @pytest.mark.parametrize(
+        "ids_json, rows, header, message",
+        [
+            (b'{"a":1}', [[1.0]], None, r"malformed-payload: ids must be a list of 1 strings"),
+            (b'["a"]', [[1.0], [2.0]], None, r"ids must be a list of 2 strings"),
+            (b'[1,"b"]', [[1.0], [2.0]], None, r"ids must be a list of 2 strings"),
+            (b'["\xff"]', [[1.0]], None, r"malformed-payload: undecodable ids"),
+            (b'["a","b"]', [[1.0]], "driftsketch-emb v2 dim=1 count=2",
+             r"malformed-payload: dim=1, count=2 need 16 data bytes, found 8"),
+            (b'["a"]', [[1.0, 2.0]], "driftsketch-emb v2 dim=1 count=1",
+             r"malformed-payload: dim=1, count=1 need 8 data bytes, found 16"),
+            (b'["a","a"]', [[1.0], [2.0]], None, r"malformed-payload: duplicate id 'a'"),
+            (b'["a","b"]', [[1.0], [np.inf]], None, r"non-finite-value\(b\)"),
+            (b'["a","b"]', [[np.nan], [1.0]], None, r"non-finite-value\(a\)"),
+            (b'["a"]', [[1.0]], "driftsketch-emb v2 dim=x count=1",
+             r"malformed-file\(line 1\): non-integer dim/count"),
+            (b"[]", np.empty((0, 1)), "driftsketch-emb v2 dim=0 count=0",
+             r"malformed-file\(line 1\): dim=0, count=0"),
+            (b'["a"]', [[1.0]], "driftsketch-emb v2 dim=1 count=1 extra",
+             r"malformed-file\(line 1\): bad header"),
+        ],
+    )
+    def test_checksummed_but_invalid_contents_are_named(self, tmp_path, ids_json, rows,
+                                                        header, message):
+        with pytest.raises(DataError, match=message):
+            _load_bytes(tmp_path, _v2_bytes(ids_json, rows, header))
+
+    def test_missing_ids_line(self, tmp_path):
+        body = b"driftsketch-emb v2 dim=1 count=0\n"
+        with pytest.raises(StoreError, match="malformed-payload: header and id lines expected"):
+            _load_bytes(tmp_path, body + hashlib.blake2b(body, digest_size=8).digest())
+
+    def test_writer_rejects_what_the_reader_would(self, tmp_path):
+        path = str(tmp_path / "e.emb")
+        with pytest.raises(DataError, match=r"non-finite-value\(b\)"):
+            write_embeddings([FeatureVector([1.0], "a"), FeatureVector([np.nan], "b")], path)
+        with pytest.raises(DataError, match="malformed-id"):
+            write_embeddings([FeatureVector([1.0], 7)], path)
+        with pytest.raises(DataError, match="duplicate-source-id"):
+            write_embeddings([FeatureVector([1.0], "a"), FeatureVector([2.0], "a")], path)
+        with pytest.raises(DataError, match="dimension-mismatch"):
+            write_embeddings([FeatureVector([1.0], "a"), FeatureVector([2.0, 3.0], "b")], path)
+
+
+# v1 text: n records of about dim values each, odd values among them, under a
+# header that is mostly right; blank lines, CRs, duplicate ids and wrong
+# counts or dims
+_V1_TOKENS = st.sampled_from(
+    ["0.5", "-0", "1e-320", "1e300", "2", "nan", "inf", "x", "1_0", "0x1p-3", "+.5"]
+)
+
+
+@st.composite
+def _v1_text(draw):
+    dim, n = draw(st.sampled_from([1, 2])), draw(st.integers(0, 3))
+    header = draw(st.sampled_from([
+        f"driftsketch-emb v1 dim={dim} count={n}",
+        f"driftsketch-emb v1 dim={dim} count={n + 1}",
+        f"driftsketch-emb v1 dim={dim}",
+        f"driftsketch-emb v0 dim={dim} count={n}",
+        f"driftsketch-emb v1 dim=0 count={n}",
+        "driftsketch-emb v1 dim=x count=-1",
+        "",
+    ]))
+    lines = [header]
+    for i in range(n):
+        size = dim + draw(st.sampled_from([0, 0, 0, 1, -1]))
+        values = draw(st.lists(_V1_TOKENS, min_size=size, max_size=size))
+        lines.append(" ".join([draw(st.sampled_from([f"r{i}", "r0"])), *values]))
+        lines += [""] * draw(st.integers(0, 1))
+    sep = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return sep.join(lines) + draw(st.sampled_from(["", sep]))
+
+
+class TestV1EmbeddingsUnchanged:
+    @given(text=_v1_text())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_vectors_or_same_error_as_the_text_reader(self, tmp_path, text):
+        """Every v1 file gives the text-only reader's vectors, bit for bit,
+        or its error class and message."""
+        path = tmp_path / "v1.emb"
+        path.write_bytes(text.encode("utf-8"))
+        outcomes = []
+        for load in (load_embeddings, reference_path.load_embeddings):
+            try:
+                outcomes.append(("ok", _bits(load(str(path)))))
+            except DataError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_non_utf8_error_unchanged(self, tmp_path):
+        path = tmp_path / "v1.emb"
+        path.write_bytes(b"driftsketch-emb v1 dim=1 count=1\na \xff\n")
+        with pytest.raises(StoreError, match=r"malformed-file: cannot read .*: not UTF-8 text"):
+            load_embeddings(str(path))
+
+
 class TestSplitDataset:
     def test_ten_ids_ten_groups(self):
         plan = split_dataset([f"i{k}" for k in range(10)], 10, seed=1)
