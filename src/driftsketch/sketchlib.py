@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _kernels
-from .core import ConfigError, DataError, _check_count, _check_seed, seeded_rng
+from .core import ConfigError, DataError, StoreError, _check_count, _check_seed, seeded_rng
 
 
 # a bin index must have magnitude below 2**63 to be cast to int64 exactly
@@ -95,11 +95,17 @@ class SketchLibrary:
     few distinct rows (u << m), and the gate compares a query with the u
     rows only: O(u*k) per query instead of O(m*k).
 
-    ``from_minima`` is the only constructor. The ``(source_id, signature)``
-    pairs in ``entries`` are made on first use, each ``signature.minima`` a
-    read-only view of its distinct row. ``minima_matrix()`` gathers the
-    (m, k) rows aligned with ``ids`` on first call and keeps them; the union
-    minima are likewise computed on first use and kept.
+    Every library is made by ``_from_distinct``, which takes the distinct
+    rows and the row indices as they are and checks that they are
+    canonical, in O(u*k + m) time and memory. ``build_library`` deduplicates
+    as it sketches and a v2 or v3 file already holds the two arrays, so
+    neither makes an (m, k) matrix. ``from_minima``, for v1 files and the
+    public API, deduplicates m given rows first.
+    The ``(source_id, signature)`` pairs in ``entries`` are made on first
+    use, each ``signature.minima`` a read-only view of its distinct row.
+    ``minima_matrix()`` gathers the (m, k) rows aligned with ``ids`` on first
+    call and keeps them; the union minima are likewise computed on first use
+    and kept.
     ``dim`` is the dimension of the feature vectors the rows were sketched
     from, or None where it is unknown (a library read from a v1 or v2 file);
     the gate rejects queries of another dimension.
@@ -116,6 +122,29 @@ class SketchLibrary:
         Equal rows are stored once, in order of first occurrence, so two
         libraries with the same ids and rows are identical.
         """
+        ids = tuple(ids)
+        k = sketch_config.k
+        rows = np.array(minima, dtype=np.uint64).reshape(len(ids), -1 if ids else k)
+        if rows.shape[1] != k:
+            raise DataError(f"dimension-mismatch: {rows.shape[1]} minima for k={k}")
+        distinct, row_index = _distinct_rows(rows, len(ids), k)
+        return cls._from_distinct(
+            ids, distinct, row_index, sketch_config, quant_config, extract_fingerprint, dim
+        )
+
+    @classmethod
+    def _from_distinct(
+        cls, ids, distinct, row_index, sketch_config, quant_config, extract_fingerprint, dim
+    ):
+        """Library from its canonical parts: u pairwise different (u, k)
+        ``distinct`` rows, with k that of ``sketch_config``, and one
+        ``row_index`` entry per id, each below u, in which 0..u-1 first
+        occur in order. The library keeps the two arrays, read-only from
+        then on, so callers hand over fresh ones. Parts that are not
+        canonical can only come from a forged file, so they raise
+        StoreError("malformed-payload"); duplicate ids raise
+        DataError("duplicate-source-id").
+        """
         if dim is not None:
             _check_count("dim", dim, 1)
         ids = tuple(ids)
@@ -124,18 +153,9 @@ class SketchLibrary:
             if sid in seen:
                 raise DataError(f"duplicate-source-id: {sid!r}")
             seen.add(sid)
-        k = sketch_config.k
-        rows = np.array(minima, dtype=np.uint64).reshape(len(ids), -1 if ids else k)
-        if rows.shape[1] != k:
-            raise DataError(f"dimension-mismatch: {rows.shape[1]} minima for k={k}")
-        # the first occurrence of each row's bytes takes the next distinct slot
-        data, width = rows.tobytes(), rows.itemsize * k
-        slots = {}
-        row_index = np.array(
-            [slots.setdefault(data[i : i + width], len(slots)) for i in range(0, len(data), width)],
-            dtype=np.intp,
-        )
-        distinct = rows[np.unique(row_index, return_index=True)[1]]
+        distinct = np.ascontiguousarray(distinct, dtype=np.uint64)
+        row_index = np.asarray(row_index, dtype=np.intp)
+        _check_canonical(distinct, row_index)
         distinct.flags.writeable = False
         row_index.flags.writeable = False
         lib = cls.__new__(cls)
@@ -186,6 +206,40 @@ class SketchLibrary:
             k=self.sketch_config.k,
             hash_seed=self.sketch_config.hash_seed,
         )
+
+
+def _distinct_rows(rows, m, k):
+    """(distinct, row_index) of m length-k uint64 rows, from any iterable:
+    the first occurrence of each row's bytes takes the next distinct slot,
+    so the u distinct rows come in order of first occurrence. Only the u
+    distinct rows are kept, so a generator of rows is read in O(u*k + m)
+    memory."""
+    slots = {}
+    firsts = []
+    row_index = np.empty(m, dtype=np.intp)
+    for i, row in enumerate(rows):
+        j = row_index[i] = slots.setdefault(row.tobytes(), len(firsts))
+        if j == len(firsts):
+            firsts.append(row)
+    return np.array(firsts, dtype=np.uint64).reshape(len(firsts), k), row_index
+
+
+def _check_canonical(distinct, row_index):
+    """StoreError("malformed-payload") unless (distinct, row_index) is what
+    `_distinct_rows` makes: every index below u, 0..u-1 first occurring in
+    order, and the u rows pairwise different."""
+    u = distinct.shape[0]
+    used = int(row_index.max(initial=-1)) + 1
+    if used > u:
+        raise StoreError(f"malformed-payload: row index {used - 1} >= u={u}")
+    if used < u:
+        raise StoreError(f"malformed-payload: distinct row {used} of u={u} has no index")
+    # the first index is 0, and each exceeds every index before it by one at most
+    if row_index[:1].any() or (row_index[1:] > np.maximum.accumulate(row_index[:-1]) + 1).any():
+        raise StoreError("malformed-payload: row indices do not first occur in order 0..u-1")
+    data, width = distinct.tobytes(), distinct.itemsize * distinct.shape[1]
+    if len({data[i : i + width] for i in range(0, len(data), width)}) < u:
+        raise StoreError(f"malformed-payload: the u={u} distinct rows repeat a row")
 
 
 @dataclass(frozen=True)
@@ -416,15 +470,20 @@ def build_library(features, q, s, extract_fingerprint=""):
     """Sketch every feature vector into a library, preserving input order.
 
     Every vector must have the same dimension, which the library records.
+    Only the distinct minima rows are kept, so no (m, k) matrix is made.
     """
     if not features:
         raise DataError("empty-input")
     dims = sorted({v.values.shape[0] for v in features})
     if len(dims) > 1:
         raise DataError(f"dimension-mismatch: mixed dims {dims}")
-    rows = [_sketch(v.values, q, s) for v in features]
-    return SketchLibrary.from_minima(
-        [v.source_id for v in features], rows, s, q, extract_fingerprint, dim=dims[0]
+    # rows are deduplicated by their minima bytes as they are sketched: bin
+    # vectors that differ can sketch to equal minima, and they share a row
+    distinct, row_index = _distinct_rows(
+        (_sketch(v.values, q, s) for v in features), len(features), s.k
+    )
+    return SketchLibrary._from_distinct(
+        [v.source_id for v in features], distinct, row_index, s, q, extract_fingerprint, dims[0]
     )
 
 

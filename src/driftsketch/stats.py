@@ -75,14 +75,21 @@ def _as_sample(x, name):
     return _check_finite(arr, name)
 
 
-def _ks_sorted(a, b):
+def _ecdf(sample, x):
+    """The right-continuous ECDF of a sorted sample at the points x."""
+    return np.searchsorted(sample, x, side="right") / sample.size
+
+
+def _ks_sorted(a, b, a_at_a=None):
     """KS D of two sorted samples: the largest |F_a(x) - F_b(x)| over the
     pooled points, each ECDF counting with sorted queries (a's points, then
-    b's)."""
+    b's). ``a_at_a``, a's ECDF at its own points, is computed here unless a
+    caller that scores one a against many b passes it in."""
+    if a_at_a is None:
+        a_at_a = _ecdf(a, a)
     return float(max(
-        np.abs(np.searchsorted(a, x, side="right") / a.size
-               - np.searchsorted(b, x, side="right") / b.size).max()
-        for x in (a, b)
+        np.abs(a_at_a - _ecdf(b, a)).max(),
+        np.abs(_ecdf(a, b) - _ecdf(b, b)).max(),
     ))
 
 
@@ -224,12 +231,14 @@ def drift_report(baseline, periods, cfg, gate_flag_counts=None, baseline_id="bas
         raise DataError(
             f"length-mismatch: {len(periods)} periods, {len(gate_flag_counts)} gate counts"
         )
-    # sorted once; each period's KS D is ks_statistic's, bit for bit
+    # sorted, and its own ECDF taken, once; each period's KS D is
+    # ks_statistic's, bit for bit
     base_pool = np.sort(_as_sample(pool_scalars(baseline), "a"))
+    base_at_base = _ecdf(base_pool, base_pool)
     rows = []
     for (period_id, vectors), flags in zip(periods, gate_flag_counts):
         pool = pool_scalars(vectors)
-        d_stat = _ks_sorted(base_pool, np.sort(_as_sample(pool, "b")))
+        d_stat = _ks_sorted(base_pool, np.sort(_as_sample(pool, "b")), base_at_base)
         p_val = ks_pvalue(d_stat, base_pool.size, pool.size)
         rows.append(
             PeriodStats(

@@ -16,8 +16,10 @@ Formats owned by this module:
   it. v2 files have the same layout without ``dim``; v1 files (u64 payload
   length, one JSON payload holding every row, 8-byte BLAKE2b checksum of the
   payload) hold every row. Both still load, with the dimension unknown.
-  Every version is rebuilt through ``SketchLibrary.from_minima``, so gate
-  scores do not depend on which one a library came from.
+  A v2 or v3 file's distinct rows and row indices become the library's
+  arrays as they are, checked for the canonical form ``save_library``
+  writes; a v1 file's rows are deduplicated as ``SketchLibrary.from_minima``
+  does. So gate scores do not depend on which version a library came from.
 - Model checkpoints and split plans: one-line JSON followed by a
   ``# blake2b=<hex>`` integrity line.
 - Reports (drift, sensitivity and gate): JSON-lines or CSV, one record per
@@ -247,7 +249,8 @@ def save_library(lib):
 
 
 def _read_library_v1(data, length):
-    """(header object, ids, minima rows) of a v1 file: one JSON payload."""
+    """(header object, ids, minima rows, None) of a v1 file: one JSON
+    payload holding all m rows."""
     payload = data[14 : 14 + length]
     trailer = data[14 + length : 14 + length + 8]
     if len(payload) != length or len(trailer) != 8:
@@ -259,7 +262,7 @@ def _read_library_v1(data, length):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StoreError(f"checksum-mismatch: undecodable payload ({exc})")
     entries = obj["entries"]
-    return obj, [e["source_id"] for e in entries], [e["minima"] for e in entries]
+    return obj, [e["source_id"] for e in entries], [e["minima"] for e in entries], None
 
 
 def _header_size(obj, key):
@@ -270,12 +273,13 @@ def _header_size(obj, key):
 
 
 def _read_library_v2(data, length):
-    """(header object, ids, minima rows) of a v2 or v3 file, its sizes checked."""
-    body, trailer = data[:-8], data[-8:]
+    """(header object, ids, distinct rows, row index) of a v2 or v3 file,
+    its sizes checked; the two arrays are copied out of the file as they are."""
+    body, trailer = memoryview(data)[:-8], data[-8:]
     if len(data) < 22 or hashlib.blake2b(body, digest_size=8).digest() != trailer:
         raise StoreError("checksum-mismatch")
     start = 14 + length
-    obj = json.loads(body[14:start].decode("utf-8"))
+    obj = json.loads(data[14:start].decode("utf-8"))
     m, u, k = (_header_size(obj, key) for key in ("m", "u", "k"))
     ids = obj["ids"]
     if len(ids) != m or k != obj["sketch"]["k"] or len(body) != start + 8 * u * k + 4 * m:
@@ -283,11 +287,9 @@ def _read_library_v2(data, length):
             f"malformed-payload: m={m}, u={u}, k={k} disagree with {len(ids)} ids, "
             f"sketch k {obj['sketch']['k']!r} or {len(body) - start} data bytes"
         )
-    distinct = np.frombuffer(body, "<u8", u * k, start).reshape(u, k)
-    row_index = np.frombuffer(body, "<u4", m, start + 8 * u * k)
-    if m and row_index.max() >= u:
-        raise StoreError(f"malformed-payload: row index {int(row_index.max())} >= u={u}")
-    return obj, ids, distinct[row_index]
+    distinct = np.frombuffer(body, "<u8", u * k, start).reshape(u, k).astype(np.uint64)
+    row_index = np.frombuffer(body, "<u4", m, start + 8 * u * k).astype(np.intp)
+    return obj, ids, distinct, row_index
 
 
 # v3 is the v2 layout with ``dim`` in the header
@@ -297,9 +299,11 @@ _LIBRARY_READERS = {1: _read_library_v1, 2: _read_library_v2, 3: _read_library_v
 def load_library(data):
     """Deserialize a v3 (or v2, v1) library, verifying the checksum and sizes.
 
-    Every version is rebuilt through ``SketchLibrary.from_minima``, so the
-    library in memory is the same whichever file it came from, except that
-    v1 and v2 files leave its dimension unknown.
+    A v2 or v3 file's arrays are taken as they are, in O(u*k + m), and must
+    be canonical: rows or indices that ``save_library`` cannot have written
+    raise StoreError("malformed-payload"). A v1 file's m rows are
+    deduplicated. So the library in memory is the same whichever file it
+    came from, except that v1 and v2 files leave its dimension unknown.
     """
     if len(data) < 6 or data[:4] != LIBRARY_MAGIC:
         raise StoreError("bad-magic: not a sketch library file")
@@ -310,19 +314,21 @@ def load_library(data):
         raise StoreError("checksum-mismatch: truncated file")
     length = int.from_bytes(data[6:14], "little")
     try:
-        obj, ids, rows = _LIBRARY_READERS[version](data, length)
+        obj, ids, rows, row_index = _LIBRARY_READERS[version](data, length)
         dim = None if version < 3 or obj["dim"] is None else _header_size(obj, "dim")
         if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
             raise StoreError("malformed-payload: ids must be a list of strings")
-        return SketchLibrary.from_minima(
-            ids,
-            rows,
+        configs = (
             SketchConfig(**obj["sketch"]),
             QuantConfig(**obj["quant"]),
             obj["extract_fingerprint"],
             dim,
         )
-    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+        if row_index is None:
+            return SketchLibrary.from_minima(ids, rows, *configs)
+        return SketchLibrary._from_distinct(ids, rows, row_index, *configs)
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, ConfigError) as exc:
+        # RecursionError: JSON nested too deeply for the parser
         raise StoreError(f"malformed-payload: {exc}")
 
 
@@ -359,8 +365,10 @@ def _read_checked_json(path, kind):
         raise StoreError("checksum-mismatch")
     try:
         obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise StoreError(f"checksum-mismatch: undecodable payload ({exc})")
+    if not isinstance(obj, dict):
+        raise StoreError(f"bad-magic: expected a {kind} object, got {type(obj).__name__}")
     if obj.get("kind") != kind:
         raise StoreError(f"bad-magic: expected kind {kind!r}, got {obj.get('kind')!r}")
     return obj
@@ -567,7 +575,7 @@ def _read_report_lines(path, expected_kind):
         # jsonl
         try:
             last = json.loads(trailer)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             raise StoreError("checksum-mismatch: unparseable checksum record")
         if not isinstance(last, dict) or last.get("kind") != "checksum":
             raise StoreError("bad-magic: missing checksum record")
@@ -576,7 +584,7 @@ def _read_report_lines(path, expected_kind):
         try:
             header = _report_json(lines[0])
             records = [_report_json(ln) for ln in lines[1:]]
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise StoreError(f"malformed-payload: {exc}")
         if header.get("kind") != expected_kind:
             raise StoreError(
@@ -599,7 +607,7 @@ def _read_report_lines(path, expected_kind):
                 header = _report_json(ln[2:])
             else:
                 data_lines.append(ln)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise StoreError(f"malformed-payload: {exc}")
     if not isinstance(header, dict) or header.get("kind") != expected_kind:
         raise StoreError(f"bad-magic: expected {expected_kind!r} header")

@@ -15,8 +15,13 @@ image-major sweep must give the same report.
 
 `load_embeddings` below is the text-only embedding reader: it reads v1 files
 and nothing else. On every v1 file the package's reader must return the same
-vectors or raise the same error with the same text. The package never
-imports this module.
+vectors or raise the same error with the same text.
+
+`library_rows` below is the library's row deduplication as it stood when
+every library was made from one (m, k) matrix of all its rows. The package's
+`build_library`, which deduplicates as it sketches, must give the same
+distinct rows and row indices bit for bit. The package never imports this
+module.
 """
 
 import numpy as np
@@ -230,3 +235,16 @@ def load_embeddings(path):
             raise DataError(f"non-finite-value({rec_id})")
         out.append(FeatureVector(values=values, source_id=rec_id))
     return out
+
+
+def library_rows(minima):
+    """(distinct, row_index) of m minima rows: each row's bytes, sliced from
+    the whole matrix, take the next slot at first sight."""
+    rows = np.array(minima, dtype=np.uint64)
+    data, width = rows.tobytes(), rows.itemsize * rows.shape[1]
+    slots = {}
+    row_index = np.array(
+        [slots.setdefault(data[i : i + width], len(slots)) for i in range(0, len(data), width)],
+        dtype=np.intp,
+    )
+    return rows[np.unique(row_index, return_index=True)[1]], row_index

@@ -901,6 +901,55 @@ class TestCorruptLibrary:
         assert "malformed-payload" in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def _gate_forged(tmp_path, baseline_dir, capsys, header, data):
+        """The exit code and stderr of gate against a library file of
+        ``header`` and ``data`` under a valid checksum."""
+        body = b"DSKL" + (3).to_bytes(2, "little") + len(header).to_bytes(8, "little")
+        body += header + data
+        lib = tmp_path / "forged.dskl"
+        lib.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+        capsys.readouterr()
+        query = os.path.join(baseline_dir, "img000.pgm")
+        code = main(["gate", query, "--library", str(lib), "--out", "-"])
+        return code, capsys.readouterr().err
+
+    def test_deeply_nested_header_is_malformed_payload(self, tmp_path, baseline_dir, capsys):
+        deep = b"[" * 200_000 + b"]" * 200_000
+        code, err = self._gate_forged(tmp_path, baseline_dir, capsys, deep, b"")
+        assert code == 3
+        assert "malformed-payload" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["repeated-row", "out-of-order", "unused-row", "index-at-u"])
+    def test_non_canonical_rows_are_malformed_payload(
+        self, tmp_path, baseline_dir, library_bytes, capsys, fault
+    ):
+        end = 14 + int.from_bytes(library_bytes[6:14], "little")
+        header = json.loads(library_bytes[14:end])
+        u, k = header["u"], header["k"]
+        split = end + 8 * u * k
+        rows = np.frombuffer(library_bytes[end:split], "<u8").reshape(u, k).copy()
+        index = np.frombuffer(library_bytes[split:-8], "<u4").copy()
+        assert u >= 2 and index[0] == 0
+        if fault == "repeated-row":
+            rows[-1] = rows[0]
+        elif fault == "out-of-order":
+            rows[[0, 1]] = rows[[1, 0]]
+            index = np.where(index < 2, 1 - index, index).astype("<u4")
+        elif fault == "unused-row":
+            rows = np.vstack([rows, np.full(k, 2**64 - 1, np.uint64)])
+            header["u"] = u + 1
+        else:
+            index[-1] = u
+        code, err = self._gate_forged(
+            tmp_path, baseline_dir, capsys, json.dumps(header).encode("utf-8"),
+            rows.astype("<u8").tobytes() + index.tobytes(),
+        )
+        assert code == 3
+        assert "malformed-payload" in err
+        assert "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # whole-CLI property: gate, drift and sweep on arbitrary small inputs

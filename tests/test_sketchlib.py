@@ -22,6 +22,8 @@ from driftsketch import _kernels, sketchlib
 from driftsketch.core import seeded_rng
 from driftsketch.sketchlib import GateReport, GateResult, SketchLibrary, _minhash_salts
 
+import reference_path
+
 
 def make_token_set(n_common, n_only_a, n_only_b, base=0):
     """Two sets with exact Jaccard n_common / (n_common + n_only_a + n_only_b)."""
@@ -715,6 +717,45 @@ def test_memo_sketches_equal_the_no_memo_reference(budget, dim, data):
                     )
         finally:
             sketchlib._token_table.cache_clear()
+
+
+@given(dim=st.integers(1, 4), k=st.integers(1, 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_build_library_dedups_as_the_whole_matrix_reference(dim, k, data):
+    """build_library, deduplicating as it sketches, stores the distinct rows
+    and row indices that deduplicating the whole (m, k) matrix gives, bit for
+    bit. At k <= 4 different bin vectors often share minima, and share a row."""
+    q, s = QuantConfig(bin_width=0.2), SketchConfig(k=k, hash_seed=data.draw(st.integers(0, 9)))
+    vector = st.lists(_MEMO_VALUES, min_size=dim, max_size=dim)
+    pool = data.draw(st.lists(vector, min_size=1, max_size=6), label="pool")
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    feats = [_feature(pool[i], f"f{j}") for j, i in enumerate(picks)]
+    lib = build_library(feats, q, s)
+    distinct, row_index = reference_path.library_rows([_reference_minima(v, q, s) for v in feats])
+    assert lib.distinct_minima.tobytes() == distinct.tobytes()
+    assert lib.distinct_minima.shape == distinct.shape
+    assert lib.row_index.tolist() == row_index.tolist()
+
+
+def test_bin_vectors_with_equal_minima_share_a_row():
+    """The library keys rows by their minima, not by their bin vectors: two
+    bin vectors one bin apart in one of 48 components sketch to the same 128
+    minima with probability (47/49)**128, about 0.5%, and then share a row."""
+    q, s = QuantConfig(), SketchConfig()
+    rng = seeded_rng(16, "minima-collision")
+    for _ in range(5000):
+        bins = rng.integers(0, 20, 48)
+        other = bins.copy()
+        other[rng.integers(48)] += 1
+        v, w = ((b + 0.5) * q.bin_width for b in (bins, other))
+        if np.array_equal(_reference_minima(v, q, s), _reference_minima(w, q, s)):
+            break
+    else:
+        pytest.fail("no pair of bin vectors with equal minima found")
+    assert not np.array_equal(sketchlib._quantize(v, q), sketchlib._quantize(w, q))
+    lib = build_library([_feature(v, "a"), _feature(w, "b"), _feature(v + 1.0, "c")], q, s)
+    assert lib.distinct_minima.shape == (2, 128)
+    assert lib.row_index.tolist() == [0, 0, 1]
 
 
 def test_rejected_queries_leave_the_memo_untouched():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,20 @@ def _seal_v2(header, matrix, index, version=LIBRARY_VERSION):
     return data + hashlib.blake2b(data, digest_size=8).digest()
 
 
+def _index_bytes(*index):
+    return np.array(index, "<u4").tobytes()
+
+
+# faults of the v1 fixture's 3 distinct k=8 rows (64 bytes each) and its
+# indices [0, 1, 2, 2], each under a valid checksum
+_NON_CANONICAL = {
+    "repeated-row": lambda h, mx, ix: (h, mx[:128] + mx[:64], ix),
+    "out-of-order": lambda h, mx, ix: (h, mx[64:128] + mx[:64] + mx[128:], _index_bytes(1, 0, 2, 2)),
+    "unused-row": lambda h, mx, ix: (dict(h, u=4), mx + b"\xff" * 64, ix),
+    "index-at-u": lambda h, mx, ix: (h, mx, _index_bytes(0, 1, 2, 3)),
+}
+
+
 class TestLibraryVersions:
     def test_v1_file_loads_to_the_built_library(self):
         built = _v1_fixture_library()
@@ -436,6 +451,44 @@ class TestLibraryVersions:
         path.write_bytes(_seal_v2(*forge(*_split_v2(data))))
         with pytest.raises(StoreError, match="malformed-payload"):
             read_library(str(path))
+
+    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("fault", sorted(_NON_CANONICAL))
+    def test_non_canonical_rows_are_malformed(self, fault, version):
+        """Rows and indices that save_library cannot write are rejected, not
+        re-canonicalised, whatever the version."""
+        header, matrix, index = _split_v2(save_library(_v1_fixture_library()))
+        forged = _seal_v2(*_NON_CANONICAL[fault](header, matrix, index), version=version)
+        with pytest.raises(StoreError, match="malformed-payload"):
+            load_library(forged)
+
+    @pytest.mark.parametrize(
+        "path, shape, row_index, rows_digest",
+        [
+            (V1_LIBRARY, (3, 8), [0, 1, 2, 2], "abb8a159a2f09363"),
+            (V2_LIBRARY, (4, 16), [0, 0, 0, 1, 1, 0, 1, 0, 2, 3], "fe3aa5a01f5064e2"),
+        ],
+        ids=["v1", "v2"],
+    )
+    def test_committed_fixtures_load_to_the_recorded_arrays(
+        self, path, shape, row_index, rows_digest
+    ):
+        lib = load_library(path.read_bytes())
+        assert lib.distinct_minima.shape == shape
+        assert lib.row_index.tolist() == row_index
+        assert hashlib.blake2b(lib.distinct_minima.tobytes(), digest_size=8).hexdigest() == (
+            rows_digest
+        )
+
+    def test_saving_a_loaded_v3_file_gives_its_bytes(self):
+        for lib in (
+            _v1_fixture_library(),
+            _v2_fixture_library(),
+            load_library(V1_LIBRARY.read_bytes()),
+            load_library(V2_LIBRARY.read_bytes()),
+        ):
+            data = save_library(lib)
+            assert save_library(load_library(data)) == data
 
 
 class TestModelPersistence:
@@ -809,6 +862,98 @@ class TestLoadersNeverPanic:
         path.write_bytes(b'{"kind": "other"}\n# blake2b=00\n')
         with pytest.raises(StoreError):
             loader(str(path))
+
+
+class TestLibraryMemoryBound:
+    """Building and loading a library of m = 20,000 rows, 13 of them
+    distinct, each trace a peak below one (m, k) uint64 matrix (20.5 MB at
+    k=128): neither makes the matrix."""
+
+    M, K = 20_000, 128
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def _built(self):
+        rng = seeded_rng(16, "library-memory")
+        bases = [rng.uniform(0, 1, 48) for _ in range(13)]
+        feats = [FeatureVector(values=bases[i % 13], source_id=f"f{i}") for i in range(self.M)]
+        q, s = QuantConfig(), SketchConfig(k=self.K)
+        lib = build_library(feats, q, s)  # fills the token table and signature memo
+        assert lib.distinct_minima.shape == (13, self.K)
+        return feats, q, s, lib
+
+    def test_build(self):
+        feats, q, s, _ = self._built()
+        peak = self._peak(lambda: build_library(feats, q, s))
+        assert peak < self.M * self.K * 8, peak
+
+    def test_load(self):
+        data = save_library(self._built()[3])
+        peak = self._peak(lambda: load_library(data))
+        assert peak < self.M * self.K * 8, peak
+
+
+class TestDeeplyNestedJson:
+    """JSON nested past the parser's recursion limit, under a valid checksum,
+    is a named StoreError in every reader that parses JSON."""
+
+    DEEP = b"[" * 200_000 + b"]" * 200_000
+
+    def test_library_v1_payload(self):
+        data = b"DSKL" + (1).to_bytes(2, "little") + len(self.DEEP).to_bytes(8, "little")
+        data += self.DEEP + hashlib.blake2b(self.DEEP, digest_size=8).digest()
+        with pytest.raises(StoreError, match="malformed-payload: maximum recursion depth"):
+            load_library(data)
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_library_v2_header(self, version):
+        data = b"DSKL" + version.to_bytes(2, "little") + len(self.DEEP).to_bytes(8, "little")
+        data += self.DEEP
+        data += hashlib.blake2b(data, digest_size=8).digest()
+        with pytest.raises(StoreError, match="malformed-payload: maximum recursion depth"):
+            load_library(data)
+
+    @pytest.mark.parametrize("loader", [load_model, load_split], ids=["model", "split"])
+    def test_checked_json(self, tmp_path, loader):
+        path = tmp_path / "deep.json"
+        path.write_bytes(self.DEEP + b"\n# blake2b=" + _digest(self.DEEP).encode("ascii") + b"\n")
+        with pytest.raises(StoreError, match="checksum-mismatch: undecodable payload"):
+            loader(str(path))
+
+    @pytest.mark.parametrize("loader", [load_model, load_split], ids=["model", "split"])
+    def test_checked_json_that_is_not_an_object(self, tmp_path, loader):
+        path = tmp_path / "list.json"
+        path.write_bytes(b"[1]\n# blake2b=" + _digest(b"[1]").encode("ascii") + b"\n")
+        with pytest.raises(StoreError, match="bad-magic: expected a .* object, got list"):
+            loader(str(path))
+
+    def test_report_checksum_record(self, tmp_path):
+        """The trailer is parsed before the checksum is checked."""
+        path = tmp_path / "deep.jsonl"
+        path.write_bytes(b'{"kind":"drift_report"}\n' + self.DEEP + b"\n")
+        with pytest.raises(StoreError, match="checksum-mismatch: unparseable checksum record"):
+            read_drift_report(str(path))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_report_header(self, tmp_path, fmt):
+        header = b'{"kind":"drift_report","x":' + self.DEEP + b"}"
+        if fmt == "jsonl":
+            body = header + b"\n"
+            trailer = b'{"kind":"checksum","blake2b":"' + _digest(body).encode("ascii") + b'"}'
+        else:
+            body = b"# " + header + b"\nperiod_id\n"
+            trailer = b"# blake2b=" + _digest(body).encode("ascii")
+        path = tmp_path / f"deep.{fmt}"
+        path.write_bytes(body + trailer + b"\n")
+        with pytest.raises(StoreError, match="malformed-payload: maximum recursion depth"):
+            read_drift_report(str(path))
 
 
 class TestEmbeddingsRoundTrip:
