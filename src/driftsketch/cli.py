@@ -313,12 +313,15 @@ def _cmd_sweep(args):
 
 
 def _read_labels(path):
+    """{id: 0 or 1} of a labels file: per line an id, a whitespace run, then
+    the label. Only the last whitespace run splits, so an id may hold
+    whitespace inside it; blank lines and ``#`` comment lines are skipped."""
     labels = {}
     for lineno, line in enumerate(_text_lines(path, DataError, "io-error"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
+        fields = line.rsplit(None, 1)
         if len(fields) != 2 or fields[1] not in ("0", "1"):
             raise DataError(f"malformed-file(line {lineno}): expected '<id> <0|1>'")
         labels[fields[0]] = int(fields[1])

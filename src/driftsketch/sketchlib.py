@@ -327,8 +327,10 @@ def _minhash_salts(k, hash_seed):
     return salts
 
 
-# byte cap of one token table's value rows, and how many tables _token_table keeps
-_TABLE_BYTES = 4 << 20
+# byte cap of one token table's value rows, and how many tables _token_table keeps.
+# One byte under 4 MiB: NumPy asks Linux for transparent huge pages on arrays of
+# 4 MiB and more, and a 2 MiB huge page is committed whole at its first write
+_TABLE_BYTES = (4 << 20) - 1
 _TABLES = 4
 # byte budget of one table's signature memo, and the bytes charged to each
 # entry beside its key and minima (bytes and array headers, dict slot)
@@ -341,8 +343,9 @@ class _TokenTable:
     sketched under one (k, hash_seed), so a token is hashed once per process.
     Built-in d-dim features give at most 21*d tokens at the default bin width.
 
-    ``values`` has ``_TABLE_BYTES // (8*k)`` rows (4,096 at k=128), filled
-    in order of arrival and never moved; pages stay empty until written.
+    ``values`` has ``_TABLE_BYTES // (8*k)`` rows (4,095 at k=128), filled
+    in order of arrival and never moved; pages stay empty until written,
+    since the array is too small for NumPy to ask for huge pages.
     ``index`` pairs the stored tokens, sorted, with their rows. `_add`
     writes the rows of new tokens, under the lock, before it publishes a new
     pair by one assignment, so a lookup needs no lock. Every token is stored

@@ -4,9 +4,10 @@ Formats owned by this module:
 
 - Images: 8-bit binary PGM (P5, grayscale) and PPM (P6, RGB); maxval <= 255.
 - Embedding files: ``write_embeddings`` checks the vectors and writes them
-  as v2, a text header line, the ids, binary float64 rows and a checksum;
-  ``extract`` encodes and reads the format (``extract.load_embeddings``
-  documents it, and still reads v1 text).
+  as v3, a text header line, then the ids and the float64 rows as byte
+  planes in one zlib stream, then a checksum; ``extract`` encodes and reads
+  the format (``extract.load_embeddings`` documents it, and still reads v2
+  binary and v1 text).
 - Sketch library (v3): binary, magic ``DSKL``, u16 version, u64 header
   length, a JSON header (configs, extractor fingerprint, ids, m, u, k, and
   ``dim``, the feature dimension or null where unknown), the u distinct
@@ -29,7 +30,7 @@ Formats owned by this module:
   three kinds: ``encode_report``/``write_report`` and ``read_report`` take
   the header fields and columns from the report and row dataclasses.
 
-Every loader raises named StoreErrors on malformed input. Libraries, v2
+Every loader raises named StoreErrors on malformed input. Libraries, v2 and v3
 embedding files, checkpoints, split plans and reports carry a checksum, so
 flipping any bit of one is detected; images and v1 embedding text carry
 none, and a changed pixel or digit loads as a different value. All writes
@@ -190,7 +191,7 @@ def load_images_dir(directory):
 
 
 def write_embeddings(features, path, dim=None):
-    """Write FeatureVectors as a v2 embedding file (see ``extract.load_embeddings``).
+    """Write FeatureVectors as a v3 embedding file (see ``extract.load_embeddings``).
 
     `dim` is only needed for an empty batch, where it cannot be inferred.
     """

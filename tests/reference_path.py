@@ -17,12 +17,25 @@ image-major sweep must give the same report.
 and nothing else. On every v1 file the package's reader must return the same
 vectors or raise the same error with the same text.
 
+`encode_embeddings_v2` below is the v2 embedding writer, which the package
+replaced with v3: a text header, the ids as JSON padded to 8 bytes, row-major
+little-endian float64 rows and a BLAKE2b checksum. Tests use it to give the
+package's reader v2 files, which it must still read bit for bit.
+
+`read_labels` below is the labels reader that split each line on every
+whitespace run and wanted exactly two fields. On every file it reads, the
+package's reader, which splits on the last run only, must give the same
+labels.
+
 `library_rows` below is the library's row deduplication as it stood when
 every library was made from one (m, k) matrix of all its rows. The package's
 `build_library`, which deduplicates as it sketches, must give the same
 distinct rows and row indices bit for bit. The package never imports this
 module.
 """
+
+import hashlib
+import json
 
 import numpy as np
 
@@ -235,6 +248,31 @@ def load_embeddings(path):
             raise DataError(f"non-finite-value({rec_id})")
         out.append(FeatureVector(values=values, source_id=rec_id))
     return out
+
+
+def encode_embeddings_v2(features, dim=None):
+    ids = [v.source_id for v in features]
+    rows = np.array([v.values for v in features], dtype=np.float64)
+    count, dim = len(ids), features[0].dim if features else dim
+    head = f"driftsketch-emb v2 dim={dim} count={count}\n" + json.dumps(ids, separators=(",", ":"))
+    head = head.encode("ascii") + b" " * (-(len(head) + 1) % 8) + b"\n"
+    data = head + rows.reshape(count, dim).astype("<f8", copy=False).tobytes()
+    return data + hashlib.blake2b(data, digest_size=8).digest()
+
+
+def read_labels(path):
+    labels = {}
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2 or fields[1] not in ("0", "1"):
+            raise DataError(f"malformed-file(line {lineno}): expected '<id> <0|1>'")
+        labels[fields[0]] = int(fields[1])
+    return labels
 
 
 def library_rows(minima):

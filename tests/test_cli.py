@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,13 +20,15 @@ from hypothesis import strategies as st
 import driftsketch
 from driftsketch import load_embeddings, read_drift_report, read_sensitivity_report, save_image
 from driftsketch import store
-from driftsketch.cli import main
-from driftsketch.core import FeatureVector, derive_seed, seeded_rng
+from driftsketch.cli import _read_labels, main
+from driftsketch.core import DataError, FeatureVector, derive_seed, seeded_rng
 from driftsketch.extract import ExtractConfig, extract_batch, extract_fingerprint
 from driftsketch.noiselab import salt_pepper
 from driftsketch.sketchlib import GateConfig, gate_check
 from driftsketch.store import load_model, load_split, read_library, read_report
 from synthcorpus import corpus, rgb_corpus, uniform_noise_images
+
+import reference_path
 
 
 def write_corpus(directory, images, prefix="img"):
@@ -72,6 +77,8 @@ class TestExtract:
 
 
 V1_EMBEDDINGS = Path(__file__).parent / "data" / "embeddings_v1.emb"
+# the same features as the v2 writer saved them
+V2_EMBEDDINGS = Path(__file__).parent / "data" / "embeddings_v2.emb"
 
 
 class TestEmbeddingFiles:
@@ -93,21 +100,24 @@ class TestEmbeddingFiles:
         assert [r.source_id for r in gate.rows] == sorted(names)
 
     def test_v1_fixture_and_its_v2_rewrite_build_identical_libraries(self, tmp_path):
-        rewrite = tmp_path / "v2.emb"
-        store.write_embeddings(load_embeddings(str(V1_EMBEDDINGS)), str(rewrite))
-        libs = [tmp_path / "from_v1.dskl", tmp_path / "from_v2.dskl"]
-        for source, lib in zip((str(V1_EMBEDDINGS), str(rewrite)), libs):
-            assert main(["build-baseline", source, "--out", str(lib)]) == 0
-        assert libs[0].read_bytes() == libs[1].read_bytes()
+        """The v1 fixture, its v2 rewrite (the committed fixture, from the v2
+        writer) and its v3 rewrite build byte-identical libraries."""
+        rewrite = tmp_path / "v3.emb"
+        store.write_embeddings(load_embeddings(str(V2_EMBEDDINGS)), str(rewrite))
+        sources = (V1_EMBEDDINGS, V2_EMBEDDINGS, rewrite)
+        libs = [tmp_path / f"from_v{i}.dskl" for i in (1, 2, 3)]
+        for source, lib in zip(sources, libs):
+            assert main(["build-baseline", str(source), "--out", str(lib)]) == 0
+        assert libs[0].read_bytes() == libs[1].read_bytes() == libs[2].read_bytes()
 
     def test_v1_and_v2_inputs_give_identical_reports(self, tmp_path, baseline_dir):
-        """The same features as v1 text and as v2 give byte-identical gate,
-        drift and sweep reports (each file named alike, in its own folder)."""
+        """The same features as v1 text, as v2 and as v3 give byte-identical
+        gate, drift and sweep reports (each file named alike, in its own folder)."""
         images, names = store.load_images_dir(baseline_dir)
         feats = extract_batch(images, ExtractConfig(), names)
         periods = _period_dirs(tmp_path, corrupt_from=2, n_periods=2)
         outputs = []
-        for version in ("v1", "v2"):
+        for version in ("v1", "v2", "v3"):
             folder = tmp_path / version
             folder.mkdir()
             emb = folder / "base.emb"
@@ -115,6 +125,8 @@ class TestEmbeddingFiles:
                 lines = [f"driftsketch-emb v1 dim={feats[0].dim} count={len(feats)}"]
                 lines += [" ".join([v.source_id, *(f"{x:.17g}" for x in v.values)]) for v in feats]
                 emb.write_text("\n".join(lines) + "\n")
+            elif version == "v2":
+                emb.write_bytes(reference_path.encode_embeddings_v2(feats))
             else:
                 store.write_embeddings(feats, str(emb))
             assert emb.read_bytes().startswith(f"driftsketch-emb {version} ".encode())
@@ -129,19 +141,20 @@ class TestEmbeddingFiles:
             codes = [main(argv) for argv in runs]
             files = ("base.dskl", "gate.jsonl", "drift.jsonl", "sweep.csv")
             outputs.append((codes, [(folder / f).read_bytes() for f in files]))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0][0] == [0, 1, 0]
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_damaged_v2_file_exits_three(self, tmp_path, data):
-        """A v2 file cut short or with any byte changed exits 3, never with a
-        traceback, on each kind of subcommand that reads embeddings."""
+        """A v3 file (or the v2 fixture) cut short or with any byte changed
+        exits 3, never with a traceback, on each kind of subcommand that reads
+        embeddings."""
         good = tmp_path / "good.emb"
         if not good.exists():
             store.write_embeddings(load_embeddings(str(V1_EMBEDDINGS)), str(good))
-        raw = good.read_bytes()
+        raw = data.draw(st.sampled_from([good, V2_EMBEDDINGS]), label="file").read_bytes()
         pos = data.draw(st.integers(0, len(raw) - 1), label="position")
         if data.draw(st.booleans(), label="truncate"):
             bad = raw[:pos]
@@ -629,6 +642,40 @@ class TestTrainHead:
         code = main(["train-head", emb, "--labels", lab, "--out", str(tmp_path / "m.json")])
         assert code == 3
 
+    def test_label_ids_may_hold_whitespace(self, tmp_path):
+        """A labels line splits on its last whitespace run only."""
+        lab = tmp_path / "labels.txt"
+        lab.write_text("a b.pgm 1\n  c\td.pgm\t0  \n# a b 1\n\né  f.pgm \t 1\n", encoding="utf-8")
+        assert _read_labels(str(lab)) == {"a b.pgm": 1, "c\td.pgm": 0, "é  f.pgm": 1}
+        lab.write_text("a b.pgm 2\n")
+        with pytest.raises(DataError, match=r"malformed-file\(line 1\): expected '<id> <0\|1>'"):
+            _read_labels(str(lab))
+
+    @given(
+        lines=st.lists(
+            st.text(st.sampled_from(["a", "é", " ", "\t", "\xa0", "0", "1", "#"]), max_size=7)
+            | st.tuples(
+                st.sampled_from(["", " ", "#"]),
+                st.text(st.sampled_from(["a", "é", "0", "#"]), min_size=1, max_size=3),
+                st.sampled_from([" ", "\t", " \xa0"]),
+                st.sampled_from(["0", "1", "2"]),
+            ).map("".join),
+            max_size=5,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_labels_files_that_read_before_read_the_same(self, lines):
+        """Every labels file that the two-field reader read gives the same labels."""
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root, "labels.txt")
+            path.write_text("\n".join(lines), encoding="utf-8")
+            try:
+                before = reference_path.read_labels(str(path))
+            except DataError:
+                event("the two-field reader rejects the file")
+                return
+            assert _read_labels(str(path)) == before
+
 
 class TestSplit:
     def test_split_plan_written(self, tmp_path):
@@ -1002,25 +1049,27 @@ def _embedding_text(draw):
 
 
 @st.composite
-def _embedding_v2(draw):
-    """A v2 embedding file of dim 1, 2 or 48 with 0-3 rows, as the package writes
-    it (ids may hold spaces and non-ASCII), then kept, cut short at some byte,
-    or with one byte xor-ed."""
+def _embedding_binary(draw):
+    """A v3 embedding file of dim 1, 2 or 48 with 0-3 rows, as the package writes
+    it, or a v2 file, as the v2 writer wrote it (ids may hold spaces and
+    non-ASCII), then kept, cut short at some byte, or with one byte xor-ed."""
+    version = draw(st.sampled_from(["v3", "v3", "v2"]))
     dim = draw(st.sampled_from([1, 2, 48]))
     values = st.floats(-2.0, 2.0) | st.sampled_from([1e300, -0.0, 5e-324])
     rows = draw(st.lists(st.lists(values, min_size=dim, max_size=dim), max_size=3))
     ids = [draw(st.sampled_from([f"r{i}", f"é{i}", f"r {i}"])) for i in range(len(rows))]
     defect = draw(st.sampled_from([None, None, "cut", "flip"]))
-    return dim, list(zip(ids, rows)), defect, draw(st.integers(0, 2**16)), draw(st.integers(1, 255))
+    where, xor = draw(st.integers(0, 2**16)), draw(st.integers(1, 255))
+    return version, dim, list(zip(ids, rows)), defect, where, xor
 
 
 # an input: an image file, a directory of 0-3 image files, or an embedding file
-# (v1 text or v2)
+# (v1 text, or v2 or v3 binary)
 _INPUTS = st.one_of(
     st.tuples(st.just("image"), _image_bytes()),
     st.tuples(st.just("dir"), st.lists(_image_bytes(), max_size=3)),
     st.tuples(st.just("emb"), _embedding_text()),
-    st.tuples(st.just("emb2"), _embedding_v2()),
+    st.tuples(st.just("binary"), _embedding_binary()),
 )
 
 
@@ -1037,10 +1086,14 @@ def _materialize(root, name, spec):
     elif kind == "emb":
         path += ".emb"
         Path(path).write_text(content)
-    elif kind == "emb2":
+    elif kind == "binary":
         path += ".emb"
-        dim, records, defect, where, xor = content
-        store.write_embeddings([FeatureVector(v, sid) for sid, v in records], path, dim=dim)
+        version, dim, records, defect, where, xor = content
+        features = [FeatureVector(v, sid) for sid, v in records]
+        if version == "v2":
+            Path(path).write_bytes(reference_path.encode_embeddings_v2(features, dim))
+        else:
+            store.write_embeddings(features, path, dim=dim)
         data = Path(path).read_bytes()
         where %= len(data)
         if defect == "cut":
@@ -1150,7 +1203,7 @@ class TestWholeCliProperty:
     @given(
         embeddings=st.one_of(
             st.tuples(st.just("emb"), _embedding_text()),
-            st.tuples(st.just("emb2"), _embedding_v2()),
+            st.tuples(st.just("binary"), _embedding_binary()),
             _INPUTS,
         ),
         # every id the embedding strategies draw that a label line can name,
@@ -1197,6 +1250,48 @@ class TestWholeCliProperty:
                 assert os.path.exists(curve_path) == curve
                 if curve:
                     assert len(Path(curve_path).read_text().splitlines()) == 1 + epochs
+
+    @given(
+        stems=st.lists(
+            st.text(st.sampled_from(["a", "b", " ", "\t", "é", "中", "\xa0"]), max_size=4),
+            min_size=2, max_size=4,
+        ),
+        # a first character a labels line can hold, or one that it cannot
+        first=st.sampled_from(["a", "a", "a", "é", " ", "\t", "\xa0", "#", "\r", "\n"]),
+        sep=st.sampled_from([" ", "\t", " \t "]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_extract_then_train_head_with_any_id(self, stems, first, sep):
+        """Image files whose names hold spaces, tabs and non-ASCII characters
+        go through extract, then a labels file naming each id, then train-head
+        to a model. An id that a labels line cannot hold (leading whitespace,
+        a leading '#', a line break) ends in a named error, exit 3."""
+        ids = sorted(f"{first if k == 0 else 'a'}{stem}{k}.pgm" for k, stem in enumerate(stems))
+        with tempfile.TemporaryDirectory() as root:
+            images = Path(root, "images")
+            images.mkdir()
+            for k, sid in enumerate(ids):
+                raster = bytes((37 * k + 7 * j) % 256 for j in range(16))
+                Path(images, sid).write_bytes(b"P5\n4 4\n255\n" + raster)
+            emb, lab, out = (os.path.join(root, n) for n in ("e.emb", "labels.txt", "model.json"))
+            assert _run_cli(["extract", str(images), "--out", emb]) == 0
+            assert [v.source_id for v in load_embeddings(emb)] == ids
+            lines = [f"{sid}{sep}{i % 2}\n" for i, sid in enumerate(ids)]
+            Path(lab).write_text("".join(lines), encoding="utf-8")
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = _run_cli(["train-head", emb, "--labels", lab, "--out", out])
+            held = all(
+                sid == sid.strip() and not sid.startswith("#") and not set(sid) & {"\r", "\n"}
+                for sid in ids
+            )
+            event(f"train-head exits {code}")
+            assert code == (0 if held else 3)
+            assert os.path.exists(out) == held
+            if held:
+                assert load_model(out).w.shape == (load_embeddings(emb)[0].dim,)
+            else:
+                assert re.match(r"driftsketch: (label-missing|malformed-file)", stderr.getvalue())
 
     @given(
         ids=st.lists(_SPLIT_IDS, max_size=8, unique_by=str.strip)

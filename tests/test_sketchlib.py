@@ -602,6 +602,14 @@ def test_token_table_stores_tokens_that_share_low_bits():
         sketchlib._token_table.cache_clear()
 
 
+def test_token_table_is_below_numpys_huge_page_size():
+    """NumPy asks for transparent huge pages on arrays of 4 MiB and more; the
+    table's rows must stay below that, so its untouched pages stay empty."""
+    table = sketchlib._TokenTable(_minhash_salts(128, 0))
+    assert table.values.shape[0] == 4095
+    assert table.values.nbytes < 4 << 20
+
+
 def test_token_table_shared_by_threads():
     """Threads sketching overlapping sets through one table all get the
     kernel's minima, and every token drawn is stored once, in its own row (a

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from driftsketch import (
     write_embeddings,
     write_report,
 )
+from driftsketch.cli import main as cli_main
 from driftsketch.core import seeded_rng
 from driftsketch.extract import ExtractConfig, extract_builtin, extract_fingerprint
 from driftsketch.head import HeadModel, TrainConfig
@@ -979,6 +982,8 @@ class TestEmbeddingsRoundTrip:
 
 # a v1 embedding file, as the v1 writer saved _v1_fixture_features()
 V1_EMBEDDINGS = Path(__file__).parent / "data" / "embeddings_v1.emb"
+# a v2 embedding file, as the v2 writer saved _v1_fixture_features()
+V2_EMBEDDINGS = Path(__file__).parent / "data" / "embeddings_v2.emb"
 
 
 def _v1_fixture_features():
@@ -1011,6 +1016,23 @@ def _v2_bytes(ids_json, rows, header=None):
     return body + hashlib.blake2b(body, digest_size=8).digest()
 
 
+def _planes(rows):
+    """The (n, d) float64 `rows` as v3 stores them: byte planes (8, d, n)."""
+    rows = np.asarray(rows, dtype="<f8")
+    return bytes(rows.view(np.uint8).reshape(*rows.shape, 8).transpose(2, 1, 0).ravel())
+
+
+def _v3_bytes(ids_json, rows):
+    """A v3 embedding file sealed by hand from its documented layout: the
+    header line, a level-1 zlib stream of the ids line and the rows as byte
+    planes (8, d, n), and the BLAKE2b checksum of all of it."""
+    rows = np.asarray(rows, dtype="<f8")
+    body = ids_json + b"\n" + _planes(rows)
+    header = f"driftsketch-emb v3 dim={rows.shape[1]} count={rows.shape[0]} bytes={len(body)}\n"
+    data = header.encode("ascii") + zlib.compress(body, 1)
+    return data + hashlib.blake2b(data, digest_size=8).digest()
+
+
 def _load_bytes(tmp_path, data):
     path = tmp_path / "forged.emb"
     path.write_bytes(data)
@@ -1018,35 +1040,53 @@ def _load_bytes(tmp_path, data):
 
 
 class TestEmbeddingsV2:
+    """The checksummed binary embedding files: v3, which the writer emits, and
+    v2, which the writer emitted before it and the reader still reads."""
+
     def test_layout(self, tmp_path):
         feats = _v1_fixture_features()
         path = tmp_path / "e.emb"
         write_embeddings(feats, str(path))
         data = path.read_bytes()
         ids = json.dumps([v.source_id for v in feats], separators=(",", ":")).encode("ascii")
-        assert data == _v2_bytes(ids, [v.values for v in feats])
-        # a text first line, so `head -1` and the CLI's input sniffing still work
-        assert data.split(b"\n", 1)[0] == b"driftsketch-emb v2 dim=5 count=4"
-        assert (len(data) - 8 - 4 * 5 * 8) % 8 == 0
+        rows = [v.values for v in feats]
+        assert data == _v3_bytes(ids, rows)
+        # a text first line, so `head -1` and the CLI's input sniffing still work;
+        # the ids line (53 bytes) and 4 x 5 values (160 bytes) inflate to 213 bytes
+        assert data.split(b"\n", 1)[0] == b"driftsketch-emb v3 dim=5 count=4 bytes=213"
+        # the v2 layout, as the committed fixture and the test-side v2 writer hold it
+        v2 = V2_EMBEDDINGS.read_bytes()
+        assert v2 == _v2_bytes(ids, rows) == reference_path.encode_embeddings_v2(feats)
+        assert v2.split(b"\n", 1)[0] == b"driftsketch-emb v2 dim=5 count=4"
+        assert (len(v2) - 8 - 4 * 5 * 8) % 8 == 0
 
     def test_v1_fixture_loads_bit_for_bit(self):
         assert _bits(load_embeddings(str(V1_EMBEDDINGS))) == _bits(_v1_fixture_features())
 
+    def test_v2_fixture_loads_bit_for_bit(self):
+        assert _bits(load_embeddings(str(V2_EMBEDDINGS))) == _bits(_v1_fixture_features())
+
     def test_v1_fixture_rewritten_as_v2_holds_the_same_bits(self, tmp_path):
+        """The v1 fixture rewritten by the test-side v2 writer and by the
+        package's v3 writer loads to the same bits as the v1 text."""
         from_v1 = load_embeddings(str(V1_EMBEDDINGS))
-        path = tmp_path / "v2.emb"
-        write_embeddings(from_v1, str(path))
-        assert path.read_bytes().startswith(b"driftsketch-emb v2 ")
-        assert _bits(load_embeddings(str(path))) == _bits(from_v1)
+        v2, v3 = tmp_path / "v2.emb", tmp_path / "v3.emb"
+        v2.write_bytes(reference_path.encode_embeddings_v2(from_v1))
+        write_embeddings(from_v1, str(v3))
+        assert v3.read_bytes().startswith(b"driftsketch-emb v3 ")
+        assert _bits(load_embeddings(str(v2))) == _bits(load_embeddings(str(v3))) == _bits(from_v1)
 
     def test_rows_are_read_only_views_of_one_buffer(self, tmp_path):
         rng = seeded_rng(8, "emb-views")
-        path = tmp_path / "e.emb"
-        write_embeddings([FeatureVector(rng.standard_normal(6), f"r{i}") for i in range(5)],
-                         str(path))
-        feats = load_embeddings(str(path))
-        assert all(not v.values.flags.writeable and v.values.flags.c_contiguous for v in feats)
-        assert all(np.shares_memory(feats[0].values.base, v.values) for v in feats)
+        feats = [FeatureVector(rng.standard_normal(6), f"r{i}") for i in range(5)]
+        v2, v3 = tmp_path / "v2.emb", tmp_path / "v3.emb"
+        v2.write_bytes(reference_path.encode_embeddings_v2(feats))
+        write_embeddings(feats, str(v3))
+        for path in (v2, v3):
+            loaded = load_embeddings(str(path))
+            assert all(not v.values.flags.writeable and v.values.flags.c_contiguous
+                       for v in loaded)
+            assert all(np.shares_memory(loaded[0].values.base, v.values) for v in loaded)
 
     @given(
         rows=st.integers(0, 4).flatmap(
@@ -1072,9 +1112,11 @@ class TestEmbeddingsV2:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_flipped_byte_or_truncation_is_a_named_error(self, tmp_path, data):
+        """Any byte of a v3 file (or of the v2 fixture) changed, or the file
+        cut short, is a named error, never a zlib.error or a traceback."""
         path = tmp_path / "e.emb"
         write_embeddings(_v1_fixture_features(), str(path))
-        good = path.read_bytes()
+        good = data.draw(st.sampled_from([path, V2_EMBEDDINGS]), label="file").read_bytes()
         if data.draw(st.booleans(), label="truncate"):
             bad = good[: data.draw(st.integers(0, len(good) - 1), label="length")]
         else:
@@ -1126,6 +1168,85 @@ class TestEmbeddingsV2:
             write_embeddings([FeatureVector([1.0], "a"), FeatureVector([2.0], "a")], path)
         with pytest.raises(DataError, match="dimension-mismatch"):
             write_embeddings([FeatureVector([1.0], "a"), FeatureVector([2.0, 3.0], "b")], path)
+
+
+# the body of a v3 file of ids "a" and "b" with rows [1, 2] and [3, 4]: a 10-byte
+# ids line and 32 bytes of byte planes, in a level-1 zlib stream
+_V3_BODY = b'["a","b"]\n' + _planes([[1.0, 2.0], [3.0, 4.0]])
+_V3_STREAM = zlib.compress(_V3_BODY, 1)
+_V3_HEAD = "driftsketch-emb v3 dim=2 count=2 bytes="
+
+
+class TestEmbeddingsV3:
+    @pytest.mark.parametrize(
+        "header, stream, message",
+        [
+            pytest.param(_V3_HEAD + "42", _V3_STREAM, None, id="well-formed"),
+            pytest.param(_V3_HEAD + "42", b"not a zlib stream",
+                         r"malformed-payload: corrupt zlib stream", id="not-zlib"),
+            # a valid zlib header, then a final block of the reserved type 3
+            pytest.param(_V3_HEAD + "42", b"\x78\x01\x07",
+                         r"malformed-payload: corrupt zlib stream", id="reserved-block-type"),
+            pytest.param(_V3_HEAD + "42", _V3_STREAM[:-4] + bytes(4),
+                         r"malformed-payload: corrupt zlib stream", id="wrong-adler32"),
+            pytest.param(_V3_HEAD + "42", _V3_STREAM[:-6],
+                         r"malformed-payload: the zlib stream ends early", id="cut-short"),
+            pytest.param(_V3_HEAD + "41", _V3_STREAM,
+                         r"malformed-payload: the zlib stream inflates to more than bytes=41",
+                         id="longer-than-declared"),
+            pytest.param(_V3_HEAD + "43", _V3_STREAM,
+                         r"malformed-payload: the zlib stream inflates to 42 bytes, not bytes=43",
+                         id="shorter-than-declared"),
+            pytest.param(_V3_HEAD + "42", _V3_STREAM + b"\x00",
+                         r"malformed-payload: 1 bytes after the zlib stream",
+                         id="bytes-after-stream"),
+            pytest.param(_V3_HEAD + "43", zlib.compress(_V3_BODY + b"\x00"),
+                         r"malformed-payload: dim=2, count=2 need 32 data bytes, found 33",
+                         id="declared-bytes-disagree-with-dim-and-count"),
+            pytest.param(_V3_HEAD + "32", zlib.compress(_V3_BODY[10:]),
+                         r"malformed-payload: header and id lines expected", id="no-ids-line"),
+            # more than deflate can inflate the stream to, or than max_length can take
+            pytest.param(_V3_HEAD + str(10**6), _V3_STREAM,
+                         r"malformed-payload: bytes=1000000 cannot inflate from \d+ stream bytes",
+                         id="beyond-deflate-ratio"),
+            pytest.param(_V3_HEAD + str(2**64), _V3_STREAM,
+                         r"malformed-payload: bytes=18446744073709551616 cannot inflate",
+                         id="beyond-ssize-t"),
+            pytest.param(_V3_HEAD + "-1", _V3_STREAM,
+                         r"malformed-file\(line 1\): dim=2, count=2, bytes=-1",
+                         id="negative-bytes"),
+            pytest.param(_V3_HEAD + "x", _V3_STREAM,
+                         r"malformed-file\(line 1\): non-integer dim/count/bytes",
+                         id="non-integer-bytes"),
+            pytest.param(_V3_HEAD[:-7], _V3_STREAM, r"malformed-file\(line 1\): bad header",
+                         id="no-bytes-field"),
+            # v2 and v3 share the body checks
+            pytest.param(_V3_HEAD + "42", zlib.compress(_V3_BODY.replace(b'"b"', b'"a"')),
+                         r"malformed-payload: duplicate id 'a'", id="duplicate-id"),
+            pytest.param(_V3_HEAD + "42",
+                         zlib.compress(b'["a","b"]\n' + _planes([[1.0, 2.0], [3.0, np.inf]])),
+                         r"non-finite-value\(b\)", id="non-finite"),
+        ],
+    )
+    def test_hand_sealed_files(self, tmp_path, capsys, header, stream, message):
+        """A v3 file whose checksum holds loads or raises a named error, and
+        build-baseline exits 0 or 3 on it, never with a zlib.error, an
+        OverflowError, a MemoryError or a traceback."""
+        path = tmp_path / "sealed.emb"
+        data = header.encode("ascii") + b"\n" + stream
+        path.write_bytes(data + hashlib.blake2b(data, digest_size=8).digest())
+        out = tmp_path / "lib.dskl"
+        if message is None:
+            assert _bits(load_embeddings(str(path))) == [
+                ("a", np.array([1.0, 2.0]).tobytes()), ("b", np.array([3.0, 4.0]).tobytes())
+            ]
+            assert cli_main(["build-baseline", str(path), "--out", str(out)]) == 0
+            return
+        with pytest.raises(DataError, match=message):
+            load_embeddings(str(path))
+        assert cli_main(["build-baseline", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert re.search(message, capsys.readouterr().err)
 
 
 # v1 text: n records of about dim values each, odd values among them, under a
