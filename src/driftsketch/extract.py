@@ -10,12 +10,12 @@ random projection and L2 normalization. It is a pure function of
 
 import hashlib
 import json
-import zlib
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._zstream import Inflater, inflate, seal
 from .core import (
     ConfigError,
     DataError,
@@ -158,10 +158,6 @@ def l2_normalize(v):
 
 
 EMBEDDING_MAGIC = "driftsketch-emb"
-# the fixed zlib level of v3 bodies: level 6 saves 0.4% more bytes at about 1.4x the time
-_ZLIB_LEVEL = 1
-# the most bytes deflate can inflate one stream byte to: a 258-byte match in 2 bits
-_DEFLATE_MAX_RATIO = 1032
 
 
 def _embedding_header(line, version):
@@ -186,88 +182,93 @@ def _embedding_header(line, version):
     return sizes
 
 
+def _byte_planes(matrix):
+    """The (8, d, n) byte-plane view of an (n, d) little-endian float64 matrix:
+    plane p holds byte p of every value, column by column."""
+    count, dim = matrix.shape
+    return matrix.view(np.uint8).reshape(count, dim, 8).transpose(2, 1, 0)
+
+
 def _encode_embeddings(ids, rows):
     """The bytes of a v3 embedding file holding string `ids` and their (n, d)
     float64 `rows` (layout: ``load_embeddings``); the caller checks them."""
     count, dim = rows.shape
     # JSON escapes every non-ASCII character and newline, so the ids take one ASCII line
     ids_line = json.dumps(ids, separators=(",", ":")).encode("ascii") + b"\n"
-    # byte plane p holds byte p of every value, column by column: the sign and
-    # exponent bytes of similar values repeat, which deflate finds
-    planes = rows.astype("<f8", copy=False).view(np.uint8).reshape(count, dim, 8)
-    planes = np.ascontiguousarray(planes.transpose(2, 1, 0))
+    # the sign and exponent bytes of similar values repeat, which deflate finds
+    planes = np.ascontiguousarray(_byte_planes(rows.astype("<f8", copy=False)))
     head = f"{EMBEDDING_MAGIC} v3 dim={dim} count={count} bytes={len(ids_line) + planes.size}\n"
-    # deflated, hashed and joined in parts: no full-size body or file is copied twice
-    deflate = zlib.compressobj(_ZLIB_LEVEL)
-    parts = [head.encode("ascii"), deflate.compress(ids_line), deflate.compress(planes), deflate.flush()]
-    checksum = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        checksum.update(part)
-    return b"".join([*parts, checksum.digest()])
+    return seal(head.encode("ascii"), [ids_line, planes])
 
 
-def _inflate(stream, size):
-    """The `size` bytes a v3 file's zlib stream inflates to; any other
-    stream is a named error, found without inflating more than `size` + 1 bytes."""
-    if size > _DEFLATE_MAX_RATIO * len(stream):
-        raise StoreError(
-            f"malformed-payload: bytes={size} cannot inflate from {len(stream)} stream bytes"
-        )
-    inflater = zlib.decompressobj()
-    try:
-        # one byte of room past `size` lets the stream's end be read, or an overrun show
-        body = inflater.decompress(stream, size + 1)
-    except zlib.error as exc:
-        raise StoreError(f"malformed-payload: corrupt zlib stream ({exc})")
-    if len(body) > size:
-        raise StoreError(f"malformed-payload: the zlib stream inflates to more than bytes={size}")
-    if not inflater.eof:
-        raise StoreError(f"malformed-payload: the zlib stream ends early, after {len(body)} bytes")
-    if len(body) < size:
-        raise StoreError(f"malformed-payload: the zlib stream inflates to {len(body)} bytes, "
-                         f"not bytes={size}")
-    if inflater.unused_data:
-        raise StoreError(
-            f"malformed-payload: {len(inflater.unused_data)} bytes after the zlib stream"
-        )
-    return body
-
-
-def _embedding_body(data, start, end, dim, count, planes):
-    """FeatureVectors of the body ``data[start:end]``: the ids as one JSON
-    line, then the (count, dim) float64 matrix, row-major (v2) or as byte
-    planes (v3). Every vector is a read-only row of one matrix."""
-    ids_end = data.find(b"\n", start, end)
-    if ids_end < 0:
+def _embedding_vectors(ids_line, count, dim, data_size, matrix):
+    """FeatureVectors of an embedding body: `ids_line` (the bytes up to and
+    including its first newline, if any), `data_size` bytes after it, and the
+    (count, dim) float64 `matrix` they hold, whose rows become the vectors."""
+    if not ids_line.endswith(b"\n"):
         raise StoreError("malformed-payload: header and id lines expected")
     try:
-        ids = json.loads(data[start:ids_end].decode("utf-8"))
+        ids = json.loads(ids_line.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise StoreError(f"malformed-payload: undecodable ids ({exc})")
     if not isinstance(ids, list) or len(ids) != count or not all(isinstance(s, str) for s in ids):
         raise StoreError(f"malformed-payload: ids must be a list of {count} strings")
-    start = ids_end + 1
-    if end - start != 8 * dim * count:
+    if data_size != 8 * dim * count:
         raise StoreError(
             f"malformed-payload: dim={dim}, count={count} need {8 * dim * count} data bytes, "
-            f"found {end - start}"
+            f"found {data_size}"
         )
     seen = set()
     for sid in ids:
         if sid in seen:
             raise StoreError(f"malformed-payload: duplicate id {sid!r}")
         seen.add(sid)
-    if planes:
-        matrix = np.empty((count, dim), "<f8")
-        stored = np.frombuffer(data, np.uint8, 8 * dim * count, start).reshape(8, dim, count)
-        matrix.view(np.uint8).reshape(count, dim, 8)[...] = stored.transpose(2, 1, 0)
-        matrix.flags.writeable = False
-    else:
-        matrix = np.frombuffer(data, "<f8", dim * count, start).reshape(count, dim)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise DataError(f"non-finite-value({ids[int(np.argmin(finite))]})")
     return [FeatureVector(values=row, source_id=sid) for sid, row in zip(ids, matrix)]
+
+
+def _first_line(data, start, end):
+    """``data[start:end]`` up to and including its first newline, or all of it."""
+    cut = data.find(b"\n", start, end)
+    return bytes(data[start : end if cut < 0 else cut + 1])
+
+
+def _load_embeddings_v2(data, start, end, dim, count):
+    """The body ``data[start:end]`` of a v2 file: the ids line, then the
+    matrix row-major, its rows views of the file's bytes."""
+    ids_line = _first_line(data, start, end)
+    data_size = end - start - len(ids_line)
+    matrix = None
+    if data_size == 8 * dim * count:
+        matrix = np.frombuffer(data, "<f8", dim * count, start + len(ids_line)).reshape(count, dim)
+    return _embedding_vectors(ids_line, count, dim, data_size, matrix)
+
+
+def _load_embeddings_v3(stream, size, dim, count):
+    """The `size`-byte body a v3 file's zlib stream inflates to: the ids
+    line, then the matrix as byte planes, each inflated straight into a new
+    matrix. The stream is checked whole before the ids are read."""
+    data_size = 8 * dim * count
+    if size <= data_size:  # no room for an ids line: name what the body holds
+        body = inflate(stream, size)
+        return _load_embeddings_v2(body, 0, size, dim, count)
+    inflater = Inflater(stream, size)
+    ids_line = inflater.read(size - data_size)
+    # plane 0 comes first, so the matrix is made only once the stream has
+    # given an eighth of it, whatever size the header declares
+    plane0 = inflater.read(dim * count)
+    matrix = np.empty((count, dim), "<f8")
+    planes = _byte_planes(matrix)
+    planes[0] = np.frombuffer(plane0, np.uint8).reshape(dim, count)
+    del plane0
+    for plane in planes[1:]:
+        inflater.readinto(plane)
+    inflater.close()
+    matrix.flags.writeable = False
+    ids_line = _first_line(ids_line, 0, len(ids_line))
+    return _embedding_vectors(ids_line, count, dim, size - len(ids_line), matrix)
 
 
 def _load_embeddings_binary(data, version):
@@ -281,9 +282,8 @@ def _load_embeddings_binary(data, version):
     sizes = _embedding_header(data[:head_end].decode("ascii", "replace"), version)
     dim, count = sizes[:2]
     if version == "v2":
-        return _embedding_body(data, head_end + 1, end, dim, count, planes=False)
-    body = _inflate(memoryview(data)[head_end + 1 : end], sizes[2])
-    return _embedding_body(body, 0, len(body), dim, count, planes=True)
+        return _load_embeddings_v2(data, head_end + 1, end, dim, count)
+    return _load_embeddings_v3(memoryview(data)[head_end + 1 : end], sizes[2], dim, count)
 
 
 def load_embeddings(path):
@@ -298,7 +298,9 @@ def load_embeddings(path):
          column d-1><8-byte BLAKE2b checksum of every byte before it>
 
     The checksum is checked before anything is inflated, and inflating
-    stops one byte past B. v2 (written before v3; still read)::
+    stops one byte past B. The ids line comes out first, then each byte
+    plane straight into the new matrix, so a load never holds the whole
+    inflated body. v2 (written before v3; still read)::
 
         driftsketch-emb v2 dim=<d> count=<n>
         <the n ids as one JSON array, space-padded so the rows start 8-byte aligned>

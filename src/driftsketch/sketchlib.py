@@ -98,7 +98,7 @@ class SketchLibrary:
     Every library is made by ``_from_distinct``, which takes the distinct
     rows and the row indices as they are and checks that they are
     canonical, in O(u*k + m) time and memory. ``build_library`` deduplicates
-    as it sketches and a v2 or v3 file already holds the two arrays, so
+    as it sketches and a v2-v4 file already holds the two arrays, so
     neither makes an (m, k) matrix. ``from_minima``, for v1 files and the
     public API, deduplicates m given rows first.
     The ``(source_id, signature)`` pairs in ``entries`` are made on first

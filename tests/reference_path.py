@@ -27,6 +27,13 @@ whitespace run and wanted exactly two fields. On every file it reads, the
 package's reader, which splits on the last run only, must give the same
 labels.
 
+`encode_library_v3` below is the v3 library writer, which the package
+replaced with v4: magic, version 3, then the body as it is (u64 header
+length, JSON header, distinct rows, row indices) and a BLAKE2b checksum.
+It gives the committed v3 fixture's bytes exactly. `library_body` and
+`seal_library` take a v2, v3 or v4 file apart into that body and seal a body
+back into a file of any of those versions, so tests can forge files of each.
+
 `library_rows` below is the library's row deduplication as it stood when
 every library was made from one (m, k) matrix of all its rows. The package's
 `build_library`, which deduplicates as it sketches, must give the same
@@ -36,6 +43,7 @@ module.
 
 import hashlib
 import json
+import zlib
 
 import numpy as np
 
@@ -51,6 +59,7 @@ from driftsketch.noiselab import (
 )
 from driftsketch.sketchlib import build_library, gate_check
 from driftsketch.stats import drift_report
+from driftsketch.store import _jdump
 
 
 def _next_header_token(data, pos):
@@ -286,3 +295,51 @@ def library_rows(minima):
         dtype=np.intp,
     )
     return rows[np.unique(row_index, return_index=True)[1]], row_index
+
+
+def encode_library_v3(lib):
+    u, k = lib.distinct_minima.shape
+    header = {
+        "sketch": {"k": lib.sketch_config.k, "hash_seed": lib.sketch_config.hash_seed},
+        "quant": {
+            "bin_width": lib.quant_config.bin_width,
+            "origin": lib.quant_config.origin,
+            "clamp_lo": lib.quant_config.clamp_lo,
+            "clamp_hi": lib.quant_config.clamp_hi,
+        },
+        "extract_fingerprint": lib.extract_fingerprint,
+        "dim": lib.dim,
+        "ids": list(lib.ids),
+        "m": len(lib),
+        "u": u,
+        "k": k,
+    }
+    header = _jdump(header, sort_keys=True).encode("utf-8")
+    data = b"".join((
+        b"DSKL",
+        (3).to_bytes(2, "little"),
+        len(header).to_bytes(8, "little"),
+        header,
+        lib.distinct_minima.astype("<u8").tobytes(),
+        lib.row_index.astype("<u4").tobytes(),
+    ))
+    return data + hashlib.blake2b(data, digest_size=8).digest()
+
+
+def library_body(data):
+    """The body of a v2, v3 or v4 library file: as stored, or inflated (v4)."""
+    if int.from_bytes(data[4:6], "little") >= 4:
+        return zlib.decompress(data[14:-8])
+    return data[6:-8]
+
+
+def seal_library(body, version):
+    """A library file of `version` around any body, under a valid checksum:
+    v2 and v3 store the body as it is, v4 its length and one level-1 zlib
+    stream of it."""
+    data = b"DSKL" + version.to_bytes(2, "little")
+    if version >= 4:
+        data += len(body).to_bytes(8, "little") + zlib.compress(body, 1)
+    else:
+        data += body
+    return data + hashlib.blake2b(data, digest_size=8).digest()

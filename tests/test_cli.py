@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import io
 import json
 import os
@@ -25,7 +24,7 @@ from driftsketch.core import DataError, FeatureVector, derive_seed, seeded_rng
 from driftsketch.extract import ExtractConfig, extract_batch, extract_fingerprint
 from driftsketch.noiselab import salt_pepper
 from driftsketch.sketchlib import GateConfig, gate_check
-from driftsketch.store import load_model, load_split, read_library, read_report
+from driftsketch.store import LIBRARY_VERSION, load_model, load_split, read_library, read_report
 from synthcorpus import corpus, rgb_corpus, uniform_noise_images
 
 import reference_path
@@ -931,31 +930,24 @@ class TestCorruptLibrary:
     ):
         """A checksummed library whose sketch/quant config is invalid is bad data (exit 3)."""
         section, field, value = forged
-        end = 14 + int.from_bytes(library_bytes[6:14], "little")
-        obj = json.loads(library_bytes[14:end])
+        body = reference_path.library_body(library_bytes)
+        end = 8 + int.from_bytes(body[:8], "little")
+        obj = json.loads(body[8:end])
         obj[section][field] = value
-        header = json.dumps(obj).encode("utf-8")
-        forged_bytes = (
-            library_bytes[:6] + len(header).to_bytes(8, "little") + header + library_bytes[end:-8]
+        code, err = self._gate_forged(
+            tmp_path, baseline_dir, capsys, json.dumps(obj).encode("utf-8"), body[end:]
         )
-        lib = tmp_path / "forged.dskl"
-        lib.write_bytes(forged_bytes + hashlib.blake2b(forged_bytes, digest_size=8).digest())
-        capsys.readouterr()
-        query = os.path.join(baseline_dir, "img000.pgm")
-        code = main(["gate", query, "--library", str(lib), "--out", "-"])
-        err = capsys.readouterr().err
         assert code == 3
         assert "malformed-payload" in err
         assert "Traceback" not in err
 
     @staticmethod
     def _gate_forged(tmp_path, baseline_dir, capsys, header, data):
-        """The exit code and stderr of gate against a library file of
-        ``header`` and ``data`` under a valid checksum."""
-        body = b"DSKL" + (3).to_bytes(2, "little") + len(header).to_bytes(8, "little")
-        body += header + data
+        """The exit code and stderr of gate against a library file of the
+        current version holding ``header`` and ``data`` under a valid checksum."""
+        body = len(header).to_bytes(8, "little") + header + data
         lib = tmp_path / "forged.dskl"
-        lib.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+        lib.write_bytes(reference_path.seal_library(body, LIBRARY_VERSION))
         capsys.readouterr()
         query = os.path.join(baseline_dir, "img000.pgm")
         code = main(["gate", query, "--library", str(lib), "--out", "-"])
@@ -972,12 +964,13 @@ class TestCorruptLibrary:
     def test_non_canonical_rows_are_malformed_payload(
         self, tmp_path, baseline_dir, library_bytes, capsys, fault
     ):
-        end = 14 + int.from_bytes(library_bytes[6:14], "little")
-        header = json.loads(library_bytes[14:end])
+        body = reference_path.library_body(library_bytes)
+        end = 8 + int.from_bytes(body[:8], "little")
+        header = json.loads(body[8:end])
         u, k = header["u"], header["k"]
         split = end + 8 * u * k
-        rows = np.frombuffer(library_bytes[end:split], "<u8").reshape(u, k).copy()
-        index = np.frombuffer(library_bytes[split:-8], "<u4").copy()
+        rows = np.frombuffer(body[end:split], "<u8").reshape(u, k).copy()
+        index = np.frombuffer(body[split:], "<u4").copy()
         assert u >= 2 and index[0] == 0
         if fault == "repeated-row":
             rows[-1] = rows[0]

@@ -214,6 +214,8 @@ def _every_bit_flip_detected(path, loader, step=1):
 V1_LIBRARY = Path(__file__).parent / "data" / "library_v1.dskl"
 # a v2 library, as the v2 writer saved _v2_fixture_library()
 V2_LIBRARY = Path(__file__).parent / "data" / "library_v2.dskl"
+# a v3 library, as the v3 writer saved _v3_fixture_library()
+V3_LIBRARY = Path(__file__).parent / "data" / "library_v3.dskl"
 
 
 def _forge_v1(old, new):
@@ -312,6 +314,18 @@ def _v2_fixture_library():
     )
 
 
+def _v3_fixture_library():
+    """The library the v3 fixture file was written from: 6 structured images
+    and 2 noise images under the default extractor, ids with a space and
+    non-ASCII characters, bin width 0.1, k=24, hash seed 11."""
+    cfg = ExtractConfig()
+    images = corpus(33, 6, "library-v3") + uniform_noise_images(33, 2)
+    feats = [extract_builtin(img, cfg, f"scan {i} \u00e9t\u00e9.pgm") for i, img in enumerate(images)]
+    return build_library(
+        feats, QuantConfig(bin_width=0.1), SketchConfig(k=24, hash_seed=11), extract_fingerprint(cfg)
+    )
+
+
 def _without_dim(lib):
     """The same library with its dimension unknown, as a v1 or v2 file loads."""
     return SketchLibrary.from_minima(
@@ -321,21 +335,28 @@ def _without_dim(lib):
 
 
 def _split_v2(data):
-    """(header object, distinct-row bytes, row-index bytes) of a v2 or v3
-    library (v3 is the v2 layout with ``dim`` in the header)."""
-    end = 14 + int.from_bytes(data[6:14], "little")
-    header = json.loads(data[14:end])
+    """(header object, distinct-row bytes, row-index bytes) of a v2, v3 or
+    v4 library (v3 is the v2 layout with ``dim`` in the header; v4 holds the
+    v3 body in one zlib stream)."""
+    body = reference_path.library_body(data)
+    end = 8 + int.from_bytes(body[:8], "little")
+    header = json.loads(body[8:end])
     split = end + 8 * header["u"] * header["k"]
-    return header, data[end:split], data[split:-8]
+    return header, body[end:split], body[split:]
 
 
 def _seal_v2(header, matrix, index, version=LIBRARY_VERSION):
-    """A v2-layout library file (by default of the current version) with a
-    valid checksum around any header and data."""
+    """A library file of `version` (by default the current one) with a valid
+    checksum around any header and data."""
     head = json.dumps(header).encode("utf-8")
-    data = b"DSKL" + version.to_bytes(2, "little") + len(head).to_bytes(8, "little") + head
-    data += matrix + index
-    return data + hashlib.blake2b(data, digest_size=8).digest()
+    return reference_path.seal_library(
+        len(head).to_bytes(8, "little") + head + matrix + index, version
+    )
+
+
+def _v3_and_v4(lib):
+    """(version, file bytes) of `lib` as the v3 writer and as save_library write it."""
+    return [(3, reference_path.encode_library_v3(lib)), (LIBRARY_VERSION, save_library(lib))]
 
 
 def _index_bytes(*index):
@@ -411,16 +432,24 @@ class TestLibraryVersions:
         assert load_library(_seal_v2(header, matrix, index, version=2)).dim is None
 
     def test_v3_header_records_dim(self):
-        header, matrix, index = _split_v2(save_library(_v1_fixture_library()))
-        assert header["dim"] == 4
-        assert load_library(_seal_v2(header, matrix, index)).dim == 4
-        assert load_library(_seal_v2(dict(header, dim=None), matrix, index)).dim is None
+        """v3 and v4 headers record dim (v4 inside its zlib stream)."""
+        for version, data in _v3_and_v4(_v1_fixture_library()):
+            header, matrix, index = _split_v2(data)
+            assert header["dim"] == 4
+            assert load_library(_seal_v2(header, matrix, index, version)).dim == 4
+            forged = _seal_v2(dict(header, dim=None), matrix, index, version)
+            assert load_library(forged).dim is None
 
     def test_resealed_v2_file_loads(self):
         # the forgeries below differ from this one only in the field they break
         data = save_library(_v1_fixture_library())
         again = load_library(_seal_v2(*_split_v2(data)))
         assert save_library(again) == data
+
+    def test_resealed_v3_file_loads(self):
+        data = reference_path.encode_library_v3(_v1_fixture_library())
+        again = load_library(_seal_v2(*_split_v2(data), version=3))
+        assert reference_path.encode_library_v3(again) == data
 
     @pytest.mark.parametrize(
         "forge",
@@ -449,13 +478,14 @@ class TestLibraryVersions:
         ],
     )
     def test_forged_v2_is_malformed(self, tmp_path, forge):
-        data = save_library(_v1_fixture_library())
+        """Each forgery, of a v3 file and of a v4 file, under a valid checksum."""
         path = tmp_path / "forged.dskl"
-        path.write_bytes(_seal_v2(*forge(*_split_v2(data))))
-        with pytest.raises(StoreError, match="malformed-payload"):
-            read_library(str(path))
+        for version, data in _v3_and_v4(_v1_fixture_library()):
+            path.write_bytes(_seal_v2(*forge(*_split_v2(data)), version))
+            with pytest.raises(StoreError, match="malformed-payload"):
+                read_library(str(path))
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     @pytest.mark.parametrize("fault", sorted(_NON_CANONICAL))
     def test_non_canonical_rows_are_malformed(self, fault, version):
         """Rows and indices that save_library cannot write are rejected, not
@@ -470,8 +500,9 @@ class TestLibraryVersions:
         [
             (V1_LIBRARY, (3, 8), [0, 1, 2, 2], "abb8a159a2f09363"),
             (V2_LIBRARY, (4, 16), [0, 0, 0, 1, 1, 0, 1, 0, 2, 3], "fe3aa5a01f5064e2"),
+            (V3_LIBRARY, (4, 24), [0, 0, 1, 0, 0, 1, 2, 3], "69a3e9fb29045c39"),
         ],
-        ids=["v1", "v2"],
+        ids=["v1", "v2", "v3"],
     )
     def test_committed_fixtures_load_to_the_recorded_arrays(
         self, path, shape, row_index, rows_digest
@@ -483,15 +514,133 @@ class TestLibraryVersions:
             rows_digest
         )
 
-    def test_saving_a_loaded_v3_file_gives_its_bytes(self):
-        for lib in (
+    @staticmethod
+    def _libraries():
+        return [
             _v1_fixture_library(),
             _v2_fixture_library(),
-            load_library(V1_LIBRARY.read_bytes()),
-            load_library(V2_LIBRARY.read_bytes()),
-        ):
+            *(load_library(path.read_bytes()) for path in (V1_LIBRARY, V2_LIBRARY, V3_LIBRARY)),
+        ]
+
+    def test_saving_a_loaded_v3_file_gives_its_bytes(self):
+        for lib in self._libraries():
+            data = reference_path.encode_library_v3(lib)
+            assert reference_path.encode_library_v3(load_library(data)) == data
+
+    def test_saving_a_loaded_v4_file_gives_its_bytes(self):
+        for lib in self._libraries():
             data = save_library(lib)
+            assert data[4:6] == (4).to_bytes(2, "little")
             assert save_library(load_library(data)) == data
+
+    def test_v3_fixture_is_the_v3_writers_bytes(self):
+        """The test-side v3 writer gives the committed fixture's bytes, and
+        the fixture loads to the library it was written from."""
+        built = _v3_fixture_library()
+        data = V3_LIBRARY.read_bytes()
+        assert reference_path.encode_library_v3(built) == data
+        old = load_library(data)
+        assert (old.ids, old.dim) == (built.ids, 48)
+        assert (old.sketch_config, old.quant_config) == (built.sketch_config, built.quant_config)
+        assert old.extract_fingerprint == built.extract_fingerprint
+        np.testing.assert_array_equal(old.distinct_minima, built.distinct_minima)
+        np.testing.assert_array_equal(old.row_index, built.row_index)
+        assert save_library(old) == save_library(built)
+
+    def test_v3_fixture_and_its_v4_rewrite_gate_identically(self, tmp_path):
+        """`gate` gives byte-identical reports against the v3 fixture and
+        against the v4 file that loading and saving it writes (each file
+        named alike, in its own folder)."""
+        images = tmp_path / "images"
+        images.mkdir()
+        for i, img in enumerate(corpus(33, 4, "library-v3") + corpus(34, 4, "other")):
+            save_image(img, str(images / f"q{i}.pgm"))
+        reports = []
+        for version in (3, 4):
+            folder = tmp_path / f"v{version}"
+            folder.mkdir()
+            lib = folder / "base.dskl"
+            if version == 3:
+                lib.write_bytes(V3_LIBRARY.read_bytes())
+            else:
+                write_library(read_library(str(V3_LIBRARY)), str(lib))
+            assert lib.read_bytes()[4:6] == version.to_bytes(2, "little")
+            out = folder / "gate.jsonl"
+            code = cli_main(["gate", str(images), "--library", str(lib), "--out", str(out)])
+            reports.append((code, out.read_bytes()))
+        assert reports[0] == reports[1]
+        assert reports[0][0] in (0, 1)
+
+
+# the v3 body of the v1 fixture's library in a level-1 zlib stream, and the
+# head of a v4 file around it, less its u64 inflated length
+_V4_BODY = reference_path.library_body(reference_path.encode_library_v3(_v1_fixture_library()))
+_V4_STREAM = zlib.compress(_V4_BODY, 1)
+_V4_MAGIC = b"DSKL" + (4).to_bytes(2, "little")
+_DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
+
+
+class TestLibraryV4:
+    @pytest.mark.parametrize(
+        "size, stream, message",
+        [
+            pytest.param(len(_V4_BODY), _V4_STREAM, None, id="well-formed"),
+            pytest.param(len(_V4_BODY), b"not a zlib stream",
+                         r"malformed-payload: corrupt zlib stream", id="not-zlib"),
+            # a valid zlib header, then a final block of the reserved type 3
+            pytest.param(len(_V4_BODY), b"\x78\x01\x07",
+                         r"malformed-payload: corrupt zlib stream", id="reserved-block-type"),
+            pytest.param(len(_V4_BODY), _V4_STREAM[:-4] + bytes(4),
+                         r"malformed-payload: corrupt zlib stream", id="wrong-adler32"),
+            pytest.param(len(_V4_BODY), _V4_STREAM[:-6],
+                         r"malformed-payload: the zlib stream ends early", id="cut-short"),
+            pytest.param(len(_V4_BODY) - 1, _V4_STREAM,
+                         r"malformed-payload: the zlib stream inflates to more than bytes=",
+                         id="longer-than-declared"),
+            pytest.param(len(_V4_BODY) + 1, _V4_STREAM,
+                         rf"malformed-payload: the zlib stream inflates to {len(_V4_BODY)} bytes, "
+                         rf"not bytes={len(_V4_BODY) + 1}",
+                         id="shorter-than-declared"),
+            pytest.param(len(_V4_BODY), _V4_STREAM + b"\x00",
+                         r"malformed-payload: 1 bytes after the zlib stream",
+                         id="bytes-after-stream"),
+            pytest.param(1032 * len(_V4_STREAM) + 1, _V4_STREAM,
+                         r"malformed-payload: bytes=\d+ cannot inflate from \d+ stream bytes",
+                         id="beyond-deflate-ratio"),
+            pytest.param(2**64 - 1, _V4_STREAM,
+                         r"malformed-payload: bytes=18446744073709551615 cannot inflate",
+                         id="largest-u64"),
+            pytest.param(0, b"", r"malformed-payload: the zlib stream ends early, after 0 bytes",
+                         id="empty-stream"),
+            # the body's own checks run on what the stream inflates to
+            pytest.param(8 + len(_DEEP_JSON),
+                         zlib.compress(len(_DEEP_JSON).to_bytes(8, "little") + _DEEP_JSON, 1),
+                         r"malformed-payload: maximum recursion depth", id="deeply-nested-json"),
+            pytest.param(len(_V4_BODY) - 4, zlib.compress(_V4_BODY[:-4], 1),
+                         r"malformed-payload: m=4, u=3, k=8 disagree", id="truncated-index"),
+        ],
+    )
+    def test_hand_sealed_files(self, tmp_path, capsys, size, stream, message):
+        """A v4 file whose checksum holds loads or raises a named error, and
+        gate exits 0 or 1, or 3 naming it, never with a zlib.error, a
+        MemoryError or a traceback."""
+        data = _V4_MAGIC + size.to_bytes(8, "little") + stream
+        lib = tmp_path / "sealed.dskl"
+        lib.write_bytes(data + hashlib.blake2b(data, digest_size=8).digest())
+        query = tmp_path / "query.emb"
+        write_embeddings([FeatureVector(np.array([0.1, -0.25, 0.52, 1.0]), "q")], str(query))
+        argv = ["gate", str(query), "--library", str(lib), "--out", "-"]
+        if message is None:
+            assert save_library(read_library(str(lib))) == save_library(_v1_fixture_library())
+            assert cli_main(argv) in (0, 1)
+            return
+        with pytest.raises(StoreError, match=message):
+            read_library(str(lib))
+        capsys.readouterr()
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert re.search(message, err)
+        assert "Traceback" not in err
 
 
 class TestModelPersistence:
@@ -903,6 +1052,28 @@ class TestLibraryMemoryBound:
         assert peak < self.M * self.K * 8, peak
 
 
+class TestEmbeddingsMemoryBound:
+    def test_v3_load(self, tmp_path):
+        """A v3 load of 256 rows of 2,048 random values (a 3.7 MB file, a
+        4.2 MB matrix, 0.5 MB byte planes) peaks below the file, the matrix
+        and two byte planes: the stream is inflated in pieces, the byte
+        planes straight into the matrix, never as one whole body."""
+        n, d = 256, 2048
+        rng = seeded_rng(19, "emb-memory")
+        path = tmp_path / "e.emb"
+        write_embeddings([FeatureVector(rng.standard_normal(d), f"r{i}") for i in range(n)],
+                         str(path))
+        tracemalloc.start()
+        try:
+            loaded = load_embeddings(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == n
+        plane = n * d
+        assert peak < path.stat().st_size + 8 * plane + 2 * plane, peak
+
+
 class TestDeeplyNestedJson:
     """JSON nested past the parser's recursion limit, under a valid checksum,
     is a named StoreError in every reader that parses JSON."""
@@ -915,13 +1086,12 @@ class TestDeeplyNestedJson:
         with pytest.raises(StoreError, match="malformed-payload: maximum recursion depth"):
             load_library(data)
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_library_v2_header(self, version):
-        data = b"DSKL" + version.to_bytes(2, "little") + len(self.DEEP).to_bytes(8, "little")
-        data += self.DEEP
-        data += hashlib.blake2b(data, digest_size=8).digest()
+        """The header of a v2 or v3 body, stored as it is or (v4) in a zlib stream."""
+        body = len(self.DEEP).to_bytes(8, "little") + self.DEEP
         with pytest.raises(StoreError, match="malformed-payload: maximum recursion depth"):
-            load_library(data)
+            load_library(reference_path.seal_library(body, version))
 
     @pytest.mark.parametrize("loader", [load_model, load_split], ids=["model", "split"])
     def test_checked_json(self, tmp_path, loader):
