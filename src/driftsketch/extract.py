@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._zstream import Inflater, inflate, seal
+from ._zstream import Body, checked, seal
 from .core import (
     ConfigError,
     DataError,
@@ -229,86 +229,59 @@ def _embedding_vectors(ids_line, count, dim, data_size, matrix):
     return [FeatureVector(values=row, source_id=sid) for sid, row in zip(ids, matrix)]
 
 
-def _first_line(data, start, end):
-    """``data[start:end]`` up to and including its first newline, or all of it."""
-    cut = data.find(b"\n", start, end)
-    return bytes(data[start : end if cut < 0 else cut + 1])
-
-
-def _load_embeddings_v2(data, start, end, dim, count):
-    """The body ``data[start:end]`` of a v2 file: the ids line, then the
-    matrix row-major, its rows views of the file's bytes."""
-    ids_line = _first_line(data, start, end)
-    data_size = end - start - len(ids_line)
-    matrix = None
-    if data_size == 8 * dim * count:
-        matrix = np.frombuffer(data, "<f8", dim * count, start + len(ids_line)).reshape(count, dim)
-    return _embedding_vectors(ids_line, count, dim, data_size, matrix)
-
-
-def _load_embeddings_v3(stream, size, dim, count):
-    """The `size`-byte body a v3 file's zlib stream inflates to: the ids
-    line, then the matrix as byte planes, each inflated straight into a new
-    matrix. The stream is checked whole before the ids are read."""
-    data_size = 8 * dim * count
-    if size <= data_size:  # no room for an ids line: name what the body holds
-        body = inflate(stream, size)
-        return _load_embeddings_v2(body, 0, size, dim, count)
-    inflater = Inflater(stream, size)
-    ids_line = inflater.read(size - data_size)
-    # plane 0 comes first, so the matrix is made only once the stream has
-    # given an eighth of it, whatever size the header declares
-    plane0 = inflater.read(dim * count)
-    matrix = np.empty((count, dim), "<f8")
-    planes = _byte_planes(matrix)
-    planes[0] = np.frombuffer(plane0, np.uint8).reshape(dim, count)
-    del plane0
-    for plane in planes[1:]:
-        inflater.readinto(plane)
-    inflater.close()
-    matrix.flags.writeable = False
-    ids_line = _first_line(ids_line, 0, len(ids_line))
-    return _embedding_vectors(ids_line, count, dim, size - len(ids_line), matrix)
-
-
 def _load_embeddings_binary(data, version):
-    """FeatureVectors of a v2 or v3 file, its checksum verified first."""
-    end = len(data) - 8
-    if end < 0 or hashlib.blake2b(memoryview(data)[:end], digest_size=8).digest() != data[end:]:
-        raise StoreError("checksum-mismatch")
-    head_end = data.find(b"\n", 0, end)
+    """FeatureVectors of a v2 or v3 file: the ids line, then the eight
+    eighths of the matrix, each read straight into where it belongs in a
+    new matrix (a byte plane for v3, a run of whole rows for v2)."""
+    sealed = checked(data)
+    head_end = data.find(b"\n", 0, len(sealed))
     if head_end < 0:
         raise StoreError("malformed-payload: header and id lines expected")
     sizes = _embedding_header(data[:head_end].decode("ascii", "replace"), version)
     dim, count = sizes[:2]
-    if version == "v2":
-        return _load_embeddings_v2(data, head_end + 1, end, dim, count)
-    return _load_embeddings_v3(memoryview(data)[head_end + 1 : end], sizes[2], dim, count)
+    body = Body(sealed[head_end + 1 :], sizes[2] if version == "v3" else None)
+    ids_size = body.size - 8 * dim * count
+    ids_line = body.read(max(ids_size, 0))
+    if ids_size <= 0 or ids_line.find(b"\n") != ids_size - 1:
+        # the ids line does not end where the matrix starts: name what the body holds
+        line, newline, _ = (ids_line + body.read(body.size)).partition(b"\n")
+        body.close()
+        ids_line = line + newline
+        return _embedding_vectors(ids_line, count, dim, body.size - len(ids_line), None)
+    # eighth 0 comes first, so the matrix is made only once the body has
+    # given an eighth of it, whatever size the header declares
+    first = body.read(dim * count)
+    matrix = np.empty((count, dim), "<f8")
+    eighths = (_byte_planes(matrix) if version == "v3"
+               else matrix.view(np.uint8).reshape(8, count, dim))
+    eighths[0] = np.frombuffer(first, np.uint8).reshape(eighths[0].shape)
+    del first
+    for eighth in eighths[1:]:
+        body.readinto(eighth)
+    body.close()
+    matrix.flags.writeable = False
+    return _embedding_vectors(ids_line, count, dim, body.size - len(ids_line), matrix)
 
 
 def load_embeddings(path):
     """Read an embedding file into FeatureVectors, preserving record order.
 
-    v3 (what ``store.write_embeddings`` writes)::
+    v3 (what ``store.write_embeddings`` writes) and v2 (written before v3;
+    still read) are sealed files (see ``_zstream``) with a text first line::
 
         driftsketch-emb v3 dim=<d> count=<n> bytes=<B>
-        <one zlib stream that inflates to B bytes: the n ids as one JSON array
-         and a newline, then the n x d little-endian float64 values as byte
-         planes (8, d, n): byte 0 of column 0 of every row, ..., byte 7 of
-         column d-1><8-byte BLAKE2b checksum of every byte before it>
-
-    The checksum is checked before anything is inflated, and inflating
-    stops one byte past B. The ids line comes out first, then each byte
-    plane straight into the new matrix, so a load never holds the whole
-    inflated body. v2 (written before v3; still read)::
-
         driftsketch-emb v2 dim=<d> count=<n>
-        <the n ids as one JSON array, space-padded so the rows start 8-byte aligned>
-        <n x d little-endian float64 rows><8-byte BLAKE2b checksum of every byte before it>
 
-    v2 and v3 give every vector as a read-only row view of one matrix, and a
-    file whose checksum holds but whose contents are wrong raises a named
-    StoreError. v1 (text, no checksum; the format for external producers)::
+    Their body is the n ids as one JSON array and a newline (v2 pads the
+    array with spaces so the rows start 8-byte aligned), then the n x d
+    little-endian float64 values: as byte planes (8, d, n) in v3, byte 0 of
+    column 0 of every row, ..., byte 7 of column d-1; row-major in v2. A v3
+    body is one zlib stream that inflates to B bytes, a v2 body is stored.
+    Each eighth of the values goes straight into one new matrix, so a load
+    never holds the whole inflated body; every vector is a read-only row
+    view of that matrix. A file whose checksum holds but whose contents are
+    wrong raises a named StoreError. v1 (text, no checksum; the format for
+    external producers)::
 
         driftsketch-emb v1 dim=<d> count=<n>
         <id> <v1> ... <vd>

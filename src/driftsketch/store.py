@@ -3,32 +3,31 @@
 Formats owned by this module:
 
 - Images: 8-bit binary PGM (P5, grayscale) and PPM (P6, RGB); maxval <= 255.
+- Embedding files and sketch libraries are sealed files (``_zstream``
+  describes the container: a head, a body stored as it is or as one zlib
+  stream, and a BLAKE2b checksum trailer).
 - Embedding files: ``write_embeddings`` checks the vectors and writes them
   as v3, a text header line, then the ids and the float64 rows as byte
-  planes in one zlib stream, then a checksum; ``extract`` encodes and reads
-  the format (``extract.load_embeddings`` documents it, and still reads v2
-  binary and v1 text).
-- Sketch library (v4): binary, magic ``DSKL``, u16 version, u64 B, one
-  level-1 zlib stream that inflates to exactly B bytes, then an 8-byte
-  BLAKE2b checksum of every byte before it. The B bytes are the v3 body: a
-  u64 header length, a JSON header (configs, extractor fingerprint, ids, m,
-  u, k, and ``dim``, the feature dimension or null where unknown), the u
-  distinct minima rows as a u x k little-endian uint64 matrix in order of
-  first occurrence, and the m row indices (``ids[i]`` has row ``index[i]``)
-  as little-endian uint32. The checksum is checked before anything is
-  inflated, and a stream that is corrupt, cut short, longer or shorter than
-  B or followed by other bytes is a named error. The ids and the repeated
-  minima deflate well: the 2000-image benchmark baseline takes 8,984 bytes
-  against 45,472 as v3. The bytes of a v4 file may differ between zlib
-  builds; the library they decode to does not. v3 files store that body as
-  it is, after the version; v2 files have the same layout without ``dim``;
-  v1 files (u64 payload length, one JSON payload holding every row, 8-byte
-  BLAKE2b checksum of the payload) hold every row. All three still load, v1
-  and v2 with the dimension unknown. A v2-v4 file's distinct rows and row
-  indices become the library's arrays as they are, checked for the
-  canonical form ``save_library`` writes; a v1 file's rows are deduplicated
-  as ``SketchLibrary.from_minima`` does. So gate scores do not depend on
-  which version a library came from.
+  planes in one zlib stream; ``extract`` encodes and reads the format
+  (``extract.load_embeddings`` documents it, and still reads v2 binary and
+  v1 text).
+- Sketch library (v4): magic ``DSKL``, u16 version, u64 B, then a zlib
+  stream that inflates to the B-byte v3 body: a u64 header length, a JSON
+  header (configs, extractor fingerprint, ids, m, u, k, and ``dim``, the
+  feature dimension or null where unknown), the u distinct minima rows as a
+  u x k little-endian uint64 matrix in order of first occurrence, and the m
+  row indices (``ids[i]`` has row ``index[i]``) as little-endian uint32.
+  The ids and the repeated minima deflate well: the 2000-image benchmark
+  baseline takes 8,984 bytes against 45,472 as v3. The bytes of a v4 file
+  may differ between zlib builds; the library they decode to does not. v3
+  files store that body as it is, after the version; v2 files have the
+  same layout without ``dim``; v1 files (u64 payload length, one JSON
+  payload holding every row, the payload alone sealed) hold every row. All
+  three still load, v1 and v2 with the dimension unknown. A v2-v4 file's
+  distinct rows and row indices become the library's arrays as they are,
+  checked for the canonical form ``save_library`` writes; a v1 file's rows
+  are deduplicated as ``SketchLibrary.from_minima`` does. So gate scores do
+  not depend on which version a library came from.
 - Model checkpoints and split plans: one-line JSON followed by a
   ``# blake2b=<hex>`` integrity line.
 - Reports (drift, sensitivity and gate): JSON-lines or CSV, one record per
@@ -52,11 +51,12 @@ import os
 import re
 import tempfile
 import typing
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._zstream import inflate, seal
+from ._zstream import Body, checked, seal
 from .core import ConfigError, DataError, ImageGrid, StoreError, seeded_rng
 from .extract import _encode_embeddings
 from .sketchlib import GateReport, GateResult, QuantConfig, SketchConfig, SketchLibrary
@@ -232,13 +232,8 @@ def save_library(lib):
     """Serialize a SketchLibrary to v4 bytes (see the module docstring)."""
     u, k = lib.distinct_minima.shape
     header = {
-        "sketch": {"k": lib.sketch_config.k, "hash_seed": lib.sketch_config.hash_seed},
-        "quant": {
-            "bin_width": lib.quant_config.bin_width,
-            "origin": lib.quant_config.origin,
-            "clamp_lo": lib.quant_config.clamp_lo,
-            "clamp_hi": lib.quant_config.clamp_hi,
-        },
+        "sketch": asdict(lib.sketch_config),
+        "quant": asdict(lib.quant_config),
         "extract_fingerprint": lib.extract_fingerprint,
         "dim": lib.dim,
         "ids": list(lib.ids),
@@ -259,21 +254,20 @@ def save_library(lib):
 
 
 def _read_library_v1(data):
-    """(header object, ids, minima rows, None) of a v1 file: one JSON
-    payload holding all m rows."""
+    """(header object, ids, minima rows) of a v1 file: a u64 length, then
+    one JSON payload holding all m rows, sealed alone."""
     length = int.from_bytes(data[6:14], "little")
-    payload = data[14 : 14 + length]
-    trailer = data[14 + length : 14 + length + 8]
-    if len(payload) != length or len(trailer) != 8:
+    if len(data) < 22 + length:
         raise StoreError("checksum-mismatch: truncated payload")
-    if hashlib.blake2b(payload, digest_size=8).digest() != trailer:
-        raise StoreError("checksum-mismatch")
+    payload = checked(memoryview(data)[14:])
+    if len(payload) != length:
+        raise StoreError(f"malformed-payload: {len(payload) - length} bytes after the payload")
     try:
-        obj = json.loads(payload.decode("utf-8"))
+        obj = json.loads(bytes(payload).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StoreError(f"checksum-mismatch: undecodable payload ({exc})")
     entries = obj["entries"]
-    return obj, [e["source_id"] for e in entries], [e["minima"] for e in entries], None
+    return obj, [e["source_id"] for e in entries], [e["minima"] for e in entries]
 
 
 def _header_size(obj, key):
@@ -284,66 +278,64 @@ def _header_size(obj, key):
 
 
 def _library_body(body):
-    """(header object, ids, distinct rows, row index) of a v2-v4 body (u64
-    header length, JSON header, rows, indices), its sizes checked; the two
-    arrays are copied out of the body as they are."""
-    start = 8 + int.from_bytes(body[:8], "little")
-    obj = json.loads(bytes(body[8:start]).decode("utf-8"))
-    m, u, k = (_header_size(obj, key) for key in ("m", "u", "k"))
-    ids = obj["ids"]
-    if len(ids) != m or k != obj["sketch"]["k"] or len(body) != start + 8 * u * k + 4 * m:
-        raise StoreError(
-            f"malformed-payload: m={m}, u={u}, k={k} disagree with {len(ids)} ids, "
-            f"sketch k {obj['sketch']['k']!r} or {len(body) - start} data bytes"
-        )
-    distinct = np.frombuffer(body, "<u8", u * k, start).reshape(u, k).astype(np.uint64)
-    row_index = np.frombuffer(body, "<u4", m, start + 8 * u * k).astype(np.intp)
+    """(header object, ids, distinct rows, row index) of a v2-v4 ``Body``
+    (u64 header length, JSON header, rows, indices), its sizes checked; the
+    rows and indices are read straight into new arrays."""
+    start = 8 + int.from_bytes(body.read(8), "little")
+    header = body.read(start - 8)
+    try:
+        obj = json.loads(header.decode("utf-8"))
+        m, u, k = (_header_size(obj, key) for key in ("m", "u", "k"))
+        ids = obj["ids"]
+        if len(ids) != m or k != obj["sketch"]["k"] or body.size != start + 8 * u * k + 4 * m:
+            raise StoreError(
+                f"malformed-payload: m={m}, u={u}, k={k} disagree with {len(ids)} ids, "
+                f"sketch k {obj['sketch']['k']!r} or {body.size - start} data bytes"
+            )
+    except (StoreError, KeyError, TypeError, ValueError, RecursionError):
+        body.close()  # a fault in a zlib stream names itself before the header's
+        raise
+    distinct = np.empty((u, k), "<u8")
+    row_index = np.empty(m, "<u4")
+    body.readinto(distinct.view(np.uint8))
+    body.readinto(row_index.view(np.uint8).reshape(m, 4))
+    body.close()
     return obj, ids, distinct, row_index
-
-
-def _read_library_v2(data):
-    """(header object, ids, distinct rows, row index) of a v2, v3 or v4
-    file, its checksum verified before anything is parsed or inflated: v2
-    and v3 store the body as it is, v4 stores u64 B, then one zlib stream
-    that inflates to the B-byte body."""
-    view = memoryview(data)
-    if len(data) < 22 or hashlib.blake2b(view[:-8], digest_size=8).digest() != data[-8:]:
-        raise StoreError("checksum-mismatch")
-    if int.from_bytes(data[4:6], "little") < 4:
-        return _library_body(view[6:-8])
-    return _library_body(inflate(view[14:-8], int.from_bytes(data[6:14], "little")))
-
-
-# v3 is the v2 layout with ``dim`` in the header; v4 is the v3 body in one zlib stream
-_LIBRARY_READERS = {1: _read_library_v1, 2: _read_library_v2, 3: _read_library_v2,
-                    4: _read_library_v2}
 
 
 def load_library(data):
     """Deserialize a v4 library, verifying the checksum and sizes; v3, v2
     and v1 files still load.
 
-    A v4 file's checksum is checked before its zlib stream is inflated, and
-    a stream that does not inflate to exactly the declared length B is
-    StoreError("malformed-payload"); the B bytes are read as a v3 body. The
-    2000-image benchmark baseline takes 8,984 bytes as v4 against 45,472 as
-    v3. v4 bytes may differ between zlib builds; the library they decode to
-    does not. A v2, v3 or v4 file's arrays are taken as they are, in
-    O(u*k + m), and must be canonical: rows or indices that ``save_library``
-    cannot have written raise StoreError("malformed-payload"). A v1 file's
-    m rows are deduplicated. So the library in memory is the same whichever
-    file it came from, except that v1 and v2 files leave its dimension
-    unknown.
+    Every version is a sealed file (see ``_zstream``) whose checksum is
+    checked before anything is parsed or inflated. A v4 body is one zlib
+    stream, a v2 or v3 body is stored, and all three are read as a v3 body
+    (v2 without ``dim``). A v2, v3 or v4 file's arrays are taken as they
+    are, in O(u*k + m), and must be canonical: rows or indices that
+    ``save_library`` cannot have written raise
+    StoreError("malformed-payload"). A v1 file's m rows are deduplicated.
+    So the library in memory is the same whichever file it came from,
+    except that v1 and v2 files leave its dimension unknown.
     """
     if len(data) < 6 or data[:4] != LIBRARY_MAGIC:
         raise StoreError("bad-magic: not a sketch library file")
     version = int.from_bytes(data[4:6], "little")
-    if version not in _LIBRARY_READERS:
+    if not 1 <= version <= LIBRARY_VERSION:
         raise StoreError(f"version-unsupported: {version}")
     if len(data) < 14:
         raise StoreError("checksum-mismatch: truncated file")
     try:
-        obj, ids, rows, row_index = _LIBRARY_READERS[version](data)
+        if version == 1:
+            obj, ids, rows = _read_library_v1(data)
+        else:
+            if len(data) < 22:  # magic, version, a u64 and the checksum
+                raise StoreError("checksum-mismatch")
+            sealed = checked(data)
+            if version == 4:
+                body = Body(sealed[14:], int.from_bytes(sealed[6:14], "little"))
+            else:
+                body = Body(sealed[6:])
+            obj, ids, rows, row_index = _library_body(body)
         dim = None if version < 3 or obj["dim"] is None else _header_size(obj, "dim")
         if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
             raise StoreError("malformed-payload: ids must be a list of strings")
@@ -353,7 +345,7 @@ def load_library(data):
             obj["extract_fingerprint"],
             dim,
         )
-        if row_index is None:
+        if version == 1:
             return SketchLibrary.from_minima(ids, rows, *configs)
         return SketchLibrary._from_distinct(ids, rows, row_index, *configs)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError, ConfigError) as exc:
@@ -384,9 +376,11 @@ def _write_checked_json(obj, path):
 def _read_checked_json(path, kind):
     with open(path, "rb") as fh:
         raw = fh.read()
-    lines = raw.split(b"\n")
+    lines = raw.split(b"\n", 2)
     if len(lines) < 3:
         raise StoreError(f"bad-magic: not a {kind} file")
+    if lines[2]:
+        raise StoreError(f"checksum-mismatch: {len(lines[2])} bytes after the integrity line")
     payload, checksum_line = lines[0], lines[1].decode("ascii", errors="replace")
     if not checksum_line.startswith(_CHECKSUM_PREFIX):
         raise StoreError(f"bad-magic: missing integrity line in {kind} file")
@@ -422,6 +416,8 @@ def load_model(path):
     obj = _read_checked_json(path, "head_model")
     try:
         w = np.array(obj["w"], dtype=np.float64)
+        if w.ndim != 1:
+            raise StoreError(f"malformed-payload: weights must be a flat list, got shape {w.shape}")
         if w.shape[0] != obj["dim"]:
             raise StoreError(f"malformed-payload: dim {obj['dim']} but {w.shape[0]} weights")
         return HeadModel(w=w, b=float(obj["b"]))
@@ -453,8 +449,9 @@ def split_dataset(ids, n_groups, seed):
     if n_groups < 2:
         raise ConfigError(f"config-invalid: n_groups must be >= 2, got {n_groups}")
     ids = list(ids)
-    if len(set(ids)) != len(ids):
-        dupes = sorted({x for x in ids if ids.count(x) > 1})
+    counts = Counter(ids)
+    if len(counts) != len(ids):
+        dupes = sorted(x for x, n in counts.items() if n > 1)
         raise DataError(f"duplicate-ids: {dupes[:5]}")
     if len(ids) < n_groups:
         raise DataError(f"too-few-ids: {len(ids)} ids for {n_groups} groups")
@@ -477,13 +474,19 @@ def save_split(plan, path):
 def load_split(path):
     obj = _read_checked_json(path, "split_plan")
     try:
-        return SplitPlan(
+        plan = SplitPlan(
             n_groups=int(obj["n_groups"]),
             seed=int(obj["seed"]),
             assignment={k: int(v) for k, v in obj["assignment"].items()},
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise StoreError(f"malformed-payload: {exc}")
+    for sid, group in plan.assignment.items():
+        if not 0 <= group < plan.n_groups:
+            raise StoreError(
+                f"malformed-payload: id {sid!r} in group {group}, outside [0, {plan.n_groups})"
+            )
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -514,6 +515,24 @@ class TestLibraryVersions:
             rows_digest
         )
 
+    @pytest.mark.parametrize("byte", [b"\x00", b"\n", b"\xff"])
+    @pytest.mark.parametrize("path", [V1_LIBRARY, V2_LIBRARY, V3_LIBRARY, None],
+                             ids=["v1", "v2", "v3", "v4"])
+    def test_an_appended_byte_is_a_named_error(self, path, byte):
+        """One byte after the checksum of a committed fixture or of a fresh
+        v4 file is a checksum mismatch, in every version."""
+        data = save_library(_v1_fixture_library()) if path is None else path.read_bytes()
+        with pytest.raises(StoreError, match="^checksum-mismatch$"):
+            load_library(data + byte)
+
+    def test_v1_bytes_after_the_payload_are_malformed(self):
+        """A v1 payload longer than its length field, under a valid checksum."""
+        data = V1_LIBRARY.read_bytes()
+        payload = data[14:-8] + b" "
+        forged = data[:14] + payload + hashlib.blake2b(payload, digest_size=8).digest()
+        with pytest.raises(StoreError, match="^malformed-payload: 1 bytes after the payload$"):
+            load_library(forged)
+
     @staticmethod
     def _libraries():
         return [
@@ -642,6 +661,22 @@ class TestLibraryV4:
         assert re.search(message, err)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("version", [2, 3, 4])
+    def test_header_length_past_the_body(self, version):
+        """A header length beyond the body reads no more than the body."""
+        body = (2**62).to_bytes(8, "little") + b'{"m":0}'
+        with pytest.raises(StoreError, match="^malformed-payload: 'u'$"):
+            load_library(reference_path.seal_library(body, version))
+
+    def test_a_stream_fault_is_named_before_a_header_fault(self):
+        """A header that does not parse, in a stream followed by a stray byte:
+        the stream fault is the one named."""
+        body = (7).to_bytes(8, "little") + b'{"m":0'
+        data = _V4_MAGIC + len(body).to_bytes(8, "little") + zlib.compress(body, 1) + b"\x00"
+        data += hashlib.blake2b(data, digest_size=8).digest()
+        with pytest.raises(StoreError, match="malformed-payload: 1 bytes after the zlib stream"):
+            load_library(data)
+
 
 class TestModelPersistence:
     def test_round_trip(self, tmp_path):
@@ -671,6 +706,52 @@ class TestModelPersistence:
         path.write_bytes(line + b"\n# blake2b=" + _digest(line).encode("ascii") + b"\n")
         with pytest.raises(DataError, match="non-finite-parameter"):
             load_model(str(path))
+
+
+def _checked_json(line):
+    """A checked JSON document of one line, as ``_write_checked_json`` lays it out."""
+    return line + b"\n# blake2b=" + _digest(line).encode("ascii") + b"\n"
+
+
+class TestCheckedJson:
+    @pytest.mark.parametrize("extra", [b"x", b"\n", b"# blake2b=0\n"])
+    @pytest.mark.parametrize("kind", ["model", "split"])
+    def test_bytes_after_the_integrity_line(self, tmp_path, kind, extra):
+        path = tmp_path / "doc.json"
+        if kind == "model":
+            save_model(HeadModel(w=[0.5, -1.0], b=0.25), str(path))
+        else:
+            save_split(split_dataset(["a", "b", "c"], 2, seed=0), str(path))
+        path.write_bytes(path.read_bytes() + extra)
+        loader = load_model if kind == "model" else load_split
+        with pytest.raises(
+            StoreError, match=f"^checksum-mismatch: {len(extra)} bytes after the integrity line$"
+        ):
+            loader(str(path))
+
+    @pytest.mark.parametrize(
+        "w, shape",
+        [(b"5.0", r"\(\)"), (b"[[1.0,2.0]]", r"\(1, 2\)"), (b"[[1.0],[2.0]]", r"\(2, 1\)")],
+    )
+    def test_weights_that_are_not_a_flat_list(self, tmp_path, w, shape):
+        line = b'{"kind":"head_model","schema_version":1,"dim":1,"w":' + w
+        path = tmp_path / "model.json"
+        path.write_bytes(_checked_json(line + b',"b":0.0,"train":null}'))
+        with pytest.raises(
+            StoreError, match=rf"^malformed-payload: weights must be a flat list, got shape {shape}$"
+        ):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("group", [5, 2, -1])
+    def test_split_group_outside_the_plan(self, tmp_path, group):
+        line = b'{"kind":"split_plan","schema_version":1,"n_groups":2,"seed":0,'
+        line += b'"assignment":{"a":0,"b":%d}}' % group
+        path = tmp_path / "plan.json"
+        path.write_bytes(_checked_json(line))
+        with pytest.raises(
+            StoreError, match=rf"^malformed-payload: id 'b' in group {group}, outside \[0, 2\)$"
+        ):
+            load_split(str(path))
 
 
 def _drift_report():
@@ -1296,6 +1377,15 @@ class TestEmbeddingsV2:
         with pytest.raises(DataError, match=r"^[a-z-]+(\(|:|$)"):
             _load_bytes(tmp_path, bad)
 
+    @pytest.mark.parametrize("byte", [b"\x00", b"\n", b"\xff"])
+    def test_an_appended_byte_is_a_named_error(self, tmp_path, byte):
+        """One byte after the checksum of a fresh v3 file or of the v2 fixture."""
+        path = tmp_path / "e.emb"
+        write_embeddings(_v1_fixture_features(), str(path))
+        for good in (path.read_bytes(), V2_EMBEDDINGS.read_bytes()):
+            with pytest.raises(StoreError, match="^checksum-mismatch$"):
+                _load_bytes(tmp_path, good + byte)
+
     @pytest.mark.parametrize(
         "ids_json, rows, header, message",
         [
@@ -1499,6 +1589,17 @@ class TestSplitDataset:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError, match="duplicate-ids"):
             split_dataset(["a", "b", "a"], 2, seed=0)
+
+    def test_duplicate_ids_named_in_one_pass(self):
+        """The first five repeated ids, sorted, found in one pass: 100,000
+        ids with one repeat take well under the bound."""
+        with pytest.raises(DataError, match=r"^duplicate-ids: \['a', 'b', 'c', 'd', 'e'\]$"):
+            split_dataset(list("gfedcbaxgfedcba"), 2, seed=0)
+        ids = [f"i{k}" for k in range(100_000)] + ["i777"]
+        start = time.perf_counter()
+        with pytest.raises(DataError, match=r"^duplicate-ids: \['i777'\]$"):
+            split_dataset(ids, 2, seed=0)
+        assert time.perf_counter() - start < 5.0
 
     def test_too_few_ids(self):
         with pytest.raises(DataError, match="too-few-ids"):
