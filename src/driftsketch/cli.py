@@ -11,19 +11,18 @@ resolved config so every figure is reproducible from its own file.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
-import typing
 from dataclasses import asdict, replace
 
 from . import store
 from .core import ConfigError, DataError, PipelineConfig, _check_seed
-from .extract import ExtractConfig, extract_builtin, extract_fingerprint, load_embeddings
+from .core import _field_types, _parse_text, _stage_configs
+from .extract import extract_builtin, extract_fingerprint, load_embeddings
 from .head import TrainConfig, train_head
 from .noiselab import NOISE_KINDS, sensitivity_sweep
-from .sketchlib import GateConfig, GateReport, QuantConfig, SketchConfig, build_library, gate_check
-from .stats import StatsConfig, drift_report
+from .sketchlib import GateReport, build_library, gate_check
+from .stats import drift_report
 
 
 def _build_parser():
@@ -83,41 +82,10 @@ def _build_parser():
     return parser
 
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False}
-
-
-def _parse_value(text, hint, key):
-    """Parse one config value by its field annotation; only Optional fields take none."""
-    text = text.strip()
-    args = typing.get_args(hint)
-    if type(None) in args:
-        if text.lower() == "none":
-            return None
-        (hint,) = [a for a in args if a is not type(None)]
-    try:
-        if hint is bool:
-            return _BOOL[text.lower()]
-        return hint(text)
-    except (ValueError, KeyError):
-        raise ConfigError(f"config-invalid: cannot parse {key} = {text!r}")
-
-
-def _field_hints(cls):
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
-
-
 # config-file section -> (dataclass, {field: annotation})
 _SECTIONS = {
-    name: (cls, _field_hints(cls))
-    for name, cls in (
-        ("extract", ExtractConfig),
-        ("quant", QuantConfig),
-        ("sketch", SketchConfig),
-        ("gate", GateConfig),
-        ("stats", StatsConfig),
-        ("train", TrainConfig),
-    )
+    name: (cls, _field_types(cls))
+    for name, cls in {**_stage_configs(), "train": TrainConfig}.items()
 }
 
 
@@ -158,7 +126,7 @@ def resolve_config(args):
     file_seed = 0
     for key, text in raw.items():
         if key == "seed":
-            file_seed = _parse_value(text, int, key)
+            file_seed = _parse_text(int, text, key)
             continue
         section, _, field_name = key.partition(".")
         if section not in _SECTIONS or not field_name:
@@ -166,7 +134,7 @@ def resolve_config(args):
         _, hints = _SECTIONS[section]
         if field_name not in hints:
             raise ConfigError(f"config-invalid: unknown config key {key!r}")
-        sections[section][field_name] = _parse_value(text, hints[field_name], key)
+        sections[section][field_name] = _parse_text(hints[field_name], text, key)
     run_seed = _check_seed(file_seed if args.seed is None else args.seed)
 
     # flags merge in before anything is built, so a value they override is never checked
@@ -350,7 +318,8 @@ def _cmd_train_head(args):
 
 def _cmd_split(args):
     _, _, run_seed = resolve_config(args)
-    ids = [ln.strip() for ln in _text_lines(args.ids, DataError, "io-error") if ln.strip()]
+    # each line that is not blank is an id, exactly as written
+    ids = [ln for ln in _text_lines(args.ids, DataError, "io-error") if ln.strip()]
     plan = store.split_dataset(ids, args.groups, run_seed)
     store.save_split(plan, args.out)
     return 0

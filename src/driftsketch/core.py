@@ -1,13 +1,21 @@
 """Shared domain types, validation, and deterministic seeded randomness.
 
+`_decode` types every JSON document the package reads back by the
+annotations of the dataclass it holds, and `_parse_text` types config-file
+values and CSV cells by the same annotations.
+
 Every stochastic operation in the package draws from `seeded_rng`, a Philox
 counter-based generator keyed by (seed, stream label). Equal arguments give
 bit-identical streams across runs and platforms; distinct labels under one
 seed give independent streams.
 """
 
+import dataclasses
 import hashlib
+import reprlib
+import typing
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,6 +119,11 @@ def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    """True for Python and NumPy integers and floats; a bool is not a number."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _check_seed(seed):
     if not _is_integer(seed) or not 0 <= int(seed) <= MAX_SEED:
         raise ConfigError(f"invalid-seed: expected integer in [0, 2^64), got {seed!r}")
@@ -152,16 +165,116 @@ def derive_seed(seed, label):
     return int.from_bytes(digest, "little")
 
 
+# annotation -> the types of the JSON values it takes; a bool only where bool is named
+_JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool, list: list, dict: dict}
+_BOOLS = {"true": True, "false": False, "1": True, "0": False}
+
+
+@lru_cache(maxsize=None)
+def _field_types(cls):
+    """{field name: annotation} of a dataclass, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _optional(hint):
+    """(X, True) for an ``X | None`` annotation, else (hint, False)."""
+    args = typing.get_args(hint)
+    inner = [a for a in args if a is not type(None)]
+    return (inner[0], True) if len(inner) < len(args) else (hint, False)
+
+
+def _decode(cls, obj, **given):
+    """An instance of dataclass `cls` from the JSON object `obj`, typed by its
+    annotations; ConfigError("config-invalid: ...") names the first fault.
+
+    The keys of `obj` and `given` (fields already built) must be exactly the
+    class's fields; a missing key is named alone, as in ``'k'``. An ``int``
+    takes an integer, a ``float`` a float or an integer as ``_jdump`` writes
+    a whole float (below 1e17 and exact), ``str``, ``bool``, ``list`` and
+    ``dict`` only that JSON type, ``object`` anything, ``X | None`` also
+    null, and a dataclass field is decoded in turn. Then the class checks
+    its own ranges as it is built.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config-invalid: expected an object, got {reprlib.repr(obj)}")
+    fields = _field_types(cls)
+    for name in obj:
+        if name not in fields or name in given:
+            raise ConfigError(f"config-invalid: unknown key {reprlib.repr(name)}")
+    values = dict(given)
+    for name, hint in fields.items():
+        if name not in values:
+            if name not in obj:
+                raise ConfigError(f"config-invalid: {name!r}")
+            values[name] = _decode_value(hint, obj[name], name)
+    return cls(**values)
+
+
+def _decode_value(hint, value, name):
+    hint, optional = _optional(hint)
+    if value is None and optional or hint is object:
+        return value
+    if dataclasses.is_dataclass(hint) and isinstance(value, dict):
+        return _decode(hint, value)
+    if isinstance(value, _JSON_TYPES.get(hint, ())) and (hint is bool) == isinstance(value, bool):
+        if hint is not float:
+            return value
+        if isinstance(value, float) or abs(value) < 1e17 and float(value) == value:
+            return float(value)
+    kind = "an object" if dataclasses.is_dataclass(hint) else hint.__name__
+    null = " or null" if optional else ""
+    raise ConfigError(f"config-invalid: {name} must be {kind}{null}, got {reprlib.repr(value)}")
+
+
+def _check_reals(config):
+    """ConfigError unless every ``float`` field of a config holds an integer
+    or a float; a bool is neither."""
+    for name, hint in _field_types(type(config)).items():
+        hint, optional = _optional(hint)
+        value = getattr(config, name)
+        if hint is float and not (optional and value is None) and not _is_real(value):
+            raise ConfigError(f"config-invalid: {name} must be a number, got {value!r}")
+
+
+def _parse_text(hint, text, name):
+    """A config-file value or a CSV cell, parsed by its field's annotation:
+    a bool is ``true``, ``false``, ``1`` or ``0`` in any case, and only an
+    ``X | None`` field takes ``none``."""
+    hint, optional = _optional(hint)
+    if optional and text.lower() == "none":
+        return None
+    try:
+        return _BOOLS[text.lower()] if hint is bool else hint(text)
+    except (ValueError, KeyError):
+        raise ConfigError(f"config-invalid: cannot parse {name} = {text!r}") from None
+
+
 SCHEMA_VERSION = 1
+
+
+def _stage_configs():
+    """{PipelineConfig section: its class}, imported late to keep the module graph acyclic."""
+    from .extract import ExtractConfig
+    from .sketchlib import GateConfig, QuantConfig, SketchConfig
+    from .stats import StatsConfig
+
+    return {
+        "extract": ExtractConfig,
+        "quant": QuantConfig,
+        "sketch": SketchConfig,
+        "gate": GateConfig,
+        "stats": StatsConfig,
+    }
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Bundle of all stage configs; the unit recorded in report outputs.
 
-    Field types live in their own modules (extract, sketchlib, stats); the
-    imports here are deferred to keep the module graph acyclic. Each stage
-    config checks itself on construction; this one checks the schema version.
+    Field types live in their own modules (extract, sketchlib, stats); see
+    `_stage_configs`. Each stage config checks itself on construction; this
+    one checks the schema version.
     """
 
     schema_version: int = SCHEMA_VERSION
@@ -172,20 +285,9 @@ class PipelineConfig:
     stats: object = None
 
     def __post_init__(self):
-        from .extract import ExtractConfig
-        from .sketchlib import GateConfig, QuantConfig, SketchConfig
-        from .stats import StatsConfig
-
-        if self.schema_version != SCHEMA_VERSION:
+        if not _is_integer(self.schema_version) or self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"config-invalid: schema_version must be {SCHEMA_VERSION}")
-        defaults = {
-            "extract": ExtractConfig,
-            "quant": QuantConfig,
-            "sketch": SketchConfig,
-            "gate": GateConfig,
-            "stats": StatsConfig,
-        }
-        for name, cls in defaults.items():
+        for name, cls in _stage_configs().items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, cls())
 
@@ -194,15 +296,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d):
-        from .extract import ExtractConfig
-        from .sketchlib import GateConfig, QuantConfig, SketchConfig
-        from .stats import StatsConfig
-
-        return cls(
-            extract=ExtractConfig(**d.get("extract", {})),
-            quant=QuantConfig(**d.get("quant", {})),
-            sketch=SketchConfig(**d.get("sketch", {})),
-            gate=GateConfig(**d.get("gate", {})),
-            stats=StatsConfig(**d.get("stats", {})),
-            schema_version=d.get("schema_version", SCHEMA_VERSION),
-        )
+        """Each section present is decoded by `_decode`, a missing one takes
+        its defaults, and other keys are ignored."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"config-invalid: expected an object, got {reprlib.repr(d)}")
+        sections = {n: _decode(c, d[n]) for n, c in _stage_configs().items() if n in d}
+        return cls(schema_version=d.get("schema_version", SCHEMA_VERSION), **sections)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, _check_count, _check_seed, seeded_rng
+from .core import ConfigError, DataError, _check_count, _check_reals, _check_seed, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_reals(self)
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"config-invalid: lr must lie in (0, inf), got {self.lr}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:

@@ -18,6 +18,7 @@ from .core import (
     DataError,
     ImageGrid,
     _check_seed,
+    _is_real,
     derive_seed,
     seeded_rng,
     validate_image,
@@ -47,7 +48,7 @@ class NoiseSpec:
 
 
 def _check_level(kind, level):
-    if not np.isfinite(level):
+    if not _is_real(level) or not np.isfinite(level):
         raise ConfigError(f"invalid-{_level_name(kind)}: {level!r}")
     if kind in ("gaussian", "speckle"):
         if level < 0:

@@ -15,7 +15,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _kernels
-from .core import ConfigError, DataError, StoreError, _check_count, _check_seed, seeded_rng
+from .core import ConfigError, DataError, StoreError, _check_count, _check_reals, _check_seed
+from .core import seeded_rng
 
 
 # a bin index must have magnitude below 2**63 to be cast to int64 exactly
@@ -30,6 +31,7 @@ class QuantConfig:
     clamp_hi: float | None = None
 
     def __post_init__(self):
+        _check_reals(self)
         if not 0 < self.bin_width < np.inf:
             raise ConfigError(f"config-invalid: bin_width must lie in (0, inf), got {self.bin_width}")
         if not -np.inf < self.origin < np.inf:
@@ -248,6 +250,7 @@ class GateConfig:
     aggregation: str = "max"
 
     def __post_init__(self):
+        _check_reals(self)
         if not 0.0 <= self.j_alpha <= 1.0:
             raise ConfigError(f"config-invalid: j_alpha must lie in [0,1], got {self.j_alpha}")
         if self.aggregation not in ("max", "mean", "union"):

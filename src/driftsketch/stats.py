@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, _check_count, _check_seed, seeded_rng
+from .core import ConfigError, DataError, _check_count, _check_reals, _check_seed, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class StatsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_reals(self)
         if not 0.0 < self.ks_alpha < 1.0:
             raise ConfigError(f"config-invalid: ks_alpha must lie in (0,1), got {self.ks_alpha}")
         if self.cosine_mode not in ("centroid", "mean_pairwise"):

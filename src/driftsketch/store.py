@@ -30,6 +30,9 @@ Formats owned by this module:
   not depend on which version a library came from.
 - Model checkpoints and split plans: one-line JSON followed by a
   ``# blake2b=<hex>`` integrity line.
+- Every JSON document read back (checkpoint, split plan, library header,
+  report header and rows) is decoded by ``core._decode`` into the dataclass
+  it holds, typed by that class's annotations, after ``_check_schema``.
 - Reports (drift, sensitivity and gate): JSON-lines or CSV, one record per
   period, level or checked item, reals rendered with 17 significant digits
   (round-trip exact), a trailing checksum record; CSV extras ride in ``#``
@@ -44,13 +47,12 @@ none, and a changed pixel or digit loads as a different value. All writes
 are atomic (temp file + rename).
 """
 
-import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import tempfile
-import typing
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -58,13 +60,17 @@ import numpy as np
 
 from ._zstream import Body, checked, seal
 from .core import ConfigError, DataError, ImageGrid, StoreError, seeded_rng
+from .core import _check_count, _check_seed, _decode, _decode_value, _field_types, _is_integer
+from .core import _parse_text
 from .extract import _encode_embeddings
+from .head import HeadModel, TrainConfig
 from .sketchlib import GateReport, GateResult, QuantConfig, SketchConfig, SketchLibrary
 from .stats import DriftReport, PeriodStats
 from .noiselab import SensitivityReport, SensitivityRow
 
 LIBRARY_MAGIC = b"DSKL"
 LIBRARY_VERSION = 4
+_SCHEMA_VERSION = 1  # of every JSON document: checkpoints, split plans, reports, v1 libraries
 _CHECKSUM_PREFIX = "# blake2b="
 
 
@@ -109,6 +115,58 @@ def _jdump(obj, sort_keys=False):
         items = sorted(obj.items()) if sort_keys else obj.items()
         return "{" + ",".join(f"{json.dumps(str(k))}:{_jdump(v, sort_keys)}" for k, v in items) + "}"
     raise TypeError(f"unserializable type {type(obj).__name__}")
+
+
+def _json_int(text):
+    # _format_float writes -0.0 as "-0", which JSON reads as the integer 0
+    return -0.0 if text == "-0" else int(text)
+
+
+def _json_float(text):
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"cannot convert float infinity: {text} is past the float range")
+    return value
+
+
+def _json_object(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _loads(text):
+    """Parse JSON as the writers here write it: ``-0`` is -0.0, and a number
+    past the float range or a key repeated in one object raises ValueError."""
+    return json.loads(
+        text, parse_int=_json_int, parse_float=_json_float, object_pairs_hook=_json_object
+    )
+
+
+def _malformed(exc):
+    """StoreError("malformed-payload") naming what `exc` names, less the
+    ``config-invalid`` code of a ConfigError."""
+    return StoreError("malformed-payload: " + str(exc).removeprefix("config-invalid: "))
+
+
+def _decode_file(cls, obj, **given):
+    """``core._decode`` for what a file holds: a fault is a StoreError."""
+    try:
+        return _decode(cls, obj, **given)
+    except (ConfigError, ValueError) as exc:
+        raise _malformed(exc) from None
+
+
+def _check_schema(obj):
+    """Remove the ``schema_version`` of a JSON document; it must be 1."""
+    if not isinstance(obj, dict):
+        raise StoreError(f"malformed-payload: expected an object, got {type(obj).__name__}")
+    version = obj.pop("schema_version", None)
+    if not _is_integer(version) or version != _SCHEMA_VERSION:
+        raise StoreError(f"version-unsupported: schema_version {version!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +311,32 @@ def save_library(lib):
                 body)
 
 
+@dataclass(frozen=True)
+class _LibraryV1:
+    """The JSON payload of a v1 library, less its schema_version."""
+
+    sketch: SketchConfig
+    quant: QuantConfig
+    extract_fingerprint: str
+    entries: list
+
+
+@dataclass(frozen=True)
+class _LibraryHeader:
+    """The JSON header of a v2-v4 library body (a v2 header has no ``dim``)."""
+
+    m: int
+    u: int
+    k: int
+    ids: list
+    sketch: SketchConfig
+    quant: QuantConfig
+    extract_fingerprint: str
+    dim: int | None
+
+
 def _read_library_v1(data):
-    """(header object, ids, minima rows) of a v1 file: a u64 length, then
+    """(``_LibraryV1``, ids, minima rows) of a v1 file: a u64 length, then
     one JSON payload holding all m rows, sealed alone."""
     length = int.from_bytes(data[6:14], "little")
     if len(data) < 22 + length:
@@ -263,36 +345,33 @@ def _read_library_v1(data):
     if len(payload) != length:
         raise StoreError(f"malformed-payload: {len(payload) - length} bytes after the payload")
     try:
-        obj = json.loads(bytes(payload).decode("utf-8"))
+        obj = _loads(bytes(payload).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StoreError(f"checksum-mismatch: undecodable payload ({exc})")
-    entries = obj["entries"]
-    return obj, [e["source_id"] for e in entries], [e["minima"] for e in entries]
+    _check_schema(obj)
+    head = _decode(_LibraryV1, obj)
+    return head, [e["source_id"] for e in head.entries], [e["minima"] for e in head.entries]
 
 
-def _header_size(obj, key):
-    value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise StoreError(f"malformed-payload: {key} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _library_body(body):
-    """(header object, ids, distinct rows, row index) of a v2-v4 ``Body``
+def _library_body(body, version):
+    """(``_LibraryHeader``, distinct rows, row index) of a v2-v4 ``Body``
     (u64 header length, JSON header, rows, indices), its sizes checked; the
     rows and indices are read straight into new arrays."""
     start = 8 + int.from_bytes(body.read(8), "little")
     header = body.read(start - 8)
     try:
-        obj = json.loads(header.decode("utf-8"))
-        m, u, k = (_header_size(obj, key) for key in ("m", "u", "k"))
-        ids = obj["ids"]
-        if len(ids) != m or k != obj["sketch"]["k"] or body.size != start + 8 * u * k + 4 * m:
+        obj = _loads(header.decode("utf-8"))
+        if version == 2 and isinstance(obj, dict):
+            obj["dim"] = None  # a v2 file's dimension is unknown, whatever its header says
+        head = _decode(_LibraryHeader, obj)
+        m, u, k = head.m, head.u, head.k
+        size = start + 8 * u * k + 4 * m
+        if u < 0 or len(head.ids) != m or k != head.sketch.k or body.size != size:
             raise StoreError(
-                f"malformed-payload: m={m}, u={u}, k={k} disagree with {len(ids)} ids, "
-                f"sketch k {obj['sketch']['k']!r} or {body.size - start} data bytes"
+                f"malformed-payload: m={m}, u={u}, k={k} disagree with {len(head.ids)} ids, "
+                f"sketch k {head.sketch.k!r} or {body.size - start} data bytes"
             )
-    except (StoreError, KeyError, TypeError, ValueError, RecursionError):
+    except (StoreError, ConfigError, ValueError, RecursionError):
         body.close()  # a fault in a zlib stream names itself before the header's
         raise
     distinct = np.empty((u, k), "<u8")
@@ -300,7 +379,7 @@ def _library_body(body):
     body.readinto(distinct.view(np.uint8))
     body.readinto(row_index.view(np.uint8).reshape(m, 4))
     body.close()
-    return obj, ids, distinct, row_index
+    return head, distinct, row_index
 
 
 def load_library(data):
@@ -310,8 +389,11 @@ def load_library(data):
     Every version is a sealed file (see ``_zstream``) whose checksum is
     checked before anything is parsed or inflated. A v4 body is one zlib
     stream, a v2 or v3 body is stored, and all three are read as a v3 body
-    (v2 without ``dim``). A v2, v3 or v4 file's arrays are taken as they
-    are, in O(u*k + m), and must be canonical: rows or indices that
+    (v2 without ``dim``). The JSON header is decoded by ``core._decode``
+    into ``_LibraryHeader`` (``_LibraryV1`` for a v1 payload), so a key
+    missing or added, or a value of the wrong type, raises
+    StoreError("malformed-payload"). A v2, v3 or v4 file's arrays are taken
+    as they are, in O(u*k + m), and must be canonical: rows or indices that
     ``save_library`` cannot have written raise
     StoreError("malformed-payload"). A v1 file's m rows are deduplicated.
     So the library in memory is the same whichever file it came from,
@@ -326,7 +408,8 @@ def load_library(data):
         raise StoreError("checksum-mismatch: truncated file")
     try:
         if version == 1:
-            obj, ids, rows = _read_library_v1(data)
+            head, ids, rows = _read_library_v1(data)
+            dim = None
         else:
             if len(data) < 22:  # magic, version, a u64 and the checksum
                 raise StoreError("checksum-mismatch")
@@ -335,22 +418,17 @@ def load_library(data):
                 body = Body(sealed[14:], int.from_bytes(sealed[6:14], "little"))
             else:
                 body = Body(sealed[6:])
-            obj, ids, rows, row_index = _library_body(body)
-        dim = None if version < 3 or obj["dim"] is None else _header_size(obj, "dim")
-        if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
+            head, rows, row_index = _library_body(body, version)
+            ids, dim = head.ids, head.dim
+        if not all(isinstance(sid, str) for sid in ids):
             raise StoreError("malformed-payload: ids must be a list of strings")
-        configs = (
-            SketchConfig(**obj["sketch"]),
-            QuantConfig(**obj["quant"]),
-            obj["extract_fingerprint"],
-            dim,
-        )
+        configs = (head.sketch, head.quant, head.extract_fingerprint, dim)
         if version == 1:
             return SketchLibrary.from_minima(ids, rows, *configs)
         return SketchLibrary._from_distinct(ids, rows, row_index, *configs)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError, ConfigError) as exc:
         # RecursionError: JSON nested too deeply for the parser
-        raise StoreError(f"malformed-payload: {exc}")
+        raise _malformed(exc)
 
 
 def write_library(lib, path):
@@ -374,6 +452,8 @@ def _write_checked_json(obj, path):
 
 
 def _read_checked_json(path, kind):
+    """The JSON object of a checked document of `kind`, its checksum, kind
+    and schema_version checked, less those two keys."""
     with open(path, "rb") as fh:
         raw = fh.read()
     lines = raw.split(b"\n", 2)
@@ -387,21 +467,44 @@ def _read_checked_json(path, kind):
     if _digest(payload) != checksum_line[len(_CHECKSUM_PREFIX) :]:
         raise StoreError("checksum-mismatch")
     try:
-        obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        obj = _loads(payload.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise StoreError(f"checksum-mismatch: undecodable payload ({exc})")
     if not isinstance(obj, dict):
         raise StoreError(f"bad-magic: expected a {kind} object, got {type(obj).__name__}")
-    if obj.get("kind") != kind:
-        raise StoreError(f"bad-magic: expected kind {kind!r}, got {obj.get('kind')!r}")
+    found = obj.pop("kind", None)
+    if found != kind:
+        raise StoreError(f"bad-magic: expected kind {kind!r}, got {found!r}")
+    _check_schema(obj)
     return obj
+
+
+@dataclass(frozen=True)
+class _Checkpoint:
+    """What a model checkpoint holds, less its kind and schema_version.
+    ``w`` is checked here, to keep its messages: a flat list, each weight
+    typed as a ``float`` field is."""
+
+    dim: int
+    w: object
+    b: float
+    train: TrainConfig | None
+
+    def __post_init__(self):
+        shape = np.array(self.w, dtype=object).shape
+        if not isinstance(self.w, list) or len(shape) != 1:
+            raise ConfigError(f"config-invalid: weights must be a flat list, got shape {shape}")
+        for x in self.w:
+            _decode_value(float, x, "weights")
+        if len(self.w) != self.dim:
+            raise ConfigError(f"config-invalid: dim {self.dim} but {len(self.w)} weights")
 
 
 def save_model(model, path, train_config=None):
     """Persist a finite HeadModel checkpoint (versioned record of d, w, b)."""
     obj = {
         "kind": "head_model",
-        "schema_version": 1,
+        "schema_version": _SCHEMA_VERSION,
         "dim": model.w.shape[0],
         "w": [float(x) for x in model.w],
         "b": model.b,
@@ -411,18 +514,10 @@ def save_model(model, path, train_config=None):
 
 
 def load_model(path):
-    from .head import HeadModel
-
-    obj = _read_checked_json(path, "head_model")
-    try:
-        w = np.array(obj["w"], dtype=np.float64)
-        if w.ndim != 1:
-            raise StoreError(f"malformed-payload: weights must be a flat list, got shape {w.shape}")
-        if w.shape[0] != obj["dim"]:
-            raise StoreError(f"malformed-payload: dim {obj['dim']} but {w.shape[0]} weights")
-        return HeadModel(w=w, b=float(obj["b"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(f"malformed-payload: {exc}")
+    """The HeadModel of a checkpoint that ``save_model`` wrote, decoded by
+    ``core._decode``; a fault is a named StoreError."""
+    record = _decode_file(_Checkpoint, _read_checked_json(path, "head_model"))
+    return HeadModel(w=record.w, b=record.b)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +527,26 @@ def load_model(path):
 
 @dataclass(frozen=True)
 class SplitPlan:
+    """Ids assigned to ``n_groups`` groups under a seed. It checks itself on
+    construction: at least 2 groups, a seed in [0, 2^64), and every group
+    an integer in [0, n_groups)."""
+
     n_groups: int
     seed: int
     assignment: dict
+
+    def __post_init__(self):
+        _check_count("n_groups", self.n_groups, 2)
+        _check_seed(self.seed)
+        if not isinstance(self.assignment, dict):
+            raise ConfigError(f"config-invalid: assignment must be a dict, got {self.assignment!r}")
+        for sid, group in self.assignment.items():
+            if not _is_integer(group):
+                raise ConfigError(f"config-invalid: id {sid!r} in group {group!r}, not an integer")
+            if not 0 <= group < self.n_groups:
+                raise ConfigError(
+                    f"config-invalid: id {sid!r} in group {group}, outside [0, {self.n_groups})"
+                )
 
     def groups(self):
         """Ids per group, in assignment (shuffle) order."""
@@ -446,8 +558,7 @@ class SplitPlan:
 
 def split_dataset(ids, n_groups, seed):
     """Seeded shuffle then round-robin assignment into n_groups groups."""
-    if n_groups < 2:
-        raise ConfigError(f"config-invalid: n_groups must be >= 2, got {n_groups}")
+    SplitPlan(n_groups, seed, {})  # checks n_groups and the seed before any work
     ids = list(ids)
     counts = Counter(ids)
     if len(counts) != len(ids):
@@ -463,7 +574,7 @@ def split_dataset(ids, n_groups, seed):
 def save_split(plan, path):
     obj = {
         "kind": "split_plan",
-        "schema_version": 1,
+        "schema_version": _SCHEMA_VERSION,
         "n_groups": plan.n_groups,
         "seed": plan.seed,
         "assignment": plan.assignment,
@@ -472,57 +583,22 @@ def save_split(plan, path):
 
 
 def load_split(path):
-    obj = _read_checked_json(path, "split_plan")
-    try:
-        plan = SplitPlan(
-            n_groups=int(obj["n_groups"]),
-            seed=int(obj["seed"]),
-            assignment={k: int(v) for k, v in obj["assignment"].items()},
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise StoreError(f"malformed-payload: {exc}")
-    for sid, group in plan.assignment.items():
-        if not 0 <= group < plan.n_groups:
-            raise StoreError(
-                f"malformed-payload: id {sid!r} in group {group}, outside [0, {plan.n_groups})"
-            )
-    return plan
+    """The SplitPlan of a file that ``save_split`` wrote, decoded by
+    ``core._decode``; a fault is a named StoreError."""
+    return _decode_file(SplitPlan, _read_checked_json(path, "split_plan"))
 
 
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
 
-def _to_bool(value):
-    if isinstance(value, bool):
-        return value
-    if value in ("true", "false"):
-        return value == "true"
-    raise StoreError(f"checksum-mismatch: bad boolean {value!r}")
-
-
-_CELL_PARSERS = {str: str, int: int, float: float, bool: _to_bool}
-
-
-def _typed_fields(cls):
-    hints = typing.get_type_hints(cls)
-    return tuple((f.name, _CELL_PARSERS.get(hints[f.name])) for f in dataclasses.fields(cls))
-
-
-def _layout(report_cls, row_cls):
-    *header, (rows, _) = _typed_fields(report_cls)
-    return report_cls, tuple(header), rows, row_cls, _typed_fields(row_cls)
-
-
-# kind -> (report class, its header fields, its rows field, row class, row fields).
-# A report's rows are its last field; every other field goes in the header. Each
-# field is a (name, parser) pair, the parser chosen by the field's annotation.
+# kind -> (report class, row class). A report's rows are its last field, and
+# every other field goes in the header; the row class's fields are the columns.
 _REPORTS = {
-    "drift_report": _layout(DriftReport, PeriodStats),
-    "sensitivity_report": _layout(SensitivityReport, SensitivityRow),
-    "gate_report": _layout(GateReport, GateResult),
+    "drift_report": (DriftReport, PeriodStats),
+    "sensitivity_report": (SensitivityReport, SensitivityRow),
+    "gate_report": (GateReport, GateResult),
 }
-_REPORT_SCHEMA_VERSION = 1
 
 
 def _csv_cell(value):
@@ -550,10 +626,11 @@ def encode_report(report, format, config=None):
     kind = next((k for k, layout in _REPORTS.items() if isinstance(report, layout[0])), None)
     if kind is None:
         raise DataError(f"unsupported report type {type(report).__name__}")
-    _, header_fields, rows_field, _, columns = _REPORTS[kind]
-    header = {"kind": kind, "schema_version": _REPORT_SCHEMA_VERSION}
-    header.update((name, getattr(report, name)) for name, _ in header_fields)
-    names = [name for name, _ in columns]
+    report_cls, row_cls = _REPORTS[kind]
+    *header_fields, rows_field = _field_types(report_cls)
+    header = {"kind": kind, "schema_version": _SCHEMA_VERSION}
+    header.update((name, getattr(report, name)) for name in header_fields)
+    names = list(_field_types(row_cls))
     records = [{n: getattr(r, n) for n in names} for r in getattr(report, rows_field)]
     if format == "jsonl":
         lines = [_jdump(dict(header, config=config))] + [_jdump(r) for r in records]
@@ -574,17 +651,13 @@ def write_report(report, format, path, config=None):
     atomic_write_bytes(path, encode_report(report, format, config))
 
 
-def _report_json(text):
-    # _format_float writes -0.0 as "-0", which JSON reads as the integer 0
-    return json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t))
-
-
 def _read_report_lines(path, expected_kind):
     """(header, records, config) of a report file, its checksum verified.
 
     The digest is checked over the exact body bytes as stored, so any
-    single-bit corruption is caught before parsing. Records are dicts of
-    JSON values (JSON-lines) or of cell text (CSV).
+    single-bit corruption is caught before parsing. A JSON-lines header
+    loses its ``config``. Records are dicts of JSON values (JSON-lines) or
+    of cells parsed by their column's annotation (CSV).
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -607,22 +680,24 @@ def _read_report_lines(path, expected_kind):
         # jsonl
         try:
             last = json.loads(trailer)
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):
             raise StoreError("checksum-mismatch: unparseable checksum record")
         if not isinstance(last, dict) or last.get("kind") != "checksum":
             raise StoreError("bad-magic: missing checksum record")
         if _digest(body) != last.get("blake2b"):
             raise StoreError("checksum-mismatch")
         try:
-            header = _report_json(lines[0])
-            records = [_report_json(ln) for ln in lines[1:]]
-        except (json.JSONDecodeError, RecursionError) as exc:
+            header = _loads(lines[0])
+            records = [_loads(ln) for ln in lines[1:]]
+        except (ValueError, RecursionError) as exc:
             raise StoreError(f"malformed-payload: {exc}")
         if header.get("kind") != expected_kind:
             raise StoreError(
                 f"bad-magic: expected {expected_kind!r}, got {header.get('kind')!r}"
             )
-        return header, records, header.get("config")
+        if "config" not in header:
+            raise StoreError("malformed-payload: 'config'")
+        return header, records, header.pop("config")
     # csv
     if not trailer.startswith(_CHECKSUM_PREFIX):
         raise StoreError("bad-magic: missing checksum line")
@@ -634,19 +709,27 @@ def _read_report_lines(path, expected_kind):
     try:
         for ln in lines:
             if ln.startswith("# config="):
-                config = _report_json(ln[len("# config=") :])
+                config = _loads(ln[len("# config=") :])
             elif ln.startswith("# "):
-                header = _report_json(ln[2:])
+                header = _loads(ln[2:])
             else:
                 data_lines.append(ln)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise StoreError(f"malformed-payload: {exc}")
     if not isinstance(header, dict) or header.get("kind") != expected_kind:
         raise StoreError(f"bad-magic: expected {expected_kind!r} header")
     if len(data_lines) < 1:
         raise StoreError("bad-magic: missing column header")
     columns = data_lines[0].split(",")
-    return header, [dict(zip(columns, _split_csv_line(ln))) for ln in data_lines[1:]], config
+    types = _field_types(_REPORTS[expected_kind][1])
+    records = []
+    for ln in data_lines[1:]:
+        cells = _split_csv_line(ln)
+        if len(cells) != len(columns):
+            raise StoreError(f"malformed-payload: {len(cells)} cells under {len(columns)} columns")
+        records.append({c: _parse_text(types[c], t, c) if c in types else t
+                        for c, t in zip(columns, cells)})
+    return header, records, config
 
 
 def _split_csv_line(line):
@@ -683,19 +766,23 @@ def read_report(path, kind):
     """Re-parse a report of `kind` written by write_report (either format).
 
     `kind` is ``drift_report``, ``sensitivity_report`` or ``gate_report``.
-    Each cell is parsed by its field's annotation. Returns (report,
-    config-or-None).
+    The header and each row are decoded by ``core._decode``, CSV cells first
+    parsed by their field's annotation, so a key missing or added, or a
+    value of the wrong type, raises StoreError("malformed-payload").
+    Returns (report, config-or-None).
     """
     if kind not in _REPORTS:
         raise ConfigError(f"config-invalid: unknown report kind {kind!r}")
-    report_cls, header_fields, rows_field, row_cls, columns = _REPORTS[kind]
-    header, records, config = _read_report_lines(path, kind)
+    report_cls, row_cls = _REPORTS[kind]
     try:
-        rows = tuple(row_cls(**{n: parse(r[n]) for n, parse in columns}) for r in records)
-        fields = {n: parse(header[n]) for n, parse in header_fields}
-        return report_cls(**fields, **{rows_field: rows}), config
-    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
-        raise StoreError(f"malformed-payload: {exc}")
+        header, records, config = _read_report_lines(path, kind)
+    except ConfigError as exc:  # a CSV cell that does not parse
+        raise _malformed(exc) from None
+    del header["kind"]
+    _check_schema(header)
+    rows = tuple(_decode_file(row_cls, r) for r in records)
+    *_, rows_field = _field_types(report_cls)
+    return _decode_file(report_cls, header, **{rows_field: rows}), config
 
 
 def read_drift_report(path):

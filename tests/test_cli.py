@@ -696,6 +696,17 @@ class TestSplit:
         assert load_split(a) == load_split(b)
 
 
+    def test_ids_kept_exactly_as_written(self, tmp_path):
+        """Each line that is not blank is an id as it stands: spaces and tabs
+        at either end stay (they were stripped before), and blank lines are
+        skipped."""
+        ids_path = tmp_path / "ids.txt"
+        ids_path.write_text(" a\nb \n\n   \n\tc\td\t\na\n", encoding="utf-8")
+        out = str(tmp_path / "plan.json")
+        assert main(["split", str(ids_path), "--groups", "2", "--out", out]) == 0
+        assert sorted(load_split(out).assignment) == sorted([" a", "b ", "\tc\td\t", "a"])
+
+
 class TestErrors:
     def test_unknown_flag_exits_two(self, baseline_dir, tmp_path, capsys):
         code = main(["extract", baseline_dir, "--out", str(tmp_path / "x"), "--bogus"])
@@ -1296,7 +1307,7 @@ class TestWholeCliProperty:
     @settings(max_examples=200, deadline=None)
     def test_split_exit_codes(self, ids, groups, seed):
         """split on arbitrary small id files exits 0 with a plan that puts every
-        stripped, non-blank id in exactly one of the groups, 2 for an
+        non-blank id, exactly as written, in exactly one of the groups, 2 for an
         out-of-range seed or fewer than two groups, or 3 with no plan (unreadable
         file, duplicate ids, fewer ids than groups); never 1."""
         with tempfile.TemporaryDirectory() as root:
@@ -1318,7 +1329,7 @@ class TestWholeCliProperty:
                 assert code in (2, 3)  # 3 only when the ids file is unreadable
             if code == 0:
                 plan = load_split(out)
-                expected = [x.strip() for x in ids if x.strip()]
+                expected = [x for x in ids if x.strip()]
                 assert plan.n_groups == int(groups)
                 assert sorted(plan.assignment) == sorted(expected)
                 assert sorted(len(g) for g in plan.groups())[-1] - min(

@@ -1,4 +1,4 @@
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 import driftsketch
 from driftsketch import ConfigError, DataError, ImageGrid, PipelineConfig, validate_image
 from driftsketch.cli import _SECTIONS
-from driftsketch.core import derive_seed, seeded_rng
+from driftsketch.core import _decode, _parse_text, derive_seed, seeded_rng
 from driftsketch.extract import ExtractConfig
 from driftsketch.head import TrainConfig
 from driftsketch.noiselab import NoiseSpec
-from driftsketch.sketchlib import SketchConfig
+from driftsketch.sketchlib import GateConfig, QuantConfig, SketchConfig
+from driftsketch.store import _format_float
 from driftsketch.stats import StatsConfig
 
 import reference_path
@@ -257,3 +258,164 @@ class TestValidByConstruction:
     def test_no_public_class_has_validate(self):
         classes = [obj for obj in vars(driftsketch).values() if isinstance(obj, type)]
         assert [c.__name__ for c in classes if hasattr(c, "validate")] == []
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (QuantConfig, "bin_width"),
+            (QuantConfig, "origin"),
+            (partial(QuantConfig, clamp_hi=1.0), "clamp_lo"),
+            (partial(QuantConfig, clamp_lo=0.0), "clamp_hi"),
+            (GateConfig, "j_alpha"),
+            (StatsConfig, "ks_alpha"),
+            (TrainConfig, "lr"),
+            (TrainConfig, "beta1"),
+            (TrainConfig, "beta2"),
+            (TrainConfig, "epsilon"),
+            (partial(NoiseSpec, "gaussian"), "level"),
+            (PipelineConfig, "schema_version"),
+        ],
+    )
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_float_field_or_schema_version_rejected(self, make, field, flag):
+        """A bool is not a number, as it is not a count (True == 1 and
+        False == 0 passed every range check these fields have)."""
+        with pytest.raises(ConfigError, match=rf"{field} must|invalid-sigma: {flag}"):
+            make(**{field: flag})
+
+
+@dataclass(frozen=True)
+class _Inner:
+    n: int
+    x: float
+
+
+@dataclass(frozen=True)
+class _Outer:
+    name: str
+    flag: bool
+    items: list
+    table: dict
+    low: float | None
+    inner: _Inner
+    anything: object
+
+
+_GOOD = {
+    "name": "a",
+    "flag": False,
+    "items": [1, "b"],
+    "table": {"k": [2]},
+    "low": None,
+    "inner": {"n": 3, "x": 0},
+    "anything": [None],
+}
+
+
+class TestDecode:
+    """``core._decode``: a JSON object to a dataclass, typed by its annotations."""
+
+    def test_each_annotation_takes_its_json_type(self):
+        obj = _decode(_Outer, _GOOD)
+        assert obj == _Outer("a", False, [1, "b"], {"k": [2]}, None, _Inner(3, 0.0), [None])
+        assert type(obj.inner.x) is float
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("inner", "n"), True, "n must be int, got True"),
+            (("inner", "n"), 2.9, "n must be int, got 2.9"),
+            (("inner", "n"), 3.0, "n must be int, got 3.0"),
+            (("inner", "n"), "3", "n must be int, got '3'"),
+            (("inner", "x"), True, "x must be float, got True"),
+            (("inner", "x"), "0.5", "x must be float, got '0.5'"),
+            (("inner", "x"), None, "x must be float, got None"),
+            # an integer that no whole float is written as
+            (("inner", "x"), 10**17, "x must be float, got 100000000000000000"),
+            (("inner", "x"), 2**53 + 1, "x must be float, got 9007199254740993"),
+            (("name",), 7, "name must be str, got 7"),
+            (("flag",), 0, "flag must be bool, got 0"),
+            (("items",), {"a": 1}, "items must be list"),
+            (("table",), [], "table must be dict"),
+            (("low",), "none", "low must be float or null, got 'none'"),
+            (("inner",), [3, 0.0], "inner must be an object"),
+        ],
+    )
+    def test_a_value_of_another_type_is_named(self, path, value, message):
+        obj = {**_GOOD, "inner": dict(_GOOD["inner"])}
+        target = obj if len(path) == 1 else obj[path[0]]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError, match=f"^config-invalid: {message}"):
+            _decode(_Outer, obj)
+
+    def test_integers_and_floats_in_a_float_field(self):
+        """A float field takes the integers a whole float is written as, and
+        each prints back as the same digits."""
+        for value in (0, -5, 2**53, 10**16, 99_999_999_999_999_984, 1e300, -0.0):
+            x = _decode(_Inner, {"n": 1, "x": value}).x
+            assert type(x) is float and x == value
+            assert isinstance(value, float) or _format_float(x) == str(value)
+
+    def test_missing_and_unknown_keys(self):
+        with pytest.raises(ConfigError, match="^config-invalid: 'x'$"):
+            _decode(_Inner, {"n": 1})
+        with pytest.raises(ConfigError, match="^config-invalid: unknown key 'y'$"):
+            _decode(_Inner, {"n": 1, "x": 0.5, "y": 2})
+        with pytest.raises(ConfigError, match="^config-invalid: expected an object, got"):
+            _decode(_Inner, [1, 0.5])
+
+    def test_given_fields_complete_the_object(self):
+        assert _decode(_Inner, {"n": 1}, x=0.25) == _Inner(1, 0.25)
+        with pytest.raises(ConfigError, match="unknown key 'x'"):
+            _decode(_Inner, {"n": 1, "x": 0.5}, x=0.25)
+
+    def test_the_class_checks_its_ranges(self):
+        with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
+            _decode(SketchConfig, {"k": 0, "hash_seed": 0})
+
+
+class TestConfigFromDict:
+    def test_mistyped_value_is_a_config_error(self):
+        """It raised a raw TypeError from the range check."""
+        with pytest.raises(ConfigError, match="bin_width must be float, got '0.1'"):
+            PipelineConfig.from_dict({"quant": {"bin_width": "0.1"}})
+
+    def test_missing_sections_default_and_other_keys_are_ignored(self):
+        quant = asdict(QuantConfig(bin_width=0.25))
+        cfg = PipelineConfig.from_dict({"quant": quant, "seed": 3, "train": {"lr": 1}})
+        assert cfg == PipelineConfig(quant=QuantConfig(bin_width=0.25))
+
+    @pytest.mark.parametrize("d", [None, [1], "quant"])
+    def test_a_config_that_is_not_an_object(self, d):
+        with pytest.raises(ConfigError, match="^config-invalid: expected an object, got "):
+            PipelineConfig.from_dict(d)
+
+    def test_a_section_holds_every_field(self):
+        with pytest.raises(ConfigError, match="^config-invalid: 'origin'$"):
+            PipelineConfig.from_dict({"quant": {"bin_width": 0.25}})
+        with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+            PipelineConfig.from_dict({"gate": {"j_alpha": 0.5, "aggregation": "max", "bogus": 1}})
+
+
+class TestParseText:
+    """One annotation table for config-file values and CSV cells."""
+
+    @pytest.mark.parametrize(
+        "hint, text, value",
+        [
+            (int, "12", 12),
+            (float, "0.5", 0.5),
+            (str, " a ", " a "),
+            (bool, "TRUE", True),
+            (bool, "0", False),
+            (float | None, "None", None),
+            (float | None, "-1", -1.0),
+        ],
+    )
+    def test_parsed_by_annotation(self, hint, text, value):
+        assert _parse_text(hint, text, "key") == value
+
+    @pytest.mark.parametrize("hint, text", [(int, "4.0"), (float, "none"), (bool, "yes")])
+    def test_unparseable_text_is_named(self, hint, text):
+        with pytest.raises(ConfigError, match=f"^config-invalid: cannot parse key = '{text}'$"):
+            _parse_text(hint, text, "key")

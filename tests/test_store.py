@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from driftsketch import (
@@ -34,6 +34,7 @@ from driftsketch import (
     write_embeddings,
     write_report,
 )
+from driftsketch import store
 from driftsketch.cli import main as cli_main
 from driftsketch.core import seeded_rng
 from driftsketch.extract import ExtractConfig, extract_builtin, extract_fingerprint
@@ -43,7 +44,9 @@ from driftsketch.sketchlib import GateReport, GateResult, SketchLibrary
 from driftsketch.stats import DriftReport, PeriodStats
 from driftsketch.store import (
     LIBRARY_VERSION,
+    SplitPlan,
     _digest,
+    _jdump,
     encode_report,
     load_model,
     load_split,
@@ -217,6 +220,9 @@ V1_LIBRARY = Path(__file__).parent / "data" / "library_v1.dskl"
 V2_LIBRARY = Path(__file__).parent / "data" / "library_v2.dskl"
 # a v3 library, as the v3 writer saved _v3_fixture_library()
 V3_LIBRARY = Path(__file__).parent / "data" / "library_v3.dskl"
+# a model checkpoint and a split plan, as the schema version 1 writers saved them
+MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
+SPLIT_V1 = Path(__file__).parent / "data" / "split_v1.json"
 
 
 def _forge_v1(old, new):
@@ -514,6 +520,30 @@ class TestLibraryVersions:
         assert hashlib.blake2b(lib.distinct_minima.tobytes(), digest_size=8).hexdigest() == (
             rows_digest
         )
+
+    def test_committed_json_fixtures_load_to_the_recorded_values(self, tmp_path):
+        """The model checkpoint and split plan that the writers of schema
+        version 1 saved load to the values they loaded to when written, and
+        save back to their bytes."""
+        model = load_model(str(MODEL_V1))
+        assert model.w.tolist() == [
+            -1.0101807867905028, -0.691361440976307, 0.0, 1e-300,
+            -0.19839016909491375, 0.3880899025013515,
+        ]
+        assert model.b == -0.375
+        plan = load_split(str(SPLIT_V1))
+        assert (plan.n_groups, plan.seed) == (3, 12345678901234567890)
+        assert list(plan.assignment.items()) == [
+            ("scan 0 \u00e9t\u00e9.pgm", 0), ('q"x', 1), ("scan 6 \u00e9t\u00e9.pgm", 2),
+            ("scan 5 \u00e9t\u00e9.pgm", 0), ("scan 1 \u00e9t\u00e9.pgm", 1),
+            ("scan 2 \u00e9t\u00e9.pgm", 2), ("scan 3 \u00e9t\u00e9.pgm", 0), ("a,b", 1),
+            ("scan 4 \u00e9t\u00e9.pgm", 2),
+        ]
+        train = TrainConfig(lr=0.01, epochs=3, batch_size=4, bias_correction=False, seed=7)
+        save_model(model, str(tmp_path / "model.json"), train_config=train)
+        save_split(plan, str(tmp_path / "split.json"))
+        assert (tmp_path / "model.json").read_bytes() == MODEL_V1.read_bytes()
+        assert (tmp_path / "split.json").read_bytes() == SPLIT_V1.read_bytes()
 
     @pytest.mark.parametrize("byte", [b"\x00", b"\n", b"\xff"])
     @pytest.mark.parametrize("path", [V1_LIBRARY, V2_LIBRARY, V3_LIBRARY, None],
@@ -1605,8 +1635,329 @@ class TestSplitDataset:
         with pytest.raises(DataError, match="too-few-ids"):
             split_dataset(["a", "b"], 3, seed=0)
 
+    @pytest.mark.parametrize(
+        "n_groups, seed, assignment, message",
+        [
+            (1, 0, {}, "config-invalid: n_groups must be >= 2, got 1"),
+            ("3", 0, {}, "config-invalid: n_groups must be an integer, got '3'"),
+            (2, -1, {}, "invalid-seed"),
+            (2, 0, {"a": 2}, r"config-invalid: id 'a' in group 2, outside \[0, 2\)"),
+            (2, 0, {"a": 1.0}, "config-invalid: id 'a' in group 1.0, not an integer"),
+            (2, 0, [("a", 0)], r"config-invalid: assignment must be a dict, got \[\('a', 0\)\]"),
+        ],
+    )
+    def test_plan_checks_itself(self, n_groups, seed, assignment, message):
+        """A plan checks its groups and seed on construction, and
+        ``split_dataset`` and ``load_split`` share those checks."""
+        with pytest.raises(ConfigError, match=message):
+            SplitPlan(n_groups, seed, assignment)
+        if not assignment:
+            with pytest.raises(ConfigError, match=message):
+                split_dataset(["a", "b", "c"], n_groups, seed)
+
     def test_plan_file_round_trip(self, tmp_path):
         plan = split_dataset([f"i{k}" for k in range(12)], 4, seed=6)
         path = tmp_path / "plan.json"
         save_split(plan, str(path))
         assert load_split(str(path)) == plan
+
+
+# ---------------------------------------------------------------------------
+# every JSON document typed by its dataclass annotations
+# ---------------------------------------------------------------------------
+
+_MODEL_LINE = b'{"kind":"head_model","schema_version":1,"dim":2,"w":[0.5,-1],"b":0.25,"train":null}'
+_SPLIT_LINE = (
+    b'{"kind":"split_plan","schema_version":1,"n_groups":2,"seed":0,"assignment":{"a":0,"b":1}}'
+)
+
+
+class TestTypedDocuments:
+    """Documents whose checksum holds but whose fields are mistyped, out of
+    range or of another schema version. Each of these loaded before, with
+    its numbers cast by hand or its fields ignored."""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (b'"n_groups":2', b'"n_groups":2.9', "n_groups must be int, got 2.9"),
+            (b'"seed":0', b'"seed":0.5', "seed must be int, got 0.5"),
+            (b'"b":1}', b'"b":1.7}', r"id 'b' in group 1.7, not an integer"),
+            (b'"b":1}', b'"b":true}', r"id 'b' in group True, not an integer"),
+            (b'"n_groups":2', b'"n_groups":1', "n_groups must be >= 2, got 1"),
+            (b'"seed":0', b'"seed":"-5"', "seed must be int, got '-5'"),
+            (b'"seed":0', b'"seed":-5', r"invalid-seed: expected integer in \[0, 2\^64\), got -5"),
+            (b'{"a":0,"b":1}', b'[["a",0]]', r"assignment must be dict, got \[\['a', 0\]\]"),
+            (b',"seed":0', b"", "'seed'"),
+            (b'"seed":0', b'"seed":0,"extra":1', "unknown key 'extra'"),
+        ],
+    )
+    def test_split_plan(self, tmp_path, old, new, message):
+        path = tmp_path / "plan.json"
+        path.write_bytes(_checked_json(_SPLIT_LINE.replace(old, new)))
+        with pytest.raises(StoreError, match=f"^malformed-payload: {message}$"):
+            load_split(str(path))
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (b'"b":0.25', b'"b":"1.5"', "b must be float, got '1.5'"),
+            (b'"w":[0.5,-1]', b'"w":["1","2"]', "weights must be float, got '1'"),
+            (b'"w":[0.5,-1]', b'"w":[true,false]', "weights must be float, got True"),
+            (b'"dim":2', b'"dim":2.5', "dim must be int, got 2.5"),
+            (b'"train":null', b'"train":7', "train must be an object or null, got 7"),
+            (b'"train":null', b'"train":{"lr":0.1}', "'beta1'"),
+            (b',"train":null', b"", "'train'"),
+        ],
+    )
+    def test_model_checkpoint(self, tmp_path, old, new, message):
+        path = tmp_path / "model.json"
+        path.write_bytes(_checked_json(_MODEL_LINE.replace(old, new)))
+        with pytest.raises(StoreError, match=f"^malformed-payload: {message}$"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("version", [b"99", b"7", b"0", b"true", b"1.0", b'"1"', b"null"])
+    @pytest.mark.parametrize("line", [_MODEL_LINE, _SPLIT_LINE], ids=["model", "split"])
+    def test_schema_version(self, tmp_path, line, version):
+        path = tmp_path / "doc.json"
+        forged = line.replace(b'"schema_version":1', b'"schema_version":' + version)
+        path.write_bytes(_checked_json(forged))
+        loader = load_model if line is _MODEL_LINE else load_split
+        with pytest.raises(StoreError, match="^version-unsupported: schema_version "):
+            loader(str(path))
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        """``_jdump`` writes -0.0 as -0, which JSON reads as the integer 0."""
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_model(HeadModel(w=[-0.0, 1.5], b=-0.0), str(path))
+        assert b'"w":[-0,1.5],"b":-0,' in path.read_bytes()
+        model = load_model(str(path))
+        assert np.signbit(model.w).tolist() == [True, False] and np.signbit(model.b)
+        save_model(model, str(again))
+        assert again.read_bytes() == path.read_bytes()
+        lib = build_library(
+            [FeatureVector([0.1, 0.2], "a")], QuantConfig(origin=-0.0), SketchConfig(k=4), "fp"
+        )
+        data = save_library(lib)
+        assert np.signbit(load_library(data).quant_config.origin)
+        assert save_library(load_library(data)) == data
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"extract_fingerprint": 7}, "extract_fingerprint must be str, got 7"),
+            ({"extract_fingerprint": None}, "extract_fingerprint must be str, got None"),
+            ({"quant": {"bin_width": True}}, "bin_width must be float, got True"),
+            ({"sketch": {"k": 8.5}}, "k must be int, got 8.5"),
+            ({"dim": "4"}, "dim must be int or null, got '4'"),
+            ({"m": "4"}, "m must be int, got '4'"),
+            ({"ids": "v0"}, "ids must be list, got 'v0'"),
+            ({"extra": 1}, "unknown key 'extra'"),
+        ],
+    )
+    def test_library_header(self, change, message):
+        header, matrix, index = _split_v2(save_library(_v1_fixture_library()))
+        for key, value in change.items():
+            header[key] = {**header[key], **value} if isinstance(value, dict) else value
+        for version in (3, 4):
+            with pytest.raises(StoreError, match=f"^malformed-payload: {message}$"):
+                load_library(_seal_v2(header, matrix, index, version))
+
+    def test_v1_library_schema_version(self):
+        with pytest.raises(StoreError, match="^version-unsupported: schema_version 2$"):
+            load_library(_forge_v1(b'"schema_version":1', b'"schema_version":2'))
+        with pytest.raises(StoreError, match="^malformed-payload: extract_fingerprint must be str"):
+            load_library(_forge_v1(b'"extract_fingerprint":"fp"', b'"extract_fingerprint":null'))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_drift_report_fields(self, tmp_path, fmt):
+        path = tmp_path / f"drift.{fmt}"
+        write_report(_drift_report(), fmt, str(path))
+        TestReportPersistence._forge(path, b'"schema_version":1', b'"schema_version":99')
+        with pytest.raises(StoreError, match="^version-unsupported: schema_version 99$"):
+            read_drift_report(str(path))
+        write_report(_drift_report(), fmt, str(path))
+        TestReportPersistence._forge(path, b'"baseline_id":"base"', b'"baseline_id":5')
+        with pytest.raises(StoreError, match="^malformed-payload: baseline_id must be str, got 5$"):
+            read_drift_report(str(path))
+
+    def test_jsonl_report_rows_and_config(self, tmp_path):
+        path = tmp_path / "drift.jsonl"
+        write_report(_drift_report(), "jsonl", str(path))
+        TestReportPersistence._forge(path, b'"n_images":18', b'"n_images":true')
+        with pytest.raises(StoreError, match="^malformed-payload: n_images must be int, got True$"):
+            read_drift_report(str(path))
+        write_report(_drift_report(), "jsonl", str(path))
+        TestReportPersistence._forge(path, b',"config":null', b"")
+        with pytest.raises(StoreError, match="^malformed-payload: 'config'$"):
+            read_drift_report(str(path))
+
+    def test_csv_row_with_a_cell_too_many(self, tmp_path):
+        path = tmp_path / "gate.csv"
+        write_report(_gate_report(), "csv", str(path))
+        TestReportPersistence._forge(path, b"a.pgm,1,acceptable", b"a.pgm,1,acceptable,x")
+        with pytest.raises(StoreError, match="^malformed-payload: 4 cells under 3 columns$"):
+            _read_gate_report(str(path))
+
+    def test_a_repeated_key_is_named(self, tmp_path):
+        """JSON keeps the last of two equal keys, so a document with one
+        repeated loaded a value that saved back to other bytes."""
+        path = tmp_path / "doc"
+        path.write_bytes(_checked_json(_SPLIT_LINE.replace(b'"seed":0', b'"seed":0,"seed":3')))
+        message = r"^checksum-mismatch: undecodable payload \(duplicate key 'seed'\)$"
+        with pytest.raises(StoreError, match=message):
+            load_split(str(path))
+        write_report(_drift_report(), "jsonl", str(path))
+        TestReportPersistence._forge(path, b'"n_images":18', b'"n_images":18,"n_images":19')
+        with pytest.raises(StoreError, match="^malformed-payload: duplicate key 'n_images'$"):
+            read_drift_report(str(path))
+        header, matrix, index = _split_v2(save_library(_v1_fixture_library()))
+        head = json.dumps(header).replace('"m": 4', '"m": 4, "m": 4').encode()
+        body = len(head).to_bytes(8, "little") + head + matrix + index
+        forged = reference_path.seal_library(body, 3)
+        with pytest.raises(StoreError, match="^malformed-payload: duplicate key 'm'$"):
+            load_library(forged)
+
+    def test_integers_past_the_conversion_limit(self, tmp_path):
+        """Python refuses to read an integer of more than 4,300 digits; that
+        raised a raw ValueError from the model, split and report readers."""
+        big = b"9" * 5000
+        path = tmp_path / "doc"
+        path.write_bytes(_checked_json(_MODEL_LINE.replace(b'"dim":2', b'"dim":' + big)))
+        with pytest.raises(StoreError, match="^checksum-mismatch: undecodable payload"):
+            load_model(str(path))
+        write_report(_drift_report(), "jsonl", str(path))
+        TestReportPersistence._forge(path, b'"n_images":18', b'"n_images":' + big)
+        with pytest.raises(StoreError, match="^malformed-payload: Exceeds the limit"):
+            read_drift_report(str(path))
+        raw = path.read_bytes()
+        cut = raw.rfind(b"\n", 0, len(raw) - 1) + 1
+        path.write_bytes(raw[:cut] + b'{"kind":"checksum","blake2b":' + big + b"}\n")
+        with pytest.raises(StoreError, match="^checksum-mismatch: unparseable checksum record$"):
+            read_drift_report(str(path))
+
+
+# a JSON value of each type; an integer and a float count as different types
+_ANY_JSON = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+
+
+@st.composite
+def _mutated(draw, obj):
+    """`obj` with one value swapped for a JSON value of another type, or
+    with one key added or one dropped."""
+    obj = dict(obj)
+    how = draw(st.sampled_from(["retype", "add", "drop"]))
+    if how == "add":
+        obj[draw(st.text(max_size=4).filter(lambda key: key not in obj))] = draw(_ANY_JSON)
+        return obj
+    key = draw(st.sampled_from(list(obj)))
+    if how == "drop":
+        del obj[key]
+    else:
+        old = type(obj[key])
+        obj[key] = draw(_ANY_JSON.filter(lambda value: type(value) is not old))
+    return obj
+
+
+def _mutate_one(draw, doc, *sections):
+    """`doc` with one of its own keys, or one of the named sections' keys,
+    mutated by ``_mutated``; a section that is not an object is left out."""
+    targets = [None] + [name for name in sections if isinstance(doc.get(name), dict)]
+    target = draw(st.sampled_from(targets))
+    if target is None:
+        return draw(_mutated(doc))
+    return dict(doc, **{target: draw(_mutated(doc[target]))})
+
+
+def _same_bytes_or_named(path, load, save):
+    """`load` raises a named DataError (StoreError for a malformed file), or
+    returns a value that `save` writes back as the file's own bytes."""
+    try:
+        value = load(str(path))
+    except DataError as exc:
+        assert type(exc) in (StoreError, DataError)
+        event(f"rejected: {str(exc).partition(':')[0]}")
+        return
+    event("loaded")
+    again = path.with_name(path.name + ".again")
+    save(value, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+_PROPERTY = settings(
+    max_examples=120, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestDocumentMutationProperty:
+    """A document from its writer, one field given a value of another JSON
+    type (or a key added or dropped), resealed under a valid checksum: the
+    loader names the fault or loads a value that saves back to the same
+    bytes. Seeded, so a failure names its document."""
+
+    @given(data=st.data())
+    @_PROPERTY
+    def test_model_checkpoint(self, tmp_path, data):
+        path = tmp_path / "model.json"
+        save_model(HeadModel(w=[0.5, -0.0, 3.0], b=-1.25), str(path), train_config=TrainConfig())
+        doc = _mutate_one(data.draw, store._loads(path.read_bytes().split(b"\n")[0]), "train")
+        path.write_bytes(_checked_json(_jdump(doc).encode("utf-8")))
+        # called only once the checkpoint, and so its train section, loaded
+        def save(model, p):
+            train = doc["train"] and TrainConfig(**doc["train"])
+            save_model(model, p, train_config=train)
+
+        _same_bytes_or_named(path, load_model, save)
+
+    @given(data=st.data())
+    @_PROPERTY
+    def test_split_plan(self, tmp_path, data):
+        path = tmp_path / "plan.json"
+        save_split(split_dataset(["a", "b", "c"], 2, seed=7), str(path))
+        doc = _mutate_one(data.draw, store._loads(path.read_bytes().split(b"\n")[0]))
+        path.write_bytes(_checked_json(_jdump(doc).encode("utf-8")))
+        _same_bytes_or_named(path, load_split, save_split)
+
+    @pytest.mark.parametrize("kind", ["drift_report", "sensitivity_report", "gate_report"])
+    @given(data=st.data())
+    @_PROPERTY
+    def test_jsonl_report(self, tmp_path, kind, data):
+        report = {"drift_report": _drift_report, "sensitivity_report": _sensitivity_report,
+                  "gate_report": _gate_report}[kind]()
+        lines = encode_report(report, "jsonl", {"seed": 1, "gate": {"j_alpha": 0.5}}).split(b"\n")
+        docs = [store._loads(ln) for ln in lines[:-2]]
+        i = data.draw(st.integers(0, len(docs) - 1))
+        docs[i] = _mutate_one(data.draw, docs[i], "config")
+        body = "".join(_jdump(doc) + "\n" for doc in docs).encode("utf-8")
+        path = tmp_path / "report.jsonl"
+        trailer = _jdump({"kind": "checksum", "blake2b": _digest(body)}).encode("utf-8")
+        path.write_bytes(body + trailer + b"\n")
+
+        def save(report_and_config, p):
+            write_report(report_and_config[0], "jsonl", p, report_and_config[1])
+
+        _same_bytes_or_named(path, lambda p: read_report(p, kind), save)
+
+    @given(data=st.data())
+    @_PROPERTY
+    def test_library_header(self, tmp_path, data):
+        header, matrix, index = _split_v2(save_library(_v1_fixture_library()))
+        header = _mutate_one(data.draw, header, "sketch", "quant")
+        head = _jdump(header, sort_keys=True).encode("utf-8")
+        path = tmp_path / "lib.dskl"
+        path.write_bytes(
+            reference_path.seal_library(len(head).to_bytes(8, "little") + head + matrix + index, 3)
+        )
+        def save(lib, p):
+            Path(p).write_bytes(reference_path.encode_library_v3(lib))
+
+        _same_bytes_or_named(path, read_library, save)
