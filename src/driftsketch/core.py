@@ -12,6 +12,7 @@ seed give independent streams.
 
 import dataclasses
 import hashlib
+import math
 import reprlib
 import typing
 from dataclasses import asdict, dataclass
@@ -177,11 +178,23 @@ def _field_types(cls):
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _optional(hint):
-    """(X, True) for an ``X | None`` annotation, else (hint, False)."""
+@lru_cache(maxsize=None)
+def _field_plan(hint):
+    """(X, optional, nested, JSON types) of an annotation: X is the hint less
+    any ``| None``, `optional` whether there was one, `nested` whether X is
+    a dataclass, and the JSON types are those X takes."""
     args = typing.get_args(hint)
     inner = [a for a in args if a is not type(None)]
-    return (inner[0], True) if len(inner) < len(args) else (hint, False)
+    optional = len(inner) < len(args)
+    if optional:
+        hint = inner[0]
+    return hint, optional, dataclasses.is_dataclass(hint), _JSON_TYPES.get(hint, ())
+
+
+@lru_cache(maxsize=None)
+def _decode_plan(cls):
+    """{field name: ``_field_plan`` of its annotation} of a dataclass."""
+    return {name: _field_plan(hint) for name, hint in _field_types(cls).items()}
 
 
 def _decode(cls, obj, **given):
@@ -198,40 +211,53 @@ def _decode(cls, obj, **given):
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"config-invalid: expected an object, got {reprlib.repr(obj)}")
-    fields = _field_types(cls)
+    plan = _decode_plan(cls)
     for name in obj:
-        if name not in fields or name in given:
+        if name not in plan or name in given:
             raise ConfigError(f"config-invalid: unknown key {reprlib.repr(name)}")
     values = dict(given)
-    for name, hint in fields.items():
+    for name, field in plan.items():
         if name not in values:
             if name not in obj:
                 raise ConfigError(f"config-invalid: {name!r}")
-            values[name] = _decode_value(hint, obj[name], name)
+            values[name] = _check_value(field, obj[name], name)
     return cls(**values)
 
 
 def _decode_value(hint, value, name):
-    hint, optional = _optional(hint)
-    if value is None and optional or hint is object:
-        return value
-    if dataclasses.is_dataclass(hint) and isinstance(value, dict):
+    return _check_value(_field_plan(hint), value, name)
+
+
+def _check_value(field, value, name):
+    hint, optional, nested, types = field
+    if type(value) is hint and not nested or value is None and optional or hint is object:
+        return value  # the JSON type the annotation names, as the parser gives it
+    if nested and isinstance(value, dict):
         return _decode(hint, value)
-    if isinstance(value, _JSON_TYPES.get(hint, ())) and (hint is bool) == isinstance(value, bool):
+    if isinstance(value, types) and (hint is bool) == isinstance(value, bool):
         if hint is not float:
             return value
         if isinstance(value, float) or abs(value) < 1e17 and float(value) == value:
             return float(value)
-    kind = "an object" if dataclasses.is_dataclass(hint) else hint.__name__
+    kind = "an object" if nested else hint.__name__
     null = " or null" if optional else ""
     raise ConfigError(f"config-invalid: {name} must be {kind}{null}, got {reprlib.repr(value)}")
+
+
+def _check_finite_fields(record):
+    """DataError naming the first ``float`` field of a dataclass instance
+    that holds NaN or an infinity, which no JSON document can carry."""
+    for name, (hint, *_) in _decode_plan(type(record)).items():
+        value = getattr(record, name)
+        if hint is float and isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise DataError(f"non-finite-value: {type(record).__name__}.{name} = {value!r}")
 
 
 def _check_reals(config):
     """ConfigError unless every ``float`` field of a config holds an integer
     or a float; a bool is neither."""
     for name, hint in _field_types(type(config)).items():
-        hint, optional = _optional(hint)
+        hint, optional, *_ = _field_plan(hint)
         value = getattr(config, name)
         if hint is float and not (optional and value is None) and not _is_real(value):
             raise ConfigError(f"config-invalid: {name} must be a number, got {value!r}")
@@ -241,7 +267,7 @@ def _parse_text(hint, text, name):
     """A config-file value or a CSV cell, parsed by its field's annotation:
     a bool is ``true``, ``false``, ``1`` or ``0`` in any case, and only an
     ``X | None`` field takes ``none``."""
-    hint, optional = _optional(hint)
+    hint, optional, *_ = _field_plan(hint)
     if optional and text.lower() == "none":
         return None
     try:

@@ -17,6 +17,7 @@ from .core import (
     ConfigError,
     DataError,
     ImageGrid,
+    _check_finite_fields,
     _check_seed,
     _is_real,
     derive_seed,
@@ -159,6 +160,9 @@ class SensitivityRow:
     ks_d: float
     ks_p: float
     anomaly_rate: float
+
+    def __post_init__(self):
+        _check_finite_fields(self)
 
 
 @dataclass(frozen=True)

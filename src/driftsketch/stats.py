@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, _check_count, _check_reals, _check_seed, seeded_rng
+from .core import ConfigError, DataError, _check_count, _check_finite_fields, _check_reals
+from .core import _check_seed, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,9 @@ class PeriodStats:
     gate_flag_count: int
     drift_flag: bool
 
+    def __post_init__(self):
+        _check_finite_fields(self)
+
 
 @dataclass(frozen=True)
 class DriftReport:
@@ -53,6 +57,7 @@ class DriftReport:
     periods: tuple
 
     def __post_init__(self):
+        _check_finite_fields(self)
         object.__setattr__(self, "periods", tuple(self.periods))
         if not self.periods:
             raise DataError("empty-report: at least one period required")

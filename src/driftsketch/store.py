@@ -34,11 +34,15 @@ Formats owned by this module:
   report header and rows) is decoded by ``core._decode`` into the dataclass
   it holds, typed by that class's annotations, after ``_check_schema``.
 - Reports (drift, sensitivity and gate): JSON-lines or CSV, one record per
-  period, level or checked item, reals rendered with 17 significant digits
-  (round-trip exact), a trailing checksum record; CSV extras ride in ``#``
-  comment lines so the files stay directly plottable. One codec serves all
-  three kinds: ``encode_report``/``write_report`` and ``read_report`` take
-  the header fields and columns from the report and row dataclasses.
+  period, level or checked item, a trailing checksum record; CSV extras ride
+  in ``#`` comment lines so the files stay directly plottable. One codec
+  serves all three kinds: ``encode_report``/``write_report`` and
+  ``read_report`` take the header fields and columns from the report and
+  row dataclasses.
+- Every real written as text (JSON, CSV cells) is ``_format_float``'s: the
+  fewest digits that read back as the same float64, or an integer for a
+  whole float below 1e17. Files written with 17 significant digits, as
+  before, decode to the same values.
 
 Every loader raises named StoreErrors on malformed input. Libraries, v2 and v3
 embedding files, checkpoints, split plans and reports carry a checksum, so
@@ -93,13 +97,20 @@ def atomic_write_bytes(path, data):
 
 
 def _format_float(x):
-    # 17 significant digits: round-trip exact for float64
-    return f"{float(x):.17g}"
+    """The fewest digits that read back as the same float64 (``repr``); a
+    whole float below 1e17 is written as an integer, as in ``-0`` or ``3``."""
+    x = float(x)
+    if x.is_integer() and abs(x) < 1e17:
+        return f"{x:.17g}"
+    return repr(x)
 
 
 def _jdump(obj, sort_keys=False):
-    """Compact JSON with floats at 17 significant digits."""
+    """Compact JSON with reals as ``_format_float`` writes them; NaN and the
+    infinities, which JSON cannot carry, raise DataError."""
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise DataError(f"non-finite-value: JSON cannot carry {obj!r}")
         return _format_float(obj)
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -130,11 +141,13 @@ def _json_float(text):
 
 
 def _json_object(pairs):
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # a key repeats: name the first repeat
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
     return obj
 
 
@@ -344,10 +357,7 @@ def _read_library_v1(data):
     payload = checked(memoryview(data)[14:])
     if len(payload) != length:
         raise StoreError(f"malformed-payload: {len(payload) - length} bytes after the payload")
-    try:
-        obj = _loads(bytes(payload).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise StoreError(f"checksum-mismatch: undecodable payload ({exc})")
+    obj = _loads(bytes(payload).decode("utf-8"))  # load_library names a fault
     _check_schema(obj)
     head = _decode(_LibraryV1, obj)
     return head, [e["source_id"] for e in head.entries], [e["minima"] for e in head.entries]
@@ -469,7 +479,7 @@ def _read_checked_json(path, kind):
     try:
         obj = _loads(payload.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise StoreError(f"checksum-mismatch: undecodable payload ({exc})")
+        raise _malformed(exc) from None
     if not isinstance(obj, dict):
         raise StoreError(f"bad-magic: expected a {kind} object, got {type(obj).__name__}")
     found = obj.pop("kind", None)
@@ -727,14 +737,29 @@ def _read_report_lines(path, expected_kind):
         cells = _split_csv_line(ln)
         if len(cells) != len(columns):
             raise StoreError(f"malformed-payload: {len(cells)} cells under {len(columns)} columns")
-        records.append({c: _parse_text(types[c], t, c) if c in types else t
+        records.append({c: _read_cell(types[c], t, c) if c in types else t
                         for c, t in zip(columns, cells)})
     return header, records, config
+
+
+def _read_cell(hint, text, name):
+    """A CSV cell parsed by its column's annotation. It must be the text
+    ``_csv_cell`` writes for that value, or for a real the 17 significant
+    digits that earlier releases wrote, so a file loads to a report that
+    saves back to its own bytes."""
+    value = _parse_text(hint, text, name)
+    if hint is str or _csv_cell(value) == text or hint is float and f"{value:.17g}" == text:
+        return value
+    raise StoreError(
+        f"malformed-payload: {name} = {text!r}, which the writer writes {_csv_cell(value)!r}"
+    )
 
 
 def _split_csv_line(line):
     # minimal CSV field splitter matching _csv_cell quoting; the csv module
     # rejects the bare '\r' that _csv_cell leaves unquoted
+    if '"' not in line:
+        return line.split(",")
     out = []
     field = []
     quoted = False

@@ -30,7 +30,9 @@ labels.
 `encode_library_v3` below is the v3 library writer, which the package
 replaced with v4: magic, version 3, then the body as it is (u64 header
 length, JSON header, distinct rows, row indices) and a BLAKE2b checksum.
-It gives the committed v3 fixture's bytes exactly. `library_body` and
+Its header is rendered by `jdump_17`, the package's JSON renderer as it
+stood when every real was written with 17 significant digits, so it gives
+the committed v3 fixture's bytes exactly. `library_body` and
 `seal_library` take a v2, v3 or v4 file apart into that body and seal a body
 back into a file of any of those versions, so tests can forge files of each.
 
@@ -59,7 +61,6 @@ from driftsketch.noiselab import (
 )
 from driftsketch.sketchlib import build_library, gate_check
 from driftsketch.stats import drift_report
-from driftsketch.store import _jdump
 
 
 def _next_header_token(data, pos):
@@ -297,6 +298,18 @@ def library_rows(minima):
     return rows[np.unique(row_index, return_index=True)[1]], row_index
 
 
+def jdump_17(obj, sort_keys=False):
+    """Compact JSON with every real at 17 significant digits."""
+    if isinstance(obj, float):
+        return f"{obj:.17g}"
+    if isinstance(obj, list):
+        return "[" + ",".join(jdump_17(v, sort_keys) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = sorted(obj.items()) if sort_keys else obj.items()
+        return "{" + ",".join(f"{json.dumps(k)}:{jdump_17(v, sort_keys)}" for k, v in items) + "}"
+    return json.dumps(obj)
+
+
 def encode_library_v3(lib):
     u, k = lib.distinct_minima.shape
     header = {
@@ -314,7 +327,7 @@ def encode_library_v3(lib):
         "u": u,
         "k": k,
     }
-    header = _jdump(header, sort_keys=True).encode("utf-8")
+    header = jdump_17(header, sort_keys=True).encode("utf-8")
     data = b"".join((
         b"DSKL",
         (3).to_bytes(2, "little"),

@@ -23,7 +23,7 @@ from driftsketch import (
 )
 from driftsketch.core import seeded_rng
 from driftsketch.extract import ExtractConfig
-from driftsketch.noiselab import NOISE_KINDS, POISSON_BASE
+from driftsketch.noiselab import NOISE_KINDS, POISSON_BASE, SensitivityReport, SensitivityRow
 from driftsketch.store import encode_report
 from synthcorpus import corpus, rgb_corpus, spearman
 
@@ -180,6 +180,19 @@ class TestApplyNoise:
         # sigma 0 never draws, so only the construction check can catch it
         with pytest.raises(ConfigError, match="invalid-seed"):
             apply_noise(constant_image(0.5), NoiseSpec("gaussian", 0.0, seed=seed))
+
+
+class TestNonFiniteReals:
+    """A sensitivity row holds only reals its JSON-lines file can carry: a
+    NaN level passed the increasing-levels check and was written as ``nan``."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["level", "cosine_score", "ks_d", "ks_p", "anomaly_rate"])
+    def test_sensitivity_row(self, field, bad):
+        values = dict(level=0.1, cosine_score=1.0, ks_d=0.0, ks_p=1.0, anomaly_rate=0.0)
+        values[field] = bad
+        with pytest.raises(DataError, match=f"^non-finite-value: SensitivityRow.{field} = "):
+            SensitivityReport("gaussian", [SensitivityRow(**values)])
 
 
 class TestSensitivitySweep:

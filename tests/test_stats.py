@@ -17,6 +17,7 @@ from driftsketch import (
     pool_scalars,
 )
 from driftsketch import stats
+from driftsketch.stats import DriftReport, PeriodStats
 from driftsketch.core import seeded_rng
 
 # independent high-precision summation of Q(lambda) at D=0.2, n=m=50
@@ -311,6 +312,29 @@ class TestDriftReport:
         periods = [("p1", self._batch(8)), ("p2", self._batch(9))]
         cfg = StatsConfig(cosine_mode="mean_pairwise", pairwise_cap=50, seed=2)
         assert drift_report(base, periods, cfg) == drift_report(base, periods, cfg)
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteReals:
+    """A report holds only reals its JSON-lines file can carry: NaN passed
+    the range checks, which it fails both ways, and was written as ``nan``."""
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize("field", ["ks_d", "ks_p", "cosine_score"])
+    def test_period_stats(self, field, bad):
+        values = dict(period_id="p", n_images=1, ks_d=0.1, ks_p=0.5, cosine_score=0.9,
+                      gate_flag_count=0, drift_flag=False)
+        values[field] = bad
+        with pytest.raises(DataError, match=f"^non-finite-value: PeriodStats.{field} = "):
+            PeriodStats(**values)
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    def test_drift_report(self, bad):
+        period = PeriodStats("p", 1, 0.1, 0.5, 0.9, 0, bad < 0.5)
+        with pytest.raises(DataError, match="^non-finite-value: DriftReport.ks_alpha = "):
+            DriftReport("b", bad, [period])
 
 
 def pooled_ks(a, b):

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import re
+import struct
 import time
 import tracemalloc
 import zlib
@@ -36,7 +38,7 @@ from driftsketch import (
 )
 from driftsketch import store
 from driftsketch.cli import main as cli_main
-from driftsketch.core import seeded_rng
+from driftsketch.core import _decode_value, seeded_rng
 from driftsketch.extract import ExtractConfig, extract_builtin, extract_fingerprint
 from driftsketch.head import HeadModel, TrainConfig
 from driftsketch.noiselab import NOISE_KINDS, SensitivityReport, SensitivityRow
@@ -524,7 +526,8 @@ class TestLibraryVersions:
     def test_committed_json_fixtures_load_to_the_recorded_values(self, tmp_path):
         """The model checkpoint and split plan that the writers of schema
         version 1 saved load to the values they loaded to when written, and
-        save back to their bytes."""
+        save back to their bytes, but for the two reals of the checkpoint
+        that were written with 17 significant digits and now take fewer."""
         model = load_model(str(MODEL_V1))
         assert model.w.tolist() == [
             -1.0101807867905028, -0.691361440976307, 0.0, 1e-300,
@@ -542,7 +545,10 @@ class TestLibraryVersions:
         train = TrainConfig(lr=0.01, epochs=3, batch_size=4, bias_correction=False, seed=7)
         save_model(model, str(tmp_path / "model.json"), train_config=train)
         save_split(plan, str(tmp_path / "split.json"))
-        assert (tmp_path / "model.json").read_bytes() == MODEL_V1.read_bytes()
+        line = MODEL_V1.read_bytes().split(b"\n")[0]
+        line = line.replace(b"-0.69136144097630703", b"-0.691361440976307")
+        line = line.replace(b"0.90000000000000002", b"0.9")
+        assert (tmp_path / "model.json").read_bytes() == _checked_json(line)
         assert (tmp_path / "split.json").read_bytes() == SPLIT_V1.read_bytes()
 
     @pytest.mark.parametrize("byte", [b"\x00", b"\n", b"\xff"])
@@ -928,6 +934,112 @@ class TestReportRoundTripProperty:
         assert _rewrite(path, _read_gate_report, fmt) == Path(path).read_bytes()
 
 
+def _float_bits(x):
+    return struct.pack("<d", x)
+
+
+# finite float64 bit patterns: any, subnormal, and whole floats near 1e16 and 1e17
+_FINITE = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda n: struct.unpack("<d", n.to_bytes(8, "little"))[0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(1, 2**52 - 1).map(lambda n: struct.unpack("<d", n.to_bytes(8, "little"))[0]),
+    st.integers(-(2**30), 2**30).map(lambda n: float(10**16 + n)),
+    st.integers(-(2**30), 2**30).map(lambda n: float(10**17 + n)),
+).filter(math.isfinite)
+
+REPORT_FIXTURES = Path(__file__).parent / "data"
+
+
+class TestRealsAsText:
+    """Every real is written with the fewest digits that read back as the
+    same float64; files written with 17 significant digits still load."""
+
+    @given(x=_FINITE, sign=st.sampled_from([1.0, -1.0]))
+    @example(x=0.0, sign=-1.0)
+    @example(x=5e-324, sign=1.0)
+    @example(x=1.7976931348623157e308, sign=-1.0)
+    @example(x=99_999_999_999_999_984.0, sign=1.0)
+    @example(x=1e17, sign=1.0)
+    @example(x=1e16, sign=-1.0)
+    @example(x=0.1, sign=1.0)
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_format_float(self, x, sign):
+        x *= sign  # exact, and it flips the sign of a zero too
+        text = store._format_float(x)
+        assert _float_bits(float(text)) == _float_bits(x)
+        decoded = _decode_value(float, store._loads(text), "x")
+        assert _float_bits(decoded) == _float_bits(x)
+        assert len(text) <= len(f"{x:.17g}")
+        if x.is_integer() and abs(x) < 1e17:
+            assert text == f"{x:.17g}"
+        else:  # one significant digit fewer no longer round-trips
+            digits = len(text.split("e")[0].lstrip("-").replace(".", "").lstrip("0"))
+            assert digits == 1 or float(f"{x:.{digits - 1}g}") != x
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_no_json_for_a_non_finite_real(self, tmp_path, bad):
+        with pytest.raises(DataError, match="^non-finite-value: JSON cannot carry "):
+            _jdump({"a": [0.5, bad]})
+        path = tmp_path / "gate.jsonl"
+        with pytest.raises(DataError, match="^non-finite-value: JSON cannot carry "):
+            write_report(_gate_report(), "jsonl", str(path), config={"x": bad})
+        assert not path.exists()
+
+    def test_parent_format_fixtures_load_to_the_recorded_values(self, tmp_path):
+        """Reports written with 17 significant digits load to the values
+        recorded when they were written, and save back shorter."""
+        config = {
+            "schema_version": 1,
+            "extract": {"grid": 4, "hist_bins": 16, "projection_dim": 0, "projection_seed": 0,
+                        "l2_normalize": True},
+            "quant": {"bin_width": 0.05, "origin": 0.0, "clamp_lo": None, "clamp_hi": None},
+            "sketch": {"k": 128, "hash_seed": 0},
+            "gate": {"j_alpha": 0.5, "aggregation": "max"},
+            "stats": {"ks_alpha": 0.05, "cosine_mode": "centroid", "pairwise_cap": 10000,
+                      "seed": 0},
+        }
+        drift = DriftReport(
+            baseline_id="base \u00e9t\u00e9.emb",
+            ks_alpha=0.05,
+            periods=(
+                PeriodStats("p0", 100, 0.1, 0.30000000000000004, 0.99999999999999989, 0, False),
+                PeriodStats("p1,late", 100, 0.23, 0.0012345678901234567, -0.0, 7, True),
+                PeriodStats("p2", 3, 1.0, 5e-324, -0.7, 3, True),
+            ),
+        )
+        sensitivity = SensitivityReport(
+            noise_kind="gaussian",
+            rows=(
+                SensitivityRow(0.0, 1.0, 0.0, 1.0, 0.0),
+                SensitivityRow(0.05, 0.997314453125, 0.07, 0.82, 0.01),
+                SensitivityRow(0.1, 0.98, 0.11, 0.2, 0.1),
+                SensitivityRow(0.4, 0.6, 0.93, 1e-300, 0.66666666666666663),
+            ),
+        )
+        for name, kind, fmt, expected in [
+            ("drift_report_v1.jsonl", "drift_report", "jsonl", drift),
+            ("drift_report_v1.csv", "drift_report", "csv", drift),
+            ("sensitivity_report_v1.jsonl", "sensitivity_report", "jsonl", sensitivity),
+        ]:
+            path = REPORT_FIXTURES / name
+            assert b"0.050000000000000003" in path.read_bytes()
+            report, got = read_report(str(path), kind)
+            assert (report, got) == (expected, config)
+            # == takes -0.0 for 0.0; the sign bits must agree too
+            assert [np.signbit(x) for x in _reals(report)] == [
+                np.signbit(x) for x in _reals(expected)
+            ]
+            again = tmp_path / name
+            write_report(report, fmt, str(again), config=got)
+            assert len(again.read_bytes()) < len(path.read_bytes())
+            assert read_report(str(again), kind) == (expected, config)
+
+
+def _reals(report):
+    rows = getattr(report, "periods", None) or report.rows
+    return [v for row in rows for v in vars(row).values() if isinstance(v, float)]
+
+
 class TestReportPersistence:
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_drift_round_trip(self, tmp_path, fmt):
@@ -1208,7 +1320,7 @@ class TestDeeplyNestedJson:
     def test_checked_json(self, tmp_path, loader):
         path = tmp_path / "deep.json"
         path.write_bytes(self.DEEP + b"\n# blake2b=" + _digest(self.DEEP).encode("ascii") + b"\n")
-        with pytest.raises(StoreError, match="checksum-mismatch: undecodable payload"):
+        with pytest.raises(StoreError, match="^malformed-payload: maximum recursion depth"):
             loader(str(path))
 
     @pytest.mark.parametrize("loader", [load_model, load_split], ids=["model", "split"])
@@ -1799,13 +1911,38 @@ class TestTypedDocuments:
         with pytest.raises(StoreError, match="^malformed-payload: 4 cells under 3 columns$"):
             _read_gate_report(str(path))
 
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            (b"0,0", "drift_flag = '0', which the writer writes 'false'"),
+            (b"0,FALSE", "drift_flag = 'FALSE', which the writer writes 'false'"),
+            (b"020,0.015", "n_images = '020', which the writer writes '20'"),
+            (b"20,0.0150", "ks_d = '0.0150', which the writer writes '0.015'"),
+            (b"20,1.5e-2", "ks_d = '1.5e-2', which the writer writes '0.015'"),
+            (b"20, 0.015", "ks_d = ' 0.015', which the writer writes '0.015'"),
+            (b"20,0.0_15", "ks_d = '0.0_15', which the writer writes '0.015'"),
+        ],
+    )
+    def test_a_csv_cell_must_be_as_written(self, tmp_path, cell, message):
+        """A cell that parses but is not the text the writer writes for its
+        value (a real may also have 17 significant digits) is named: it
+        would load to a report that saves back to other bytes."""
+        path = tmp_path / "drift.csv"
+        write_report(_drift_report(), "csv", str(path))
+        old = b"0,false" if cell.startswith(b"0,") else b"20,0.015"
+        TestReportPersistence._forge(path, old, cell)
+        with pytest.raises(StoreError, match=f"^malformed-payload: {re.escape(message)}$"):
+            read_drift_report(str(path))
+        write_report(_drift_report(), "csv", str(path))
+        TestReportPersistence._forge(path, b"0.93,", b"0.93000000000000005,")
+        assert read_drift_report(str(path))[0] == _drift_report()
+
     def test_a_repeated_key_is_named(self, tmp_path):
         """JSON keeps the last of two equal keys, so a document with one
         repeated loaded a value that saved back to other bytes."""
         path = tmp_path / "doc"
         path.write_bytes(_checked_json(_SPLIT_LINE.replace(b'"seed":0', b'"seed":0,"seed":3')))
-        message = r"^checksum-mismatch: undecodable payload \(duplicate key 'seed'\)$"
-        with pytest.raises(StoreError, match=message):
+        with pytest.raises(StoreError, match="^malformed-payload: duplicate key 'seed'$"):
             load_split(str(path))
         write_report(_drift_report(), "jsonl", str(path))
         TestReportPersistence._forge(path, b'"n_images":18', b'"n_images":18,"n_images":19')
@@ -1817,6 +1954,11 @@ class TestTypedDocuments:
         forged = reference_path.seal_library(body, 3)
         with pytest.raises(StoreError, match="^malformed-payload: duplicate key 'm'$"):
             load_library(forged)
+        forged = _forge_v1(b'"schema_version":1', b'"schema_version":1,"schema_version":1')
+        with pytest.raises(StoreError, match="^malformed-payload: duplicate key 'schema_version'$"):
+            load_library(forged)
+        with pytest.raises(StoreError, match="^malformed-payload: 'utf-8' codec can't decode"):
+            load_library(_forge_v1(b'"fp"', b'"\xff"'))
 
     def test_integers_past_the_conversion_limit(self, tmp_path):
         """Python refuses to read an integer of more than 4,300 digits; that
@@ -1824,7 +1966,7 @@ class TestTypedDocuments:
         big = b"9" * 5000
         path = tmp_path / "doc"
         path.write_bytes(_checked_json(_MODEL_LINE.replace(b'"dim":2', b'"dim":' + big)))
-        with pytest.raises(StoreError, match="^checksum-mismatch: undecodable payload"):
+        with pytest.raises(StoreError, match="^malformed-payload: Exceeds the limit"):
             load_model(str(path))
         write_report(_drift_report(), "jsonl", str(path))
         TestReportPersistence._forge(path, b'"n_images":18', b'"n_images":' + big)
@@ -1947,12 +2089,37 @@ class TestDocumentMutationProperty:
 
         _same_bytes_or_named(path, lambda p: read_report(p, kind), save)
 
+    @pytest.mark.parametrize("kind", ["drift_report", "sensitivity_report", "gate_report"])
+    @given(data=st.data())
+    @_PROPERTY
+    def test_csv_report(self, tmp_path, kind, data):
+        """One cell given a value of another JSON type, rendered as the
+        writer renders a cell, then the body resealed."""
+        report = {"drift_report": _drift_report, "sensitivity_report": _sensitivity_report,
+                  "gate_report": _gate_report}[kind]()
+        lines = encode_report(report, "csv", {"seed": 1}).decode("utf-8").split("\n")[:-2]
+        first = next(i for i, ln in enumerate(lines) if not ln.startswith("# ")) + 1  # a row
+        i = data.draw(st.integers(first, len(lines) - 1))
+        cells = [store._csv_cell(text) for text in store._split_csv_line(lines[i])]
+        j = data.draw(st.integers(0, len(cells) - 1))
+        cell = _ANY_JSON.filter(lambda v: "\n" not in str(v)).map(store._csv_cell)
+        cells[j] = data.draw(cell.filter(lambda text: text != cells[j]))
+        lines[i] = ",".join(cells)
+        body = ("\n".join(lines) + "\n").encode("utf-8")
+        path = tmp_path / "report.csv"
+        path.write_bytes(body + f"# blake2b={_digest(body)}\n".encode("ascii"))
+
+        def save(report_and_config, p):
+            write_report(report_and_config[0], "csv", p, report_and_config[1])
+
+        _same_bytes_or_named(path, lambda p: read_report(p, kind), save)
+
     @given(data=st.data())
     @_PROPERTY
     def test_library_header(self, tmp_path, data):
         header, matrix, index = _split_v2(save_library(_v1_fixture_library()))
         header = _mutate_one(data.draw, header, "sketch", "quant")
-        head = _jdump(header, sort_keys=True).encode("utf-8")
+        head = reference_path.jdump_17(header, sort_keys=True).encode("utf-8")
         path = tmp_path / "lib.dskl"
         path.write_bytes(
             reference_path.seal_library(len(head).to_bytes(8, "little") + head + matrix + index, 3)
