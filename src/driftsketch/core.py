@@ -1,8 +1,9 @@
 """Shared domain types, validation, and deterministic seeded randomness.
 
-`_decode` types every JSON document the package reads back by the
-annotations of the dataclass it holds, and `_parse_text` types config-file
-values and CSV cells by the same annotations.
+`_typed` types fields by the annotations of their dataclass: `_decode` calls
+it on every JSON document the package reads back, and every record calls it
+(by `_check_fields`) as it is built. `_parse_text` types config-file values
+and CSV cells by the same annotations.
 
 Every stochastic operation in the package draws from `seeded_rng`, a Philox
 counter-based generator keyed by (seed, stream label). Equal arguments give
@@ -49,8 +50,9 @@ def _frozen_array(values, dtype=np.float64):
 class ImageGrid:
     """Decoded raster: intensities in [0,1], row-major, channel-interleaved.
 
-    The constructor coerces `pixels` to a read-only flat float64 array but
-    does not validate; call `validate_image` to check the invariants.
+    The constructor coerces `pixels` to a read-only flat float64 array and
+    checks the invariants by `validate_image`, so every grid, built by a
+    caller or decoded, is valid.
     """
 
     width: int
@@ -60,6 +62,7 @@ class ImageGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "pixels", _frozen_array(self.pixels))
+        validate_image(self)
 
     @classmethod
     def from_array(cls, arr):
@@ -202,12 +205,9 @@ def _decode(cls, obj, **given):
     annotations; ConfigError("config-invalid: ...") names the first fault.
 
     The keys of `obj` and `given` (fields already built) must be exactly the
-    class's fields; a missing key is named alone, as in ``'k'``. An ``int``
-    takes an integer, a ``float`` a float or an integer as ``_jdump`` writes
-    a whole float (below 1e17 and exact), ``str``, ``bool``, ``list`` and
-    ``dict`` only that JSON type, ``object`` anything, ``X | None`` also
-    null, and a dataclass field is decoded in turn. Then the class checks
-    its own ranges as it is built.
+    class's fields; a missing key is named alone, as in ``'k'``. Each value
+    is typed by ``_typed``, then the class checks its own ranges as it is
+    built.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"config-invalid: expected an object, got {reprlib.repr(obj)}")
@@ -215,13 +215,32 @@ def _decode(cls, obj, **given):
     for name in obj:
         if name not in plan or name in given:
             raise ConfigError(f"config-invalid: unknown key {reprlib.repr(name)}")
-    values = dict(given)
-    for name, field in plan.items():
+    return cls(**_typed(cls, {**obj, **given}))
+
+
+def _typed(cls, values):
+    """`values`, a dict holding every field of dataclass `cls`, each value
+    typed in place by its annotation, in field order: an ``int`` takes an
+    integer, a ``float`` a float or an integer as ``_jdump`` writes a whole
+    float (below 1e17 and exact), ``str``, ``bool``, ``list`` and ``dict``
+    that type, ``object`` anything, ``X | None`` also None, and a dataclass
+    a JSON object, decoded in turn. A NumPy scalar becomes the Python value
+    it equals. ConfigError("config-invalid: ...") names the first fault."""
+    for name, field in _decode_plan(cls).items():
         if name not in values:
-            if name not in obj:
-                raise ConfigError(f"config-invalid: {name!r}")
-            values[name] = _check_value(field, obj[name], name)
-    return cls(**values)
+            raise ConfigError(f"config-invalid: {name!r}")
+        values[name] = _check_value(field, values[name], name)
+    return values
+
+
+def _check_fields(record, finite=False):
+    """Type every field of a dataclass instance in place by ``_typed``; each
+    record calls it as it is built. With `finite`, a real that no JSON
+    document can carry (NaN or an infinity) raises DataError."""
+    values = _typed(type(record), vars(record))
+    for name, value in values.items() if finite else ():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DataError(f"non-finite-value: {type(record).__name__}.{name} = {value!r}")
 
 
 def _decode_value(hint, value, name):
@@ -234,6 +253,7 @@ def _check_value(field, value, name):
         return value  # the JSON type the annotation names, as the parser gives it
     if nested and isinstance(value, dict):
         return _decode(hint, value)
+    value = value.item() if isinstance(value, np.generic) else value
     if isinstance(value, types) and (hint is bool) == isinstance(value, bool):
         if hint is not float:
             return value
@@ -242,25 +262,6 @@ def _check_value(field, value, name):
     kind = "an object" if nested else hint.__name__
     null = " or null" if optional else ""
     raise ConfigError(f"config-invalid: {name} must be {kind}{null}, got {reprlib.repr(value)}")
-
-
-def _check_finite_fields(record):
-    """DataError naming the first ``float`` field of a dataclass instance
-    that holds NaN or an infinity, which no JSON document can carry."""
-    for name, (hint, *_) in _decode_plan(type(record)).items():
-        value = getattr(record, name)
-        if hint is float and isinstance(value, (float, np.floating)) and not math.isfinite(value):
-            raise DataError(f"non-finite-value: {type(record).__name__}.{name} = {value!r}")
-
-
-def _check_reals(config):
-    """ConfigError unless every ``float`` field of a config holds an integer
-    or a float; a bool is neither."""
-    for name, hint in _field_types(type(config)).items():
-        hint, optional, *_ = _field_plan(hint)
-        value = getattr(config, name)
-        if hint is float and not (optional and value is None) and not _is_real(value):
-            raise ConfigError(f"config-invalid: {name} must be a number, got {value!r}")
 
 
 def _parse_text(hint, text, name):
@@ -300,7 +301,7 @@ class PipelineConfig:
 
     Field types live in their own modules (extract, sketchlib, stats); see
     `_stage_configs`. Each stage config checks itself on construction; this
-    one checks the schema version.
+    one checks the schema version and that each section is of its class.
     """
 
     schema_version: int = SCHEMA_VERSION
@@ -311,11 +312,14 @@ class PipelineConfig:
     stats: object = None
 
     def __post_init__(self):
-        if not _is_integer(self.schema_version) or self.schema_version != SCHEMA_VERSION:
+        _check_fields(self)
+        if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"config-invalid: schema_version must be {SCHEMA_VERSION}")
         for name, cls in _stage_configs().items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, cls())
+            elif not isinstance(getattr(self, name), cls):
+                raise ConfigError(f"config-invalid: {name} must be {cls.__name__} or None")
 
     def to_dict(self):
         return asdict(self)

@@ -22,9 +22,9 @@ from .core import (
     FeatureVector,
     StoreError,
     _check_count,
+    _check_fields,
     _check_seed,
     seeded_rng,
-    validate_image,
 )
 
 
@@ -41,6 +41,7 @@ class ExtractConfig:
         _check_count("hist_bins", self.hist_bins, 2)
         _check_count("projection_dim", self.projection_dim, 0)
         _check_seed(self.projection_seed)
+        _check_fields(self)
 
     def raw_dim(self, channels):
         """Feature length before projection for an image with `channels`."""
@@ -84,7 +85,6 @@ def extract_builtin(img, cfg, source_id=""):
     in order. Value 1.0 falls in the last histogram bin. Each channel is
     computed exactly as a gray image of that plane would be.
     """
-    validate_image(img)
     if img.width < cfg.grid or img.height < cfg.grid:
         raise DataError(
             f"image-smaller-than-grid: {img.width}x{img.height} image, grid {cfg.grid}"

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, _check_count, _check_reals, _check_seed, seeded_rng
+from .core import ConfigError, DataError, _check_count, _check_fields, _check_seed, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class HeadModel:
         w = np.ascontiguousarray(self.w, dtype=np.float64).ravel()
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", float(self.b))
+        _check_fields(self)
         if not (np.isfinite(self.w).all() and math.isfinite(self.b)):
             raise DataError("non-finite-parameter")
 
@@ -51,16 +51,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_reals(self)
+        _check_count("epochs", self.epochs, 1)
+        _check_count("batch_size", self.batch_size, 1)
+        _check_seed(self.seed)
+        _check_fields(self)
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"config-invalid: lr must lie in (0, inf), got {self.lr}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConfigError("config-invalid: betas must lie in [0, 1)")
         if not 0 < self.epsilon < math.inf:
             raise ConfigError(f"config-invalid: epsilon must lie in (0, inf), got {self.epsilon}")
-        _check_count("epochs", self.epochs, 1)
-        _check_count("batch_size", self.batch_size, 1)
-        _check_seed(self.seed)
 
 
 PROB_CLAMP = 1e-12

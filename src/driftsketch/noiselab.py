@@ -17,12 +17,11 @@ from .core import (
     ConfigError,
     DataError,
     ImageGrid,
-    _check_finite_fields,
+    _check_fields,
     _check_seed,
     _is_real,
     derive_seed,
     seeded_rng,
-    validate_image,
 )
 from .extract import extract_batch
 from .sketchlib import build_library, gate_check
@@ -46,6 +45,7 @@ class NoiseSpec:
             raise ConfigError(f"config-invalid: unknown noise kind {self.kind!r}")
         _check_level(self.kind, self.level)
         _check_seed(self.seed)
+        _check_fields(self)
 
 
 def _check_level(kind, level):
@@ -85,7 +85,6 @@ def _replace_pixels(img, pixels):
 def gaussian_noise(img, sigma, seed=0):
     """Additive pixel noise drawn from N(0, sigma^2), clamped to [0,1]."""
     _check_level("gaussian", sigma)
-    validate_image(img)
     if sigma == 0.0:
         return img
     rng = seeded_rng(seed, "noise.gaussian")
@@ -99,7 +98,6 @@ def salt_pepper(img, fraction, seed=0):
     (rounding half up), each going black or white with equal probability.
     """
     _check_level("salt_pepper", fraction)
-    validate_image(img)
     n_positions = img.width * img.height
     count = int(np.floor(fraction * n_positions + 0.5))
     if count == 0:
@@ -115,7 +113,6 @@ def salt_pepper(img, fraction, seed=0):
 def speckle(img, variance, seed=0):
     """Multiplicative noise: p * (1 + n) with n ~ N(0, variance), clamped."""
     _check_level("speckle", variance)
-    validate_image(img)
     if variance == 0.0:
         return img
     rng = seeded_rng(seed, "noise.speckle")
@@ -131,7 +128,6 @@ def poisson_noise(img, level, seed=0):
     uniform across kinds.
     """
     _check_level("poisson", level)
-    validate_image(img)
     if level == 0.0:
         return img
     lam = POISSON_BASE / level
@@ -162,7 +158,7 @@ class SensitivityRow:
     anomaly_rate: float
 
     def __post_init__(self):
-        _check_finite_fields(self)
+        _check_fields(self, finite=True)
 
 
 @dataclass(frozen=True)
@@ -174,6 +170,7 @@ class SensitivityReport:
         object.__setattr__(self, "rows", tuple(self.rows))
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"config-invalid: unknown noise kind {self.noise_kind!r}")
+        _check_fields(self)
         if not self.rows:
             raise DataError("empty-report: at least one level required")
         levels = [r.level for r in self.rows]

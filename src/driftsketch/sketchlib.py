@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _kernels
-from .core import ConfigError, DataError, StoreError, _check_count, _check_reals, _check_seed
+from .core import ConfigError, DataError, StoreError, _check_count, _check_fields, _check_seed
 from .core import seeded_rng
 
 
@@ -31,7 +31,7 @@ class QuantConfig:
     clamp_hi: float | None = None
 
     def __post_init__(self):
-        _check_reals(self)
+        _check_fields(self)
         if not 0 < self.bin_width < np.inf:
             raise ConfigError(f"config-invalid: bin_width must lie in (0, inf), got {self.bin_width}")
         if not -np.inf < self.origin < np.inf:
@@ -69,6 +69,7 @@ class SketchConfig:
     def __post_init__(self):
         _check_count("k", self.k, 1)
         _check_seed(self.hash_seed)
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,7 @@ class GateConfig:
     aggregation: str = "max"
 
     def __post_init__(self):
-        _check_reals(self)
+        _check_fields(self)
         if not 0.0 <= self.j_alpha <= 1.0:
             raise ConfigError(f"config-invalid: j_alpha must lie in [0,1], got {self.j_alpha}")
         if self.aggregation not in ("max", "mean", "union"):
@@ -275,14 +276,17 @@ class GateResult:
 
 @dataclass(frozen=True)
 class GateReport:
-    """The verdicts of one gate run, one row per checked item, in input order."""
+    """The verdicts of one gate run, one row per checked item, in input order.
+    Its ``GateResult`` rows, built one per query, are checked here."""
 
     library: str
     rows: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
+        _check_fields(self)
         for r in self.rows:
+            _check_fields(r)
             if not 0.0 <= r.score <= 1.0 or r.verdict not in _VERDICTS:
                 raise DataError(f"invalid-verdict: {r.source_id!r}: {r.score!r}, {r.verdict!r}")
 

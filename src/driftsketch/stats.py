@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, _check_count, _check_finite_fields, _check_reals
-from .core import _check_seed, seeded_rng
+from .core import ConfigError, DataError, _check_count, _check_fields, _check_seed, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,9 @@ class StatsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_reals(self)
+        _check_count("pairwise_cap", self.pairwise_cap, 1)
+        _check_seed(self.seed)
+        _check_fields(self)
         if not 0.0 < self.ks_alpha < 1.0:
             raise ConfigError(f"config-invalid: ks_alpha must lie in (0,1), got {self.ks_alpha}")
         if self.cosine_mode not in ("centroid", "mean_pairwise"):
@@ -32,8 +33,6 @@ class StatsConfig:
                 f"config-invalid: cosine_mode must be centroid or mean_pairwise, "
                 f"got {self.cosine_mode!r}"
             )
-        _check_count("pairwise_cap", self.pairwise_cap, 1)
-        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ class PeriodStats:
     drift_flag: bool
 
     def __post_init__(self):
-        _check_finite_fields(self)
+        _check_fields(self, finite=True)
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,8 @@ class DriftReport:
     periods: tuple
 
     def __post_init__(self):
-        _check_finite_fields(self)
         object.__setattr__(self, "periods", tuple(self.periods))
+        _check_fields(self, finite=True)
         if not self.periods:
             raise DataError("empty-report: at least one period required")
         for p in self.periods:
@@ -253,7 +252,7 @@ def drift_report(baseline, periods, cfg, gate_flag_counts=None, baseline_id="bas
                 ks_d=d_stat,
                 ks_p=p_val,
                 cosine_score=batch_cosine(baseline, vectors, cfg),
-                gate_flag_count=int(flags),
+                gate_flag_count=flags,
                 drift_flag=p_val < cfg.ks_alpha,
             )
         )

@@ -64,8 +64,8 @@ import numpy as np
 
 from ._zstream import Body, checked, seal
 from .core import ConfigError, DataError, ImageGrid, StoreError, seeded_rng
-from .core import _check_count, _check_seed, _decode, _decode_value, _field_types, _is_integer
-from .core import _parse_text
+from .core import _check_count, _check_fields, _check_seed, _decode, _decode_value, _field_types
+from .core import _is_integer, _parse_text
 from .extract import _encode_embeddings
 from .head import HeadModel, TrainConfig
 from .sketchlib import GateReport, GateResult, QuantConfig, SketchConfig, SketchLibrary
@@ -210,6 +210,8 @@ def load_image(path):
         if not token:
             raise StoreError("corrupt-header: truncated header")
         try:
+            if not token.isdigit():  # int() also takes a sign and '_' between digits
+                raise ValueError
             fields.append(int(token))
         except ValueError:
             raise StoreError(f"corrupt-header: non-integer header token {token!r}")
@@ -239,9 +241,6 @@ def load_image(path):
 
 def save_image(img, path):
     """Encode an ImageGrid as binary PGM (1 channel) or PPM (3 channels)."""
-    from .core import validate_image
-
-    validate_image(img)
     magic = b"P5" if img.channels == 1 else b"P6"
     header = magic + f"\n{img.width} {img.height}\n255\n".encode("ascii")
     raster = np.rint(img.pixels * 255.0).astype(np.uint8).tobytes()
@@ -538,8 +537,8 @@ def load_model(path):
 @dataclass(frozen=True)
 class SplitPlan:
     """Ids assigned to ``n_groups`` groups under a seed. It checks itself on
-    construction: at least 2 groups, a seed in [0, 2^64), and every group
-    an integer in [0, n_groups)."""
+    construction: at least 2 groups, a seed in [0, 2^64), every id a
+    string and every group an integer in [0, n_groups)."""
 
     n_groups: int
     seed: int
@@ -550,7 +549,10 @@ class SplitPlan:
         _check_seed(self.seed)
         if not isinstance(self.assignment, dict):
             raise ConfigError(f"config-invalid: assignment must be a dict, got {self.assignment!r}")
+        _check_fields(self)
         for sid, group in self.assignment.items():
+            if not isinstance(sid, str):
+                raise ConfigError(f"config-invalid: id {sid!r} is not a string")
             if not _is_integer(group):
                 raise ConfigError(f"config-invalid: id {sid!r} in group {group!r}, not an integer")
             if not 0 <= group < self.n_groups:

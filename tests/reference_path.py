@@ -5,8 +5,10 @@ extract with a separate NumPy pass and a fresh array for every step: a
 byte-at-a-time header tokenizer, a divide after the cast, one range mask,
 stacked and concatenated statistics, and a clamped histogram. `load_image`
 also rejects a sample above maxval, with a Python `max` over the raster
-bytes. The package's own functions must agree with them bit for bit, and
-raise the same errors with the same text.
+bytes, and reads a header number only as ASCII decimal digits, as the
+package does (int() alone also takes a sign or '_' between digits). The
+package's own functions must agree with them bit for bit, and raise the
+same errors with the same text.
 
 `sensitivity_sweep` below is the level-major sweep: it corrupts the whole
 test set at one level, extracts it, then goes on to the next level, so it
@@ -93,6 +95,8 @@ def load_image(path):
     for _ in range(3):
         token, pos = _next_header_token(data, pos)
         try:
+            if not token.isdigit():
+                raise ValueError
             fields.append(int(token))
         except ValueError:
             raise StoreError(f"corrupt-header: non-integer header token {token!r}")

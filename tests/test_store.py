@@ -200,6 +200,80 @@ def test_decoded_pixels_match_reference_for_every_maxval(tmp_path):
             )
 
 
+class TestHeaderNumbers:
+    """A PGM/PPM header number is ASCII decimal digits only: int() also
+    takes a sign and '_' between digits, so ``1_0`` read as 10."""
+
+    @pytest.mark.parametrize("token", [b"1_0", b"+10", b"0_10"])
+    def test_only_digits(self, tmp_path, capsys, token):
+        path = tmp_path / "w.pgm"
+        path.write_bytes(b"P5\n" + token + b" 1\n255\n" + bytes(10))
+        message = f"corrupt-header: non-integer header token {token!r}"
+        with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
+            load_image(str(path))
+        assert cli_main(["extract", str(path), "--out", str(tmp_path / "e.emb")]) == 3
+        assert "corrupt-header: non-integer header token" in capsys.readouterr().err
+
+    def test_leading_zeros_are_digits(self, tmp_path):
+        path = tmp_path / "z.pgm"
+        path.write_bytes(b"P5\n010 01\n0255\n" + bytes(range(10)))
+        img = load_image(str(path))
+        assert (img.width, img.height) == (10, 1)
+
+
+_HEADER_BYTES = list(b"# \n-_+0123456789")
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_image_named_or_saved_back(tmp_path, capsys, data):
+    """A P5 or P6 file from ``save_image`` with one mutation (a flipped byte,
+    a cut, an inserted byte, or a header byte that matters to the parser
+    put in or over a header byte): ``load_image`` raises a named StoreError
+    or returns an image that ``save_image`` writes and ``load_image`` reads
+    back to the same pixels, rounded to 8 bits as the writer writes them;
+    ``extract`` on the file exits 0 or 3."""
+    channels = data.draw(st.sampled_from([1, 3]))
+    width, height = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    size = width * height * channels
+    raster = data.draw(st.binary(min_size=size, max_size=size))
+    img = ImageGrid(width, height, channels, np.frombuffer(raster, np.uint8) / 255.0)
+    path = tmp_path / ("m.pgm" if channels == 1 else "m.ppm")
+    save_image(img, str(path))
+    raw = bytearray(path.read_bytes())
+    header_end = len(raw) - size
+    kind = data.draw(st.sampled_from(["flip", "cut", "insert", "header"]))
+    if kind == "header":  # a byte after the magic
+        at = data.draw(st.integers(2, header_end - 1))
+    else:
+        at = data.draw(st.integers(0, len(raw) - 1))
+    if kind == "flip":
+        raw[at] ^= 1 << data.draw(st.integers(0, 7))
+    elif kind == "cut":
+        del raw[at : at + data.draw(st.integers(1, len(raw)))]
+    elif kind == "insert":
+        raw.insert(at, data.draw(st.integers(0, 255)))
+    elif data.draw(st.booleans()):
+        raw[at] = data.draw(st.sampled_from(_HEADER_BYTES))
+    else:
+        raw.insert(at, data.draw(st.sampled_from(_HEADER_BYTES)))
+    path.write_bytes(bytes(raw))
+    try:
+        got = load_image(str(path))
+    except StoreError as exc:
+        event(f"{kind}: {str(exc).partition(':')[0]}")
+    else:
+        event(f"{kind}: loaded")
+        again = tmp_path / ("again" + path.suffix)
+        save_image(got, str(again))
+        back = load_image(str(again))
+        assert (back.width, back.height, back.channels) == (got.width, got.height, got.channels)
+        assert back.pixels.tobytes() == (np.rint(got.pixels * 255.0) / 255.0).tobytes()
+    assert cli_main(["extract", str(path), "--out", str(tmp_path / "e.emb")]) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _every_bit_flip_detected(path, loader, step=1):
     """Flip one bit at a sample of byte positions; the loader must raise."""
     original = Path(path).read_bytes()
