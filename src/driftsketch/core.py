@@ -84,6 +84,11 @@ class ImageGrid:
 
 def validate_image(img):
     """Raise DataError naming the first offending index if `img` is invalid."""
+    if not (_is_integer(img.width) and _is_integer(img.height) and _is_integer(img.channels)):
+        raise DataError(
+            f"dimension-mismatch: width, height and channels must be integers, got "
+            f"{img.width!r}, {img.height!r}, {img.channels!r}"
+        )
     if img.width < 1 or img.height < 1:
         raise DataError(f"dimension-mismatch: width={img.width}, height={img.height}")
     if img.channels not in (1, 3):
@@ -105,17 +110,52 @@ def validate_image(img):
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """A d-dimensional real feature vector plus the id of its source image."""
+    """A d-dimensional real feature vector plus the id of its source image,
+    valid by construction: see `_frozen_vector`; a `source_id` is a str."""
 
     values: np.ndarray
     source_id: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values))
+        if not isinstance(self.source_id, str):
+            raise DataError(f"malformed-id: {reprlib.repr(self.source_id)} is not a string")
+        object.__setattr__(self, "values", _frozen_vector(self.values, f"({self.source_id})"))
 
     @property
     def dim(self):
         return self.values.shape[0]
+
+
+def _sealed(arr):
+    """True for a contiguous float64 array that is read-only, as is every
+    array it views, down to an owner or bytes: a buffer no caller can write
+    through, such as a row of a loaded embedding matrix, so a vector may
+    share it instead of copying."""
+    ok = isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.flags.c_contiguous
+    while ok and isinstance(arr, np.ndarray):
+        ok, arr = not arr.flags.writeable, arr.base
+    return ok and (arr is None or isinstance(arr, bytes))
+
+
+def _frozen_vector(values, where):
+    """`values` as a read-only, contiguous 1-D float64 array of finite
+    components, copied unless `_sealed`, so no caller can change it later;
+    else DataError("dimension-mismatch<where> is not a vector: shape ...")
+    or DataError("non-finite-value<where>")."""
+    arr = values if _sealed(values) else np.array(values, dtype=np.float64, order="C")
+    if arr.ndim != 1:
+        raise DataError(f"dimension-mismatch{where} is not a vector: shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"non-finite-value{where}")
+    arr.flags.writeable = False
+    return arr
+
+
+def _as_vector(v, name):
+    """`v` as a FeatureVector, the one way every function reads a vector: a
+    FeatureVector as it is, anything else checked first with the errors
+    naming the argument `name` ("non-finite-value: a"), with the empty id."""
+    return v if isinstance(v, FeatureVector) else FeatureVector(_frozen_vector(v, f": {name}"))
 
 
 def _is_integer(value):
@@ -241,6 +281,20 @@ def _check_fields(record, finite=False):
     for name, value in values.items() if finite else ():
         if isinstance(value, float) and not math.isfinite(value):
             raise DataError(f"non-finite-value: {type(record).__name__}.{name} = {value!r}")
+
+
+def _record_rows(rows, cls):
+    """The rows of a report as a tuple; DataError("malformed-row") unless
+    they are an iterable of `cls` records."""
+    try:
+        rows = tuple(rows)
+    except TypeError:
+        got = reprlib.repr(rows)
+        raise DataError(f"malformed-row: expected {cls.__name__} rows, got {got}") from None
+    for row in rows:
+        if not isinstance(row, cls):
+            raise DataError(f"malformed-row: expected {cls.__name__}, got {reprlib.repr(row)}")
+    return rows
 
 
 def _decode_value(hint, value, name):

@@ -21,11 +21,13 @@ from .core import (
     DataError,
     FeatureVector,
     StoreError,
+    _as_vector,
     _check_count,
     _check_fields,
     _check_seed,
     seeded_rng,
 )
+from .stats import _pow2_scaled
 
 
 @dataclass(frozen=True)
@@ -151,10 +153,12 @@ def extract_batch(images, cfg, source_ids=None):
 
 def l2_normalize(v):
     """Scale a FeatureVector to unit Euclidean norm; zero vectors pass through."""
-    norm = np.linalg.norm(v.values)
+    v = _as_vector(v, "v")
+    scaled = _pow2_scaled(v.values)  # the same quotients, but no |v|^2 overflows or vanishes
+    norm = np.linalg.norm(scaled)
     if norm == 0.0:
         return v
-    return FeatureVector(values=v.values / norm, source_id=v.source_id)
+    return FeatureVector(values=scaled / norm, source_id=v.source_id)
 
 
 EMBEDDING_MAGIC = "driftsketch-emb"
@@ -223,9 +227,6 @@ def _embedding_vectors(ids_line, count, dim, data_size, matrix):
         if sid in seen:
             raise StoreError(f"malformed-payload: duplicate id {sid!r}")
         seen.add(sid)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        raise DataError(f"non-finite-value({ids[int(np.argmin(finite))]})")
     return [FeatureVector(values=row, source_id=sid) for sid, row in zip(ids, matrix)]
 
 
@@ -320,8 +321,6 @@ def load_embeddings(path):
             values = np.array([float(x) for x in fields[1:]])
         except ValueError:
             raise StoreError(f"malformed-file(line {lineno}): unparseable value")
-        if not np.isfinite(values).all():
-            raise DataError(f"non-finite-value({rec_id})")
         out.append(FeatureVector(values=values, source_id=rec_id))
     return out
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, _check_count, _check_fields, _check_seed, seeded_rng
+from .core import ConfigError, DataError, _as_vector, _check_count, _check_fields, _check_seed
+from .core import _frozen_array, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -20,9 +21,7 @@ class HeadModel:
     b: float
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.w, dtype=np.float64).ravel()
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", _frozen_array(self.w))
         _check_fields(self)
         if not (np.isfinite(self.w).all() and math.isfinite(self.b)):
             raise DataError("non-finite-parameter")
@@ -79,12 +78,16 @@ def _sigmoid(z):
 
 def predict(model, x):
     """P(label=1 | x) = sigmoid(w . x + b)."""
-    values = x.values if hasattr(x, "values") else np.asarray(x, dtype=np.float64)
+    values = _as_vector(x, "x").values
     if values.shape[0] != model.w.shape[0]:
         raise DataError(
             f"dimension-mismatch: input dim {values.shape[0]}, model dim {model.w.shape[0]}"
         )
-    return float(_sigmoid(float(model.w @ values) + model.b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = float(model.w @ values) + model.b
+    if math.isnan(z):  # an infinite w . x has a sigmoid; two of opposite signs do not
+        raise DataError("non-finite-value: w . x overflows")
+    return float(_sigmoid(z))
 
 
 def bce_loss(probs, labels):
@@ -98,21 +101,17 @@ def bce_loss(probs, labels):
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
-def _batch_arrays(model, batch):
+def _batch_arrays(batch, d=None):
+    """(xs, ys) of (vector, label) pairs whose vectors have dim d, by default
+    the dim of the first."""
     if not batch:
         raise DataError("empty-batch")
-    d = model.w.shape[0]
-    xs = np.empty((len(batch), d))
-    ys = np.empty(len(batch))
-    for i, (vec, label) in enumerate(batch):
-        values = vec.values if hasattr(vec, "values") else np.asarray(vec, dtype=np.float64)
-        if values.shape[0] != d:
-            raise DataError(
-                f"dimension-mismatch: sample {i} has dim {values.shape[0]}, model dim {d}"
-            )
-        xs[i] = values
-        ys[i] = label
-    return xs, ys
+    rows = [_as_vector(vec, f"sample {i}").values for i, (vec, _) in enumerate(batch)]
+    d = len(rows[0]) if d is None else d
+    for i, values in enumerate(rows):
+        if len(values) != d:
+            raise DataError(f"dimension-mismatch: sample {i} has dim {len(values)}, expected {d}")
+    return np.stack(rows), np.array([float(label) for _, label in batch])
 
 
 def _probs_and_gradient(model, xs, ys):
@@ -127,8 +126,11 @@ def _probs_and_gradient(model, xs, ys):
 
 def bce_gradient(model, batch):
     """Analytic BCE gradient over (w, b): mean of (p - y) x and (p - y)."""
-    xs, ys = _batch_arrays(model, batch)
-    _, grad = _probs_and_gradient(model, xs, ys)
+    xs, ys = _batch_arrays(batch, model.w.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, grad = _probs_and_gradient(model, xs, ys)
+    if not np.isfinite(grad).all():
+        raise DataError("non-finite-value: the gradient overflows")
     return grad
 
 
@@ -175,13 +177,8 @@ def train_head(data, cfg):
     labels = {int(label) for _, label in data}
     if labels != {0, 1}:
         raise DataError(f"single-class-data: labels present: {sorted(labels)}")
-    d = data[0][0].values.shape[0]
-    for vec, _ in data:
-        if vec.values.shape[0] != d:
-            raise DataError(f"dimension-mismatch: mixed dims {vec.values.shape[0]} and {d}")
-
-    xs = np.stack([vec.values for vec, _ in data])
-    ys = np.array([float(label) for _, label in data])
+    xs, ys = _batch_arrays(data)
+    d = xs.shape[1]
 
     init_rng = seeded_rng(cfg.seed, "head.init")
     model = HeadModel(w=init_rng.standard_normal(d) / math.sqrt(d), b=0.0)

@@ -20,6 +20,7 @@ from .core import (
     _check_fields,
     _check_seed,
     _is_real,
+    _record_rows,
     derive_seed,
     seeded_rng,
 )
@@ -167,7 +168,7 @@ class SensitivityReport:
     rows: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "rows", _record_rows(self.rows, SensitivityRow))
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"config-invalid: unknown noise kind {self.noise_kind!r}")
         _check_fields(self)

@@ -15,8 +15,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _kernels
-from .core import ConfigError, DataError, StoreError, _check_count, _check_fields, _check_seed
-from .core import seeded_rng
+from .core import ConfigError, DataError, StoreError, _as_vector, _check_count, _check_fields
+from .core import _check_seed, _record_rows, seeded_rng
 
 
 # a bin index must have magnitude below 2**63 to be cast to int64 exactly
@@ -283,7 +283,7 @@ class GateReport:
     rows: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "rows", _record_rows(self.rows, GateResult))
         _check_fields(self)
         for r in self.rows:
             _check_fields(r)
@@ -300,15 +300,12 @@ def tokenize(v, q):
     identical token sets. A bin index outside the int64 range raises
     DataError("value-out-of-range") instead of wrapping in the cast.
     """
-    values = v.values if hasattr(v, "values") else np.asarray(v, dtype=np.float64)
-    return TokenSet(tokens=_kernels.hash_bins(_quantize(values, q)))
+    return TokenSet(tokens=_kernels.hash_bins(_quantize(_as_vector(v, "v").values, q)))
 
 
 def _quantize(values, q):
-    """The int64 bin index of each component of `values`, checked as
-    `tokenize` documents."""
-    if not np.isfinite(values).all():
-        raise DataError("non-finite-value: cannot tokenize")
+    """The int64 bin index of each component of the finite vector `values`,
+    checked as `tokenize` documents."""
     if q.clamp_lo is not None:
         values = np.clip(values, q.clamp_lo, q.clamp_hi)
     with np.errstate(over="ignore"):
@@ -484,6 +481,7 @@ def build_library(features, q, s, extract_fingerprint=""):
     """
     if not features:
         raise DataError("empty-input")
+    features = [_as_vector(v, "features") for v in features]
     dims = sorted({v.values.shape[0] for v in features})
     if len(dims) > 1:
         raise DataError(f"dimension-mismatch: mixed dims {dims}")
@@ -526,16 +524,13 @@ def gate_check(lib, v, g, extract_fingerprint=None):
             f"incompatible-config: library extractor {lib.extract_fingerprint}, "
             f"gate extractor {extract_fingerprint}"
         )
-    values = v.values if hasattr(v, "values") else np.asarray(v, dtype=np.float64)
-    if values.ndim != 1:
-        raise DataError("dimension-mismatch: query is not a vector")
-    if lib.dim is not None and values.shape[0] != lib.dim:
+    v = _as_vector(v, "query")
+    if lib.dim is not None and v.dim != lib.dim:
         raise DataError(
-            f"dimension-mismatch: query has {values.shape[0]} components, "
-            f"library baseline has {lib.dim}"
+            f"dimension-mismatch: query has {v.dim} components, library baseline has {lib.dim}"
         )
     s = lib.sketch_config
-    minima = _sketch(values, lib.quant_config, s)
+    minima = _sketch(v.values, lib.quant_config, s)
     if g.aggregation == "union":
         score = estimate_jaccard(lib.union_signature, MinHashSignature(minima, s.k, s.hash_seed))
     else:
@@ -544,5 +539,4 @@ def gate_check(lib, v, g, extract_fingerprint=None):
             score = float(matches.max()) / s.k
         else:
             score = float(np.divide(matches, float(s.k), dtype=np.float64)[lib.row_index].mean())
-    source_id = v.source_id if hasattr(v, "source_id") else ""
-    return GateResult(source_id, score, "anomalous" if score < g.j_alpha else "acceptable")
+    return GateResult(v.source_id, score, "anomalous" if score < g.j_alpha else "acceptable")

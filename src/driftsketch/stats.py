@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, _check_count, _check_fields, _check_seed, seeded_rng
+from .core import ConfigError, DataError, _as_vector, _check_count, _check_fields, _check_seed
+from .core import _record_rows, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class DriftReport:
     periods: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "periods", tuple(self.periods))
+        object.__setattr__(self, "periods", _record_rows(self.periods, PeriodStats))
         _check_fields(self, finite=True)
         if not self.periods:
             raise DataError("empty-report: at least one period required")
@@ -67,17 +68,17 @@ class DriftReport:
                 raise DataError(f"inconsistent-flag: period {p.period_id!r}")
 
 
-def _check_finite(arr, name):
-    if not np.isfinite(arr).all():
-        raise DataError(f"non-finite-value: {name}")
-    return arr
+def _nonempty(sample, name):
+    if sample.size == 0:
+        raise DataError(f"empty-sample: {name}")
+    return sample
 
 
 def _as_sample(x, name):
-    arr = np.asarray(x, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise DataError(f"empty-sample: {name}")
-    return _check_finite(arr, name)
+    arr = _nonempty(np.asarray(x, dtype=np.float64).ravel(), name)
+    if not np.isfinite(arr).all():
+        raise DataError(f"non-finite-value: {name}")
+    return arr
 
 
 def _ecdf(sample, x):
@@ -142,10 +143,6 @@ def ks_pvalue(d_stat, n, m):
     return min(1.0, max(0.0, 2.0 * total))
 
 
-def _vector_values(v):
-    return v.values if hasattr(v, "values") else np.asarray(v, dtype=np.float64)
-
-
 def _pow2_scaled(x, axis=None):
     """x times the power of two (per row with axis=1) that brings its largest
     magnitude into [0.5, 1). Cosines are scale-invariant and this scale is
@@ -158,11 +155,9 @@ def _pow2_scaled(x, axis=None):
 
 def cosine(a, b):
     """Cosine similarity a.b / (|a||b|), clamped into [-1, 1]."""
-    av, bv = _vector_values(a), _vector_values(b)
+    av, bv = _as_vector(a, "a").values, _as_vector(b, "b").values
     if av.shape[0] != bv.shape[0]:
         raise DataError(f"dimension-mismatch: {av.shape[0]} vs {bv.shape[0]}")
-    _check_finite(av, "a")
-    _check_finite(bv, "b")
     sa, sb = _pow2_scaled(av), _pow2_scaled(bv)
     na, nb = np.linalg.norm(sa), np.linalg.norm(sb)
     if na == 0.0 or nb == 0.0:
@@ -175,12 +170,12 @@ def cosine(a, b):
 def _batch_matrix(batch, name):
     if not batch:
         raise DataError(f"empty-batch: {name}")
-    rows = [_vector_values(v) for v in batch]
+    rows = [_as_vector(v, name).values for v in batch]
     d = rows[0].shape[0]
     for i, r in enumerate(rows):
         if r.shape[0] != d:
             raise DataError(f"dimension-mismatch: {name}[{i}] has dim {r.shape[0]}, expected {d}")
-    return _check_finite(np.stack(rows), name)
+    return np.stack(rows)
 
 
 def batch_cosine(batch_a, batch_b, cfg):
@@ -214,11 +209,11 @@ def batch_cosine(batch_a, batch_b, cfg):
     return float(np.clip(score, -1.0, 1.0))
 
 
-def pool_scalars(batch):
-    """Concatenate all components of all vectors, order-stable."""
+def pool_scalars(batch, name="batch"):
+    """Concatenate all components of all vectors, order-stable; errors name `name`."""
     if not batch:
         raise DataError("empty-batch")
-    return np.concatenate([_vector_values(v) for v in batch])
+    return np.concatenate([_as_vector(v, name).values for v in batch])
 
 
 def drift_report(baseline, periods, cfg, gate_flag_counts=None, baseline_id="baseline"):
@@ -238,12 +233,12 @@ def drift_report(baseline, periods, cfg, gate_flag_counts=None, baseline_id="bas
         )
     # sorted, and its own ECDF taken, once; each period's KS D is
     # ks_statistic's, bit for bit
-    base_pool = np.sort(_as_sample(pool_scalars(baseline), "a"))
+    base_pool = np.sort(_nonempty(pool_scalars(baseline, "a"), "a"))
     base_at_base = _ecdf(base_pool, base_pool)
     rows = []
     for (period_id, vectors), flags in zip(periods, gate_flag_counts):
-        pool = pool_scalars(vectors)
-        d_stat = _ks_sorted(base_pool, np.sort(_as_sample(pool, "b")), base_at_base)
+        pool = pool_scalars(vectors, "b")
+        d_stat = _ks_sorted(base_pool, np.sort(_nonempty(pool, "b")), base_at_base)
         p_val = ks_pvalue(d_stat, base_pool.size, pool.size)
         rows.append(
             PeriodStats(

@@ -65,7 +65,7 @@ import numpy as np
 from ._zstream import Body, checked, seal
 from .core import ConfigError, DataError, ImageGrid, StoreError, seeded_rng
 from .core import _check_count, _check_fields, _check_seed, _decode, _decode_value, _field_types
-from .core import _is_integer, _parse_text
+from .core import _as_vector, _is_integer, _parse_text
 from .extract import _encode_embeddings
 from .head import HeadModel, TrainConfig
 from .sketchlib import GateReport, GateResult, QuantConfig, SketchConfig, SketchLibrary
@@ -274,6 +274,7 @@ def write_embeddings(features, path, dim=None):
 
     `dim` is only needed for an empty batch, where it cannot be inferred.
     """
+    features = [_as_vector(v, "features") for v in features]
     if features:
         dims = {v.values.shape[0] for v in features}
         if len(dims) != 1:
@@ -281,15 +282,12 @@ def write_embeddings(features, path, dim=None):
         dim = dims.pop()
     elif dim is None:
         raise DataError("empty-input: dim required for an empty embedding file")
+    if dim < 1:
+        raise DataError(f"dimension-mismatch: an embedding file needs dim >= 1, got {dim}")
     ids = [v.source_id for v in features]
-    if not all(isinstance(sid, str) for sid in ids):
-        raise DataError("malformed-id: source ids must be strings")
     if len(set(ids)) != len(ids):
         raise DataError("duplicate-source-id in embedding batch")
     rows = np.array([v.values for v in features], dtype=np.float64).reshape(len(ids), dim)
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise DataError(f"non-finite-value({ids[int(np.argmin(finite))]})")
     atomic_write_bytes(path, _encode_embeddings(ids, rows))
 
 

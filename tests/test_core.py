@@ -85,6 +85,20 @@ class TestValidateImage:
 
         assert verdict(validate_image) == verdict(reference_path.validate_image)
 
+    @pytest.mark.parametrize(
+        "width, height, channels",
+        [("2", 1, 1), (2.0, 1, 1), (True, 2, 1), (2, np.float64(1), 1), (2, 1, None)],
+        ids=["str", "float", "bool", "numpy-float", "none"],
+    )
+    def test_dimensions_must_be_integers(self, width, height, channels):
+        with pytest.raises(DataError, match="^dimension-mismatch: width, height and channels "
+                                            "must be integers, got "):
+            ImageGrid(width, height, channels, [0.0, 0.0])
+
+    def test_numpy_integer_dimensions_accepted(self):
+        img = ImageGrid(np.int64(2), np.int32(1), np.uint8(1), [0.0, 1.0])
+        assert img.to_array().shape == (1, 2, 1)
+
     def test_negative_zero_accepted(self):
         validate_image(ImageGrid(width=2, height=1, channels=1, pixels=[-0.0, 1.0]))
 

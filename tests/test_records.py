@@ -59,6 +59,21 @@ class TestRejectedWhenBuilt:
         with pytest.raises(ConfigError, match=f"^config-invalid: {message}$"):
             build()
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DriftReport("b", 0.05, [1]), "expected PeriodStats, got 1"),
+            (lambda: SensitivityReport("gaussian", [1]), "expected SensitivityRow, got 1"),
+            (lambda: GateReport("l", [("a", 0.5, "acceptable")]),
+             r"expected GateResult, got \('a', 0\.5, 'acceptable'\)"),
+            (lambda: GateReport("l", None), "expected GateResult rows, got None"),
+        ],
+        ids=["drift-int", "sensitivity-int", "gate-tuple", "gate-none"],
+    )
+    def test_rows_of_another_class(self, build, message):
+        with pytest.raises(DataError, match=f"^malformed-row: {message}$"):
+            build()
+
     def test_gate_flag_count_is_not_truncated(self):
         base = [FeatureVector([0.1, 0.5]), FeatureVector([0.2, 0.4])]
         with pytest.raises(ConfigError, match="^config-invalid: gate_flag_count must be int, got 2.7$"):

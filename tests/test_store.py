@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from driftsketch import (
     ConfigError,
     DataError,
+    DriftSketchError,
     FeatureVector,
     GateConfig,
     ImageGrid,
@@ -37,6 +38,7 @@ from driftsketch import (
     write_report,
 )
 from driftsketch import store
+from driftsketch._zstream import seal
 from driftsketch.cli import main as cli_main
 from driftsketch.core import _decode_value, seeded_rng
 from driftsketch.extract import ExtractConfig, extract_builtin, extract_fingerprint
@@ -1777,6 +1779,71 @@ class TestV1EmbeddingsUnchanged:
         path.write_bytes(b"driftsketch-emb v1 dim=1 count=1\na \xff\n")
         with pytest.raises(StoreError, match=r"malformed-file: cannot read .*: not UTF-8 text"):
             load_embeddings(str(path))
+
+
+_EMB_IDS = ["a.pgm", "b.pgm", "scan-été.ppm"]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_embeddings_named_or_saved_back(tmp_path, capsys, data):
+    """A v1, v2 or v3 embedding file with one mutation of its body (a
+    flipped bit, a cut or an inserted byte), resealed under a valid checksum
+    (v2, v3; a v3 body is mutated inflated, under its declared length or the
+    new one): ``load_embeddings`` raises a named DriftSketchError or returns
+    vectors that ``write_embeddings`` writes and ``load_embeddings`` reads
+    back bit for bit; ``build-baseline`` on the file exits 0 or 3."""
+    version = data.draw(st.sampled_from(["v1", "v2", "v3"]))
+    dim, count = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    rows = data.draw(st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim),
+        min_size=count, max_size=count,
+    ))
+    features = [FeatureVector(row, sid) for row, sid in zip(rows, _EMB_IDS)]
+    path = tmp_path / "m.emb"
+    if version == "v1":
+        lines = [f"driftsketch-emb v1 dim={dim} count={count}"]
+        lines += [" ".join([v.source_id, *map(repr, v.values.tolist())]) for v in features]
+        head, body = b"", "\n".join(lines).encode("utf-8") + b"\n"
+    elif version == "v2":
+        head, _, body = reference_path.encode_embeddings_v2(features, dim)[:-8].partition(b"\n")
+        head += b"\n"
+    else:
+        write_embeddings(features, str(path), dim=dim)
+        sealed = path.read_bytes()
+        head, _, stream = sealed[:-8].partition(b"\n")
+        head, body = head + b"\n", zlib.decompress(stream)
+    body = bytearray(body)
+    kind = data.draw(st.sampled_from(["flip", "cut", "insert"]))
+    at = data.draw(st.integers(0, len(body) - 1))
+    if kind == "flip":
+        body[at] ^= 1 << data.draw(st.integers(0, 7))
+    elif kind == "cut":
+        del body[at : at + data.draw(st.integers(1, len(body)))]
+    else:
+        body.insert(at, data.draw(st.integers(0, 255)))
+    if version == "v1":
+        path.write_bytes(bytes(body))
+    elif version == "v2":
+        sealed = head + bytes(body)
+        path.write_bytes(sealed + hashlib.blake2b(sealed, digest_size=8).digest())
+    else:
+        if data.draw(st.booleans()):  # declare the mutated body's length
+            head = re.sub(rb"bytes=\d+", b"bytes=%d" % len(body), head)
+        path.write_bytes(seal(head, [bytes(body)]))
+    try:
+        got = load_embeddings(str(path))
+    except DriftSketchError as exc:
+        assert re.match(r"[a-z]+(-[a-z]+)+[(:]", str(exc)), str(exc)
+        event(f"{version} {kind}: {re.split('[(:]', str(exc))[0]}")
+    else:
+        event(f"{version} {kind}: loaded")
+        again = str(tmp_path / "again.emb")
+        write_embeddings(got, again, dim=1)
+        assert _bits(load_embeddings(again)) == _bits(got)
+    assert cli_main(["build-baseline", str(path), "--out", str(tmp_path / "b.dskl")]) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSplitDataset:
