@@ -40,19 +40,13 @@ class StoreError(DataError):
     """Malformed or corrupt persisted artifact."""
 
 
-def _frozen_array(values, dtype=np.float64):
-    arr = np.ascontiguousarray(values, dtype=dtype).ravel()
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class ImageGrid:
     """Decoded raster: intensities in [0,1], row-major, channel-interleaved.
 
-    The constructor coerces `pixels` to a read-only flat float64 array and
-    checks the invariants by `validate_image`, so every grid, built by a
-    caller or decoded, is valid.
+    The constructor holds `pixels` as a flat float64 array of its own (see
+    `_held`) and checks the invariants by `validate_image`, so every grid,
+    built by a caller or decoded, is valid.
     """
 
     width: int
@@ -61,13 +55,13 @@ class ImageGrid:
     pixels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", _frozen_array(self.pixels))
+        object.__setattr__(self, "pixels", _held(self.pixels, ": ImageGrid.pixels").ravel())
         validate_image(self)
 
     @classmethod
     def from_array(cls, arr):
         """Build from a (height, width) or (height, width, channels) array."""
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = _held(arr, ": ImageGrid.pixels")
         if arr.ndim == 2:
             h, w = arr.shape
             ch = 1
@@ -127,27 +121,67 @@ class FeatureVector:
 
 
 def _sealed(arr):
-    """True for a contiguous float64 array that is read-only, as is every
-    array it views, down to an owner or bytes: a buffer no caller can write
-    through, such as a row of a loaded embedding matrix, so a vector may
-    share it instead of copying."""
-    ok = isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.flags.c_contiguous
+    """True for a contiguous array that is read-only, as is every array it
+    views, down to an owner or bytes: a buffer no caller can write through,
+    such as a row of a loaded embedding matrix or an array its producer
+    made read-only as it handed it over, so a record may share it instead
+    of copying."""
+    ok = isinstance(arr, np.ndarray) and arr.flags.c_contiguous
     while ok and isinstance(arr, np.ndarray):
         ok, arr = not arr.flags.writeable, arr.base
     return ok and (arr is None or isinstance(arr, bytes))
 
 
+def _held(values, where, dtype=np.float64):
+    """`values` as an array a record holds, the one way every record takes
+    an array: of `dtype`, C-contiguous and read-only, copied unless
+    `_sealed` (a list or tuple is read into a new array once), so a record
+    never shares or changes a caller's array.
+
+    float64 takes reals (a bool array as 0 and 1); DataError("non-real-value
+    <where>") names anything else (text, complex, ragged nesting). An integer `dtype` takes integers
+    from 0 to its largest value only; DataError("value-out-of-range<where>")
+    names a float, a negative or too large an integer, which a cast would
+    truncate, wrap or overflow.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == dtype and _sealed(values):
+        return values
+    real = dtype == np.float64
+    try:
+        arr = np.asarray(values)
+        if not real and arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
+            arr = np.asarray(values, dtype=object)  # ints each side of 2**63 read as floats
+        kind = arr.dtype.kind
+        # an object array holds Python numbers (integers past 64 bits, say) or anything else
+        ok = kind in ("biuf" if real else "iu") or kind == "O" and all(
+            map(_is_real if real else _is_integer, arr.ravel().tolist())
+        )
+        if ok and not real and arr.size:
+            ok = 0 <= int(arr.min()) and int(arr.max()) <= np.iinfo(dtype).max
+    except (ValueError, TypeError):  # ragged nesting
+        ok = False
+    if not ok and real:
+        raise DataError(f"non-real-value{where}: {reprlib.repr(values)}")
+    if not ok:
+        raise DataError(
+            f"value-out-of-range{where}: expected integers in [0, {np.iinfo(dtype).max}], "
+            f"got {reprlib.repr(values)}"
+        )
+    if not isinstance(values, (list, tuple)) or arr.dtype != dtype or not arr.flags.c_contiguous:
+        arr = arr.astype(dtype, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 def _frozen_vector(values, where):
-    """`values` as a read-only, contiguous 1-D float64 array of finite
-    components, copied unless `_sealed`, so no caller can change it later;
-    else DataError("dimension-mismatch<where> is not a vector: shape ...")
-    or DataError("non-finite-value<where>")."""
-    arr = values if _sealed(values) else np.array(values, dtype=np.float64, order="C")
+    """`values` held by `_held` as a 1-D array of finite components; else
+    DataError("dimension-mismatch<where> is not a vector: shape ...") or
+    DataError("non-finite-value<where>")."""
+    arr = _held(values, where)
     if arr.ndim != 1:
         raise DataError(f"dimension-mismatch{where} is not a vector: shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DataError(f"non-finite-value{where}")
-    arr.flags.writeable = False
     return arr
 
 
@@ -269,7 +303,9 @@ def _typed(cls, values):
     for name, field in _decode_plan(cls).items():
         if name not in values:
             raise ConfigError(f"config-invalid: {name!r}")
-        values[name] = _check_value(field, values[name], name)
+        value = values[name]
+        if type(value) is not field[0] or field[2]:  # else `_check_value` returns it as it is
+            values[name] = _check_value(field, value, name)
     return values
 
 

@@ -104,9 +104,11 @@ def extract_builtin(img, cfg, source_id=""):
         # (ch, h, w) -> (ch, g, g): rows within each band, then columns
         return np.add.reduceat(np.add.reduceat(x, row_starts, axis=1), col_starts, axis=2)
 
-    # the raw vector, filled in place: per channel, (mean, std) of each patch
-    # in row-major patch order, then the b-bin histogram
-    out = np.empty((ch, 2 * g * g + b), dtype=np.float64)
+    # the raw vector, filled in place through `out`, its (ch, 2*g*g + b)
+    # view: per channel, (mean, std) of each patch in row-major patch order,
+    # then the b-bin histogram
+    vec = np.empty(ch * (2 * g * g + b), dtype=np.float64)
+    out = vec.reshape(ch, 2 * g * g + b)
     means, stds = out[:, : 2 * g * g].reshape(ch, g, g, 2).transpose(3, 0, 1, 2)
     np.divide(patch_sums(planes), counts, out=means, dtype=np.float64)
     # two-pass std: each pixel's deviation from its own patch's mean, squared in place
@@ -123,7 +125,6 @@ def extract_builtin(img, cfg, source_id=""):
     hist = np.bincount(slots.astype(np.intp).ravel(), minlength=ch * (b + 1)).reshape(ch, b + 1)
     hist[:, 1] += hist[:, 0]
     np.divide(hist[:, 1:], float(h * w), out=out[:, 2 * g * g :], dtype=np.float64)
-    vec = out.ravel()
 
     if cfg.projection_dim > 0:
         if cfg.projection_dim > vec.shape[0]:
@@ -137,6 +138,7 @@ def extract_builtin(img, cfg, source_id=""):
         norm = np.sqrt(vec.dot(vec))
         if norm > 0.0:
             vec /= norm
+    vec.flags.writeable = False  # new, so the vector holds it without a copy
     return FeatureVector(values=vec, source_id=source_id)
 
 

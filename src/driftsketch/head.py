@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DataError, _as_vector, _check_count, _check_fields, _check_seed
-from .core import _frozen_array, seeded_rng
+from .core import _held, _is_real, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class HeadModel:
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _frozen_array(self.w))
+        object.__setattr__(self, "w", _held(self.w, ": HeadModel.w").ravel())
         _check_fields(self)
         if not (np.isfinite(self.w).all() and math.isfinite(self.b)):
             raise DataError("non-finite-parameter")
@@ -29,9 +29,23 @@ class HeadModel:
 
 @dataclass(frozen=True)
 class AdamState:
+    """Adam's first and second moment estimates, 1-D float64 arrays of one
+    length held by `core._held`, after `t` >= 0 steps."""
+
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+
+    def __post_init__(self):
+        _check_count("t", self.t, 0)
+        object.__setattr__(self, "m", _held(self.m, ": AdamState.m"))
+        object.__setattr__(self, "v", _held(self.v, ": AdamState.v"))
+        _check_fields(self)
+        if self.m.ndim != 1 or self.m.shape != self.v.shape:
+            raise DataError(
+                f"dimension-mismatch: AdamState moments of shapes {self.m.shape} and "
+                f"{self.v.shape}, expected two vectors of one length"
+            )
 
     @classmethod
     def fresh(cls, n_params):
@@ -103,14 +117,16 @@ def bce_loss(probs, labels):
 
 def _batch_arrays(batch, d=None):
     """(xs, ys) of (vector, label) pairs whose vectors have dim d, by default
-    the dim of the first."""
+    the dim of the first, and whose labels are 0 or 1; else a named DataError."""
     if not batch:
         raise DataError("empty-batch")
     rows = [_as_vector(vec, f"sample {i}").values for i, (vec, _) in enumerate(batch)]
     d = len(rows[0]) if d is None else d
-    for i, values in enumerate(rows):
+    for i, (values, (_, label)) in enumerate(zip(rows, batch)):
         if len(values) != d:
             raise DataError(f"dimension-mismatch: sample {i} has dim {len(values)}, expected {d}")
+        if not (_is_real(label) and label in (0, 1)):
+            raise DataError(f"invalid-label: sample {i} has label {label!r}, expected 0 or 1")
     return np.stack(rows), np.array([float(label) for _, label in batch])
 
 
@@ -174,10 +190,10 @@ def train_head(data, cfg):
         raise DataError("empty-data")
     if len(data) < 2:
         raise DataError("single-class-data: need at least one sample per class")
-    labels = {int(label) for _, label in data}
-    if labels != {0, 1}:
-        raise DataError(f"single-class-data: labels present: {sorted(labels)}")
     xs, ys = _batch_arrays(data)
+    labels = sorted({int(y) for y in ys})
+    if labels != [0, 1]:
+        raise DataError(f"single-class-data: labels present: {labels}")
     d = xs.shape[1]
 
     init_rng = seeded_rng(cfg.seed, "head.init")

@@ -75,12 +75,11 @@ def _level_name(kind):
 
 
 def _replace_pixels(img, pixels):
-    return ImageGrid(
-        width=img.width,
-        height=img.height,
-        channels=img.channels,
-        pixels=np.clip(pixels, 0.0, 1.0),
-    )
+    """A grid like `img` holding the new array `pixels`, clamped to [0,1] in
+    place and handed over read-only, so the grid holds it without a copy."""
+    np.clip(pixels, 0.0, 1.0, out=pixels)
+    pixels.flags.writeable = False
+    return ImageGrid(width=img.width, height=img.height, channels=img.channels, pixels=pixels)
 
 
 def gaussian_noise(img, sigma, seed=0):

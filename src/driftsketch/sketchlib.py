@@ -8,6 +8,7 @@ signature against a baseline library and flags it anomalous when the
 aggregated similarity falls below the threshold.
 """
 
+import reprlib
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .core import ConfigError, DataError, StoreError, _as_vector, _check_count, _check_fields
-from .core import _check_seed, _record_rows, seeded_rng
+from .core import _check_seed, _held, _record_rows, seeded_rng
 
 
 # a bin index must have magnitude below 2**63 to be cast to int64 exactly
@@ -46,16 +47,22 @@ class QuantConfig:
 
 @dataclass(frozen=True)
 class TokenSet:
-    """Duplicate-free set of 64-bit tokens, stored sorted for canonical form."""
+    """Duplicate-free set of 64-bit tokens, given as a 1-D array of integers
+    (see `core._held`) and stored sorted, in an array of its own, for
+    canonical form."""
 
     tokens: np.ndarray
 
     def __post_init__(self):
-        arr = np.sort(np.asarray(self.tokens, dtype=np.uint64))
+        arr = _held(self.tokens, ": TokenSet.tokens", np.uint64)
+        if arr.ndim != 1:
+            raise DataError(f"dimension-mismatch: TokenSet tokens of shape {arr.shape}")
+        arr = np.sort(arr)
         if (arr[1:] == arr[:-1]).any():
             arr = np.unique(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "tokens", arr)
+        _check_fields(self)
 
     def __len__(self):
         return self.tokens.shape[0]
@@ -74,18 +81,26 @@ class SketchConfig:
 
 @dataclass(frozen=True)
 class MinHashSignature:
+    """The k minima of a token set under the (k, hash_seed) hash family,
+    held by `core._held` as a 1-D uint64 array; `k` and `hash_seed` are
+    checked as `SketchConfig` checks them."""
+
     minima: np.ndarray
     k: int
     hash_seed: int
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.minima, dtype=np.uint64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "minima", arr)
-        if arr.shape[0] != self.k:
-            raise DataError(f"dimension-mismatch: {arr.shape[0]} minima for k={self.k}")
+        _check_count("k", self.k, 1)
+        _check_seed(self.hash_seed)
+        object.__setattr__(self, "minima", _held(self.minima, ": minima", np.uint64))
+        _check_fields(self)
+        if self.minima.shape != (self.k,):
+            raise DataError(
+                f"dimension-mismatch: minima of shape {self.minima.shape} for k={self.k}"
+            )
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class SketchLibrary:
     """The baseline: one signature per trusted image, plus the configs that
     produced them (so incompatible comparisons can be rejected).
@@ -98,12 +113,18 @@ class SketchLibrary:
     few distinct rows (u << m), and the gate compares a query with the u
     rows only: O(u*k) per query instead of O(m*k).
 
-    Every library is made by ``_from_distinct``, which takes the distinct
-    rows and the row indices as they are and checks that they are
-    canonical, in O(u*k + m) time and memory. ``build_library`` deduplicates
-    as it sketches and a v2-v4 file already holds the two arrays, so
-    neither makes an (m, k) matrix. ``from_minima``, for v1 files and the
-    public API, deduplicates m given rows first.
+    The constructor takes the canonical parts as they are: distinct str
+    ``ids``; u pairwise different ``distinct_minima`` rows of k integers,
+    k that of ``sketch_config``; and one ``row_index`` entry per id, each
+    below u, in which 0..u-1 first occur in order. It holds the two arrays
+    by ``core._held`` and checks them in O(u*k + m) time and memory. Parts
+    that are not canonical raise StoreError("malformed-payload"), as from a
+    forged file; duplicate ids raise DataError("duplicate-source-id"), an id
+    that is not a str DataError("malformed-id"), and a config of another
+    class ConfigError. ``build_library`` deduplicates as it sketches and a
+    v2-v4 file already holds the two arrays, so neither makes an (m, k)
+    matrix. ``from_minima``, for v1 files and the public API, deduplicates
+    m given rows first.
     The ``(source_id, signature)`` pairs in ``entries`` are made on first
     use, each ``signature.minima`` a read-only view of its distinct row.
     ``minima_matrix()`` gathers the (m, k) rows aligned with ``ids`` on first
@@ -112,69 +133,63 @@ class SketchLibrary:
     ``dim`` is the dimension of the feature vectors the rows were sketched
     from, or None where it is unknown (a library read from a v1 or v2 file);
     the gate rejects queries of another dimension.
-    The library is read-only: its attributes cannot be reassigned.
+    The library is read-only: its attributes cannot be reassigned. Two
+    libraries are equal only if they are one object.
     """
+
+    ids: tuple
+    distinct_minima: np.ndarray
+    row_index: np.ndarray
+    sketch_config: object
+    quant_config: object
+    extract_fingerprint: str = ""
+    dim: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        rows = _held(self.distinct_minima, ": distinct_minima", np.uint64)
+        object.__setattr__(self, "distinct_minima", rows)
+        object.__setattr__(self, "row_index", _held(self.row_index, ": row_index", np.intp))
+        _check_fields(self)
+        for name, cls in (("sketch_config", SketchConfig), ("quant_config", QuantConfig)):
+            if not isinstance(getattr(self, name), cls):
+                raise ConfigError(f"config-invalid: {name} must be {cls.__name__}")
+        if self.dim is not None:
+            _check_count("dim", self.dim, 1)
+        seen = set()
+        for sid in self.ids:
+            if not isinstance(sid, str):
+                raise DataError(f"malformed-id: {reprlib.repr(sid)} is not a string")
+            if sid in seen:
+                raise DataError(f"duplicate-source-id: {sid!r}")
+            seen.add(sid)
+        k = self.sketch_config.k
+        if rows.ndim != 2 or rows.shape[1] != k or self.row_index.shape != (len(self.ids),):
+            raise StoreError(
+                f"malformed-payload: distinct minima of shape {rows.shape} and row index of "
+                f"shape {self.row_index.shape} for {len(self.ids)} ids and k={k}"
+            )
+        _check_canonical(rows, self.row_index)
 
     @classmethod
     def from_minima(
         cls, ids, minima, sketch_config, quant_config, extract_fingerprint="", dim=None
     ):
         """Library from distinct ids and their minima rows (any (m, k)
-        array-like), sketched from ``dim``-dimensional features.
+        array-like of integers), sketched from ``dim``-dimensional features.
 
         Equal rows are stored once, in order of first occurrence, so two
         libraries with the same ids and rows are identical.
         """
         ids = tuple(ids)
         k = sketch_config.k
-        rows = np.array(minima, dtype=np.uint64).reshape(len(ids), -1 if ids else k)
-        if rows.shape[1] != k:
-            raise DataError(f"dimension-mismatch: {rows.shape[1]} minima for k={k}")
+        rows = _held(minima, ": minima", np.uint64)
+        if rows.shape != (len(ids), k) and not rows.size == len(ids) == 0:
+            raise DataError(
+                f"dimension-mismatch: minima of shape {rows.shape} for {len(ids)} ids and k={k}"
+            )
         distinct, row_index = _distinct_rows(rows, len(ids), k)
-        return cls._from_distinct(
-            ids, distinct, row_index, sketch_config, quant_config, extract_fingerprint, dim
-        )
-
-    @classmethod
-    def _from_distinct(
-        cls, ids, distinct, row_index, sketch_config, quant_config, extract_fingerprint, dim
-    ):
-        """Library from its canonical parts: u pairwise different (u, k)
-        ``distinct`` rows, with k that of ``sketch_config``, and one
-        ``row_index`` entry per id, each below u, in which 0..u-1 first
-        occur in order. The library keeps the two arrays, read-only from
-        then on, so callers hand over fresh ones. Parts that are not
-        canonical can only come from a forged file, so they raise
-        StoreError("malformed-payload"); duplicate ids raise
-        DataError("duplicate-source-id").
-        """
-        if dim is not None:
-            _check_count("dim", dim, 1)
-        ids = tuple(ids)
-        seen = set()
-        for sid in ids:
-            if sid in seen:
-                raise DataError(f"duplicate-source-id: {sid!r}")
-            seen.add(sid)
-        distinct = np.ascontiguousarray(distinct, dtype=np.uint64)
-        row_index = np.asarray(row_index, dtype=np.intp)
-        _check_canonical(distinct, row_index)
-        distinct.flags.writeable = False
-        row_index.flags.writeable = False
-        lib = cls.__new__(cls)
-        vars(lib).update(
-            ids=ids,
-            sketch_config=sketch_config,
-            quant_config=quant_config,
-            extract_fingerprint=extract_fingerprint,
-            dim=None if dim is None else int(dim),
-            distinct_minima=distinct,
-            row_index=row_index,
-        )
-        return lib
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SketchLibrary is read-only: cannot set {name!r}")
+        return cls(ids, distinct, row_index, sketch_config, quant_config, extract_fingerprint, dim)
 
     def __len__(self):
         return len(self.ids)
@@ -216,7 +231,8 @@ def _distinct_rows(rows, m, k):
     the first occurrence of each row's bytes takes the next distinct slot,
     so the u distinct rows come in order of first occurrence. Only the u
     distinct rows are kept, so a generator of rows is read in O(u*k + m)
-    memory."""
+    memory. Both arrays are new and read-only, so a library holds them as
+    they are (see ``core._held``)."""
     slots = {}
     firsts = []
     row_index = np.empty(m, dtype=np.intp)
@@ -224,7 +240,9 @@ def _distinct_rows(rows, m, k):
         j = row_index[i] = slots.setdefault(row.tobytes(), len(firsts))
         if j == len(firsts):
             firsts.append(row)
-    return np.array(firsts, dtype=np.uint64).reshape(len(firsts), k), row_index
+    distinct = np.array(firsts, dtype=np.uint64) if firsts else np.empty((0, k), np.uint64)
+    distinct.flags.writeable = row_index.flags.writeable = False
+    return distinct, row_index
 
 
 def _check_canonical(distinct, row_index):
@@ -300,7 +318,15 @@ def tokenize(v, q):
     identical token sets. A bin index outside the int64 range raises
     DataError("value-out-of-range") instead of wrapping in the cast.
     """
-    return TokenSet(tokens=_kernels.hash_bins(_quantize(_as_vector(v, "v").values, q)))
+    return _token_set(_quantize(_as_vector(v, "v").values, q))
+
+
+def _token_set(bins):
+    """The TokenSet of an int64 bin vector. Its new tokens are handed over
+    read-only, so the set sorts them into its own array without a copy first."""
+    tokens = _kernels.hash_bins(bins)
+    tokens.flags.writeable = False
+    return TokenSet(tokens=tokens)
 
 
 def _quantize(values, q):
@@ -414,8 +440,22 @@ class _TokenTable:
 
 
 @lru_cache(maxsize=_TABLES)
-def _token_table(k, hash_seed):
+def _cached_token_table(k, hash_seed):
     return _TokenTable(_minhash_salts(k, hash_seed))
+
+
+_token_table_lock = threading.Lock()
+
+
+def _token_table(k, hash_seed):
+    """The process's one token table for (k, hash_seed). `lru_cache` alone
+    lets two threads that miss at once each build a table, and the tokens
+    stored in the one it does not keep are lost, so the lookup is locked."""
+    with _token_table_lock:
+        return _cached_token_table(k, hash_seed)
+
+
+_token_table.cache_clear = _cached_token_table.cache_clear
 
 
 def minhash(t, cfg):
@@ -428,6 +468,7 @@ def minhash(t, cfg):
     if len(t) == 0:
         raise DataError("empty-token-set")
     minima = _token_table(cfg.k, cfg.hash_seed).minima(t.tokens)
+    minima.flags.writeable = False  # new, so the signature holds it without a copy
     return MinHashSignature(minima=minima, k=cfg.k, hash_seed=cfg.hash_seed)
 
 
@@ -445,7 +486,7 @@ def _sketch(values, q, s):
     key = bins.tobytes()
     minima = table.memo.get(key)
     if minima is None:
-        minima = minhash(TokenSet(tokens=_kernels.hash_bins(bins)), s).minima
+        minima = minhash(_token_set(bins), s).minima
         table.remember(key, minima)
     return minima
 
@@ -490,7 +531,7 @@ def build_library(features, q, s, extract_fingerprint=""):
     distinct, row_index = _distinct_rows(
         (_sketch(v.values, q, s) for v in features), len(features), s.k
     )
-    return SketchLibrary._from_distinct(
+    return SketchLibrary(
         [v.source_id for v in features], distinct, row_index, s, q, extract_fingerprint, dims[0]
     )
 

@@ -63,7 +63,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._zstream import Body, checked, seal
-from .core import ConfigError, DataError, ImageGrid, StoreError, seeded_rng
+from .core import ConfigError, DataError, DriftSketchError, ImageGrid, StoreError, seeded_rng
 from .core import _check_count, _check_fields, _check_seed, _decode, _decode_value, _field_types
 from .core import _as_vector, _is_integer, _parse_text
 from .extract import _encode_embeddings
@@ -233,9 +233,11 @@ def load_image(path):
         raise StoreError(
             f"sample-above-maxval: {path}: largest sample {int(raster.max())}, maxval {maxval}"
         )
-    # one cast to float64, then the scale in place
+    # one cast to float64, then the scale in place; handed over read-only,
+    # so the grid holds it without a copy
     pixels = raster.astype(np.float64)
     pixels /= float(maxval)
+    pixels.flags.writeable = False
     return ImageGrid(width=width, height=height, channels=channels, pixels=pixels)
 
 
@@ -386,6 +388,7 @@ def _library_body(body, version):
     body.readinto(distinct.view(np.uint8))
     body.readinto(row_index.view(np.uint8).reshape(m, 4))
     body.close()
+    distinct.flags.writeable = False  # the library holds it without a copy
     return head, distinct, row_index
 
 
@@ -432,10 +435,13 @@ def load_library(data):
         configs = (head.sketch, head.quant, head.extract_fingerprint, dim)
         if version == 1:
             return SketchLibrary.from_minima(ids, rows, *configs)
-        return SketchLibrary._from_distinct(ids, rows, row_index, *configs)
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, ConfigError) as exc:
-        # RecursionError: JSON nested too deeply for the parser
-        raise _malformed(exc)
+        return SketchLibrary(ids, rows, row_index, *configs)
+    except StoreError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, DriftSketchError) as e:
+        # RecursionError: JSON nested too deeply for the parser; a DataError
+        # or ConfigError: what the library checks of itself as it is built
+        raise _malformed(e)
 
 
 def write_library(lib, path):
