@@ -1,9 +1,10 @@
 """Shared domain types, validation, and deterministic seeded randomness.
 
-`_typed` types fields by the annotations of their dataclass: `_decode` calls
-it on every JSON document the package reads back, and every record calls it
-(by `_check_fields`) as it is built. `_parse_text` types config-file values
-and CSV cells by the same annotations.
+`_typed` types fields by the annotations of their dataclass, and checks the
+rules they carry: `_decode` calls it on every JSON document the package
+reads back, and every record calls it (by `_check_fields`) as it is built,
+so a fault reads the same either way. `_parse_text` types config-file
+values and CSV cells by the same annotations.
 
 Every stochastic operation in the package draws from `seeded_rng`, a Philox
 counter-based generator keyed by (seed, stream label). Equal arguments give
@@ -202,17 +203,11 @@ def _is_real(value):
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def _check_seed(seed):
+def _check_seed(seed, name=None):
+    """`seed` as an int in [0, 2^64); also a field's rule, naming no field."""
     if not _is_integer(seed) or not 0 <= int(seed) <= MAX_SEED:
         raise ConfigError(f"invalid-seed: expected integer in [0, 2^64), got {seed!r}")
     return int(seed)
-
-
-def _check_count(name, value, low):
-    if not _is_integer(value):
-        raise ConfigError(f"config-invalid: {name} must be an integer, got {value!r}")
-    if value < low:
-        raise ConfigError(f"config-invalid: {name} must be >= {low}, got {value}")
 
 
 def seeded_rng(seed, stream_label):
@@ -246,26 +241,30 @@ def derive_seed(seed, label):
 # annotation -> the types of the JSON values it takes; a bool only where bool is named
 _JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool, list: list, dict: dict}
 _BOOLS = {"true": True, "false": False, "1": True, "0": False}
+_UNTYPED = (object, np.ndarray)  # an array field is typed by its `_array` rule
 
 
 @lru_cache(maxsize=None)
 def _field_types(cls):
-    """{field name: annotation} of a dataclass, in field order."""
-    hints = typing.get_type_hints(cls)
+    """{field name: annotation, any ``Annotated`` rule kept} of a dataclass, in field order."""
+    hints = typing.get_type_hints(cls, include_extras=True)
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
 @lru_cache(maxsize=None)
 def _field_plan(hint):
-    """(X, optional, nested, JSON types) of an annotation: X is the hint less
-    any ``| None``, `optional` whether there was one, `nested` whether X is
-    a dataclass, and the JSON types are those X takes."""
+    """(X, optional, nested, JSON types, rule) of an annotation X or
+    ``Annotated[X, rule]``, either ``| None`` or not: `nested` is whether X
+    is a dataclass, the JSON types are those X takes, and `rule` is None or
+    ``rule(value, name)``, which returns the value typed as X to hold, or raises."""
     args = typing.get_args(hint)
     inner = [a for a in args if a is not type(None)]
     optional = len(inner) < len(args)
     if optional:
         hint = inner[0]
-    return hint, optional, dataclasses.is_dataclass(hint), _JSON_TYPES.get(hint, ())
+    rule = getattr(hint, "__metadata__", (None,))[0]  # only an ``Annotated`` hint has one
+    hint = hint.__origin__ if rule else hint
+    return hint, optional, dataclasses.is_dataclass(hint), _JSON_TYPES.get(hint, ()), rule
 
 
 @lru_cache(maxsize=None)
@@ -274,14 +273,55 @@ def _decode_plan(cls):
     return {name: _field_plan(hint) for name, hint in _field_types(cls).items()}
 
 
+def _at_least(low):
+    """Rule: a count >= `low`."""
+    def rule(value, name):
+        if value < low:
+            raise ConfigError(f"config-invalid: {name} must be >= {low}, got {value}")
+        return value
+    return rule
+
+
+def _within(interval):
+    """Rule: a real in `interval`, written as its error writes it: "[0, 1)"."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    def rule(value, name):
+        above = lo <= value if interval[0] == "[" else lo < value
+        if above and (value <= hi if interval[-1] == "]" else value < hi):
+            return value
+        raise ConfigError(f"config-invalid: {name} must lie in {interval}, got {value}")
+    return rule
+
+
+def _one_of(*choices):
+    """Rule: one of the strings `choices`."""
+    text = " or ".join([", ".join(choices[:-1]), choices[-1]])
+    def rule(value, name):
+        if value not in choices:
+            raise ConfigError(f"config-invalid: {name} must be {text}, got {value!r}")
+        return value
+    return rule
+
+
+def _array(name, dtype=np.float64, ndim=None):
+    """Rule: an array held by `_held` as `dtype`, of `ndim` dimensions if
+    given, its errors naming it `name`; it types an ``np.ndarray`` field."""
+    def rule(value, _):
+        arr = _held(value, f": {name}", dtype)
+        if ndim is not None and arr.ndim != ndim:
+            raise DataError(f"dimension-mismatch: {name} of shape {arr.shape}, expected {ndim}-D")
+        return arr
+    return rule
+
+
 def _decode(cls, obj, **given):
     """An instance of dataclass `cls` from the JSON object `obj`, typed by its
     annotations; ConfigError("config-invalid: ...") names the first fault.
 
     The keys of `obj` and `given` (fields already built) must be exactly the
     class's fields; a missing key is named alone, as in ``'k'``. Each value
-    is typed by ``_typed``, then the class checks its own ranges as it is
-    built.
+    is typed and checked by ``_typed``, as a record's constructor checks it,
+    then the class checks its rules across fields as it is built.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"config-invalid: expected an object, got {reprlib.repr(obj)}")
@@ -294,25 +334,30 @@ def _decode(cls, obj, **given):
 
 def _typed(cls, values):
     """`values`, a dict holding every field of dataclass `cls`, each value
-    typed in place by its annotation, in field order: an ``int`` takes an
-    integer, a ``float`` a float or an integer as ``_jdump`` writes a whole
-    float (below 1e17 and exact), ``str``, ``bool``, ``list`` and ``dict``
-    that type, ``object`` anything, ``X | None`` also None, and a dataclass
-    a JSON object, decoded in turn. A NumPy scalar becomes the Python value
-    it equals. ConfigError("config-invalid: ...") names the first fault."""
+    typed in place by its annotation, then checked by its rule, in field
+    order: an ``int`` takes an integer, a ``float`` a float or an integer as
+    ``_jdump`` writes a whole float (below 1e17 and exact), ``str``,
+    ``bool``, ``list`` and ``dict`` that type, ``object`` and ``np.ndarray``
+    anything, ``X | None`` also None, unruled, and a dataclass a JSON object,
+    decoded in turn. A NumPy scalar becomes the Python value it equals.
+    ConfigError("config-invalid: ...") or the rule names the first fault."""
     for name, field in _decode_plan(cls).items():
         if name not in values:
             raise ConfigError(f"config-invalid: {name!r}")
         value = values[name]
-        if type(value) is not field[0] or field[2]:  # else `_check_value` returns it as it is
-            values[name] = _check_value(field, value, name)
+        hint, optional, nested, _, rule = field
+        if type(value) is not hint or nested:  # else `_check_value` returns it as it is
+            value = values[name] = _check_value(field, value, name)
+        if rule and not (optional and value is None):
+            values[name] = rule(value, name)
     return values
 
 
 def _check_fields(record, finite=False):
-    """Type every field of a dataclass instance in place by ``_typed``; each
-    record calls it as it is built. With `finite`, a real that no JSON
-    document can carry (NaN or an infinity) raises DataError."""
+    """Type and check every field of a dataclass instance in place by
+    ``_typed``; each record calls it as it is built, or has it as its
+    ``__post_init__``. With `finite`, a real no JSON document can carry
+    (NaN or an infinity) raises DataError."""
     values = _typed(type(record), vars(record))
     for name, value in values.items() if finite else ():
         if isinstance(value, float) and not math.isfinite(value):
@@ -338,8 +383,8 @@ def _decode_value(hint, value, name):
 
 
 def _check_value(field, value, name):
-    hint, optional, nested, types = field
-    if type(value) is hint and not nested or value is None and optional or hint is object:
+    hint, optional, nested, types, _ = field
+    if type(value) is hint and not nested or value is None and optional or hint in _UNTYPED:
         return value  # the JSON type the annotation names, as the parser gives it
     if nested and isinstance(value, dict):
         return _decode(hint, value)

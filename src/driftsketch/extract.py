@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import Annotated
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .core import (
     FeatureVector,
     StoreError,
     _as_vector,
-    _check_count,
+    _at_least,
     _check_fields,
     _check_seed,
     seeded_rng,
@@ -32,18 +33,13 @@ from .stats import _pow2_scaled
 
 @dataclass(frozen=True)
 class ExtractConfig:
-    grid: int = 4
-    hist_bins: int = 16
-    projection_dim: int = 0
-    projection_seed: int = 0
+    grid: Annotated[int, _at_least(1)] = 4
+    hist_bins: Annotated[int, _at_least(2)] = 16
+    projection_dim: Annotated[int, _at_least(0)] = 0
+    projection_seed: Annotated[int, _check_seed] = 0
     l2_normalize: bool = True
 
-    def __post_init__(self):
-        _check_count("grid", self.grid, 1)
-        _check_count("hist_bins", self.hist_bins, 2)
-        _check_count("projection_dim", self.projection_dim, 0)
-        _check_seed(self.projection_seed)
-        _check_fields(self)
+    __post_init__ = _check_fields
 
     def raw_dim(self, channels):
         """Feature length before projection for an image with `channels`."""

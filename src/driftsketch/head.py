@@ -8,11 +8,12 @@ update instead, so both update rules are available and tested.
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .core import ConfigError, DataError, _as_vector, _check_count, _check_fields, _check_seed
-from .core import _held, _is_real, seeded_rng
+from .core import DataError, _array, _as_vector, _at_least, _check_fields, _check_seed
+from .core import _frozen_vector, _held, _is_real, _within, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -32,19 +33,15 @@ class AdamState:
     """Adam's first and second moment estimates, 1-D float64 arrays of one
     length held by `core._held`, after `t` >= 0 steps."""
 
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
+    m: Annotated[np.ndarray, _array("AdamState.m", ndim=1)]
+    v: Annotated[np.ndarray, _array("AdamState.v", ndim=1)]
+    t: Annotated[int, _at_least(0)] = 0
 
     def __post_init__(self):
-        _check_count("t", self.t, 0)
-        object.__setattr__(self, "m", _held(self.m, ": AdamState.m"))
-        object.__setattr__(self, "v", _held(self.v, ": AdamState.v"))
         _check_fields(self)
-        if self.m.ndim != 1 or self.m.shape != self.v.shape:
+        if self.m.shape != self.v.shape:
             raise DataError(
-                f"dimension-mismatch: AdamState moments of shapes {self.m.shape} and "
-                f"{self.v.shape}, expected two vectors of one length"
+                f"dimension-mismatch: AdamState moments of lengths {len(self.m)} and {len(self.v)}"
             )
 
     @classmethod
@@ -54,26 +51,16 @@ class AdamState:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    epochs: int = 20
-    batch_size: int = 32
+    lr: Annotated[float, _within("(0, inf)")] = 5e-5
+    beta1: Annotated[float, _within("[0, 1)")] = 0.9
+    beta2: Annotated[float, _within("[0, 1)")] = 0.999
+    epsilon: Annotated[float, _within("(0, inf)")] = 1e-8
+    epochs: Annotated[int, _at_least(1)] = 20
+    batch_size: Annotated[int, _at_least(1)] = 32
     bias_correction: bool = True
-    seed: int = 0
+    seed: Annotated[int, _check_seed] = 0
 
-    def __post_init__(self):
-        _check_count("epochs", self.epochs, 1)
-        _check_count("batch_size", self.batch_size, 1)
-        _check_seed(self.seed)
-        _check_fields(self)
-        if not 0 < self.lr < math.inf:
-            raise ConfigError(f"config-invalid: lr must lie in (0, inf), got {self.lr}")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ConfigError("config-invalid: betas must lie in [0, 1)")
-        if not 0 < self.epsilon < math.inf:
-            raise ConfigError(f"config-invalid: epsilon must lie in (0, inf), got {self.epsilon}")
+    __post_init__ = _check_fields
 
 
 PROB_CLAMP = 1e-12
@@ -105,13 +92,24 @@ def predict(model, x):
 
 
 def bce_loss(probs, labels):
-    """Mean binary cross-entropy; probabilities clamped away from 0 and 1."""
-    if len(probs) != len(labels):
-        raise DataError(f"length-mismatch: {len(probs)} probs vs {len(labels)} labels")
-    if len(probs) == 0:
+    """Mean binary cross-entropy of probabilities in [0, 1] against labels 0
+    or 1, two vectors of one length (see `core._frozen_vector`), the
+    probabilities clamped away from 0 and 1; DataError("invalid-label") or
+    DataError("invalid-probability") names the first sample that is neither."""
+    p, y = _frozen_vector(probs, ": probs"), _frozen_vector(labels, ": labels")
+    if len(p) != len(y):
+        raise DataError(f"length-mismatch: {len(p)} probs vs {len(y)} labels")
+    if len(p) == 0:
         raise DataError("empty-batch")
-    p = np.clip(np.asarray(probs, dtype=np.float64), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    y = np.asarray(labels, dtype=np.float64)
+    for name, values, bad, expected in (
+        ("probability", p, (p < 0.0) | (p > 1.0), "a real in [0, 1]"),
+        ("label", y, (y != 0.0) & (y != 1.0), "0 or 1"),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            got = values[i].item()
+            raise DataError(f"invalid-{name}: sample {i} has {name} {got!r}, expected {expected}")
+    p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
@@ -156,11 +154,11 @@ def adam_step(state, params, grad, cfg):
     With bias_correction the corrected moments m/(1-b1^t), v/(1-b2^t) drive
     the update; without it the raw moments are used directly.
     """
-    grad = np.asarray(grad, dtype=np.float64)
+    grad = _held(grad, ": grad")
     n = params.w.shape[0] + 1
-    if grad.shape[0] != n or state.m.shape[0] != n:
+    if grad.shape != (n,) or state.m.shape != (n,):
         raise DataError(
-            f"dimension-mismatch: gradient dim {grad.shape[0]}, expected {n}"
+            f"dimension-mismatch: gradient {grad.shape} and moments {state.m.shape}, expected ({n},)"
         )
     t = state.t + 1
     m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
@@ -208,13 +206,14 @@ def train_head(data, cfg):
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             by = ys[idx]
-            # a diverging step overflows; the HeadModel it yields rejects the result
+            # a diverging step overflows; the HeadModel it yields rejects the result. It
+            # goes first: bce_loss would reject the NaN probabilities that follow
             with np.errstate(over="ignore", invalid="ignore"):
                 probs, grad = _probs_and_gradient(model, xs[idx], by)
-                epoch_losses.append(bce_loss(probs, by))
                 try:
                     state, model = adam_step(state, model, grad, cfg)
                 except DataError as exc:
                     raise DataError(f"{exc}: training diverged at epoch {epoch}") from None
+                epoch_losses.append(bce_loss(probs, by))
         curve.append(float(np.mean(epoch_losses)))
     return model, curve

@@ -10,6 +10,7 @@ seed.
 """
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .core import (
     _check_fields,
     _check_seed,
     _is_real,
+    _one_of,
     _record_rows,
     derive_seed,
     seeded_rng,
@@ -37,16 +39,13 @@ POISSON_BASE = 255.0
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    kind: str
+    kind: Annotated[str, _one_of(*NOISE_KINDS)]
     level: float
-    seed: int = 0
+    seed: Annotated[int, _check_seed] = 0
 
     def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ConfigError(f"config-invalid: unknown noise kind {self.kind!r}")
-        _check_level(self.kind, self.level)
-        _check_seed(self.seed)
         _check_fields(self)
+        _check_level(self.kind, self.level)
 
 
 def _check_level(kind, level):
@@ -163,13 +162,11 @@ class SensitivityRow:
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    noise_kind: str
+    noise_kind: Annotated[str, _one_of(*NOISE_KINDS)]
     rows: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _record_rows(self.rows, SensitivityRow))
-        if self.noise_kind not in NOISE_KINDS:
-            raise ConfigError(f"config-invalid: unknown noise kind {self.noise_kind!r}")
         _check_fields(self)
         if not self.rows:
             raise DataError("empty-report: at least one level required")

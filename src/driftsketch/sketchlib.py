@@ -12,12 +12,13 @@ import reprlib
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Annotated
 
 import numpy as np
 
 from . import _kernels
-from .core import ConfigError, DataError, StoreError, _as_vector, _check_count, _check_fields
-from .core import _check_seed, _held, _record_rows, seeded_rng
+from .core import ConfigError, DataError, StoreError, _array, _as_vector, _at_least, _check_fields
+from .core import _check_seed, _held, _one_of, _record_rows, _within, seeded_rng
 
 
 # a bin index must have magnitude below 2**63 to be cast to int64 exactly
@@ -26,17 +27,13 @@ _BIN_LIMIT = 2.0**63
 
 @dataclass(frozen=True)
 class QuantConfig:
-    bin_width: float = 0.05
-    origin: float = 0.0
+    bin_width: Annotated[float, _within("(0, inf)")] = 0.05
+    origin: Annotated[float, _within("(-inf, inf)")] = 0.0
     clamp_lo: float | None = None
     clamp_hi: float | None = None
 
     def __post_init__(self):
         _check_fields(self)
-        if not 0 < self.bin_width < np.inf:
-            raise ConfigError(f"config-invalid: bin_width must lie in (0, inf), got {self.bin_width}")
-        if not -np.inf < self.origin < np.inf:
-            raise ConfigError(f"config-invalid: origin must be finite, got {self.origin}")
         if (self.clamp_lo is None) != (self.clamp_hi is None):
             raise ConfigError("config-invalid: clamp_lo and clamp_hi must be set together")
         if self.clamp_lo is not None and not -np.inf < self.clamp_lo < self.clamp_hi < np.inf:
@@ -51,18 +48,15 @@ class TokenSet:
     (see `core._held`) and stored sorted, in an array of its own, for
     canonical form."""
 
-    tokens: np.ndarray
+    tokens: Annotated[np.ndarray, _array("TokenSet.tokens", np.uint64, ndim=1)]
 
     def __post_init__(self):
-        arr = _held(self.tokens, ": TokenSet.tokens", np.uint64)
-        if arr.ndim != 1:
-            raise DataError(f"dimension-mismatch: TokenSet tokens of shape {arr.shape}")
-        arr = np.sort(arr)
+        _check_fields(self)
+        arr = np.sort(self.tokens)
         if (arr[1:] == arr[:-1]).any():
             arr = np.unique(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "tokens", arr)
-        _check_fields(self)
 
     def __len__(self):
         return self.tokens.shape[0]
@@ -70,13 +64,10 @@ class TokenSet:
 
 @dataclass(frozen=True)
 class SketchConfig:
-    k: int = 128
-    hash_seed: int = 0
+    k: Annotated[int, _at_least(1)] = 128
+    hash_seed: Annotated[int, _check_seed] = 0
 
-    def __post_init__(self):
-        _check_count("k", self.k, 1)
-        _check_seed(self.hash_seed)
-        _check_fields(self)
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -85,19 +76,14 @@ class MinHashSignature:
     held by `core._held` as a 1-D uint64 array; `k` and `hash_seed` are
     checked as `SketchConfig` checks them."""
 
-    minima: np.ndarray
-    k: int
-    hash_seed: int
+    minima: Annotated[np.ndarray, _array("minima", np.uint64)]
+    k: Annotated[int, _at_least(1)]
+    hash_seed: Annotated[int, _check_seed]
 
     def __post_init__(self):
-        _check_count("k", self.k, 1)
-        _check_seed(self.hash_seed)
-        object.__setattr__(self, "minima", _held(self.minima, ": minima", np.uint64))
         _check_fields(self)
         if self.minima.shape != (self.k,):
-            raise DataError(
-                f"dimension-mismatch: minima of shape {self.minima.shape} for k={self.k}"
-            )
+            raise DataError(f"dimension-mismatch: minima of shape {self.minima.shape} for k={self.k}")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -138,24 +124,19 @@ class SketchLibrary:
     """
 
     ids: tuple
-    distinct_minima: np.ndarray
-    row_index: np.ndarray
+    distinct_minima: Annotated[np.ndarray, _array("distinct_minima", np.uint64)]
+    row_index: Annotated[np.ndarray, _array("row_index", np.intp)]
     sketch_config: object
     quant_config: object
     extract_fingerprint: str = ""
-    dim: int | None = None
+    dim: Annotated[int, _at_least(1)] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
-        rows = _held(self.distinct_minima, ": distinct_minima", np.uint64)
-        object.__setattr__(self, "distinct_minima", rows)
-        object.__setattr__(self, "row_index", _held(self.row_index, ": row_index", np.intp))
         _check_fields(self)
         for name, cls in (("sketch_config", SketchConfig), ("quant_config", QuantConfig)):
             if not isinstance(getattr(self, name), cls):
                 raise ConfigError(f"config-invalid: {name} must be {cls.__name__}")
-        if self.dim is not None:
-            _check_count("dim", self.dim, 1)
         seen = set()
         for sid in self.ids:
             if not isinstance(sid, str):
@@ -163,7 +144,7 @@ class SketchLibrary:
             if sid in seen:
                 raise DataError(f"duplicate-source-id: {sid!r}")
             seen.add(sid)
-        k = self.sketch_config.k
+        k, rows = self.sketch_config.k, self.distinct_minima
         if rows.ndim != 2 or rows.shape[1] != k or self.row_index.shape != (len(self.ids),):
             raise StoreError(
                 f"malformed-payload: distinct minima of shape {rows.shape} and row index of "
@@ -265,17 +246,10 @@ def _check_canonical(distinct, row_index):
 
 @dataclass(frozen=True)
 class GateConfig:
-    j_alpha: float = 0.5
-    aggregation: str = "max"
+    j_alpha: Annotated[float, _within("[0,1]")] = 0.5
+    aggregation: Annotated[str, _one_of("max", "mean", "union")] = "max"
 
-    def __post_init__(self):
-        _check_fields(self)
-        if not 0.0 <= self.j_alpha <= 1.0:
-            raise ConfigError(f"config-invalid: j_alpha must lie in [0,1], got {self.j_alpha}")
-        if self.aggregation not in ("max", "mean", "union"):
-            raise ConfigError(
-                f"config-invalid: aggregation must be max, mean or union, got {self.aggregation!r}"
-            )
+    __post_init__ = _check_fields
 
 
 _VERDICTS = ("acceptable", "anomalous")

@@ -9,31 +9,22 @@ simplification.
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .core import ConfigError, DataError, _as_vector, _check_count, _check_fields, _check_seed
-from .core import _record_rows, seeded_rng
+from .core import DataError, _as_vector, _at_least, _check_fields, _check_seed, _one_of
+from .core import _record_rows, _within, seeded_rng
 
 
 @dataclass(frozen=True)
 class StatsConfig:
-    ks_alpha: float = 0.05
-    cosine_mode: str = "centroid"
-    pairwise_cap: int = 10000
-    seed: int = 0
+    ks_alpha: Annotated[float, _within("(0,1)")] = 0.05
+    cosine_mode: Annotated[str, _one_of("centroid", "mean_pairwise")] = "centroid"
+    pairwise_cap: Annotated[int, _at_least(1)] = 10000
+    seed: Annotated[int, _check_seed] = 0
 
-    def __post_init__(self):
-        _check_count("pairwise_cap", self.pairwise_cap, 1)
-        _check_seed(self.seed)
-        _check_fields(self)
-        if not 0.0 < self.ks_alpha < 1.0:
-            raise ConfigError(f"config-invalid: ks_alpha must lie in (0,1), got {self.ks_alpha}")
-        if self.cosine_mode not in ("centroid", "mean_pairwise"):
-            raise ConfigError(
-                f"config-invalid: cosine_mode must be centroid or mean_pairwise, "
-                f"got {self.cosine_mode!r}"
-            )
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)

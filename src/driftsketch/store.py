@@ -59,13 +59,14 @@ import re
 import tempfile
 from collections import Counter
 from dataclasses import asdict, dataclass
+from typing import Annotated
 
 import numpy as np
 
 from ._zstream import Body, checked, seal
 from .core import ConfigError, DataError, DriftSketchError, ImageGrid, StoreError, seeded_rng
-from .core import _check_count, _check_fields, _check_seed, _decode, _decode_value, _field_types
-from .core import _as_vector, _is_integer, _parse_text
+from .core import _as_vector, _at_least, _check_fields, _check_seed, _decode, _decode_value
+from .core import _field_types, _is_integer, _parse_text
 from .extract import _encode_embeddings
 from .head import HeadModel, TrainConfig
 from .sketchlib import GateReport, GateResult, QuantConfig, SketchConfig, SketchLibrary
@@ -544,15 +545,11 @@ class SplitPlan:
     construction: at least 2 groups, a seed in [0, 2^64), every id a
     string and every group an integer in [0, n_groups)."""
 
-    n_groups: int
-    seed: int
+    n_groups: Annotated[int, _at_least(2)]
+    seed: Annotated[int, _check_seed]
     assignment: dict
 
     def __post_init__(self):
-        _check_count("n_groups", self.n_groups, 2)
-        _check_seed(self.seed)
-        if not isinstance(self.assignment, dict):
-            raise ConfigError(f"config-invalid: assignment must be a dict, got {self.assignment!r}")
         _check_fields(self)
         for sid, group in self.assignment.items():
             if not isinstance(sid, str):

@@ -41,8 +41,14 @@ back into a file of any of those versions, so tests can forge files of each.
 `library_rows` below is the library's row deduplication as it stood when
 every library was made from one (m, k) matrix of all its rows. The package's
 `build_library`, which deduplicates as it sketches, must give the same
-distinct rows and row indices bit for bit. The package never imports this
-module.
+distinct rows and row indices bit for bit.
+
+`pooled_permutation_pvalue` below is an image-level permutation p-value of
+the pooled KS D that `drift_report` computes. It assumes only that whole
+images are exchangeable under the null, not that the n*d pooled components
+are independent samples, as the package's asymptotic p-value does; tests
+use it to tell which of the two a drift flag depends on. The package never
+imports this module.
 """
 
 import hashlib
@@ -52,7 +58,7 @@ import zlib
 import numpy as np
 
 from driftsketch import ConfigError, DataError, FeatureVector, ImageGrid, StoreError
-from driftsketch.core import derive_seed
+from driftsketch.core import derive_seed, seeded_rng
 from driftsketch.extract import _patch_geometry, _projection_matrix, extract_batch
 from driftsketch.noiselab import (
     _NOISE_OPS,
@@ -62,7 +68,7 @@ from driftsketch.noiselab import (
     _check_level,
 )
 from driftsketch.sketchlib import build_library, gate_check
-from driftsketch.stats import drift_report
+from driftsketch.stats import drift_report, ks_statistic
 
 
 def _next_header_token(data, pos):
@@ -360,3 +366,19 @@ def seal_library(body, version):
     else:
         data += body
     return data + hashlib.blake2b(data, digest_size=8).digest()
+
+
+def pooled_permutation_pvalue(baseline, period, n_perm=199, seed=0):
+    """p-value of the pooled KS D between two sets of vectors, by shuffling
+    whole images between the sets `n_perm` times: (1 + the number of
+    shuffles whose D is at least the observed one) / (1 + n_perm), so the
+    smallest it gives is 1 / (1 + n_perm)."""
+    rows = np.stack([v.values for v in [*baseline, *period]])
+    n = len(baseline)
+    observed = ks_statistic(rows[:n].ravel(), rows[n:].ravel())
+    rng = seeded_rng(seed, "reference.permutation")
+    exceed = 0
+    for _ in range(n_perm):
+        order = rng.permutation(len(rows))
+        exceed += ks_statistic(rows[order[:n]].ravel(), rows[order[n:]].ravel()) >= observed
+    return (1 + exceed) / (1 + n_perm)

@@ -1,4 +1,5 @@
-from dataclasses import asdict, dataclass, replace
+import re
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 import driftsketch
 from driftsketch import ConfigError, DataError, ImageGrid, PipelineConfig, validate_image
 from driftsketch.cli import _SECTIONS
-from driftsketch.core import _decode, _parse_text, derive_seed, seeded_rng
+from driftsketch.core import DriftSketchError, _decode, _parse_text, derive_seed, seeded_rng
 from driftsketch.extract import ExtractConfig
-from driftsketch.head import TrainConfig
-from driftsketch.noiselab import NoiseSpec
-from driftsketch.sketchlib import GateConfig, QuantConfig, SketchConfig
-from driftsketch.store import _format_float
+from driftsketch.head import AdamState, TrainConfig
+from driftsketch.noiselab import NoiseSpec, SensitivityReport, SensitivityRow
+from driftsketch.sketchlib import GateConfig, MinHashSignature, QuantConfig, SketchConfig
+from driftsketch.sketchlib import SketchLibrary, TokenSet
+from driftsketch.store import SplitPlan, _format_float
 from driftsketch.stats import StatsConfig
 
 import reference_path
@@ -204,7 +206,77 @@ _BAD_FIELD = {
 }
 
 
+_SIGNATURE = MinHashSignature([1, 2], 2, 0)
+_LIBRARY = SketchLibrary.from_minima(["a", "b"], [[1, 2], [3, 4]], SketchConfig(k=2), QuantConfig(),
+                                     dim=4)
+_REPORT = SensitivityReport("gaussian", [SensitivityRow(0.0, 1.0, 0.0, 1.0, 0.0)])
+
+# every field a rule in its annotation checks: a valid record, the field, a
+# value of another type, and a value of its type that the rule rejects
+_RULED = [
+    (ExtractConfig(), "grid", 4.0, 0),
+    (ExtractConfig(), "hist_bins", "16", 1),
+    (ExtractConfig(), "projection_dim", None, -1),
+    (ExtractConfig(), "projection_seed", 1.5, -1),
+    (QuantConfig(), "bin_width", "0.05", 0.0),
+    (QuantConfig(), "origin", None, float("nan")),
+    (SketchConfig(), "k", 4.0, 0),
+    (SketchConfig(), "hash_seed", "0", 2**64),
+    (GateConfig(), "j_alpha", "0.5", 1.5),
+    (GateConfig(), "aggregation", 1, "median"),
+    (StatsConfig(), "ks_alpha", True, 1.0),
+    (StatsConfig(), "cosine_mode", None, "pairwise"),
+    (StatsConfig(), "pairwise_cap", 2.5, 0),
+    (StatsConfig(), "seed", "1", -1),
+    (TrainConfig(), "lr", "1e-3", 0.0),
+    (TrainConfig(), "beta1", None, 1.0),
+    (TrainConfig(), "beta2", "0.9", -0.1),
+    (TrainConfig(), "epsilon", True, float("inf")),
+    (TrainConfig(), "epochs", 20.0, 0),
+    (TrainConfig(), "batch_size", "32", 0),
+    (TrainConfig(), "seed", 0.0, 2**64),
+    (AdamState.fresh(2), "m", ["a", "b"], [[0.0, 0.0]]),
+    (AdamState.fresh(2), "v", [1j, 0.0], np.zeros((2, 1))),
+    (AdamState.fresh(2), "t", 1.0, -1),
+    (TokenSet([1, 2]), "tokens", ["a"], [[1, 2]]),
+    (_SIGNATURE, "minima", ["a", "b"], [-1, 2]),
+    (_SIGNATURE, "k", True, 0),
+    (_SIGNATURE, "hash_seed", "0", -1),
+    (_LIBRARY, "distinct_minima", [[1.5, 2], [3, 4]], [[-1, 2], [3, 4]]),
+    (_LIBRARY, "row_index", [0.5, 1], [-1, 1]),
+    (_LIBRARY, "dim", "4", 0),
+    (NoiseSpec("gaussian", 0.1), "kind", 3, "cosmic"),
+    (NoiseSpec("gaussian", 0.1), "seed", 1.5, -1),
+    (_REPORT, "noise_kind", None, "cosmic"),
+    (SplitPlan(2, 0, {}), "n_groups", "3", 1),
+    (SplitPlan(2, 0, {}), "seed", 0.5, 2**64),
+]
+
+
 class TestValidByConstruction:
+    @pytest.mark.parametrize(
+        "good, field, mistyped, ruled_out",
+        _RULED,
+        ids=[f"{type(good).__name__}.{field}" for good, field, *_ in _RULED],
+    )
+    def test_one_text_per_fault(self, good, field, mistyped, ruled_out):
+        """A bad value of a ruled field raises one error, class and text,
+        whether the record is built, replaced or decoded from its JSON
+        object (arrays as lists): one check path names each fault."""
+        cls, parts = type(good), {f.name: getattr(good, f.name) for f in fields(good)}
+        obj = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in parts.items()}
+        for bad in (mistyped, ruled_out):
+            errors = []
+            for build in (
+                lambda: cls(**{**parts, field: bad}),
+                lambda: replace(good, **{field: bad}),
+                lambda: _decode(cls, {**obj, field: bad}),
+            ):
+                with pytest.raises(DriftSketchError) as info:
+                    build()
+                errors.append((type(info.value), str(info.value)))
+            assert errors[0] == errors[1] == errors[2], errors
+
     @pytest.mark.parametrize("name", sorted(_VALID))
     def test_bad_value_rejected_by_constructor_and_replace(self, name):
         good = _VALID[name]
@@ -225,7 +297,13 @@ class TestValidByConstruction:
     )
     @pytest.mark.parametrize("seed", [-1, 1.5, 2**64, "0", None])
     def test_bad_seed_rejected(self, cls, field, seed):
-        with pytest.raises(ConfigError, match="invalid-seed"):
+        """A seed of another type reads as the decoder reads it; an integer
+        out of range is an invalid seed."""
+        if isinstance(seed, int):
+            error = rf"^invalid-seed: expected integer in \[0, 2\^64\), got {seed}$"
+        else:
+            error = f"^config-invalid: {field} must be int, got {re.escape(repr(seed))}$"
+        with pytest.raises(ConfigError, match=error):
             cls(**{field: seed})
 
     @pytest.mark.parametrize(
@@ -242,24 +320,25 @@ class TestValidByConstruction:
     )
     @pytest.mark.parametrize("value", [4.0, float("nan"), float("inf"), "4", None])
     def test_non_integer_count_rejected(self, cls, field, value):
-        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        error = f"^config-invalid: {field} must be int, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=error):
             cls(**{field: value})
 
     @pytest.mark.parametrize(
-        "cls, field, error",
+        "cls, field",
         [
-            (SketchConfig, "k", "config-invalid: k must be an integer"),
-            (ExtractConfig, "grid", "config-invalid: grid must be an integer"),
-            (TrainConfig, "epochs", "config-invalid: epochs must be an integer"),
-            (SketchConfig, "hash_seed", "invalid-seed"),
-            (StatsConfig, "seed", "invalid-seed"),
-            (partial(NoiseSpec, "gaussian", 0.1), "seed", "invalid-seed"),
+            (SketchConfig, "k"),
+            (ExtractConfig, "grid"),
+            (TrainConfig, "epochs"),
+            (SketchConfig, "hash_seed"),
+            (StatsConfig, "seed"),
+            (partial(NoiseSpec, "gaussian", 0.1), "seed"),
         ],
         ids=["k", "grid", "epochs", "hash_seed", "stats-seed", "noise-seed"],
     )
     @pytest.mark.parametrize("flag", [True, False])
-    def test_boolean_count_or_seed_rejected(self, cls, field, error, flag):
-        with pytest.raises(ConfigError, match=error):
+    def test_boolean_count_or_seed_rejected(self, cls, field, flag):
+        with pytest.raises(ConfigError, match=f"^config-invalid: {field} must be int, got {flag}$"):
             cls(**{field: flag})
 
     def test_integer_counts_and_seeds_accepted(self):

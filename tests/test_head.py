@@ -95,6 +95,40 @@ class TestBceLoss:
         with pytest.raises(DataError, match="empty-batch"):
             bce_loss([], [])
 
+    @pytest.mark.parametrize(
+        "labels, error",
+        [
+            ([7], r"^invalid-label: sample 0 has label 7\.0, expected 0 or 1$"),
+            ([1, -1], r"^invalid-label: sample 1 has label -1\.0, expected 0 or 1$"),
+            ([0.5, 1], r"^invalid-label: sample 0 has label 0\.5, expected 0 or 1$"),
+            ([float("nan"), 1], r"^non-finite-value: labels$"),
+            (["1", 0], r"^non-real-value: labels: \['1', 0\]$"),
+        ],
+        ids=["seven", "negative", "half", "nan", "text"],
+    )
+    def test_label_other_than_0_or_1_rejected(self, labels, error):
+        """The label 7 gave 0.693 as if it were 1."""
+        with pytest.raises(DataError, match=error):
+            bce_loss([0.5] * len(labels), labels)
+
+    @pytest.mark.parametrize(
+        "probs, error",
+        [
+            ([float("nan")], r"^non-finite-value: probs$"),
+            ([0.5, 1.5], r"^invalid-probability: sample 1 has probability 1\.5, expected a real"),
+            ([-0.1, 0.5], r"^invalid-probability: sample 0 has probability -0\.1, expected a real "
+                          r"in \[0, 1\]$"),
+            ([float("inf"), 0.5], r"^non-finite-value: probs$"),
+            (["0.5", 0.5], r"^non-real-value: probs: \['0\.5', 0\.5\]$"),
+            ([[0.5], [0.5]], r"^dimension-mismatch: probs is not a vector: shape \(2, 1\)$"),
+        ],
+        ids=["nan", "above-1", "negative", "inf", "text", "not-a-vector"],
+    )
+    def test_probability_outside_0_1_rejected(self, probs, error):
+        """A NaN probability gave a NaN loss."""
+        with pytest.raises(DataError, match=error):
+            bce_loss(probs, [1] * len(probs))
+
 
 def finite_difference_gradient(model, batch, step=1e-6):
     """Central differences of bce_loss(predict(...)) over (w, b)."""
@@ -187,6 +221,20 @@ class TestAdamStep:
     def test_dimension_mismatch(self):
         with pytest.raises(DataError, match="dimension-mismatch"):
             adam_step(AdamState.fresh(2), HeadModel(w=[0.0], b=0.0), [1.0, 1.0, 1.0], TrainConfig())
+
+    @pytest.mark.parametrize(
+        "grad, error",
+        [
+            (["a", "b"], r"^non-real-value: grad: \['a', 'b'\]$"),
+            (1.0, r"^dimension-mismatch: gradient \(\) and moments \(2,\), expected \(2,\)$"),
+            ([[1.0, 0.0]], r"^dimension-mismatch: gradient \(1, 2\) and moments \(2,\)"),
+        ],
+        ids=["text", "scalar", "matrix"],
+    )
+    def test_unreadable_gradient_named(self, grad, error):
+        """Text raised a raw ValueError, and a scalar a raw IndexError."""
+        with pytest.raises(DataError, match=error):
+            adam_step(AdamState.fresh(2), HeadModel(w=[1.0], b=0.0), grad, TrainConfig())
 
 
 def separable_blobs(seed, n=200):

@@ -76,7 +76,8 @@ class TestIntegerArraysTakeIntegersOnly:
             (lambda: MinHashSignature([1.5], 1, 0), DataError, "^value-out-of-range: minima"),
             (lambda: MinHashSignature([-1], 1, 0), DataError, "^value-out-of-range: minima"),
             (lambda: MinHashSignature([2**64], 1, 0), DataError, "^value-out-of-range: minima"),
-            (lambda: MinHashSignature([1], True, 0), ConfigError, "k must be an integer"),
+            (lambda: MinHashSignature([1], True, 0), ConfigError,
+             "^config-invalid: k must be int, got True$"),
             (lambda: MinHashSignature([1], 1, -1), ConfigError, "^invalid-seed"),
             (lambda: MinHashSignature([1, 2], 1, 0), DataError, r"^dimension-mismatch"),
             (lambda: TokenSet([1.5]), DataError, "^value-out-of-range: TokenSet.tokens"),
@@ -156,7 +157,7 @@ class TestAdamStateChecksItself:
         [
             (lambda: AdamState(m=np.zeros(2), v=np.zeros(2), t=-5), ConfigError, "t must be >= 0"),
             (lambda: AdamState(m=np.zeros(2), v=np.zeros(2), t=1.0), ConfigError,
-             "t must be an integer"),
+             "^config-invalid: t must be int, got 1.0$"),
             (lambda: AdamState(m=np.zeros(2), v=np.zeros(3)), DataError, "^dimension-mismatch"),
             (lambda: AdamState(m=np.zeros((2, 1)), v=np.zeros((2, 1))), DataError,
              "^dimension-mismatch"),

@@ -1892,11 +1892,11 @@ class TestSplitDataset:
         "n_groups, seed, assignment, message",
         [
             (1, 0, {}, "config-invalid: n_groups must be >= 2, got 1"),
-            ("3", 0, {}, "config-invalid: n_groups must be an integer, got '3'"),
+            ("3", 0, {}, "config-invalid: n_groups must be int, got '3'$"),
             (2, -1, {}, "invalid-seed"),
             (2, 0, {"a": 2}, r"config-invalid: id 'a' in group 2, outside \[0, 2\)"),
             (2, 0, {"a": 1.0}, "config-invalid: id 'a' in group 1.0, not an integer"),
-            (2, 0, [("a", 0)], r"config-invalid: assignment must be a dict, got \[\('a', 0\)\]"),
+            (2, 0, [("a", 0)], r"config-invalid: assignment must be dict, got \[\('a', 0\)\]$"),
         ],
     )
     def test_plan_checks_itself(self, n_groups, seed, assignment, message):
