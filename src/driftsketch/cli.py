@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict, replace
 
 from . import store
-from .core import ConfigError, DataError, PipelineConfig, _check_seed
+from .core import ConfigError, DataError, PipelineConfig, _check_seed, _distinct_ids
 from .core import _field_types, _parse_text, _stage_configs
 from .extract import extract_builtin, extract_fingerprint, load_embeddings
 from .head import TrainConfig, train_head
@@ -75,7 +75,7 @@ def _build_parser():
     common(p)
 
     p = sub.add_parser("split", help="assign ids to balanced groups")
-    p.add_argument("ids", metavar="IDS_FILE", help="one id per line")
+    p.add_argument("ids", metavar="IDS_FILE", help="an embedding file, or one id per line")
     p.add_argument("--groups", type=int, default=7)
     common(p)
 
@@ -147,7 +147,8 @@ def resolve_config(args):
     return PipelineConfig(**built), train_cfg, run_seed
 
 
-def _classify_input(path):
+def _classify_input(path, other=None):
+    """The kind of input at `path`; a file of no known magic is `other`, if given."""
     if os.path.isdir(path):
         return "images"
     try:
@@ -159,6 +160,8 @@ def _classify_input(path):
         return "image"
     if head.startswith(b"driftsketch-emb"):
         return "embeddings"
+    if other is not None:
+        return other
     raise DataError(f"unsupported-format: {path} is neither an image nor an embedding file")
 
 
@@ -177,8 +180,7 @@ def _extract_images(paths, extract_cfg):
             sources.append((path, os.path.basename(path)))
         else:
             sources += [(os.path.join(path, n), n) for n in store.list_images_dir(path)]
-    if len({sid for _, sid in sources}) != len(sources):
-        raise DataError("duplicate-source-id: input basenames collide")
+    _distinct_ids(sid for _, sid in sources)
     return [extract_builtin(store.load_image(p), extract_cfg, sid) for p, sid in sources]
 
 
@@ -302,9 +304,12 @@ def _cmd_train_head(args):
         train_cfg = replace(train_cfg, seed=run_seed)
     features = load_embeddings(args.embeddings)
     labels = _read_labels(args.labels)
-    missing = [v.source_id for v in features if v.source_id not in labels]
-    if missing:
-        raise DataError(f"label-missing: no label for {missing[0]!r}")
+    for sid in (v.source_id for v in features if v.source_id not in labels):
+        # _read_labels reads no empty, '#'-led or padded id, nor one holding a line break
+        # ('\r' too, which text mode reads as one)
+        if sid != sid.strip() or sid[:1] in ("", "#") or "\n" in sid or "\r" in sid:
+            raise DataError(f"unlabelable-id: no labels line can hold the id {sid!r}")
+        raise DataError(f"label-missing: no label for {sid!r}")
     data = [(v, labels[v.source_id]) for v in features]
     model, curve = train_head(data, train_cfg)
     store.save_model(model, args.out, train_config=train_cfg)
@@ -318,8 +323,10 @@ def _cmd_train_head(args):
 
 def _cmd_split(args):
     _, _, run_seed = resolve_config(args)
-    # each line that is not blank is an id, exactly as written
-    ids = [ln for ln in _text_lines(args.ids, DataError, "io-error") if ln.strip()]
+    if _classify_input(args.ids, "ids") == "embeddings":
+        ids = [v.source_id for v in load_embeddings(args.ids)]
+    else:  # each line that is not blank is an id, exactly as written
+        ids = [ln for ln in _text_lines(args.ids, DataError, "io-error") if ln.strip()]
     plan = store.split_dataset(ids, args.groups, run_seed)
     store.save_split(plan, args.out)
     return 0

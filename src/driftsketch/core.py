@@ -193,6 +193,36 @@ def _as_vector(v, name):
     return v if isinstance(v, FeatureVector) else FeatureVector(_frozen_vector(v, f": {name}"))
 
 
+def _batch(vectors, name, dim=None):
+    """`vectors` as a tuple of FeatureVectors, each read by `_as_vector` as
+    ``<name>[i]``, the one way every function reads a batch; then
+    DataError("empty-batch: <name>"), or DataError("dimension-mismatch:
+    <name>[i] has dim x, expected d") for the first not of `dim` (the first's)."""
+    batch = tuple(_as_vector(v, f"{name}[{i}]") for i, v in enumerate(vectors))
+    if not batch:
+        raise DataError(f"empty-batch: {name}")
+    dim = batch[0].dim if dim is None else dim
+    for i, v in enumerate(batch):
+        if v.dim != dim:
+            raise DataError(f"dimension-mismatch: {name}[{i}] has dim {v.dim}, expected {dim}")
+    return batch
+
+
+def _distinct_ids(ids):
+    """`ids` as a tuple of distinct strings, the one way every writer, reader
+    and builder checks a batch's ids; DataError("malformed-id: 7 is not a
+    string") or DataError("duplicate-source-id: 'a'") names the first fault."""
+    ids = tuple(ids)
+    seen = set()
+    for sid in ids:
+        if not isinstance(sid, str):
+            raise DataError(f"malformed-id: {reprlib.repr(sid)} is not a string")
+        if sid in seen:
+            raise DataError(f"duplicate-source-id: {sid!r}")
+        seen.add(sid)
+    return ids
+
+
 def _is_integer(value):
     """True for Python and NumPy integers; a bool is not a count or a seed."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -203,11 +233,12 @@ def _is_real(value):
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def _check_seed(seed, name=None):
-    """`seed` as an int in [0, 2^64); also a field's rule, naming no field."""
-    if not _is_integer(seed) or not 0 <= int(seed) <= MAX_SEED:
+def _check_seed(seed, name="seed"):
+    """`seed` as an int in [0, 2^64), typed as an ``int`` field is; also a field's rule."""
+    seed = _decode_value(int, seed, name)
+    if not 0 <= seed <= MAX_SEED:
         raise ConfigError(f"invalid-seed: expected integer in [0, 2^64), got {seed!r}")
-    return int(seed)
+    return seed
 
 
 def seeded_rng(seed, stream_label):

@@ -26,6 +26,7 @@ from .core import (
     _at_least,
     _check_fields,
     _check_seed,
+    _distinct_ids,
     seeded_rng,
 )
 from .stats import _pow2_scaled
@@ -213,18 +214,17 @@ def _embedding_vectors(ids_line, count, dim, data_size, matrix):
         ids = json.loads(ids_line.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise StoreError(f"malformed-payload: undecodable ids ({exc})")
-    if not isinstance(ids, list) or len(ids) != count or not all(isinstance(s, str) for s in ids):
+    if not isinstance(ids, list) or len(ids) != count:
         raise StoreError(f"malformed-payload: ids must be a list of {count} strings")
     if data_size != 8 * dim * count:
         raise StoreError(
             f"malformed-payload: dim={dim}, count={count} need {8 * dim * count} data bytes, "
             f"found {data_size}"
         )
-    seen = set()
-    for sid in ids:
-        if sid in seen:
-            raise StoreError(f"malformed-payload: duplicate id {sid!r}")
-        seen.add(sid)
+    try:
+        _distinct_ids(ids)
+    except DataError as exc:
+        raise StoreError(f"malformed-payload: {exc}") from None
     return [FeatureVector(values=row, source_id=sid) for sid, row in zip(ids, matrix)]
 
 

@@ -12,7 +12,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .core import DataError, _array, _as_vector, _at_least, _check_fields, _check_seed
+from .core import DataError, _array, _as_vector, _at_least, _batch, _check_fields, _check_seed
 from .core import _frozen_vector, _held, _is_real, _within, seeded_rng
 
 
@@ -113,19 +113,15 @@ def bce_loss(probs, labels):
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
-def _batch_arrays(batch, d=None):
-    """(xs, ys) of (vector, label) pairs whose vectors have dim d, by default
-    the dim of the first, and whose labels are 0 or 1; else a named DataError."""
-    if not batch:
-        raise DataError("empty-batch")
-    rows = [_as_vector(vec, f"sample {i}").values for i, (vec, _) in enumerate(batch)]
-    d = len(rows[0]) if d is None else d
-    for i, (values, (_, label)) in enumerate(zip(rows, batch)):
-        if len(values) != d:
-            raise DataError(f"dimension-mismatch: sample {i} has dim {len(values)}, expected {d}")
+def _batch_arrays(batch, name, d=None):
+    """(xs, ys) of (vector, label) pairs whose vectors, read by
+    ``core._batch`` as `name`, have dim d, by default the dim of the first,
+    and whose labels are 0 or 1; else a named DataError."""
+    vectors = _batch([vec for vec, _ in batch], name, d)
+    for i, (_, label) in enumerate(batch):
         if not (_is_real(label) and label in (0, 1)):
             raise DataError(f"invalid-label: sample {i} has label {label!r}, expected 0 or 1")
-    return np.stack(rows), np.array([float(label) for _, label in batch])
+    return np.stack([v.values for v in vectors]), np.array([float(label) for _, label in batch])
 
 
 def _probs_and_gradient(model, xs, ys):
@@ -140,7 +136,7 @@ def _probs_and_gradient(model, xs, ys):
 
 def bce_gradient(model, batch):
     """Analytic BCE gradient over (w, b): mean of (p - y) x and (p - y)."""
-    xs, ys = _batch_arrays(batch, model.w.shape[0])
+    xs, ys = _batch_arrays(batch, "batch", model.w.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         _, grad = _probs_and_gradient(model, xs, ys)
     if not np.isfinite(grad).all():
@@ -184,11 +180,7 @@ def train_head(data, cfg):
     raises DataError("non-finite-parameter: training diverged at epoch E"),
     E counted from 0 as in the loss curve.
     """
-    if not data:
-        raise DataError("empty-data")
-    if len(data) < 2:
-        raise DataError("single-class-data: need at least one sample per class")
-    xs, ys = _batch_arrays(data)
+    xs, ys = _batch_arrays(data, "data")
     labels = sorted({int(y) for y in ys})
     if labels != [0, 1]:
         raise DataError(f"single-class-data: labels present: {labels}")

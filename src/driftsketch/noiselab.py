@@ -18,6 +18,7 @@ from .core import (
     ConfigError,
     DataError,
     ImageGrid,
+    _batch,
     _check_fields,
     _check_seed,
     _is_real,
@@ -31,6 +32,7 @@ from .sketchlib import build_library, gate_check
 from .stats import drift_report
 
 NOISE_KINDS = ("gaussian", "salt_pepper", "speckle", "poisson")
+_NOISE_KIND = _one_of(*NOISE_KINDS)  # the rule of every noise kind, field or argument
 
 # Poisson photon scale: lambda = POISSON_BASE / level, so level in (0,1]
 # ranges from one photon per intensity unit at 255 (mild) down to 255 (harsh).
@@ -39,7 +41,7 @@ POISSON_BASE = 255.0
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    kind: Annotated[str, _one_of(*NOISE_KINDS)]
+    kind: Annotated[str, _NOISE_KIND]
     level: float
     seed: Annotated[int, _check_seed] = 0
 
@@ -162,7 +164,7 @@ class SensitivityRow:
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    noise_kind: Annotated[str, _one_of(*NOISE_KINDS)]
+    noise_kind: Annotated[str, _NOISE_KIND]
     rows: tuple
 
     def __post_init__(self):
@@ -195,10 +197,8 @@ def sensitivity_sweep(baseline, test_images, kind, levels, pipeline, seed=0):
     `drift_report`, and each level's anomaly rate is the fraction of its
     images the gate flags.
     """
-    if kind not in NOISE_KINDS:
-        raise ConfigError(f"config-invalid: unknown noise kind {kind!r}")
-    if not baseline:
-        raise DataError("empty-batch: baseline and test sets must be non-empty")
+    _NOISE_KIND(kind, "kind")
+    baseline = _batch(baseline, "baseline")
     levels = [float(lv) for lv in levels]
     if not levels:
         raise ConfigError("invalid-levels: empty ladder")
@@ -221,7 +221,7 @@ def sensitivity_sweep(baseline, test_images, kind, levels, pipeline, seed=0):
             per_level[li].append(v)
             flag_counts[li] += gate_check(library, v, pipeline.gate).anomalous
     if not per_level[0]:
-        raise DataError("empty-batch: baseline and test sets must be non-empty")
+        raise DataError("empty-batch: test_images")
     batches = [(str(level), feats) for level, feats in zip(levels, per_level)]
     scored = drift_report(baseline, batches, pipeline.stats, gate_flag_counts=flag_counts)
     rows = [

@@ -8,7 +8,6 @@ signature against a baseline library and flags it anomalous when the
 aggregated similarity falls below the threshold.
 """
 
-import reprlib
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -17,8 +16,9 @@ from typing import Annotated
 import numpy as np
 
 from . import _kernels
-from .core import ConfigError, DataError, StoreError, _array, _as_vector, _at_least, _check_fields
-from .core import _check_seed, _held, _one_of, _record_rows, _within, seeded_rng
+from .core import ConfigError, DataError, StoreError, _array, _as_vector, _at_least, _batch
+from .core import _check_fields, _check_seed, _distinct_ids, _held, _one_of, _record_rows, _within
+from .core import seeded_rng
 
 
 # a bin index must have magnitude below 2**63 to be cast to int64 exactly
@@ -105,12 +105,11 @@ class SketchLibrary:
     below u, in which 0..u-1 first occur in order. It holds the two arrays
     by ``core._held`` and checks them in O(u*k + m) time and memory. Parts
     that are not canonical raise StoreError("malformed-payload"), as from a
-    forged file; duplicate ids raise DataError("duplicate-source-id"), an id
-    that is not a str DataError("malformed-id"), and a config of another
-    class ConfigError. ``build_library`` deduplicates as it sketches and a
-    v2-v4 file already holds the two arrays, so neither makes an (m, k)
-    matrix. ``from_minima``, for v1 files and the public API, deduplicates
-    m given rows first.
+    forged file; the ids are checked by ``core._distinct_ids``, and a
+    config of another class raises ConfigError. ``build_library``
+    deduplicates as it sketches and a v2-v4 file already holds the two
+    arrays, so neither makes an (m, k) matrix. ``from_minima``, for v1 files
+    and the public API, deduplicates m given rows first.
     The ``(source_id, signature)`` pairs in ``entries`` are made on first
     use, each ``signature.minima`` a read-only view of its distinct row.
     ``minima_matrix()`` gathers the (m, k) rows aligned with ``ids`` on first
@@ -132,18 +131,11 @@ class SketchLibrary:
     dim: Annotated[int, _at_least(1)] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "ids", _distinct_ids(self.ids))
         _check_fields(self)
         for name, cls in (("sketch_config", SketchConfig), ("quant_config", QuantConfig)):
             if not isinstance(getattr(self, name), cls):
                 raise ConfigError(f"config-invalid: {name} must be {cls.__name__}")
-        seen = set()
-        for sid in self.ids:
-            if not isinstance(sid, str):
-                raise DataError(f"malformed-id: {reprlib.repr(sid)} is not a string")
-            if sid in seen:
-                raise DataError(f"duplicate-source-id: {sid!r}")
-            seen.add(sid)
         k, rows = self.sketch_config.k, self.distinct_minima
         if rows.ndim != 2 or rows.shape[1] != k or self.row_index.shape != (len(self.ids),):
             raise StoreError(
@@ -491,22 +483,19 @@ def exact_jaccard(a, b):
 def build_library(features, q, s, extract_fingerprint=""):
     """Sketch every feature vector into a library, preserving input order.
 
-    Every vector must have the same dimension, which the library records.
-    Only the distinct minima rows are kept, so no (m, k) matrix is made.
+    The vectors are read by ``core._batch``: a non-empty batch of one
+    dimension, which the library records. Only the distinct minima rows are
+    kept, so no (m, k) matrix is made.
     """
-    if not features:
-        raise DataError("empty-input")
-    features = [_as_vector(v, "features") for v in features]
-    dims = sorted({v.values.shape[0] for v in features})
-    if len(dims) > 1:
-        raise DataError(f"dimension-mismatch: mixed dims {dims}")
+    features = _batch(features, "features")
     # rows are deduplicated by their minima bytes as they are sketched: bin
     # vectors that differ can sketch to equal minima, and they share a row
     distinct, row_index = _distinct_rows(
         (_sketch(v.values, q, s) for v in features), len(features), s.k
     )
     return SketchLibrary(
-        [v.source_id for v in features], distinct, row_index, s, q, extract_fingerprint, dims[0]
+        [v.source_id for v in features], distinct, row_index, s, q, extract_fingerprint,
+        features[0].dim,
     )
 
 

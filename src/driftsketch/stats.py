@@ -13,7 +13,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .core import DataError, _as_vector, _at_least, _check_fields, _check_seed, _one_of
+from .core import DataError, _as_vector, _at_least, _batch, _check_fields, _check_seed, _one_of
 from .core import _record_rows, _within, seeded_rng
 
 
@@ -158,28 +158,16 @@ def cosine(a, b):
     return float(np.clip(sa @ sb / (na * nb), -1.0, 1.0))
 
 
-def _batch_matrix(batch, name):
-    if not batch:
-        raise DataError(f"empty-batch: {name}")
-    rows = [_as_vector(v, name).values for v in batch]
-    d = rows[0].shape[0]
-    for i, r in enumerate(rows):
-        if r.shape[0] != d:
-            raise DataError(f"dimension-mismatch: {name}[{i}] has dim {r.shape[0]}, expected {d}")
-    return np.stack(rows)
-
-
 def batch_cosine(batch_a, batch_b, cfg):
     """One cosine score for a pair of batches.
 
     centroid mode: cosine of the two mean vectors. mean_pairwise mode: mean
     cosine over all cross pairs, or over `pairwise_cap` seeded-sampled pairs
-    (with replacement) when the cross product exceeds the cap.
+    (with replacement) when the cross product exceeds the cap. Both batches
+    are read by ``core._batch``, b's vectors of the dimension of a's.
     """
-    mat_a = _batch_matrix(batch_a, "a")
-    mat_b = _batch_matrix(batch_b, "b")
-    if mat_a.shape[1] != mat_b.shape[1]:
-        raise DataError(f"dimension-mismatch: {mat_a.shape[1]} vs {mat_b.shape[1]}")
+    mat_a = np.stack([v.values for v in _batch(batch_a, "a")])
+    mat_b = np.stack([v.values for v in _batch(batch_b, "b", mat_a.shape[1])])
     if cfg.cosine_mode == "centroid":
         return cosine(_pow2_scaled(mat_a).mean(axis=0), _pow2_scaled(mat_b).mean(axis=0))
     mat_a, mat_b = _pow2_scaled(mat_a, axis=1), _pow2_scaled(mat_b, axis=1)
@@ -201,10 +189,8 @@ def batch_cosine(batch_a, batch_b, cfg):
 
 
 def pool_scalars(batch, name="batch"):
-    """Concatenate all components of all vectors, order-stable; errors name `name`."""
-    if not batch:
-        raise DataError("empty-batch")
-    return np.concatenate([_as_vector(v, name).values for v in batch])
+    """Concatenate every vector's components, order-stable (``core._batch`` reads `name`)."""
+    return np.concatenate([v.values for v in _batch(batch, name)])
 
 
 def drift_report(baseline, periods, cfg, gate_flag_counts=None, baseline_id="baseline"):

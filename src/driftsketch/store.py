@@ -57,7 +57,6 @@ import math
 import os
 import re
 import tempfile
-from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Annotated
 
@@ -65,8 +64,8 @@ import numpy as np
 
 from ._zstream import Body, checked, seal
 from .core import ConfigError, DataError, DriftSketchError, ImageGrid, StoreError, seeded_rng
-from .core import _as_vector, _at_least, _check_fields, _check_seed, _decode, _decode_value
-from .core import _field_types, _is_integer, _parse_text
+from .core import _at_least, _batch, _check_fields, _check_seed, _decode, _decode_value
+from .core import _distinct_ids, _field_types, _is_integer, _parse_text
 from .extract import _encode_embeddings
 from .head import HeadModel, TrainConfig
 from .sketchlib import GateReport, GateResult, QuantConfig, SketchConfig, SketchLibrary
@@ -275,21 +274,16 @@ def load_images_dir(directory):
 def write_embeddings(features, path, dim=None):
     """Write FeatureVectors as a v3 embedding file (see ``extract.load_embeddings``).
 
-    `dim` is only needed for an empty batch, where it cannot be inferred.
+    The vectors are read by ``core._batch``. `dim` is only needed for an
+    empty batch, where it cannot be inferred, and writes an empty file.
     """
-    features = [_as_vector(v, "features") for v in features]
-    if features:
-        dims = {v.values.shape[0] for v in features}
-        if len(dims) != 1:
-            raise DataError(f"dimension-mismatch: mixed dims {sorted(dims)}")
-        dim = dims.pop()
-    elif dim is None:
-        raise DataError("empty-input: dim required for an empty embedding file")
+    features = list(features)
+    if features or dim is None:
+        features = _batch(features, "features")
+        dim = features[0].dim
     if dim < 1:
         raise DataError(f"dimension-mismatch: an embedding file needs dim >= 1, got {dim}")
-    ids = [v.source_id for v in features]
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate-source-id in embedding batch")
+    ids = _distinct_ids(v.source_id for v in features)
     rows = np.array([v.values for v in features], dtype=np.float64).reshape(len(ids), dim)
     atomic_write_bytes(path, _encode_embeddings(ids, rows))
 
@@ -431,8 +425,6 @@ def load_library(data):
                 body = Body(sealed[6:])
             head, rows, row_index = _library_body(body, version)
             ids, dim = head.ids, head.dim
-        if not all(isinstance(sid, str) for sid in ids):
-            raise StoreError("malformed-payload: ids must be a list of strings")
         configs = (head.sketch, head.quant, head.extract_fingerprint, dim)
         if version == 1:
             return SketchLibrary.from_minima(ids, rows, *configs)
@@ -572,11 +564,7 @@ class SplitPlan:
 def split_dataset(ids, n_groups, seed):
     """Seeded shuffle then round-robin assignment into n_groups groups."""
     SplitPlan(n_groups, seed, {})  # checks n_groups and the seed before any work
-    ids = list(ids)
-    counts = Counter(ids)
-    if len(counts) != len(ids):
-        dupes = sorted(x for x, n in counts.items() if n > 1)
-        raise DataError(f"duplicate-ids: {dupes[:5]}")
+    ids = _distinct_ids(ids)
     if len(ids) < n_groups:
         raise DataError(f"too-few-ids: {len(ids)} ids for {n_groups} groups")
     order = seeded_rng(seed, "store.split").permutation(len(ids))

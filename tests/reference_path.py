@@ -35,8 +35,9 @@ length, JSON header, distinct rows, row indices) and a BLAKE2b checksum.
 Its header is rendered by `jdump_17`, the package's JSON renderer as it
 stood when every real was written with 17 significant digits, so it gives
 the committed v3 fixture's bytes exactly. `library_body` and
-`seal_library` take a v2, v3 or v4 file apart into that body and seal a body
-back into a file of any of those versions, so tests can forge files of each.
+`seal_library` take a v1-v4 file apart into its body (a v1 file's JSON
+payload) and seal a body back into a file of any version, so tests can
+forge files of each.
 
 `library_rows` below is the library's row deduplication as it stood when
 every library was made from one (m, k) matrix of all its rows. The package's
@@ -188,9 +189,13 @@ def extract_builtin(img, cfg, source_id=""):
 
 def sensitivity_sweep(baseline, test_images, kind, levels, pipeline, seed=0):
     if kind not in NOISE_KINDS:
-        raise ConfigError(f"config-invalid: unknown noise kind {kind!r}")
-    if not baseline or not test_images:
-        raise DataError("empty-batch: baseline and test sets must be non-empty")
+        raise ConfigError(
+            f"config-invalid: kind must be gaussian, salt_pepper, speckle or poisson, got {kind!r}"
+        )
+    if not baseline:
+        raise DataError("empty-batch: baseline")
+    if not test_images:
+        raise DataError("empty-batch: test_images")
     levels = [float(lv) for lv in levels]
     if not levels:
         raise ConfigError("invalid-levels: empty ladder")
@@ -350,17 +355,24 @@ def encode_library_v3(lib):
 
 
 def library_body(data):
-    """The body of a v2, v3 or v4 library file: as stored, or inflated (v4)."""
-    if int.from_bytes(data[4:6], "little") >= 4:
+    """The body of a v1-v4 library file: its JSON payload (v1), as stored
+    (v2, v3), or inflated (v4)."""
+    version = int.from_bytes(data[4:6], "little")
+    if version == 1:
+        return data[14:-8]
+    if version >= 4:
         return zlib.decompress(data[14:-8])
     return data[6:-8]
 
 
 def seal_library(body, version):
     """A library file of `version` around any body, under a valid checksum:
-    v2 and v3 store the body as it is, v4 its length and one level-1 zlib
-    stream of it."""
+    v1 its length, the body and the checksum of the body alone, v2 and v3
+    the body as it is, v4 its length and one level-1 zlib stream of it."""
     data = b"DSKL" + version.to_bytes(2, "little")
+    if version == 1:
+        data += len(body).to_bytes(8, "little") + body
+        return data + hashlib.blake2b(body, digest_size=8).digest()
     if version >= 4:
         data += len(body).to_bytes(8, "little") + zlib.compress(body, 1)
     else:

@@ -706,6 +706,21 @@ class TestSplit:
         assert main(["split", str(ids_path), "--groups", "2", "--out", out]) == 0
         assert sorted(load_split(out).assignment) == sorted([" a", "b ", "\tc\td\t", "a"])
 
+    @pytest.mark.parametrize("version", ["v1", "v3"])
+    def test_embedding_file_ids_split_exactly(self, tmp_path, version):
+        """An embedding file is split by its ids, not by its lines: the v1
+        header line is no id, and a v3 file's ids hold spaces and a line break."""
+        emb = tmp_path / "e.emb"
+        if version == "v1":
+            emb.write_text("driftsketch-emb v1 dim=1 count=3\na 0.1\nb 0.2\n\nc 0.3\n")
+            ids = ["a", "b", "c"]
+        else:
+            ids = [" a", "b c", "d\ne", "é"]
+            store.write_embeddings([FeatureVector([0.5], sid) for sid in ids], str(emb))
+        out = str(tmp_path / "plan.json")
+        assert main(["split", str(emb), "--groups", "2", "--out", out]) == 0
+        assert sorted(load_split(out).assignment) == sorted(ids)
+
 
 class TestErrors:
     def test_unknown_flag_exits_two(self, baseline_dir, tmp_path, capsys):
@@ -1267,9 +1282,10 @@ class TestWholeCliProperty:
     @settings(max_examples=100, deadline=None)
     def test_extract_then_train_head_with_any_id(self, stems, first, sep):
         """Image files whose names hold spaces, tabs and non-ASCII characters
-        go through extract, then a labels file naming each id, then train-head
-        to a model. An id that a labels line cannot hold (leading whitespace,
-        a leading '#', a line break) ends in a named error, exit 3."""
+        go through extract, then split, whose plan holds the file's ids
+        exactly, and a labels file naming each id, then train-head to a
+        model. An id that a labels line cannot hold (leading whitespace, a
+        leading '#', a line break) ends in a named error, exit 3."""
         ids = sorted(f"{first if k == 0 else 'a'}{stem}{k}.pgm" for k, stem in enumerate(stems))
         with tempfile.TemporaryDirectory() as root:
             images = Path(root, "images")
@@ -1280,6 +1296,9 @@ class TestWholeCliProperty:
             emb, lab, out = (os.path.join(root, n) for n in ("e.emb", "labels.txt", "model.json"))
             assert _run_cli(["extract", str(images), "--out", emb]) == 0
             assert [v.source_id for v in load_embeddings(emb)] == ids
+            plan = os.path.join(root, "plan.json")
+            assert _run_cli(["split", emb, "--groups", "2", "--out", plan]) == 0
+            assert sorted(load_split(plan).assignment) == ids
             lines = [f"{sid}{sep}{i % 2}\n" for i, sid in enumerate(ids)]
             Path(lab).write_text("".join(lines), encoding="utf-8")
             stderr = io.StringIO()
@@ -1295,7 +1314,43 @@ class TestWholeCliProperty:
             if held:
                 assert load_model(out).w.shape == (load_embeddings(emb)[0].dim,)
             else:
-                assert re.match(r"driftsketch: (label-missing|malformed-file)", stderr.getvalue())
+                assert stderr.getvalue().startswith("driftsketch: unlabelable-id: ")
+
+    @given(
+        ids=st.lists(
+            st.text(st.sampled_from(["a", "b", " ", "\t", "é", "中", "\xa0", "\u2028", "#", "\n",
+                                     "\r"]), max_size=4),
+            min_size=2, max_size=5, unique=True,
+        ),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_any_embedding_id_through_split_and_train_head(self, ids):
+        """Any ids an embedding file holds, the empty id and ids with spaces,
+        tabs, line breaks and non-ASCII characters among them: split's plan
+        holds them exactly, and train-head, given a labels line for each id a
+        line can hold, trains a model, or names the first id no line can
+        hold (unlabelable-id), exit 3."""
+        features = [FeatureVector([float(i), float(-i)], sid) for i, sid in enumerate(ids)]
+        with tempfile.TemporaryDirectory() as root:
+            emb, lab, plan, out = (
+                os.path.join(root, n) for n in ("e.emb", "labels.txt", "plan.json", "model.json")
+            )
+            store.write_embeddings(features, emb)
+            assert _run_cli(["split", emb, "--groups", "2", "--out", plan]) == 0
+            assert sorted(load_split(plan).assignment) == sorted(ids)
+            held = [sid == sid.strip() != "" and sid[0] != "#" and not set(sid) & {"\r", "\n"}
+                    for sid in ids]
+            lines = [f"{sid} {i % 2}\n" for i, (sid, ok) in enumerate(zip(ids, held)) if ok]
+            Path(lab).write_text("".join(lines), encoding="utf-8")
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = _run_cli(["train-head", emb, "--labels", lab, "--out", out])
+            event(f"train-head exits {code}")
+            assert code == (0 if all(held) else 3)
+            if not all(held):
+                first = ids[held.index(False)]
+                error = f"driftsketch: unlabelable-id: no labels line can hold the id {first!r}\n"
+                assert stderr.getvalue() == error
 
     @given(
         ids=st.lists(_SPLIT_IDS, max_size=8, unique_by=str.strip)

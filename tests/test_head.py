@@ -298,7 +298,7 @@ class TestTrainHead:
             train_head(data, TrainConfig())
 
     def test_empty_rejected(self):
-        with pytest.raises(DataError, match="empty-data"):
+        with pytest.raises(DataError, match="^empty-batch: data$"):
             train_head([], TrainConfig())
 
     def test_diverging_step_size_named(self):

@@ -184,6 +184,25 @@ class TestApplyNoise:
         with pytest.raises(ConfigError, match=error):
             apply_noise(constant_image(0.5), NoiseSpec("gaussian", 0.0, seed=seed))
 
+    @pytest.mark.parametrize("seed", [1.5, True, "0", None, -1, 2**64])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_seed_argument_named_as_the_field(self, kind, seed):
+        """A noise operator's seed argument gives the text of NoiseSpec's seed field."""
+        with pytest.raises(ConfigError) as field:
+            NoiseSpec(kind, 0.1, seed=seed)
+        with pytest.raises(ConfigError) as argument:
+            {"gaussian": gaussian_noise, "salt_pepper": salt_pepper, "speckle": speckle,
+             "poisson": poisson_noise}[kind](constant_image(0.5), 0.1, seed=seed)
+        assert str(argument.value) == str(field.value)
+
+    def test_sweep_kind_named_as_the_field(self):
+        """sensitivity_sweep checks its kind by the rule NoiseSpec's field holds."""
+        with pytest.raises(ConfigError) as field:
+            NoiseSpec("cosmic", 0.1)
+        with pytest.raises(ConfigError) as argument:
+            sensitivity_sweep([[0.5]], [], "cosmic", [0.0], PipelineConfig())
+        assert str(argument.value) == str(field.value)
+
 
 class TestNonFiniteReals:
     """A sensitivity row holds only reals its JSON-lines file can carry: a

@@ -221,12 +221,12 @@ class TestBuildLibrary:
             build_library(feats, QuantConfig(), SketchConfig())
 
     def test_empty_rejected(self):
-        with pytest.raises(DataError, match="empty-input"):
+        with pytest.raises(DataError, match="^empty-batch: features$"):
             build_library([], QuantConfig(), SketchConfig())
 
     def test_mixed_dimensions_rejected(self):
         feats = [_feature([0.1, 0.2], "a"), _feature([0.1, 0.2, 0.3], "b")]
-        with pytest.raises(DataError, match=r"dimension-mismatch: mixed dims \[2, 3\]"):
+        with pytest.raises(DataError, match=r"^dimension-mismatch: features\[1\] has dim 3, expected 2$"):
             build_library(feats, QuantConfig(), SketchConfig())
 
     def test_dimension_recorded(self):

@@ -95,10 +95,10 @@ class TestConsumersCheckWhatTheyRead:
         [
             (lambda: predict(_MODEL, [np.nan, 1.0]), "^non-finite-value: x$"),
             (lambda: predict(_MODEL, FeatureVector([np.inf, 1.0])), r"^non-finite-value\(\)$"),
-            (lambda: bce_gradient(_MODEL, [([1.0, np.nan], 1)]), "^non-finite-value: sample 0$"),
+            (lambda: bce_gradient(_MODEL, [([1.0, np.nan], 1)]), r"^non-finite-value: batch\[0\]$"),
             (lambda: l2_normalize([np.nan, 1.0]), "^non-finite-value: v$"),
             (lambda: train_head([([1.0, 2.0], 0), ([np.inf, 1.0], 1)], TrainConfig(epochs=1)),
-             "^non-finite-value: sample 1$"),
+             r"^non-finite-value: data\[1\]$"),
             (lambda: tokenize([[0.1], [0.2]], QuantConfig()), "^dimension-mismatch: v is not a vector"),
             (lambda: write_embeddings([FeatureVector([], "a")], "unused.emb"),
              "^dimension-mismatch: an embedding file needs dim >= 1, got 0$"),
