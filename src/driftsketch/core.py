@@ -14,7 +14,6 @@ seed give independent streams.
 
 import dataclasses
 import hashlib
-import math
 import reprlib
 import typing
 from dataclasses import asdict, dataclass
@@ -334,6 +333,27 @@ def _one_of(*choices):
     return rule
 
 
+# the range of a KS statistic, a p-value or a rate, and of a cosine
+_UNIT = _within("[0, 1]")
+_COSINE = _within("[-1, 1]")
+
+
+def _rows(cls):
+    """Rule: the rows of a report, an iterable of `cls` records, held as a
+    tuple; DataError("malformed-row") names anything else."""
+    def rule(rows, _):
+        try:
+            rows = tuple(rows)
+        except TypeError:
+            got = reprlib.repr(rows)
+            raise DataError(f"malformed-row: expected {cls.__name__} rows, got {got}") from None
+        for row in rows:
+            if not isinstance(row, cls):
+                raise DataError(f"malformed-row: expected {cls.__name__}, got {reprlib.repr(row)}")
+        return rows
+    return rule
+
+
 def _array(name, dtype=np.float64, ndim=None):
     """Rule: an array held by `_held` as `dtype`, of `ndim` dimensions if
     given, its errors naming it `name`; it types an ``np.ndarray`` field."""
@@ -369,44 +389,27 @@ def _typed(cls, values):
     order: an ``int`` takes an integer, a ``float`` a float or an integer as
     ``_jdump`` writes a whole float (below 1e17 and exact), ``str``,
     ``bool``, ``list`` and ``dict`` that type, ``object`` and ``np.ndarray``
-    anything, ``X | None`` also None, unruled, and a dataclass a JSON object,
-    decoded in turn. A NumPy scalar becomes the Python value it equals.
+    anything, ``X | None`` also None, unruled, and a dataclass an instance
+    of it, as it is, or a JSON object, decoded in turn. A NumPy scalar
+    becomes the Python value it equals.
     ConfigError("config-invalid: ...") or the rule names the first fault."""
     for name, field in _decode_plan(cls).items():
         if name not in values:
             raise ConfigError(f"config-invalid: {name!r}")
         value = values[name]
-        hint, optional, nested, _, rule = field
-        if type(value) is not hint or nested:  # else `_check_value` returns it as it is
+        hint, optional, _, _, rule = field
+        if type(value) is not hint:  # else `_check_value` returns it as it is
             value = values[name] = _check_value(field, value, name)
         if rule and not (optional and value is None):
             values[name] = rule(value, name)
     return values
 
 
-def _check_fields(record, finite=False):
+def _check_fields(record):
     """Type and check every field of a dataclass instance in place by
     ``_typed``; each record calls it as it is built, or has it as its
-    ``__post_init__``. With `finite`, a real no JSON document can carry
-    (NaN or an infinity) raises DataError."""
-    values = _typed(type(record), vars(record))
-    for name, value in values.items() if finite else ():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DataError(f"non-finite-value: {type(record).__name__}.{name} = {value!r}")
-
-
-def _record_rows(rows, cls):
-    """The rows of a report as a tuple; DataError("malformed-row") unless
-    they are an iterable of `cls` records."""
-    try:
-        rows = tuple(rows)
-    except TypeError:
-        got = reprlib.repr(rows)
-        raise DataError(f"malformed-row: expected {cls.__name__} rows, got {got}") from None
-    for row in rows:
-        if not isinstance(row, cls):
-            raise DataError(f"malformed-row: expected {cls.__name__}, got {reprlib.repr(row)}")
-    return rows
+    ``__post_init__``."""
+    _typed(type(record), vars(record))
 
 
 def _decode_value(hint, value, name):
@@ -415,8 +418,8 @@ def _decode_value(hint, value, name):
 
 def _check_value(field, value, name):
     hint, optional, nested, types, _ = field
-    if type(value) is hint and not nested or value is None and optional or hint in _UNTYPED:
-        return value  # the JSON type the annotation names, as the parser gives it
+    if type(value) is hint or value is None and optional or hint in _UNTYPED:
+        return value  # the JSON type the annotation names, or the nested record, as it is
     if nested and isinstance(value, dict):
         return _decode(hint, value)
     value = value.item() if isinstance(value, np.generic) else value
@@ -425,9 +428,8 @@ def _check_value(field, value, name):
             return value
         if isinstance(value, float) or abs(value) < 1e17 and float(value) == value:
             return float(value)
-    kind = "an object" if nested else hint.__name__
-    null = " or null" if optional else ""
-    raise ConfigError(f"config-invalid: {name} must be {kind}{null}, got {reprlib.repr(value)}")
+    kind = hint.__name__ + (" or null" if optional else "")
+    raise ConfigError(f"config-invalid: {name} must be {kind}, got {reprlib.repr(value)}")
 
 
 def _parse_text(hint, text, name):

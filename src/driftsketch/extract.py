@@ -140,7 +140,8 @@ def extract_builtin(img, cfg, source_id=""):
 
 
 def extract_batch(images, cfg, source_ids=None):
-    """Extract features for many images, preserving input order."""
+    """Extract features for any iterable of images, preserving input order."""
+    images = list(images)
     if source_ids is None:
         source_ids = [str(i) for i in range(len(images))]
     if len(source_ids) != len(images):

@@ -15,6 +15,8 @@ from typing import Annotated
 import numpy as np
 
 from .core import (
+    _COSINE,
+    _UNIT,
     ConfigError,
     DataError,
     ImageGrid,
@@ -23,7 +25,8 @@ from .core import (
     _check_seed,
     _is_real,
     _one_of,
-    _record_rows,
+    _rows,
+    _within,
     derive_seed,
     seeded_rng,
 )
@@ -152,37 +155,27 @@ def apply_noise(img, spec):
 
 @dataclass(frozen=True)
 class SensitivityRow:
-    level: float
-    cosine_score: float
-    ks_d: float
-    ks_p: float
-    anomaly_rate: float
+    level: Annotated[float, _within("(-inf, inf)")]
+    cosine_score: Annotated[float, _COSINE]
+    ks_d: Annotated[float, _UNIT]
+    ks_p: Annotated[float, _UNIT]
+    anomaly_rate: Annotated[float, _UNIT]
 
-    def __post_init__(self):
-        _check_fields(self, finite=True)
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
 class SensitivityReport:
     noise_kind: Annotated[str, _NOISE_KIND]
-    rows: tuple
+    rows: Annotated[object, _rows(SensitivityRow)]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _record_rows(self.rows, SensitivityRow))
         _check_fields(self)
         if not self.rows:
             raise DataError("empty-report: at least one level required")
         levels = [r.level for r in self.rows]
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise DataError(f"invalid-levels: not strictly increasing: {levels}")
-        for r in self.rows:
-            if not (
-                0.0 <= r.ks_d <= 1.0
-                and 0.0 <= r.ks_p <= 1.0
-                and -1.0 <= r.cosine_score <= 1.0
-                and 0.0 <= r.anomaly_rate <= 1.0
-            ):
-                raise DataError(f"out-of-range-statistic: level {r.level}")
 
 
 def sensitivity_sweep(baseline, test_images, kind, levels, pipeline, seed=0):

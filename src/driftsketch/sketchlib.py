@@ -16,9 +16,9 @@ from typing import Annotated
 import numpy as np
 
 from . import _kernels
-from .core import ConfigError, DataError, StoreError, _array, _as_vector, _at_least, _batch
-from .core import _check_fields, _check_seed, _distinct_ids, _held, _one_of, _record_rows, _within
-from .core import seeded_rng
+from .core import _UNIT, ConfigError, DataError, StoreError, _array, _as_vector, _at_least
+from .core import _batch, _check_fields, _check_seed, _distinct_ids, _held, _one_of, _rows
+from .core import _within, seeded_rng
 
 
 # a bin index must have magnitude below 2**63 to be cast to int64 exactly
@@ -125,17 +125,14 @@ class SketchLibrary:
     ids: tuple
     distinct_minima: Annotated[np.ndarray, _array("distinct_minima", np.uint64)]
     row_index: Annotated[np.ndarray, _array("row_index", np.intp)]
-    sketch_config: object
-    quant_config: object
+    sketch_config: SketchConfig
+    quant_config: QuantConfig
     extract_fingerprint: str = ""
     dim: Annotated[int, _at_least(1)] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ids", _distinct_ids(self.ids))
         _check_fields(self)
-        for name, cls in (("sketch_config", SketchConfig), ("quant_config", QuantConfig)):
-            if not isinstance(getattr(self, name), cls):
-                raise ConfigError(f"config-invalid: {name} must be {cls.__name__}")
         k, rows = self.sketch_config.k, self.distinct_minima
         if rows.ndim != 2 or rows.shape[1] != k or self.row_index.shape != (len(self.ids),):
             raise StoreError(
@@ -250,8 +247,10 @@ _VERDICTS = ("acceptable", "anomalous")
 @dataclass(frozen=True)
 class GateResult:
     source_id: str
-    score: float
-    verdict: str
+    score: Annotated[float, _UNIT]
+    verdict: Annotated[str, _one_of(*_VERDICTS)]
+
+    __post_init__ = _check_fields
 
     @property
     def anomalous(self):
@@ -260,19 +259,12 @@ class GateResult:
 
 @dataclass(frozen=True)
 class GateReport:
-    """The verdicts of one gate run, one row per checked item, in input order.
-    Its ``GateResult`` rows, built one per query, are checked here."""
+    """The verdicts of one gate run, one row per checked item, in input order."""
 
     library: str
-    rows: tuple
+    rows: Annotated[object, _rows(GateResult)]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _record_rows(self.rows, GateResult))
-        _check_fields(self)
-        for r in self.rows:
-            _check_fields(r)
-            if not 0.0 <= r.score <= 1.0 or r.verdict not in _VERDICTS:
-                raise DataError(f"invalid-verdict: {r.source_id!r}: {r.score!r}, {r.verdict!r}")
+    __post_init__ = _check_fields
 
 
 def tokenize(v, q):

@@ -13,8 +13,8 @@ from typing import Annotated
 
 import numpy as np
 
-from .core import DataError, _as_vector, _at_least, _batch, _check_fields, _check_seed, _one_of
-from .core import _record_rows, _within, seeded_rng
+from .core import _COSINE, _UNIT, ConfigError, DataError, _as_vector, _at_least, _batch
+from .core import _check_fields, _check_seed, _decode_value, _one_of, _rows, _within, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -30,31 +30,33 @@ class StatsConfig:
 @dataclass(frozen=True)
 class PeriodStats:
     period_id: str
-    n_images: int
-    ks_d: float
-    ks_p: float
-    cosine_score: float
-    gate_flag_count: int
+    n_images: Annotated[int, _at_least(1)]
+    ks_d: Annotated[float, _UNIT]
+    ks_p: Annotated[float, _UNIT]
+    cosine_score: Annotated[float, _COSINE]
+    gate_flag_count: Annotated[int, _at_least(0)]
     drift_flag: bool
 
     def __post_init__(self):
-        _check_fields(self, finite=True)
+        _check_fields(self)
+        if self.gate_flag_count > self.n_images:
+            raise ConfigError(
+                f"config-invalid: gate_flag_count must be <= n_images {self.n_images}, "
+                f"got {self.gate_flag_count}"
+            )
 
 
 @dataclass(frozen=True)
 class DriftReport:
     baseline_id: str
-    ks_alpha: float
-    periods: tuple
+    ks_alpha: Annotated[float, _within("(0,1)")]
+    periods: Annotated[object, _rows(PeriodStats)]
 
     def __post_init__(self):
-        object.__setattr__(self, "periods", _record_rows(self.periods, PeriodStats))
-        _check_fields(self, finite=True)
+        _check_fields(self)
         if not self.periods:
             raise DataError("empty-report: at least one period required")
         for p in self.periods:
-            if not (0.0 <= p.ks_d <= 1.0 and 0.0 <= p.ks_p <= 1.0 and -1.0 <= p.cosine_score <= 1.0):
-                raise DataError(f"out-of-range-statistic: period {p.period_id!r}")
             if p.drift_flag != (p.ks_p < self.ks_alpha):
                 raise DataError(f"inconsistent-flag: period {p.period_id!r}")
 
@@ -113,10 +115,11 @@ def ks_pvalue(d_stat, n, m):
     lambda = (sqrt(n_e) + 0.12 + 0.11 / sqrt(n_e)) * D,
     Q(lambda) = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2),
     truncated when a term drops below 1e-10 (at most 100 terms), clamped
-    into [0, 1].
+    into [0, 1]. `n` and `m` are typed as an ``int`` field is.
     """
     if not 0.0 <= d_stat <= 1.0 or not math.isfinite(d_stat):
         raise DataError(f"invalid-D: {d_stat!r}")
+    n, m = _decode_value(int, n, "n"), _decode_value(int, m, "m")
     if n < 1 or m < 1:
         raise DataError(f"empty-sample: n={n}, m={m}")
     n_e = n * m / (n + m)

@@ -65,7 +65,7 @@ import numpy as np
 from ._zstream import Body, checked, seal
 from .core import ConfigError, DataError, DriftSketchError, ImageGrid, StoreError, seeded_rng
 from .core import _at_least, _batch, _check_fields, _check_seed, _decode, _decode_value
-from .core import _distinct_ids, _field_types, _is_integer, _parse_text
+from .core import _distinct_ids, _field_plan, _field_types, _is_integer, _parse_text
 from .extract import _encode_embeddings
 from .head import HeadModel, TrainConfig
 from .sketchlib import GateReport, GateResult, QuantConfig, SketchConfig, SketchLibrary
@@ -274,12 +274,14 @@ def load_images_dir(directory):
 def write_embeddings(features, path, dim=None):
     """Write FeatureVectors as a v3 embedding file (see ``extract.load_embeddings``).
 
-    The vectors are read by ``core._batch``. `dim` is only needed for an
+    The vectors are read by ``core._batch``, of dimension `dim` where it is
+    given, a count typed as an ``int`` field is. `dim` is only needed for an
     empty batch, where it cannot be inferred, and writes an empty file.
     """
     features = list(features)
+    dim = None if dim is None else _decode_value(int, dim, "dim")
     if features or dim is None:
-        features = _batch(features, "features")
+        features = _batch(features, "features", dim)
         dim = features[0].dim
     if dim < 1:
         raise DataError(f"dimension-mismatch: an embedding file needs dim >= 1, got {dim}")
@@ -534,8 +536,8 @@ def load_model(path):
 @dataclass(frozen=True)
 class SplitPlan:
     """Ids assigned to ``n_groups`` groups under a seed. It checks itself on
-    construction: at least 2 groups, a seed in [0, 2^64), every id a
-    string and every group an integer in [0, n_groups)."""
+    construction: at least 2 groups, a seed in [0, 2^64), the ids read by
+    ``core._distinct_ids`` and every group an integer in [0, n_groups)."""
 
     n_groups: Annotated[int, _at_least(2)]
     seed: Annotated[int, _check_seed]
@@ -543,9 +545,8 @@ class SplitPlan:
 
     def __post_init__(self):
         _check_fields(self)
+        _distinct_ids(self.assignment)
         for sid, group in self.assignment.items():
-            if not isinstance(sid, str):
-                raise ConfigError(f"config-invalid: id {sid!r} is not a string")
             if not _is_integer(group):
                 raise ConfigError(f"config-invalid: id {sid!r} in group {group!r}, not an integer")
             if not 0 <= group < self.n_groups:
@@ -739,6 +740,7 @@ def _read_cell(hint, text, name):
     digits that earlier releases wrote, so a file loads to a report that
     saves back to its own bytes."""
     value = _parse_text(hint, text, name)
+    hint = _field_plan(hint)[0]
     if hint is str or _csv_cell(value) == text or hint is float and f"{value:.17g}" == text:
         return value
     raise StoreError(

@@ -16,9 +16,9 @@ from driftsketch.extract import ExtractConfig
 from driftsketch.head import AdamState, TrainConfig
 from driftsketch.noiselab import NoiseSpec, SensitivityReport, SensitivityRow
 from driftsketch.sketchlib import GateConfig, MinHashSignature, QuantConfig, SketchConfig
-from driftsketch.sketchlib import SketchLibrary, TokenSet
+from driftsketch.sketchlib import GateReport, GateResult, SketchLibrary, TokenSet
 from driftsketch.store import SplitPlan, _format_float
-from driftsketch.stats import StatsConfig
+from driftsketch.stats import DriftReport, PeriodStats, StatsConfig
 
 import reference_path
 
@@ -209,7 +209,11 @@ _BAD_FIELD = {
 _SIGNATURE = MinHashSignature([1, 2], 2, 0)
 _LIBRARY = SketchLibrary.from_minima(["a", "b"], [[1, 2], [3, 4]], SketchConfig(k=2), QuantConfig(),
                                      dim=4)
-_REPORT = SensitivityReport("gaussian", [SensitivityRow(0.0, 1.0, 0.0, 1.0, 0.0)])
+_ROW = SensitivityRow(0.0, 1.0, 0.0, 1.0, 0.0)
+_REPORT = SensitivityReport("gaussian", [_ROW])
+_PERIOD = PeriodStats("p", 3, 0.1, 0.5, 0.2, 0, False)
+_DRIFT = DriftReport("b", 0.05, [_PERIOD])
+_VERDICT = GateResult("a", 0.5, "acceptable")
 
 # every field a rule in its annotation checks: a valid record, the field, a
 # value of another type, and a value of its type that the rule rejects
@@ -248,6 +252,22 @@ _RULED = [
     (NoiseSpec("gaussian", 0.1), "kind", 3, "cosmic"),
     (NoiseSpec("gaussian", 0.1), "seed", 1.5, -1),
     (_REPORT, "noise_kind", None, "cosmic"),
+    (_REPORT, "rows", 7, [_PERIOD]),
+    (_ROW, "level", "0.1", float("inf")),
+    (_ROW, "cosine_score", "1", 1.5),
+    (_ROW, "ks_d", None, -0.1),
+    (_ROW, "ks_p", True, float("-inf")),
+    (_ROW, "anomaly_rate", "0", 3.0),
+    (_PERIOD, "n_images", 3.0, 0),
+    (_PERIOD, "ks_d", "0.1", float("nan")),
+    (_PERIOD, "ks_p", True, 1.5),
+    (_PERIOD, "cosine_score", None, -1.5),
+    (_PERIOD, "gate_flag_count", 2.7, -1),
+    (_DRIFT, "ks_alpha", "0.05", 7.0),
+    (_DRIFT, "periods", None, [_ROW]),
+    (_VERDICT, "score", "0.5", 7.0),
+    (_VERDICT, "verdict", 3, "weird"),
+    (GateReport("l", [_VERDICT]), "rows", None, [("a", 0.5, "acceptable")]),
     (SplitPlan(2, 0, {}), "n_groups", "3", 1),
     (SplitPlan(2, 0, {}), "seed", 0.5, 2**64),
 ]
@@ -427,7 +447,7 @@ class TestDecode:
             (("items",), {"a": 1}, "items must be list"),
             (("table",), [], "table must be dict"),
             (("low",), "none", "low must be float or null, got 'none'"),
-            (("inner",), [3, 0.0], "inner must be an object"),
+            (("inner",), [3, 0.0], "inner must be _Inner"),
         ],
     )
     def test_a_value_of_another_type_is_named(self, path, value, message):

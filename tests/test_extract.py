@@ -155,6 +155,20 @@ class TestExtractBuiltin:
         feats = extract_batch(imgs, ExtractConfig(grid=2, hist_bins=4), ["x", "y", "z"])
         assert [f.source_id for f in feats] == ["x", "y", "z"]
 
+    def test_batch_reads_a_generator(self):
+        """Any iterable of images, as ``sensitivity_sweep`` takes; a generator
+        raised a raw TypeError (it has no len())."""
+        rng = seeded_rng(5, "extract-batch")
+        imgs = [ImageGrid.from_array(rng.uniform(0, 1, (6, 6))) for _ in range(3)]
+        cfg = ExtractConfig(grid=2, hist_bins=4)
+        for ids in (None, ["x", "y", "z"]):
+            got = extract_batch((img for img in imgs), cfg, ids)
+            want = extract_batch(imgs, cfg, ids)
+            assert [(f.source_id, f.values.tolist()) for f in got] == [
+                (f.source_id, f.values.tolist()) for f in want]
+        with pytest.raises(DataError, match="^dimension-mismatch: 3 images but 2 source ids$"):
+            extract_batch((img for img in imgs), cfg, ["x", "y"])
+
     def test_fingerprint_tracks_config(self):
         assert extract_fingerprint(ExtractConfig()) == extract_fingerprint(ExtractConfig())
         assert extract_fingerprint(ExtractConfig()) != extract_fingerprint(ExtractConfig(grid=5))

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from driftsketch import (
 )
 from driftsketch.core import seeded_rng
 from driftsketch.extract import ExtractConfig
-from driftsketch.noiselab import NOISE_KINDS, POISSON_BASE, SensitivityReport, SensitivityRow
+from driftsketch.noiselab import NOISE_KINDS, POISSON_BASE, SensitivityRow
 from driftsketch.store import encode_report
 from synthcorpus import corpus, rgb_corpus, spearman
 
@@ -206,15 +207,18 @@ class TestApplyNoise:
 
 class TestNonFiniteReals:
     """A sensitivity row holds only reals its JSON-lines file can carry: a
-    NaN level passed the increasing-levels check and was written as ``nan``."""
+    NaN level passed the increasing-levels check and was written as ``nan``;
+    now each field's range rule rejects NaN and the infinities as it is built."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["level", "cosine_score", "ks_d", "ks_p", "anomaly_rate"])
     def test_sensitivity_row(self, field, bad):
         values = dict(level=0.1, cosine_score=1.0, ks_d=0.0, ks_p=1.0, anomaly_rate=0.0)
         values[field] = bad
-        with pytest.raises(DataError, match=f"^non-finite-value: SensitivityRow.{field} = "):
-            SensitivityReport("gaussian", [SensitivityRow(**values)])
+        interval = {"level": "(-inf, inf)", "cosine_score": "[-1, 1]"}.get(field, "[0, 1]")
+        message = f"^config-invalid: {field} must lie in {re.escape(interval)}, got {bad}$"
+        with pytest.raises(ConfigError, match=message):
+            SensitivityRow(**values)
 
 
 class TestSensitivitySweep:

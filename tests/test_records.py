@@ -27,8 +27,11 @@ from driftsketch.extract import ExtractConfig
 from driftsketch.head import HeadModel, TrainConfig
 from driftsketch.noiselab import NoiseSpec, SensitivityReport, SensitivityRow
 from driftsketch.sketchlib import GateConfig, GateReport, GateResult, QuantConfig, SketchConfig
-from driftsketch.stats import DriftReport, PeriodStats, StatsConfig, drift_report
-from driftsketch.store import SplitPlan, load_split, save_model, save_split
+from driftsketch.stats import DriftReport, PeriodStats, StatsConfig, drift_report, ks_pvalue
+from driftsketch.store import SplitPlan, load_split, save_model, save_split, write_embeddings
+
+
+_FIVE = [FeatureVector([0.1 * i, 0.5]) for i in range(5)]
 
 
 class TestRejectedWhenBuilt:
@@ -36,28 +39,65 @@ class TestRejectedWhenBuilt:
     or failed later with a raw exception."""
 
     @pytest.mark.parametrize(
-        "build, message",
+        "build, error, message",
         [
-            (lambda: QuantConfig(origin=-(10**17)), "origin must be float, got -100000000000000000"),
-            (lambda: QuantConfig(bin_width=True), "bin_width must be float, got True"),
-            (lambda: ExtractConfig(l2_normalize="no"), "l2_normalize must be bool, got 'no'"),
-            (lambda: TrainConfig(bias_correction=2), "bias_correction must be bool, got 2"),
-            (lambda: PeriodStats("p", 1, True, 0.5, 0.9, 0, False), "ks_d must be float, got True"),
-            (lambda: GateReport(None, [GateResult("a", 0.5, "acceptable")]),
-             "library must be str, got None"),
-            (lambda: GateReport("l", [GateResult("a", "0.5", "acceptable")]),
-             "score must be float, got '0.5'"),
-            (lambda: PipelineConfig(quant=GateConfig()), "quant must be QuantConfig or None"),
-            (lambda: HeadModel(w=[1.0], b="0.5"), "b must be float, got '0.5'"),
-            (lambda: SplitPlan(2, 0, {"a": 0, 1: 1}), "id 1 is not a string"),
+            (lambda: QuantConfig(origin=-(10**17)), ConfigError,
+             "config-invalid: origin must be float, got -100000000000000000"),
+            (lambda: QuantConfig(bin_width=True), ConfigError,
+             "config-invalid: bin_width must be float, got True"),
+            (lambda: ExtractConfig(l2_normalize="no"), ConfigError,
+             "config-invalid: l2_normalize must be bool, got 'no'"),
+            (lambda: TrainConfig(bias_correction=2), ConfigError,
+             "config-invalid: bias_correction must be bool, got 2"),
+            (lambda: PeriodStats("p", 1, True, 0.5, 0.9, 0, False), ConfigError,
+             "config-invalid: ks_d must be float, got True"),
+            (lambda: GateReport(None, [GateResult("a", 0.5, "acceptable")]), ConfigError,
+             "config-invalid: library must be str, got None"),
+            (lambda: GateReport("l", [GateResult("a", "0.5", "acceptable")]), ConfigError,
+             "config-invalid: score must be float, got '0.5'"),
+            (lambda: PipelineConfig(quant=GateConfig()), ConfigError,
+             "config-invalid: quant must be QuantConfig or None"),
+            (lambda: HeadModel(w=[1.0], b="0.5"), ConfigError,
+             "config-invalid: b must be float, got '0.5'"),
+            # an id is read by the rule every batch's ids are read by
+            (lambda: SplitPlan(2, 0, {"a": 0, 1: 1}), DataError,
+             "malformed-id: 1 is not a string"),
+            (lambda: GateResult("a", 7.0, "weird"), ConfigError,
+             r"config-invalid: score must lie in \[0, 1\], got 7.0"),
+            (lambda: DriftReport("b", 7.0, [PeriodStats("p", 3, 0.1, 0.5, 0.2, 0, True)]),
+             ConfigError, r"config-invalid: ks_alpha must lie in \(0,1\), got 7.0"),
+            (lambda: PeriodStats("p", -3, 0.1, 0.5, 0.2, -5, False), ConfigError,
+             "config-invalid: n_images must be >= 1, got -3"),
+            (lambda: SensitivityRow(0.0, 0.5, 0.1, 0.5, 3.0), ConfigError,
+             r"config-invalid: anomaly_rate must lie in \[0, 1\], got 3.0"),
+            # a period flags between none and all of its images; these were written, and read back
+            (lambda: drift_report(_FIVE, [("p", _FIVE)], StatsConfig(), gate_flag_counts=[-2]),
+             ConfigError, "config-invalid: gate_flag_count must be >= 0, got -2"),
+            (lambda: drift_report(_FIVE, [("p", _FIVE)], StatsConfig(), gate_flag_counts=[99]),
+             ConfigError, "config-invalid: gate_flag_count must be <= n_images 5, got 99"),
+            (lambda: ks_pvalue(0.5, "3", 2), ConfigError, "config-invalid: n must be int, got '3'"),
+            (lambda: ks_pvalue(0.5, 1.5, 2), ConfigError, "config-invalid: n must be int, got 1.5"),
+            (lambda: ks_pvalue(0.5, 3, True), ConfigError,
+             "config-invalid: m must be int, got True"),
+            (lambda: write_embeddings([FeatureVector([0.5], "a")], "no-dir/e.emb", dim=True),
+             ConfigError, "config-invalid: dim must be int, got True"),
+            (lambda: write_embeddings([FeatureVector([0.5], "a")], "no-dir/e.emb", dim=1.5),
+             ConfigError, "config-invalid: dim must be int, got 1.5"),
         ],
         ids=["origin-1e17", "bin-width-bool", "l2-normalize-str", "bias-correction-int",
              "ks-d-bool", "library-none", "score-str", "pipeline-section", "head-b-str",
-             "split-id-int"],
+             "split-id-int", "score-above-one", "drift-alpha-seven", "period-negative-count",
+             "anomaly-rate-three",
+             "drift-flags-negative", "drift-flags-above-images",
+             "ks-pvalue-n-str", "ks-pvalue-n-float", "ks-pvalue-m-bool", "write-dim-bool",
+             "write-dim-float"],
     )
-    def test_named_config_error(self, build, message):
-        with pytest.raises(ConfigError, match=f"^config-invalid: {message}$"):
+    def test_named_config_error(self, build, error, message):
+        """Each raises the class and text named (a ConfigError for a field
+        its annotation rules out)."""
+        with pytest.raises(error, match=f"^{message}$") as info:
             build()
+        assert type(info.value) is error
 
     @pytest.mark.parametrize(
         "build, message",

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftsketch import (
+    ConfigError,
     DataError,
     FeatureVector,
     GateConfig,
@@ -334,12 +335,15 @@ class TestGateReport:
 
     @pytest.mark.parametrize(
         "row",
-        [GateResult("a", 0.5, "maybe"), GateResult("a", 1.5, "acceptable"),
-         GateResult("a", float("nan"), "anomalous")],
+        [(("a", 0.5, "maybe"), "verdict must be acceptable or anomalous, got 'maybe'"),
+         (("a", 1.5, "acceptable"), r"score must lie in \[0, 1\], got 1.5"),
+         (("a", float("nan"), "anomalous"), r"score must lie in \[0, 1\], got nan")],
     )
     def test_invalid_row_rejected(self, row):
-        with pytest.raises(DataError, match="invalid-verdict: 'a'"):
-            GateReport("lib.dskl", [GateResult("ok", 0.0, "anomalous"), row])
+        """A row checks its own score and verdict as it is built."""
+        fields, message = row
+        with pytest.raises(ConfigError, match=f"^config-invalid: {message}$"):
+            GateResult(*fields)
 
 
 def _library_from(entries, lib):

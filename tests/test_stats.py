@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftsketch import (
+    ConfigError,
     DataError,
     FeatureVector,
     StatsConfig,
@@ -318,8 +320,9 @@ _NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestNonFiniteReals:
-    """A report holds only reals its JSON-lines file can carry: NaN passed
-    the range checks, which it fails both ways, and was written as ``nan``."""
+    """A report holds only reals its JSON-lines file can carry: each real
+    field's range rule rejects NaN, which fails every comparison, and the
+    infinities."""
 
     @pytest.mark.parametrize("bad", _NON_FINITE)
     @pytest.mark.parametrize("field", ["ks_d", "ks_p", "cosine_score"])
@@ -327,13 +330,16 @@ class TestNonFiniteReals:
         values = dict(period_id="p", n_images=1, ks_d=0.1, ks_p=0.5, cosine_score=0.9,
                       gate_flag_count=0, drift_flag=False)
         values[field] = bad
-        with pytest.raises(DataError, match=f"^non-finite-value: PeriodStats.{field} = "):
+        interval = re.escape("[-1, 1]" if field == "cosine_score" else "[0, 1]")
+        with pytest.raises(ConfigError, match=f"^config-invalid: {field} must lie in {interval}, "
+                                              f"got {bad}$"):
             PeriodStats(**values)
 
     @pytest.mark.parametrize("bad", _NON_FINITE)
     def test_drift_report(self, bad):
         period = PeriodStats("p", 1, 0.1, 0.5, 0.9, 0, bad < 0.5)
-        with pytest.raises(DataError, match="^non-finite-value: DriftReport.ks_alpha = "):
+        with pytest.raises(ConfigError, match=rf"^config-invalid: ks_alpha must lie in \(0,1\), "
+                                              f"got {bad}$"):
             DriftReport("b", bad, [period])
 
 

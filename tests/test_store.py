@@ -919,14 +919,15 @@ def _drift_reports(draw):
     periods = []
     for _ in range(draw(st.integers(1, 3))):
         ks_p = draw(_units)
+        n_images = draw(st.integers(1, 10**6))
         periods.append(
             PeriodStats(
                 period_id=draw(_texts),
-                n_images=draw(st.integers(0, 10**6)),
+                n_images=n_images,
                 ks_d=draw(_units),
                 ks_p=ks_p,
                 cosine_score=draw(st.floats(-1.0, 1.0)),
-                gate_flag_count=draw(st.integers(0, 10**6)),
+                gate_flag_count=draw(st.integers(0, n_images)),
                 drift_flag=ks_p < ks_alpha,
             )
         )
@@ -1210,7 +1211,8 @@ class TestReportPersistence:
         path = tmp_path / f"gate.{fmt}"
         write_report(_gate_report(), fmt, str(path))
         self._forge(path, b"anomalous", b"suspicious")
-        with pytest.raises(DataError, match="invalid-verdict"):
+        message = "verdict must be acceptable or anomalous, got 'suspicious'"
+        with pytest.raises(StoreError, match=f"^malformed-payload: {message}$"):
             _read_gate_report(str(path))
 
     def test_config_embedded_and_recovered(self, tmp_path):
@@ -1842,7 +1844,7 @@ def test_mutated_embeddings_named_or_saved_back(tmp_path, capsys, data):
     else:
         event(f"{version} {kind}: loaded")
         again = str(tmp_path / "again.emb")
-        write_embeddings(got, again, dim=1)
+        write_embeddings(got, again, dim=got[0].dim if got else dim)
         assert _bits(load_embeddings(again)) == _bits(got)
     assert cli_main(["build-baseline", str(path), "--out", str(tmp_path / "b.dskl")]) in (0, 3)
     assert "Traceback" not in capsys.readouterr().err
@@ -2011,7 +2013,7 @@ class TestTypedDocuments:
             (b'"w":[0.5,-1]', b'"w":["1","2"]', "weights must be float, got '1'"),
             (b'"w":[0.5,-1]', b'"w":[true,false]', "weights must be float, got True"),
             (b'"dim":2', b'"dim":2.5', "dim must be int, got 2.5"),
-            (b'"train":null', b'"train":7', "train must be an object or null, got 7"),
+            (b'"train":null', b'"train":7', "train must be TrainConfig or null, got 7"),
             (b'"train":null', b'"train":{"lr":0.1}', "'beta1'"),
             (b',"train":null', b"", "'train'"),
         ],

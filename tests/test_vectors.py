@@ -102,9 +102,11 @@ class TestConsumersCheckWhatTheyRead:
             (lambda: tokenize([[0.1], [0.2]], QuantConfig()), "^dimension-mismatch: v is not a vector"),
             (lambda: write_embeddings([FeatureVector([], "a")], "unused.emb"),
              "^dimension-mismatch: an embedding file needs dim >= 1, got 0$"),
+            (lambda: write_embeddings([FeatureVector([0.0, 0.0], "a")], "unused.emb", dim=1),
+             r"^dimension-mismatch: features\[0\] has dim 2, expected 1$"),
         ],
         ids=["predict-nan", "predict-inf", "gradient-nan", "normalize-nan", "train-inf",
-             "tokenize-2d", "write-empty-vector"],
+             "tokenize-2d", "write-empty-vector", "write-other-dim"],
     )
     def test_named_error(self, call, error, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)  # where a write that is not refused would land
