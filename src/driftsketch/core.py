@@ -313,13 +313,14 @@ def _at_least(low):
 
 
 def _within(interval):
-    """Rule: a real in `interval`, written as its error writes it: "[0, 1)"."""
+    """Rule: a real in `interval` ("[0, 1)"), which its error spells from the parsed bounds."""
     lo, hi = map(float, interval[1:-1].split(","))
+    text = f"{interval[0]}{lo:g}, {hi:g}{interval[-1]}"
     def rule(value, name):
         above = lo <= value if interval[0] == "[" else lo < value
         if above and (value <= hi if interval[-1] == "]" else value < hi):
             return value
-        raise ConfigError(f"config-invalid: {name} must lie in {interval}, got {value}")
+        raise ConfigError(f"config-invalid: {name} must lie in {text}, got {value}")
     return rule
 
 
@@ -333,9 +334,14 @@ def _one_of(*choices):
     return rule
 
 
-# the range of a KS statistic, a p-value or a rate, and of a cosine
-_UNIT = _within("[0, 1]")
+# every interval a real field or argument lies in, each defined once
+_UNIT = _within("[0, 1]")  # a KS statistic, a p-value, a rate or a fraction
 _COSINE = _within("[-1, 1]")
+_OPEN_UNIT = _within("(0, 1)")  # a significance level
+_DECAY = _within("[0, 1)")  # a moment's decay rate
+_POSITIVE = _within("(0, inf)")
+_NONNEGATIVE = _within("[0, inf)")
+_FINITE = _within("(-inf, inf)")
 
 
 def _rows(cls):
@@ -396,12 +402,7 @@ def _typed(cls, values):
     for name, field in _decode_plan(cls).items():
         if name not in values:
             raise ConfigError(f"config-invalid: {name!r}")
-        value = values[name]
-        hint, optional, _, _, rule = field
-        if type(value) is not hint:  # else `_check_value` returns it as it is
-            value = values[name] = _check_value(field, value, name)
-        if rule and not (optional and value is None):
-            values[name] = rule(value, name)
+        values[name] = _read(field, values[name], name)
     return values
 
 
@@ -413,23 +414,28 @@ def _check_fields(record):
 
 
 def _decode_value(hint, value, name):
-    return _check_value(_field_plan(hint), value, name)
+    """The argument `name` read as a field annotated `hint` is: one text per fault."""
+    return _read(_field_plan(hint), value, name)
 
 
-def _check_value(field, value, name):
-    hint, optional, nested, types, _ = field
-    if type(value) is hint or value is None and optional or hint in _UNTYPED:
-        return value  # the JSON type the annotation names, or the nested record, as it is
+def _read(field, value, name):
+    """`value` typed by the ``_field_plan`` `field` as ``_typed`` says, then
+    checked by the field's rule."""
+    hint, optional, nested, types, rule = field
+    if value is None and optional:
+        return value
     if nested and isinstance(value, dict):
-        return _decode(hint, value)
-    value = value.item() if isinstance(value, np.generic) else value
-    if isinstance(value, types) and (hint is bool) == isinstance(value, bool):
-        if hint is not float:
-            return value
-        if isinstance(value, float) or abs(value) < 1e17 and float(value) == value:
-            return float(value)
-    kind = hint.__name__ + (" or null" if optional else "")
-    raise ConfigError(f"config-invalid: {name} must be {kind}, got {reprlib.repr(value)}")
+        value = _decode(hint, value)
+    elif type(value) is not hint and hint not in _UNTYPED:  # else held as it is
+        value = value.item() if isinstance(value, np.generic) else value
+        ok = isinstance(value, types) and (hint is bool) == isinstance(value, bool)
+        if ok and hint is float:
+            ok = isinstance(value, float) or abs(value) < 1e17 and float(value) == value
+            value = float(value) if ok else value
+        if not ok:
+            kind = hint.__name__ + (" or null" if optional else "")
+            raise ConfigError(f"config-invalid: {name} must be {kind}, got {reprlib.repr(value)}")
+    return value if rule is None else rule(value, name)
 
 
 def _parse_text(hint, text, name):

@@ -13,7 +13,7 @@ from typing import Annotated
 import numpy as np
 
 from .core import DataError, _array, _as_vector, _at_least, _batch, _check_fields, _check_seed
-from .core import _frozen_vector, _held, _is_real, _within, seeded_rng
+from .core import _DECAY, _POSITIVE, _frozen_vector, _held, _is_real, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,10 @@ class AdamState:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: Annotated[float, _within("(0, inf)")] = 5e-5
-    beta1: Annotated[float, _within("[0, 1)")] = 0.9
-    beta2: Annotated[float, _within("[0, 1)")] = 0.999
-    epsilon: Annotated[float, _within("(0, inf)")] = 1e-8
+    lr: Annotated[float, _POSITIVE] = 5e-5
+    beta1: Annotated[float, _DECAY] = 0.9
+    beta2: Annotated[float, _DECAY] = 0.999
+    epsilon: Annotated[float, _POSITIVE] = 1e-8
     epochs: Annotated[int, _at_least(1)] = 20
     batch_size: Annotated[int, _at_least(1)] = 32
     bias_correction: bool = True

@@ -14,22 +14,9 @@ from typing import Annotated
 
 import numpy as np
 
-from .core import (
-    _COSINE,
-    _UNIT,
-    ConfigError,
-    DataError,
-    ImageGrid,
-    _batch,
-    _check_fields,
-    _check_seed,
-    _is_real,
-    _one_of,
-    _rows,
-    _within,
-    derive_seed,
-    seeded_rng,
-)
+from .core import _COSINE, _FINITE, _NONNEGATIVE, _UNIT, ConfigError, DataError, FeatureVector
+from .core import ImageGrid, _batch, _check_fields, _check_seed, _decode_value, _one_of, _rows
+from .core import derive_seed, seeded_rng
 from .extract import extract_batch
 from .sketchlib import build_library, gate_check
 from .stats import drift_report
@@ -42,26 +29,31 @@ _NOISE_KIND = _one_of(*NOISE_KINDS)  # the rule of every noise kind, field or ar
 POISSON_BASE = 255.0
 
 
+# each kind's level: the name its operator's argument and errors give it, and its annotation
+_LEVELS = {
+    "gaussian": ("sigma", Annotated[float, _NONNEGATIVE]),
+    "salt_pepper": ("fraction", Annotated[float, _UNIT]),
+    "speckle": ("variance", Annotated[float, _NONNEGATIVE]),
+    "poisson": ("level", Annotated[float, _UNIT]),
+}
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     kind: Annotated[str, _NOISE_KIND]
-    level: float
+    level: object  # a float, read by its kind's `_LEVELS` entry
     seed: Annotated[int, _check_seed] = 0
 
     def __post_init__(self):
         _check_fields(self)
-        _check_level(self.kind, self.level)
+        object.__setattr__(self, "level", _check_level(self.kind, self.level))
 
 
 def _check_level(kind, level):
-    if not _is_real(level) or not np.isfinite(level):
-        raise ConfigError(f"invalid-{_level_name(kind)}: {level!r}")
-    if kind in ("gaussian", "speckle"):
-        if level < 0:
-            raise ConfigError(f"invalid-{_level_name(kind)}: must be >= 0, got {level}")
-    else:
-        if not 0.0 <= level <= 1.0:
-            raise ConfigError(f"invalid-{_level_name(kind)}: must lie in [0,1], got {level}")
+    """`level` read by its kind's `_LEVELS` entry; a Poisson level is also 0
+    or one NumPy's sampler takes."""
+    name, hint = _LEVELS[kind]
+    level = _decode_value(hint, level, name)
     if kind == "poisson" and level > 0.0:
         # the largest mean Generator.poisson draws from, by NumPy's own formula
         top = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
@@ -70,12 +62,7 @@ def _check_level(kind, level):
                 f"invalid-level: must be 0 or at least {POISSON_BASE / top!r}, "
                 f"the smallest level NumPy's Poisson sampler takes, got {level}"
             )
-
-
-def _level_name(kind):
-    return {"gaussian": "sigma", "salt_pepper": "fraction", "speckle": "variance"}.get(
-        kind, "level"
-    )
+    return level
 
 
 def _replace_pixels(img, pixels):
@@ -88,7 +75,7 @@ def _replace_pixels(img, pixels):
 
 def gaussian_noise(img, sigma, seed=0):
     """Additive pixel noise drawn from N(0, sigma^2), clamped to [0,1]."""
-    _check_level("gaussian", sigma)
+    sigma = _check_level("gaussian", sigma)
     if sigma == 0.0:
         return img
     rng = seeded_rng(seed, "noise.gaussian")
@@ -101,7 +88,7 @@ def salt_pepper(img, fraction, seed=0):
     Exactly round(fraction * width * height) distinct positions are corrupted
     (rounding half up), each going black or white with equal probability.
     """
-    _check_level("salt_pepper", fraction)
+    fraction = _check_level("salt_pepper", fraction)
     n_positions = img.width * img.height
     count = int(np.floor(fraction * n_positions + 0.5))
     if count == 0:
@@ -116,7 +103,7 @@ def salt_pepper(img, fraction, seed=0):
 
 def speckle(img, variance, seed=0):
     """Multiplicative noise: p * (1 + n) with n ~ N(0, variance), clamped."""
-    _check_level("speckle", variance)
+    variance = _check_level("speckle", variance)
     if variance == 0.0:
         return img
     rng = seeded_rng(seed, "noise.speckle")
@@ -131,7 +118,7 @@ def poisson_noise(img, level, seed=0):
     identity by convention (infinite photon count), keeping sweep ladders
     uniform across kinds.
     """
-    _check_level("poisson", level)
+    level = _check_level("poisson", level)
     if level == 0.0:
         return img
     lam = POISSON_BASE / level
@@ -155,7 +142,7 @@ def apply_noise(img, spec):
 
 @dataclass(frozen=True)
 class SensitivityRow:
-    level: Annotated[float, _within("(-inf, inf)")]
+    level: Annotated[float, _FINITE]
     cosine_score: Annotated[float, _COSINE]
     ks_d: Annotated[float, _UNIT]
     ks_p: Annotated[float, _UNIT]
@@ -192,16 +179,16 @@ def sensitivity_sweep(baseline, test_images, kind, levels, pipeline, seed=0):
     """
     _NOISE_KIND(kind, "kind")
     baseline = _batch(baseline, "baseline")
-    levels = [float(lv) for lv in levels]
+    levels = [_check_level(kind, lv) for lv in levels]
     if not levels:
         raise ConfigError("invalid-levels: empty ladder")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError(f"invalid-levels: not strictly increasing: {levels}")
-    for lv in levels:
-        _check_level(kind, lv)
 
     noise_op = _NOISE_OPS[kind]
-    library = build_library(baseline, pipeline.quant, pipeline.sketch)
+    # under ids of the sweep's own: as in drift_report, baseline ids may repeat
+    own_ids = [FeatureVector(v.values, str(i)) for i, v in enumerate(baseline)]
+    library = build_library(own_ids, pipeline.quant, pipeline.sketch)
     per_level = [[] for _ in levels]
     flag_counts = [0] * len(levels)
     for j, img in enumerate(test_images):

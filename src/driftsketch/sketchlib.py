@@ -16,9 +16,9 @@ from typing import Annotated
 import numpy as np
 
 from . import _kernels
-from .core import _UNIT, ConfigError, DataError, StoreError, _array, _as_vector, _at_least
-from .core import _batch, _check_fields, _check_seed, _distinct_ids, _held, _one_of, _rows
-from .core import _within, seeded_rng
+from .core import _FINITE, _POSITIVE, _UNIT, ConfigError, DataError, StoreError, _array
+from .core import _as_vector, _at_least, _batch, _check_fields, _check_seed, _distinct_ids
+from .core import _held, _one_of, _rows, seeded_rng
 
 
 # a bin index must have magnitude below 2**63 to be cast to int64 exactly
@@ -27,18 +27,18 @@ _BIN_LIMIT = 2.0**63
 
 @dataclass(frozen=True)
 class QuantConfig:
-    bin_width: Annotated[float, _within("(0, inf)")] = 0.05
-    origin: Annotated[float, _within("(-inf, inf)")] = 0.0
-    clamp_lo: float | None = None
-    clamp_hi: float | None = None
+    bin_width: Annotated[float, _POSITIVE] = 0.05
+    origin: Annotated[float, _FINITE] = 0.0
+    clamp_lo: Annotated[float, _FINITE] | None = None
+    clamp_hi: Annotated[float, _FINITE] | None = None
 
     def __post_init__(self):
         _check_fields(self)
         if (self.clamp_lo is None) != (self.clamp_hi is None):
             raise ConfigError("config-invalid: clamp_lo and clamp_hi must be set together")
-        if self.clamp_lo is not None and not -np.inf < self.clamp_lo < self.clamp_hi < np.inf:
+        if self.clamp_lo is not None and not self.clamp_lo < self.clamp_hi:
             raise ConfigError(
-                f"config-invalid: need finite clamp_lo {self.clamp_lo} < clamp_hi {self.clamp_hi}"
+                f"config-invalid: clamp_lo must be < clamp_hi {self.clamp_hi}, got {self.clamp_lo}"
             )
 
 
@@ -235,7 +235,7 @@ def _check_canonical(distinct, row_index):
 
 @dataclass(frozen=True)
 class GateConfig:
-    j_alpha: Annotated[float, _within("[0,1]")] = 0.5
+    j_alpha: Annotated[float, _UNIT] = 0.5
     aggregation: Annotated[str, _one_of("max", "mean", "union")] = "max"
 
     __post_init__ = _check_fields

@@ -13,13 +13,14 @@ from typing import Annotated
 
 import numpy as np
 
-from .core import _COSINE, _UNIT, ConfigError, DataError, _as_vector, _at_least, _batch
-from .core import _check_fields, _check_seed, _decode_value, _one_of, _rows, _within, seeded_rng
+from .core import _COSINE, _OPEN_UNIT, _UNIT, ConfigError, DataError, _as_vector, _at_least
+from .core import _batch, _check_fields, _check_seed, _decode_value, _frozen_vector, _held
+from .core import _one_of, _rows, seeded_rng
 
 
 @dataclass(frozen=True)
 class StatsConfig:
-    ks_alpha: Annotated[float, _within("(0,1)")] = 0.05
+    ks_alpha: Annotated[float, _OPEN_UNIT] = 0.05
     cosine_mode: Annotated[str, _one_of("centroid", "mean_pairwise")] = "centroid"
     pairwise_cap: Annotated[int, _at_least(1)] = 10000
     seed: Annotated[int, _check_seed] = 0
@@ -49,7 +50,7 @@ class PeriodStats:
 @dataclass(frozen=True)
 class DriftReport:
     baseline_id: str
-    ks_alpha: Annotated[float, _within("(0,1)")]
+    ks_alpha: Annotated[float, _OPEN_UNIT]
     periods: Annotated[object, _rows(PeriodStats)]
 
     def __post_init__(self):
@@ -68,10 +69,8 @@ def _nonempty(sample, name):
 
 
 def _as_sample(x, name):
-    arr = _nonempty(np.asarray(x, dtype=np.float64).ravel(), name)
-    if not np.isfinite(arr).all():
-        raise DataError(f"non-finite-value: {name}")
-    return arr
+    """`x` flattened, read as a vector's values are ("non-real-value: a"), and not empty."""
+    return _nonempty(_frozen_vector(_held(x, f": {name}").ravel(), f": {name}"), name)
 
 
 def _ecdf(sample, x):
@@ -115,10 +114,9 @@ def ks_pvalue(d_stat, n, m):
     lambda = (sqrt(n_e) + 0.12 + 0.11 / sqrt(n_e)) * D,
     Q(lambda) = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2),
     truncated when a term drops below 1e-10 (at most 100 terms), clamped
-    into [0, 1]. `n` and `m` are typed as an ``int`` field is.
+    into [0, 1]. Each argument is read as a field of its annotation is.
     """
-    if not 0.0 <= d_stat <= 1.0 or not math.isfinite(d_stat):
-        raise DataError(f"invalid-D: {d_stat!r}")
+    d_stat = _decode_value(Annotated[float, _UNIT], d_stat, "d_stat")  # as PeriodStats.ks_d
     n, m = _decode_value(int, n, "n"), _decode_value(int, m, "m")
     if n < 1 or m < 1:
         raise DataError(f"empty-sample: n={n}, m={m}")

@@ -493,6 +493,16 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_rung_outside_its_interval_named(self, tmp_path, baseline_dir, capsys):
+        # each rung is read by its kind's rule before the rungs are compared
+        out = tmp_path / "s.jsonl"
+        code = main(["sweep", baseline_dir, baseline_dir, "--noise", "salt-pepper",
+                     "--levels", "0,2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config-invalid: fraction must lie in [0, 1], got 2.0" in err
+        assert not out.exists()
+
     def test_bad_levels_checked_before_corrupt_test_image(self, tmp_path, baseline_dir, test_dir):
         # the ladder is checked before the first test image is decoded, so
         # the usage error wins (earlier releases decoded first and exited 3)

@@ -202,7 +202,7 @@ _BAD_FIELD = {
     "gate": ("j_alpha", 1.5, "j_alpha must lie in"),
     "stats": ("ks_alpha", 0.0, "ks_alpha must lie in"),
     "train": ("epochs", 0, "epochs must be >= 1"),
-    "noise": ("level", -1.0, "invalid-sigma"),
+    "noise": ("level", -1.0, "sigma must lie in"),
 }
 
 
@@ -224,6 +224,7 @@ _RULED = [
     (ExtractConfig(), "projection_seed", 1.5, -1),
     (QuantConfig(), "bin_width", "0.05", 0.0),
     (QuantConfig(), "origin", None, float("nan")),
+    (QuantConfig(clamp_lo=0.0, clamp_hi=1.0), "clamp_lo", "0", float("nan")),
     (SketchConfig(), "k", 4.0, 0),
     (SketchConfig(), "hash_seed", "0", 2**64),
     (GateConfig(), "j_alpha", "0.5", 1.5),
@@ -251,6 +252,10 @@ _RULED = [
     (_LIBRARY, "dim", "4", 0),
     (NoiseSpec("gaussian", 0.1), "kind", 3, "cosmic"),
     (NoiseSpec("gaussian", 0.1), "seed", 1.5, -1),
+    (NoiseSpec("gaussian", 0.1), "level", "0.1", -1.0),
+    (NoiseSpec("salt_pepper", 0.1), "level", True, 1.5),
+    (NoiseSpec("speckle", 0.1), "level", None, float("inf")),
+    (NoiseSpec("poisson", 0.1), "level", [0.1], 2.0),
     (_REPORT, "noise_kind", None, "cosmic"),
     (_REPORT, "rows", 7, [_PERIOD]),
     (_ROW, "level", "0.1", float("inf")),
@@ -273,16 +278,52 @@ _RULED = [
 ]
 
 
+def _ruled_id(good, field):
+    """The test id of a `_RULED` case: a noise level's also names its kind."""
+    kind = f"-{good.kind}" if isinstance(good, NoiseSpec) and field == "level" else ""
+    return f"{type(good).__name__}.{field}{kind}"
+
+
+# what the rule of each real field says of a value outside its interval; an
+# interval is spelled one way, whichever record or field it rules
+_INTERVALS = {
+    "QuantConfig.bin_width": "bin_width must lie in (0, inf)",
+    "QuantConfig.origin": "origin must lie in (-inf, inf)",
+    "QuantConfig.clamp_lo": "clamp_lo must lie in (-inf, inf)",
+    "GateConfig.j_alpha": "j_alpha must lie in [0, 1]",
+    "StatsConfig.ks_alpha": "ks_alpha must lie in (0, 1)",
+    "TrainConfig.lr": "lr must lie in (0, inf)",
+    "TrainConfig.beta1": "beta1 must lie in [0, 1)",
+    "TrainConfig.beta2": "beta2 must lie in [0, 1)",
+    "TrainConfig.epsilon": "epsilon must lie in (0, inf)",
+    "NoiseSpec.level-gaussian": "sigma must lie in [0, inf)",
+    "NoiseSpec.level-salt_pepper": "fraction must lie in [0, 1]",
+    "NoiseSpec.level-speckle": "variance must lie in [0, inf)",
+    "NoiseSpec.level-poisson": "level must lie in [0, 1]",
+    "SensitivityRow.level": "level must lie in (-inf, inf)",
+    "SensitivityRow.cosine_score": "cosine_score must lie in [-1, 1]",
+    "SensitivityRow.ks_d": "ks_d must lie in [0, 1]",
+    "SensitivityRow.ks_p": "ks_p must lie in [0, 1]",
+    "SensitivityRow.anomaly_rate": "anomaly_rate must lie in [0, 1]",
+    "PeriodStats.ks_d": "ks_d must lie in [0, 1]",
+    "PeriodStats.ks_p": "ks_p must lie in [0, 1]",
+    "PeriodStats.cosine_score": "cosine_score must lie in [-1, 1]",
+    "DriftReport.ks_alpha": "ks_alpha must lie in (0, 1)",
+    "GateResult.score": "score must lie in [0, 1]",
+}
+
+
 class TestValidByConstruction:
     @pytest.mark.parametrize(
         "good, field, mistyped, ruled_out",
         _RULED,
-        ids=[f"{type(good).__name__}.{field}" for good, field, *_ in _RULED],
+        ids=[_ruled_id(good, field) for good, field, *_ in _RULED],
     )
     def test_one_text_per_fault(self, good, field, mistyped, ruled_out):
         """A bad value of a ruled field raises one error, class and text,
         whether the record is built, replaced or decoded from its JSON
-        object (arrays as lists): one check path names each fault."""
+        object (arrays as lists): one check path names each fault. A real
+        outside its interval is named in that interval's one spelling."""
         cls, parts = type(good), {f.name: getattr(good, f.name) for f in fields(good)}
         obj = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in parts.items()}
         for bad in (mistyped, ruled_out):
@@ -296,6 +337,9 @@ class TestValidByConstruction:
                     build()
                 errors.append((type(info.value), str(info.value)))
             assert errors[0] == errors[1] == errors[2], errors
+        if _ruled_id(good, field) in _INTERVALS:
+            text = f"config-invalid: {_INTERVALS[_ruled_id(good, field)]}, got {ruled_out}"
+            assert errors[0] == (ConfigError, text)
 
     @pytest.mark.parametrize("name", sorted(_VALID))
     def test_bad_value_rejected_by_constructor_and_replace(self, name):
@@ -389,7 +433,7 @@ class TestValidByConstruction:
     def test_boolean_float_field_or_schema_version_rejected(self, make, field, flag):
         """A bool is not a number, as it is not a count (True == 1 and
         False == 0 passed every range check these fields have)."""
-        with pytest.raises(ConfigError, match=rf"{field} must|invalid-sigma: {flag}"):
+        with pytest.raises(ConfigError, match=rf"{field} must|sigma must be float, got {flag}"):
             make(**{field: flag})
 
 

@@ -10,6 +10,7 @@ import reference_path
 from driftsketch import (
     ConfigError,
     DataError,
+    FeatureVector,
     ImageGrid,
     NoiseSpec,
     PipelineConfig,
@@ -57,7 +58,8 @@ class TestGaussianNoise:
         validate_image(out)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ConfigError, match="invalid-sigma"):
+        error = r"^config-invalid: sigma must lie in \[0, inf\), got -0.1$"
+        with pytest.raises(ConfigError, match=error):
             gaussian_noise(constant_image(0.5), -0.1)
 
 
@@ -96,7 +98,8 @@ class TestSaltPepper:
             assert row.all() or not row.any()
 
     def test_out_of_range_fraction_rejected(self):
-        with pytest.raises(ConfigError, match="invalid-fraction"):
+        error = r"^config-invalid: fraction must lie in \[0, 1\], got 1.5$"
+        with pytest.raises(ConfigError, match=error):
             salt_pepper(constant_image(0.5), 1.5)
 
 
@@ -145,7 +148,8 @@ class TestPoissonNoise:
         np.testing.assert_array_equal(poisson_noise(img, 0.0, seed=1).pixels, img.pixels)
 
     def test_level_above_one_rejected(self):
-        with pytest.raises(ConfigError, match="invalid-level"):
+        error = r"^config-invalid: level must lie in \[0, 1\], got 1.5$"
+        with pytest.raises(ConfigError, match=error):
             poisson_noise(constant_image(0.5), 1.5)
 
     def test_level_below_numpy_limit_rejected(self):
@@ -283,6 +287,17 @@ class TestSensitivitySweep:
             with pytest.raises(DataError, match="^empty-batch: "):
                 sensitivity_sweep(feats, empty, "gaussian", [0.0, 0.1], PipelineConfig())
 
+    def test_baseline_vectors_may_share_an_id(self):
+        """The gate library the sweep sketches for itself holds ids of its own,
+        so a baseline whose vectors share an id (here the empty one) sweeps as
+        drift_report scores it."""
+        imgs = corpus(43, 4, "sweep-ids")
+        feats = extract_batch(imgs, self.cfg)
+        shared = [FeatureVector(v.values) for v in feats]
+        got = sensitivity_sweep(shared, imgs, "gaussian", [0.0, 0.1], PipelineConfig(), seed=7)
+        assert got == sensitivity_sweep(feats, imgs, "gaussian", [0.0, 0.1], PipelineConfig(),
+                                        seed=7)
+
     @pytest.mark.parametrize(
         "kind, baseline_size, levels, error",
         [
@@ -290,7 +305,11 @@ class TestSensitivitySweep:
             ("gaussian", 0, [0.0], "empty-batch"),
             ("gaussian", 3, [], "invalid-levels"),
             ("gaussian", 3, [0.3, 0.1], "invalid-levels"),
-            ("salt_pepper", 3, [0.0, 1.5], "invalid-fraction"),
+            # the id keeps the text this case expected before a level was read by its rule
+            pytest.param(
+                "salt_pepper", 3, [0.0, 1.5], r"config-invalid: fraction must lie in \[0, 1\]",
+                id="salt_pepper-3-levels4-invalid-fraction",
+            ),
         ],
     )
     def test_arguments_checked_before_first_test_image(self, kind, baseline_size, levels, error):

@@ -14,11 +14,15 @@ from driftsketch import (
     ConfigError,
     DataError,
     FeatureVector,
+    ImageGrid,
     PipelineConfig,
     build_library,
+    gaussian_noise,
     load_library,
     read_report,
+    salt_pepper,
     save_library,
+    sensitivity_sweep,
     write_report,
 )
 from driftsketch import store
@@ -32,6 +36,13 @@ from driftsketch.store import SplitPlan, load_split, save_model, save_split, wri
 
 
 _FIVE = [FeatureVector([0.1 * i, 0.5]) for i in range(5)]
+_IMAGE = ImageGrid.from_array(np.full((4, 4), 0.5))
+
+
+def _sweep(levels):
+    """A sweep of the ladder `levels`; the empty test set is read only once
+    the arguments are checked."""
+    return sensitivity_sweep(_FIVE, [], "gaussian", levels, PipelineConfig())
 
 
 class TestRejectedWhenBuilt:
@@ -65,7 +76,7 @@ class TestRejectedWhenBuilt:
             (lambda: GateResult("a", 7.0, "weird"), ConfigError,
              r"config-invalid: score must lie in \[0, 1\], got 7.0"),
             (lambda: DriftReport("b", 7.0, [PeriodStats("p", 3, 0.1, 0.5, 0.2, 0, True)]),
-             ConfigError, r"config-invalid: ks_alpha must lie in \(0,1\), got 7.0"),
+             ConfigError, r"config-invalid: ks_alpha must lie in \(0, 1\), got 7.0"),
             (lambda: PeriodStats("p", -3, 0.1, 0.5, 0.2, -5, False), ConfigError,
              "config-invalid: n_images must be >= 1, got -3"),
             (lambda: SensitivityRow(0.0, 0.5, 0.1, 0.5, 3.0), ConfigError,
@@ -83,6 +94,26 @@ class TestRejectedWhenBuilt:
              ConfigError, "config-invalid: dim must be int, got True"),
             (lambda: write_embeddings([FeatureVector([0.5], "a")], "no-dir/e.emb", dim=1.5),
              ConfigError, "config-invalid: dim must be int, got 1.5"),
+            # a real argument is read as a field of its annotation is: it is a
+            # float (not a bool or a text), then in its interval
+            (lambda: ks_pvalue("0.5", 3, 3), ConfigError,
+             "config-invalid: d_stat must be float, got '0.5'"),
+            (lambda: ks_pvalue(True, 3, 3), ConfigError,
+             "config-invalid: d_stat must be float, got True"),
+            (lambda: ks_pvalue(math.nan, 3, 3), ConfigError,
+             r"config-invalid: d_stat must lie in \[0, 1\], got nan"),
+            (lambda: gaussian_noise(_IMAGE, "1"), ConfigError,
+             "config-invalid: sigma must be float, got '1'"),
+            (lambda: salt_pepper(_IMAGE, True), ConfigError,
+             "config-invalid: fraction must be float, got True"),
+            (lambda: _sweep(["x"]), ConfigError, "config-invalid: sigma must be float, got 'x'"),
+            (lambda: _sweep([True]), ConfigError, "config-invalid: sigma must be float, got True"),
+            (lambda: _sweep([0.0, -1.0]), ConfigError,
+             r"config-invalid: sigma must lie in \[0, inf\), got -1.0"),
+            (lambda: QuantConfig(clamp_lo=math.nan, clamp_hi=1.0), ConfigError,
+             r"config-invalid: clamp_lo must lie in \(-inf, inf\), got nan"),
+            (lambda: QuantConfig(clamp_lo=1.0, clamp_hi=1.0), ConfigError,
+             "config-invalid: clamp_lo must be < clamp_hi 1.0, got 1.0"),
         ],
         ids=["origin-1e17", "bin-width-bool", "l2-normalize-str", "bias-correction-int",
              "ks-d-bool", "library-none", "score-str", "pipeline-section", "head-b-str",
@@ -90,7 +121,9 @@ class TestRejectedWhenBuilt:
              "anomaly-rate-three",
              "drift-flags-negative", "drift-flags-above-images",
              "ks-pvalue-n-str", "ks-pvalue-n-float", "ks-pvalue-m-bool", "write-dim-bool",
-             "write-dim-float"],
+             "write-dim-float", "ks-pvalue-d-str", "ks-pvalue-d-bool", "ks-pvalue-d-nan",
+             "gaussian-sigma-str", "salt-pepper-fraction-bool", "sweep-ladder-str",
+             "sweep-ladder-bool", "sweep-ladder-negative", "clamp-nan", "clamp-not-below"],
     )
     def test_named_config_error(self, build, error, message):
         """Each raises the class and text named (a ConfigError for a field

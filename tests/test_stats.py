@@ -93,6 +93,11 @@ class TestKsStatistic:
         with pytest.raises(DataError, match="empty-sample"):
             ks_statistic([], [1.0])
 
+    def test_non_real_sample_rejected(self):
+        # a sample is read as every record reads an array
+        with pytest.raises(DataError, match=r"^non-real-value: a: \['a'\]$"):
+            ks_statistic(["a"], [1.0])
+
 
 class TestKsPvalue:
     def test_zero_statistic_gives_one(self):
@@ -119,7 +124,9 @@ class TestKsPvalue:
         assert all(b <= a + 1e-15 for a, b in zip(ps, ps[1:]))
 
     def test_invalid_d_rejected(self):
-        with pytest.raises(DataError, match="invalid-D"):
+        # a ConfigError: d_stat is read as a field ruled to [0, 1] is
+        error = r"^config-invalid: d_stat must lie in \[0, 1\], got 1.5$"
+        with pytest.raises(ConfigError, match=error):
             ks_pvalue(1.5, 10, 10)
 
     def test_bad_sizes_rejected(self):
@@ -338,7 +345,7 @@ class TestNonFiniteReals:
     @pytest.mark.parametrize("bad", _NON_FINITE)
     def test_drift_report(self, bad):
         period = PeriodStats("p", 1, 0.1, 0.5, 0.9, 0, bad < 0.5)
-        with pytest.raises(ConfigError, match=rf"^config-invalid: ks_alpha must lie in \(0,1\), "
+        with pytest.raises(ConfigError, match=rf"^config-invalid: ks_alpha must lie in \(0, 1\), "
                                               f"got {bad}$"):
             DriftReport("b", bad, [period])
 
