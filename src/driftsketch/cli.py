@@ -33,11 +33,11 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, report=False, needs_out=True):
-        p.add_argument("--seed", type=int, default=None, help="run seed for stochastic steps")
+        p.add_argument("--seed", default=None, help="run seed for stochastic steps")
         p.add_argument("--config", metavar="PATH", help="flat key=value config file")
         if report:  # the report subcommands gate, so they take the gate threshold
             p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-            p.add_argument("--j-alpha", type=float, default=None, help="gate threshold override")
+            p.add_argument("--j-alpha", default=None, help="gate threshold override")
         if needs_out:
             p.add_argument("--out", required=True, metavar="PATH")
 
@@ -58,7 +58,7 @@ def _build_parser():
     p = sub.add_parser("drift", help="score ordered periods against a baseline")
     p.add_argument("baseline", metavar="BASELINE")
     p.add_argument("periods", nargs="+", metavar="PERIOD")
-    p.add_argument("--ks-alpha", type=float, default=None, help="KS significance override")
+    p.add_argument("--ks-alpha", default=None, help="KS significance override")
     common(p, report=True)
 
     p = sub.add_parser("sweep", help="noise-sensitivity ladder")
@@ -76,7 +76,7 @@ def _build_parser():
 
     p = sub.add_parser("split", help="assign ids to balanced groups")
     p.add_argument("ids", metavar="IDS_FILE", help="an embedding file, or one id per line")
-    p.add_argument("--groups", type=int, default=7)
+    p.add_argument("--groups", default="7")
     common(p)
 
     return parser
@@ -123,10 +123,10 @@ def resolve_config(args):
     """
     raw = _read_config_file(args.config) if args.config else {}
     sections = {name: {} for name in _SECTIONS}
-    file_seed = 0
+    seed = 0
     for key, text in raw.items():
         if key == "seed":
-            file_seed = _parse_text(int, text, key)
+            seed = _parse_text(int, text, key)
             continue
         section, _, field_name = key.partition(".")
         if section not in _SECTIONS or not field_name:
@@ -135,13 +135,16 @@ def resolve_config(args):
         if field_name not in hints:
             raise ConfigError(f"config-invalid: unknown config key {key!r}")
         sections[section][field_name] = _parse_text(hints[field_name], text, key)
-    run_seed = _check_seed(file_seed if args.seed is None else args.seed)
+    if args.seed is not None:
+        seed = _parse_text(int, args.seed, "--seed")
+    run_seed = _check_seed(seed)
 
     # flags merge in before anything is built, so a value they override is never checked
-    if getattr(args, "j_alpha", None) is not None:
-        sections["gate"]["j_alpha"] = args.j_alpha
-    if getattr(args, "ks_alpha", None) is not None:
-        sections["stats"]["ks_alpha"] = args.ks_alpha
+    for section, key in (("gate", "j_alpha"), ("stats", "ks_alpha")):
+        text = getattr(args, key, None)
+        if text is not None:
+            flag = "--" + key.replace("_", "-")
+            sections[section][key] = _parse_text(_SECTIONS[section][1][key], text, flag)
     built = {name: _SECTIONS[name][0](**values) for name, values in sections.items()}
     train_cfg = built.pop("train")
     return PipelineConfig(**built), train_cfg, run_seed
@@ -269,10 +272,7 @@ def _period_id(path):
 def _cmd_sweep(args):
     pipeline, _, run_seed = resolve_config(args)
     kind = args.noise.replace("-", "_")
-    try:
-        levels = [float(x) for x in args.levels.split(",") if x.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"config-invalid: unparseable --levels {args.levels!r}")
+    levels = [_parse_text(float, x, "--levels") for x in args.levels.split(",") if x.strip() != ""]
     base_feats, _ = _load_features(args.baseline, pipeline.extract)
     names = store.list_images_dir(args.test)
     # decoded one file at a time: each test image is noised at every level before the next
@@ -323,11 +323,12 @@ def _cmd_train_head(args):
 
 def _cmd_split(args):
     _, _, run_seed = resolve_config(args)
+    n_groups = _parse_text(int, args.groups, "--groups")
     if _classify_input(args.ids, "ids") == "embeddings":
         ids = [v.source_id for v in load_embeddings(args.ids)]
     else:  # each line that is not blank is an id, exactly as written
         ids = [ln for ln in _text_lines(args.ids, DataError, "io-error") if ln.strip()]
-    plan = store.split_dataset(ids, args.groups, run_seed)
+    plan = store.split_dataset(ids, n_groups, run_seed)
     store.save_split(plan, args.out)
     return 0
 

@@ -9,7 +9,8 @@ values and CSV cells by the same annotations.
 Every stochastic operation in the package draws from `seeded_rng`, a Philox
 counter-based generator keyed by (seed, stream label). Equal arguments give
 bit-identical streams across runs and platforms; distinct labels under one
-seed give independent streams.
+seed give independent streams. `_first_draw` takes the first 64-bit draw of
+a stream without building its generator, as the MinHash salts do.
 """
 
 import dataclasses
@@ -248,11 +249,33 @@ def seeded_rng(seed, stream_label):
     bit-identical stream on every run; different labels or seeds give
     independent streams.
     """
-    seed = _check_seed(seed)
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, stream_label)))
+
+
+def _stream_key(seed, stream_label):
+    """The 128-bit Philox key of the stream `seeded_rng(seed, stream_label)`."""
     digest = hashlib.blake2b(
-        stream_label.encode("utf-8"), digest_size=16, key=seed.to_bytes(8, "little")
+        stream_label.encode("utf-8"), digest_size=16, key=_check_seed(seed).to_bytes(8, "little")
     ).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+    return int.from_bytes(digest, "little")
+
+
+_M64 = 2**64 - 1
+
+
+def _first_draw(seed, stream_label):
+    """``seeded_rng(seed, stream_label).integers(0, 2**64, dtype=np.uint64)``,
+    the first 64-bit output of the stream, computed with Python integers so
+    that no generator is built and ``numpy.random`` is not imported: one
+    Philox-4x64-10 block (Salmon et al., SC 2011) at counter 1, where NumPy
+    starts, under the stream's key; its first word."""
+    key = _stream_key(seed, stream_label)
+    k0, k1, c0, c1, c2, c3 = key & _M64, key >> 64, 1, 0, 0, 0
+    for _ in range(10):
+        p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _M64, (p0 >> 64) ^ c3 ^ k1, p0 & _M64
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _M64, (k1 + 0xBB67AE8584CAA73B) & _M64
+    return c0
 
 
 def derive_seed(seed, label):
@@ -438,15 +461,27 @@ def _read(field, value, name):
     return value if rule is None else rule(value, name)
 
 
+def _number(kind, text):
+    """`text` read by `kind`, ``int`` or ``float``, from ASCII text without
+    ``_``: Python's own parsers also take digit-group underscores (``1_0``
+    is 10) and the digits of other scripts (``١٢`` is 12). ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not ASCII number text: {text!r}")
+    return kind(text)
+
+
 def _parse_text(hint, text, name):
-    """A config-file value or a CSV cell, parsed by its field's annotation:
-    a bool is ``true``, ``false``, ``1`` or ``0`` in any case, and only an
-    ``X | None`` field takes ``none``."""
+    """A config-file value, a CSV cell or a command-line number, parsed by
+    its field's annotation: a number by `_number`, a bool is ``true``,
+    ``false``, ``1`` or ``0`` in any case, and only an ``X | None`` field
+    takes ``none``."""
     hint, optional, *_ = _field_plan(hint)
     if optional and text.lower() == "none":
         return None
     try:
-        return _BOOLS[text.lower()] if hint is bool else hint(text)
+        if hint is bool:
+            return _BOOLS[text.lower()]
+        return _number(hint, text) if hint in (int, float) else hint(text)
     except (ValueError, KeyError):
         raise ConfigError(f"config-invalid: cannot parse {name} = {text!r}") from None
 

@@ -27,6 +27,7 @@ from .core import (
     _check_fields,
     _check_seed,
     _distinct_ids,
+    _number,
     seeded_rng,
 )
 from .stats import _pow2_scaled
@@ -177,7 +178,7 @@ def _embedding_header(line, version):
     ):
         raise StoreError(f"malformed-file(line 1): bad header {line!r}")
     try:
-        sizes = tuple(int(field.partition("=")[2]) for field in header[2:])
+        sizes = tuple(_number(int, field.partition("=")[2]) for field in header[2:])
     except ValueError:
         raise StoreError(f"malformed-file(line 1): non-integer {'/'.join(keys)} in {line!r}")
     if sizes[0] < 1 or min(sizes[1:]) < 0:
@@ -317,7 +318,7 @@ def load_embeddings(path):
         if len(fields) - 1 != dim:
             raise DataError(f"dimension-mismatch({rec_id}): {len(fields) - 1} values, expected {dim}")
         try:
-            values = np.array([float(x) for x in fields[1:]])
+            values = np.array([_number(float, x) for x in fields[1:]])
         except ValueError:
             raise StoreError(f"malformed-file(line {lineno}): unparseable value")
         out.append(FeatureVector(values=values, source_id=rec_id))

@@ -3,9 +3,11 @@
 A feature vector becomes a set of (dimension, bin) tokens via per-dimension
 quantization; MinHash maps the token set to k per-hash minima; the fraction
 of matching minima between two signatures is an unbiased estimate of the
-Jaccard similarity of the token sets. The gate compares an incoming vector's
-signature against a baseline library and flags it anomalous when the
-aggregated similarity falls below the threshold.
+Jaccard similarity of the token sets. Hash function j salts each token with
+the first 64-bit draw of the stream ``minhash.{j}`` under the sketch's hash
+seed, computed without building its generator (`core._first_draw`). The
+gate compares an incoming vector's signature against a baseline library and
+flags it anomalous when the aggregated similarity falls below the threshold.
 """
 
 import threading
@@ -18,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .core import _FINITE, _POSITIVE, _UNIT, ConfigError, DataError, StoreError, _array
 from .core import _as_vector, _at_least, _batch, _check_fields, _check_seed, _distinct_ids
-from .core import _held, _one_of, _rows, seeded_rng
+from .core import _first_draw, _held, _one_of, _rows
 
 
 # a bin index must have magnitude below 2**63 to be cast to int64 exactly
@@ -305,12 +307,10 @@ def _quantize(values, q):
 
 @lru_cache(maxsize=64)
 def _minhash_salts(k, hash_seed):
-    # one labeled stream per hash function, per the determinism contract
-    salts = np.empty(k, dtype=np.uint64)
-    for j in range(k):
-        salts[j] = seeded_rng(hash_seed, f"minhash.{j}").integers(
-            0, 2**64, dtype=np.uint64
-        )
+    """Salt j is the first 64-bit draw of the stream ``seeded_rng(hash_seed,
+    f"minhash.{j}")``, one labeled stream per hash function, computed by
+    `_first_draw` without building the generator."""
+    salts = np.array([_first_draw(hash_seed, f"minhash.{j}") for j in range(k)], dtype=np.uint64)
     salts.flags.writeable = False
     return salts
 

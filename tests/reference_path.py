@@ -16,8 +16,10 @@ holds the test set and two noised generations at once. The package's
 image-major sweep must give the same report.
 
 `load_embeddings` below is the text-only embedding reader: it reads v1 files
-and nothing else. On every v1 file the package's reader must return the same
-vectors or raise the same error with the same text.
+and nothing else, and each header size and value only from ASCII text
+without '_' (int() and float() alone also take '_' between digits and the
+digits of other scripts). On every v1 file the package's reader must return
+the same vectors or raise the same error with the same text.
 
 `encode_embeddings_v2` below is the v2 embedding writer, which the package
 replaced with v3: a text header, the ids as JSON padded to 8 bytes, row-major
@@ -224,6 +226,12 @@ def sensitivity_sweep(baseline, test_images, kind, levels, pipeline, seed=0):
     return SensitivityReport(noise_kind=kind, rows=rows)
 
 
+def _ascii_number(kind, text):
+    if "_" in text or any(ord(c) > 127 for c in text):
+        raise ValueError(text)
+    return kind(text)
+
+
 def load_embeddings(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -242,8 +250,8 @@ def load_embeddings(path):
     ):
         raise StoreError(f"malformed-file(line 1): bad header {lines[0]!r}")
     try:
-        dim = int(header[2][4:])
-        count = int(header[3][6:])
+        dim = _ascii_number(int, header[2][4:])
+        count = _ascii_number(int, header[3][6:])
     except ValueError:
         raise StoreError(f"malformed-file(line 1): non-integer dim/count in {lines[0]!r}")
     if dim < 1 or count < 0:
@@ -266,7 +274,7 @@ def load_embeddings(path):
         if len(fields) - 1 != dim:
             raise DataError(f"dimension-mismatch({rec_id}): {len(fields) - 1} values, expected {dim}")
         try:
-            values = np.array([float(x) for x in fields[1:]])
+            values = np.array([_ascii_number(float, value) for value in fields[1:]])
         except ValueError:
             raise StoreError(f"malformed-file(line {lineno}): unparseable value")
         if not np.isfinite(values).all():

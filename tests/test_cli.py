@@ -935,6 +935,76 @@ class TestRunSeed:
         assert main([*argv, "--seed", "7"]) == 0
 
 
+class TestNumberText:
+    """A number on the command line or in the config file is ASCII text
+    without '_'. int() and float() read '1_0' as 10 and '١٢' (Arabic-Indic
+    digits) as 12; each is a named config-invalid, exit 2, before any input
+    is opened (none of these inputs exists)."""
+
+    @pytest.mark.parametrize(
+        "argv, name, text",
+        [
+            (["build-baseline", "in", "--seed"], "--seed", "1_0"),
+            (["build-baseline", "in", "--seed"], "--seed", "١٢"),
+            (["split", "ids", "--groups"], "--groups", "1_0"),
+            (["split", "ids", "--groups"], "--groups", "١٢"),
+            (["sweep", "b", "t", "--noise", "gaussian", "--levels"], "--levels", "1_0"),
+            (["sweep", "b", "t", "--noise", "gaussian", "--levels"], "--levels", "٠.١"),
+            (["gate", "in", "--library", "l", "--j-alpha"], "--j-alpha", "0_5"),
+            (["gate", "in", "--library", "l", "--j-alpha"], "--j-alpha", "٠.٥"),
+            (["drift", "b", "p", "--ks-alpha"], "--ks-alpha", "0_05"),
+            (["drift", "b", "p", "--ks-alpha"], "--ks-alpha", "٠.٠٥"),
+        ],
+        ids=[f"{flag}-{digits}" for flag in ("seed", "groups", "levels", "j-alpha", "ks-alpha")
+             for digits in ("underscore", "arabic-indic")],
+    )
+    def test_flag(self, tmp_path, capsys, argv, name, text):
+        out = tmp_path / "out"
+        value = f"0,{text}" if name == "--levels" else text
+        assert main([*argv, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"driftsketch: config-invalid: cannot parse {name} = {text!r}\n" == err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, text", [("quant.bin_width", "0_05"), ("sketch.k", "1_28"), ("seed", "١٢")],
+        ids=["bin_width-underscore", "k-underscore", "seed-arabic-indic"],
+    )
+    def test_config_file_value(self, tmp_path, capsys, key, text):
+        out = tmp_path / "lib.dskl"
+        cfg = _write_config(tmp_path, f"{key} = {text}")
+        assert main(["build-baseline", "in", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"driftsketch: config-invalid: cannot parse {key} = {text!r}\n" == err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("driftsketch-emb v1 dim=1_0 count=1\na 0.5\n", "malformed-file(line 1): "
+             "non-integer dim/count in 'driftsketch-emb v1 dim=1_0 count=1'"),
+            ("driftsketch-emb v1 dim=1 count=١\na 0.5\n", "malformed-file(line 1): "
+             "non-integer dim/count in 'driftsketch-emb v1 dim=1 count=١'"),
+            ("driftsketch-emb v1 dim=2 count=2\na 0.5 0.25\n\nb 0.5 1_0\n",
+             "malformed-file(line 4): unparseable value"),
+            ("driftsketch-emb v1 dim=2 count=1\na ١ 0.25\n",
+             "malformed-file(line 2): unparseable value"),
+        ],
+        ids=["header-underscore", "header-arabic-indic", "value-underscore",
+             "value-arabic-indic"],
+    )
+    def test_v1_embedding_file(self, tmp_path, capsys, text, message):
+        """A v1 embedding file's sizes and values are ASCII number text too: a
+        data error (exit 3) that names the line."""
+        emb, out = tmp_path / "base.emb", tmp_path / "lib.dskl"
+        emb.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_embeddings(str(emb))
+        assert main(["build-baseline", str(emb), "--out", str(out)]) == 3
+        assert f"driftsketch: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+
 _NAN, _INF = float("nan"), float("inf")
 
 # values drawn from 0, -1, nan, inf, a string, null and a list that each library

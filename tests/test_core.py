@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import driftsketch
 from driftsketch import ConfigError, DataError, ImageGrid, PipelineConfig, validate_image
 from driftsketch.cli import _SECTIONS
-from driftsketch.core import DriftSketchError, _decode, _parse_text, derive_seed, seeded_rng
+from driftsketch.core import DriftSketchError, _decode, _first_draw, _parse_text, derive_seed
+from driftsketch.core import seeded_rng
 from driftsketch.extract import ExtractConfig
 from driftsketch.head import AdamState, TrainConfig
 from driftsketch.noiselab import NoiseSpec, SensitivityReport, SensitivityRow
@@ -161,6 +162,14 @@ class TestSeededRng:
             seeded_rng(-1, "a")
         with pytest.raises(ConfigError, match="invalid-seed"):
             seeded_rng(2**64, "a")
+
+    @given(seed=st.integers(0, 2**64 - 1), label=st.text(max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_first_draw_without_a_generator(self, seed, label):
+        """`_first_draw` computes a stream's first 64-bit draw with Python
+        integers; it is the generator's, for any seed and label."""
+        want = seeded_rng(seed, label).integers(0, 2**64, dtype=np.uint64)
+        assert _first_draw(seed, label) == int(want)
 
     def test_derive_seed_deterministic_and_labeled(self):
         assert derive_seed(3, "x") == derive_seed(3, "x")
@@ -563,12 +572,22 @@ class TestParseText:
             (bool, "0", False),
             (float | None, "None", None),
             (float | None, "-1", -1.0),
+            (str, "é_١٢", "é_١٢"),
+            (float, "1e-3", 0.001),
+            (int, "-7", -7),
         ],
     )
     def test_parsed_by_annotation(self, hint, text, value):
         assert _parse_text(hint, text, "key") == value
 
-    @pytest.mark.parametrize("hint, text", [(int, "4.0"), (float, "none"), (bool, "yes")])
+    # a number is ASCII text without '_': int() and float() alone read '1_28'
+    # as 128, '0_05' as 5.0, and '١٢' (Arabic-Indic) or '１２' (fullwidth) as 12
+    @pytest.mark.parametrize(
+        "hint, text",
+        [(int, "4.0"), (float, "none"), (bool, "yes"), (int, "1_28"), (float, "0_05"),
+         (float | None, "1_0"), (int, "١٢"), (float, "١.٥"), (int, "１２")],
+    )
     def test_unparseable_text_is_named(self, hint, text):
-        with pytest.raises(ConfigError, match=f"^config-invalid: cannot parse key = '{text}'$"):
+        message = re.escape(f"config-invalid: cannot parse key = {text!r}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             _parse_text(hint, text, "key")

@@ -151,6 +151,20 @@ class TestMinHash:
         assert (_minhash_salts(8, 1) != _minhash_salts(8, 2)).any()
         np.testing.assert_array_equal(_minhash_salts(8, 1), _minhash_salts(8, 1))
 
+    @pytest.mark.parametrize(
+        "hash_seed",
+        [0, 1, 2**63, 2**64 - 1,
+         int(seeded_rng(11, "salt-oracle").integers(0, 2**64, dtype=np.uint64))],
+    )
+    def test_salt_j_is_the_first_draw_of_stream_minhash_j(self, hash_seed):
+        """The salts are computed without building a generator, and equal the
+        first draw of each labeled stream, as every stored signature needs."""
+        want = [seeded_rng(hash_seed, f"minhash.{j}").integers(0, 2**64, dtype=np.uint64)
+                for j in range(256)]
+        salts = _minhash_salts(256, hash_seed)
+        assert salts.dtype == np.uint64 and not salts.flags.writeable
+        np.testing.assert_array_equal(salts, np.array(want, dtype=np.uint64))
+
     def test_estimator_concentration(self):
         # |estimate - exact| <= 4/sqrt(k) in >= 95 of 100 seeded trials
         k = 128

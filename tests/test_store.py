@@ -2116,7 +2116,6 @@ class TestTypedDocuments:
             (b"20,0.0150", "ks_d = '0.0150', which the writer writes '0.015'"),
             (b"20,1.5e-2", "ks_d = '1.5e-2', which the writer writes '0.015'"),
             (b"20, 0.015", "ks_d = ' 0.015', which the writer writes '0.015'"),
-            (b"20,0.0_15", "ks_d = '0.0_15', which the writer writes '0.015'"),
         ],
     )
     def test_a_csv_cell_must_be_as_written(self, tmp_path, cell, message):
@@ -2132,6 +2131,22 @@ class TestTypedDocuments:
         write_report(_drift_report(), "csv", str(path))
         TestReportPersistence._forge(path, b"0.93,", b"0.93000000000000005,")
         assert read_drift_report(str(path))[0] == _drift_report()
+
+    @pytest.mark.parametrize(
+        "cell, name, text",
+        [(b"20,0.0_15", "ks_d", "0.0_15"), (b"2_0,0.015", "n_images", "2_0"),
+         ("20,٠.٠١٥".encode(), "ks_d", "٠.٠١٥")],
+        ids=["20,0.0_15", "2_0,0.015", "20,arabic-indic-digits"],
+    )
+    def test_a_csv_cell_that_is_not_ascii_number_text(self, tmp_path, cell, name, text):
+        """A number cell is ASCII text without '_': float() and int() would
+        read these cells as the numbers the writer wrote."""
+        path = tmp_path / "drift.csv"
+        write_report(_drift_report(), "csv", str(path))
+        TestReportPersistence._forge(path, b"20,0.015", cell)
+        message = re.escape(f"cannot parse {name} = {text!r}")
+        with pytest.raises(StoreError, match=f"^malformed-payload: {message}$"):
+            read_drift_report(str(path))
 
     def test_a_repeated_key_is_named(self, tmp_path):
         """JSON keeps the last of two equal keys, so a document with one
