@@ -324,6 +324,7 @@ def _cmd_train_head(args):
 def _cmd_split(args):
     _, _, run_seed = resolve_config(args)
     n_groups = _parse_text(int, args.groups, "--groups")
+    store.SplitPlan(n_groups, run_seed, {})  # checks the group count before the input is read
     if _classify_input(args.ids, "ids") == "embeddings":
         ids = [v.source_id for v in load_embeddings(args.ids)]
     else:  # each line that is not blank is an id, exactly as written

@@ -16,6 +16,7 @@ a stream without building its generator, as the MinHash salts do.
 import dataclasses
 import hashlib
 import reprlib
+import sys
 import typing
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -23,6 +24,10 @@ from functools import lru_cache
 import numpy as np
 
 MAX_SEED = 2**64 - 1
+
+# the package: a module reads from it, at call time, a class of a module it does
+# not import, and its name table (`__init__._HOMES`) imports that module then
+_package = sys.modules[__package__]
 
 
 class DriftSketchError(Exception):
@@ -184,6 +189,16 @@ def _frozen_vector(values, where):
     if not np.isfinite(arr).all():
         raise DataError(f"non-finite-value{where}")
     return arr
+
+
+def _pow2_scaled(x, axis=None):
+    """x times the power of two (per row with axis=1) that brings its largest
+    magnitude into [0.5, 1). Cosines are scale-invariant and this scale is
+    exact short of deep underflow, so normal-range scores keep every bit,
+    while near the overflow or subnormal limit no dot product overflows and
+    no norm vanishes."""
+    _, exp = np.frexp(np.abs(x).max(axis=axis, keepdims=True, initial=0.0))
+    return np.ldexp(x, -exp)
 
 
 def _as_vector(v, name):
@@ -369,7 +384,7 @@ _FINITE = _within("(-inf, inf)")
 
 def _rows(cls):
     """Rule: the rows of a report, an iterable of `cls` records, held as a
-    tuple; DataError("malformed-row") names anything else."""
+    tuple; DataError("malformed-row") names anything else; `cls` is its ``row_class``."""
     def rule(rows, _):
         try:
             rows = tuple(rows)
@@ -380,6 +395,7 @@ def _rows(cls):
             if not isinstance(row, cls):
                 raise DataError(f"malformed-row: expected {cls.__name__}, got {reprlib.repr(row)}")
         return rows
+    rule.row_class = cls
     return rule
 
 
@@ -490,18 +506,11 @@ SCHEMA_VERSION = 1
 
 
 def _stage_configs():
-    """{PipelineConfig section: its class}, imported late to keep the module graph acyclic."""
-    from .extract import ExtractConfig
-    from .sketchlib import GateConfig, QuantConfig, SketchConfig
-    from .stats import StatsConfig
-
-    return {
-        "extract": ExtractConfig,
-        "quant": QuantConfig,
-        "sketch": SketchConfig,
-        "gate": GateConfig,
-        "stats": StatsConfig,
-    }
+    """{PipelineConfig section: its class}, read from `_package` when first
+    needed, which keeps the module graph acyclic."""
+    names = {"extract": "ExtractConfig", "quant": "QuantConfig", "sketch": "SketchConfig",
+             "gate": "GateConfig", "stats": "StatsConfig"}
+    return {section: getattr(_package, name) for section, name in names.items()}
 
 
 @dataclass(frozen=True)

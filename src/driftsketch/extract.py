@@ -28,9 +28,9 @@ from .core import (
     _check_seed,
     _distinct_ids,
     _number,
+    _pow2_scaled,
     seeded_rng,
 )
-from .stats import _pow2_scaled
 
 
 @dataclass(frozen=True)

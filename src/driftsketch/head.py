@@ -12,8 +12,9 @@ from typing import Annotated
 
 import numpy as np
 
-from .core import DataError, _array, _as_vector, _at_least, _batch, _check_fields, _check_seed
-from .core import _DECAY, _POSITIVE, _frozen_vector, _held, _is_real, seeded_rng
+from .core import ConfigError, DataError, _array, _as_vector, _at_least, _batch, _check_fields
+from .core import _DECAY, _POSITIVE, _check_seed, _decode_value, _frozen_vector, _held, _is_real
+from .core import seeded_rng
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,26 @@ class TrainConfig:
     seed: Annotated[int, _check_seed] = 0
 
     __post_init__ = _check_fields
+
+
+@dataclass(frozen=True)
+class _Checkpoint:
+    """What ``store.save_model`` writes, less kind and schema_version. ``w`` is
+    checked here, to keep its messages: a flat list of ``float``-typed weights."""
+
+    dim: int
+    w: object
+    b: float
+    train: TrainConfig | None
+
+    def __post_init__(self):
+        shape = np.array(self.w, dtype=object).shape
+        if not isinstance(self.w, list) or len(shape) != 1:
+            raise ConfigError(f"config-invalid: weights must be a flat list, got shape {shape}")
+        for x in self.w:
+            _decode_value(float, x, "weights")
+        if len(self.w) != self.dim:
+            raise ConfigError(f"config-invalid: dim {self.dim} but {len(self.w)} weights")
 
 
 PROB_CLAMP = 1e-12

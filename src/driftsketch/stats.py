@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import _COSINE, _OPEN_UNIT, _UNIT, ConfigError, DataError, _as_vector, _at_least
 from .core import _batch, _check_fields, _check_seed, _decode_value, _frozen_vector, _held
-from .core import _one_of, _rows, seeded_rng
+from .core import _one_of, _pow2_scaled, _rows, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -133,16 +133,6 @@ def ks_pvalue(d_stat, n, m):
             break
         sign = -sign
     return min(1.0, max(0.0, 2.0 * total))
-
-
-def _pow2_scaled(x, axis=None):
-    """x times the power of two (per row with axis=1) that brings its largest
-    magnitude into [0.5, 1). Cosines are scale-invariant and this scale is
-    exact short of deep underflow, so normal-range scores keep every bit,
-    while near the overflow or subnormal limit no dot product overflows and
-    no norm vanishes."""
-    _, exp = np.frexp(np.abs(x).max(axis=axis, keepdims=True, initial=0.0))
-    return np.ldexp(x, -exp)
 
 
 def cosine(a, b):

@@ -38,7 +38,8 @@ Formats owned by this module:
   in ``#`` comment lines so the files stay directly plottable. One codec
   serves all three kinds: ``encode_report``/``write_report`` and
   ``read_report`` take the header fields and columns from the report and
-  row dataclasses.
+  row dataclasses. The report and model codecs read their classes from the
+  package when called, so a process that reads a library loads none of them.
 - Every real written as text (JSON, CSV cells) is ``_format_float``'s: the
   fewest digits that read back as the same float64, or an integer for a
   whole float below 1e17. Files written with 17 significant digits, as
@@ -65,12 +66,9 @@ import numpy as np
 from ._zstream import Body, checked, seal
 from .core import ConfigError, DataError, DriftSketchError, ImageGrid, StoreError, seeded_rng
 from .core import _at_least, _batch, _check_fields, _check_seed, _decode, _decode_value
-from .core import _distinct_ids, _field_plan, _field_types, _is_integer, _parse_text
+from .core import _distinct_ids, _field_plan, _field_types, _is_integer, _package, _parse_text
 from .extract import _encode_embeddings
-from .head import HeadModel, TrainConfig
-from .sketchlib import GateReport, GateResult, QuantConfig, SketchConfig, SketchLibrary
-from .stats import DriftReport, PeriodStats
-from .noiselab import SensitivityReport, SensitivityRow
+from .sketchlib import QuantConfig, SketchConfig, SketchLibrary
 
 LIBRARY_MAGIC = b"DSKL"
 LIBRARY_VERSION = 4
@@ -453,8 +451,9 @@ def read_library(path):
 # ---------------------------------------------------------------------------
 
 
-def _write_checked_json(obj, path):
-    line = _jdump(obj).encode("utf-8")
+def _write_checked_json(kind, fields, path):
+    """Write the fields of a document of `kind`, as ``_read_checked_json`` reads it."""
+    line = _jdump({"kind": kind, "schema_version": _SCHEMA_VERSION, **fields}).encode("utf-8")
     checksum = f"{_CHECKSUM_PREFIX}{_digest(line)}\n".encode("ascii")
     atomic_write_bytes(path, line + b"\n" + checksum)
 
@@ -487,45 +486,22 @@ def _read_checked_json(path, kind):
     return obj
 
 
-@dataclass(frozen=True)
-class _Checkpoint:
-    """What a model checkpoint holds, less its kind and schema_version.
-    ``w`` is checked here, to keep its messages: a flat list, each weight
-    typed as a ``float`` field is."""
-
-    dim: int
-    w: object
-    b: float
-    train: TrainConfig | None
-
-    def __post_init__(self):
-        shape = np.array(self.w, dtype=object).shape
-        if not isinstance(self.w, list) or len(shape) != 1:
-            raise ConfigError(f"config-invalid: weights must be a flat list, got shape {shape}")
-        for x in self.w:
-            _decode_value(float, x, "weights")
-        if len(self.w) != self.dim:
-            raise ConfigError(f"config-invalid: dim {self.dim} but {len(self.w)} weights")
-
-
 def save_model(model, path, train_config=None):
     """Persist a finite HeadModel checkpoint (versioned record of d, w, b)."""
     obj = {
-        "kind": "head_model",
-        "schema_version": _SCHEMA_VERSION,
         "dim": model.w.shape[0],
         "w": [float(x) for x in model.w],
         "b": model.b,
         "train": asdict(train_config) if train_config is not None else None,
     }
-    _write_checked_json(obj, path)
+    _write_checked_json("head_model", obj, path)
 
 
 def load_model(path):
     """The HeadModel of a checkpoint that ``save_model`` wrote, decoded by
     ``core._decode``; a fault is a named StoreError."""
-    record = _decode_file(_Checkpoint, _read_checked_json(path, "head_model"))
-    return HeadModel(w=record.w, b=record.b)
+    record = _decode_file(_package.head._Checkpoint, _read_checked_json(path, "head_model"))
+    return _package.HeadModel(w=record.w, b=record.b)
 
 
 # ---------------------------------------------------------------------------
@@ -574,14 +550,8 @@ def split_dataset(ids, n_groups, seed):
 
 
 def save_split(plan, path):
-    obj = {
-        "kind": "split_plan",
-        "schema_version": _SCHEMA_VERSION,
-        "n_groups": plan.n_groups,
-        "seed": plan.seed,
-        "assignment": plan.assignment,
-    }
-    _write_checked_json(obj, path)
+    obj = {"n_groups": plan.n_groups, "seed": plan.seed, "assignment": plan.assignment}
+    _write_checked_json("split_plan", obj, path)
 
 
 def load_split(path):
@@ -594,13 +564,18 @@ def load_split(path):
 # reports
 # ---------------------------------------------------------------------------
 
-# kind -> (report class, row class). A report's rows are its last field, and
-# every other field goes in the header; the row class's fields are the columns.
-_REPORTS = {
-    "drift_report": (DriftReport, PeriodStats),
-    "sensitivity_report": (SensitivityReport, SensitivityRow),
-    "gate_report": (GateReport, GateResult),
-}
+# kind -> the package's name for its report class, read on first use
+_REPORTS = {"drift_report": "DriftReport", "sensitivity_report": "SensitivityReport",
+            "gate_report": "GateReport"}
+
+
+def _layout(kind):
+    """(report class, header fields, rows field, row class) of a report kind.
+    Its rows are its last field, annotated ``core._rows(Row)``, and every
+    other field goes in the header; the row class's fields are the columns."""
+    report_cls = getattr(_package, _REPORTS[kind])
+    *header, (rows_field, hint) = _field_types(report_cls).items()
+    return report_cls, [name for name, _ in header], rows_field, _field_plan(hint)[4].row_class
 
 
 def _csv_cell(value):
@@ -611,6 +586,8 @@ def _csv_cell(value):
     text = str(value)
     if "\n" in text:  # the reader splits lines before fields
         raise DataError(f"unsupported-value: CSV text cell with a newline: {text!r}")
+    if any("\ud800" <= c <= "\udfff" for c in text):  # UTF-8 has no bytes for one
+        raise DataError(f"unsupported-value: CSV text cell with a surrogate: {text!r}")
     if any(c in text for c in ',"') or text.startswith("#"):
         text = '"' + text.replace('"', '""') + '"'
     return text
@@ -625,11 +602,12 @@ def encode_report(report, format, config=None):
     record. CSV: ``# config=...`` (when given) and ``# <header>`` comment
     lines, the column header, one line per row, a ``# blake2b=...`` comment.
     """
-    kind = next((k for k, layout in _REPORTS.items() if isinstance(report, layout[0])), None)
+    bases = {cls.__name__ for cls in type(report).__mro__}  # so no other report's module loads
+    kind = next((k for k, name in _REPORTS.items()
+                 if name in bases and isinstance(report, getattr(_package, name))), None)
     if kind is None:
         raise DataError(f"unsupported report type {type(report).__name__}")
-    report_cls, row_cls = _REPORTS[kind]
-    *header_fields, rows_field = _field_types(report_cls)
+    _, header_fields, rows_field, row_cls = _layout(kind)
     header = {"kind": kind, "schema_version": _SCHEMA_VERSION}
     header.update((name, getattr(report, name)) for name in header_fields)
     names = list(_field_types(row_cls))
@@ -723,7 +701,7 @@ def _read_report_lines(path, expected_kind):
     if len(data_lines) < 1:
         raise StoreError("bad-magic: missing column header")
     columns = data_lines[0].split(",")
-    types = _field_types(_REPORTS[expected_kind][1])
+    types = _field_types(_layout(expected_kind)[3])
     records = []
     for ln in data_lines[1:]:
         cells = _split_csv_line(ln)
@@ -791,7 +769,7 @@ def read_report(path, kind):
     """
     if kind not in _REPORTS:
         raise ConfigError(f"config-invalid: unknown report kind {kind!r}")
-    report_cls, row_cls = _REPORTS[kind]
+    report_cls, _, rows_field, row_cls = _layout(kind)
     try:
         header, records, config = _read_report_lines(path, kind)
     except ConfigError as exc:  # a CSV cell that does not parse
@@ -799,7 +777,6 @@ def read_report(path, kind):
     del header["kind"]
     _check_schema(header)
     rows = tuple(_decode_file(row_cls, r) for r in records)
-    *_, rows_field = _field_types(report_cls)
     return _decode_file(report_cls, header, **{rows_field: rows}), config
 
 

@@ -705,6 +705,15 @@ class TestSplit:
         main(["split", str(ids_path), "--groups", "7", "--seed", "3", "--out", b])
         assert load_split(a) == load_split(b)
 
+    @pytest.mark.parametrize("groups", ["0", "1"])
+    def test_group_count_checked_before_the_input(self, tmp_path, capsys, groups):
+        """Too few groups is a usage error (exit 2) by SplitPlan's own rule,
+        whether or not the input can be read."""
+        out = tmp_path / "plan.json"
+        argv = ["split", str(tmp_path / "missing.txt"), "--groups", groups, "--out", str(out)]
+        assert main(argv) == 2
+        assert f"config-invalid: n_groups must be >= 2, got {groups}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ids_kept_exactly_as_written(self, tmp_path):
         """Each line that is not blank is an id as it stands: spaces and tabs

@@ -48,9 +48,10 @@ class TestPublicNames:
 
 
 def test_sketching_loads_only_what_it_uses():
-    """A fresh process that imports the package, makes the default config and
-    one signature loads neither ``numpy.random`` nor the store, head, noise
-    lab or CLI modules (see ``startup_guard.py``)."""
+    """A fresh process that imports the package and makes one signature
+    loads neither ``numpy.random`` nor the store, head, noise lab, stats or
+    CLI modules; reading a library, gating and encoding the gate's report
+    load no head, noise lab, stats or CLI module (see ``startup_guard.py``)."""
     env = dict(os.environ, PYTHONPATH=str(Path(driftsketch.__file__).parents[1]))
     guard = Path(__file__).with_name("startup_guard.py")
     proc = subprocess.run([sys.executable, str(guard)], capture_output=True, text=True, env=env)

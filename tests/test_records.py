@@ -25,7 +25,7 @@ from driftsketch import (
     sensitivity_sweep,
     write_report,
 )
-from driftsketch import store
+from driftsketch import head, store
 from driftsketch.core import _decode
 from driftsketch.extract import ExtractConfig
 from driftsketch.head import HeadModel, TrainConfig
@@ -339,7 +339,7 @@ class TestEveryRecordRoundTrips:
             again = store.load_model(str(path))
             assert again.b == model.b and math.copysign(1, again.b) == math.copysign(1, model.b)
             doc = store._read_checked_json(str(path), "head_model")
-            assert store._decode_file(store._Checkpoint, doc).train == train
+            assert store._decode_file(head._Checkpoint, doc).train == train
 
     @given(data=st.data())
     @_PROPERTY

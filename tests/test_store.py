@@ -955,6 +955,12 @@ def _rewrite(path, reader, fmt):
     return Path(again).read_bytes()
 
 
+def _csv_unwritable(text):
+    """A newline (the reader splits lines first) or a lone surrogate (UTF-8
+    cannot carry one) in a CSV text cell."""
+    return "\n" in text or any("\ud800" <= c <= "\udfff" for c in text)
+
+
 class TestReportRoundTripProperty:
     """write -> read -> write reproduces every report file byte for byte."""
 
@@ -965,7 +971,7 @@ class TestReportRoundTripProperty:
     def test_drift_report(self, tmp_path, report, config, fmt):
         path = str(tmp_path / f"drift.{fmt}")
         Path(path).unlink(missing_ok=True)
-        if fmt == "csv" and any("\n" in p.period_id for p in report.periods):
+        if fmt == "csv" and any(_csv_unwritable(p.period_id) for p in report.periods):
             with pytest.raises(DataError, match="unsupported-value"):
                 write_report(report, fmt, path, config=config)
             assert not Path(path).exists()
@@ -1002,7 +1008,7 @@ class TestReportRoundTripProperty:
         report = GateReport(library=library, rows=rows)
         path = str(tmp_path / f"gate.{fmt}")
         Path(path).unlink(missing_ok=True)
-        if fmt == "csv" and any("\n" in r.source_id for r in rows):
+        if fmt == "csv" and any(_csv_unwritable(r.source_id) for r in rows):
             with pytest.raises(DataError, match="unsupported-value"):
                 write_report(report, fmt, path, config=config)
             assert not Path(path).exists()
@@ -1170,6 +1176,14 @@ class TestReportPersistence:
         with pytest.raises(ConfigError, match="unknown report kind"):
             read_report(path, "drift")
 
+    @pytest.mark.parametrize("build", [lambda: _drift_report().periods[0], dict],
+                             ids=["row", "dict"])
+    def test_non_report_rejected(self, build):
+        """A report's row, or any object that is not a report, has no kind to encode."""
+        obj = build()
+        with pytest.raises(DataError, match=f"^unsupported report type {type(obj).__name__}$"):
+            encode_report(obj, "jsonl")
+
     @staticmethod
     def _forge(path, old, new):
         """Replace bytes in a report's body, then write a checksum that holds."""
@@ -1270,6 +1284,18 @@ class TestReportPersistence:
         assert not path.exists()
         write_report(report, "jsonl", str(tmp_path / "drift.jsonl"))
         assert read_drift_report(str(tmp_path / "drift.jsonl"))[0] == report
+
+    @pytest.mark.parametrize("text", ["\udcff.pgm", "a\ud800"])
+    def test_csv_surrogate_in_text_cell_rejected(self, tmp_path, text):
+        """A lone surrogate, as a file name that is not UTF-8 reads, has no
+        UTF-8 bytes: a named DataError, no file; JSON-lines escapes it."""
+        report = GateReport("lib.dskl", (GateResult(text, 1.0, "acceptable"),))
+        path = tmp_path / "gate.csv"
+        with pytest.raises(DataError, match="unsupported-value: CSV text cell with a surrogate"):
+            write_report(report, "csv", str(path))
+        assert not path.exists()
+        write_report(report, "jsonl", str(tmp_path / "gate.jsonl"))
+        assert _read_gate_report(str(tmp_path / "gate.jsonl"))[0] == report
 
     @pytest.mark.parametrize("period_id", ["# x", "# config={}", "#", "#x,y"])
     def test_csv_comment_like_text_cell_round_trips(self, tmp_path, period_id):
