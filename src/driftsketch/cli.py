@@ -2,8 +2,8 @@
 
 Subcommands: extract, build-baseline, gate, drift, sweep, train-head, split.
 Exit codes partition outcomes: 0 clean, 1 detection (anomalies or drift
-flags), 2 usage or configuration errors, 3 data errors. Detection is a
-result, not a failure, so shell pipelines can branch on it.
+flags), 2 usage or configuration errors, 3 data errors and internal errors.
+Detection is a result, not a failure, so shell pipelines can branch on it.
 
 A flat key-value config file (``key = value``, ``#`` comments) mirrors
 PipelineConfig; flags override file values. Report outputs embed the fully
@@ -16,11 +16,9 @@ import sys
 from dataclasses import asdict, replace
 
 from . import store
-from .core import ConfigError, DataError, PipelineConfig, _check_seed, _distinct_ids
-from .core import _field_types, _parse_text, _stage_configs
+from .core import NOISE_KINDS, ConfigError, DataError, PipelineConfig, _check_seed, _distinct_ids
+from .core import _field_types, _package, _parse_text, _stage_configs
 from .extract import extract_builtin, extract_fingerprint, load_embeddings
-from .head import TrainConfig, train_head
-from .noiselab import NOISE_KINDS, sensitivity_sweep
 from .sketchlib import GateReport, build_library, gate_check
 from .stats import drift_report
 
@@ -82,11 +80,11 @@ def _build_parser():
     return parser
 
 
-# config-file section -> (dataclass, {field: annotation})
-_SECTIONS = {
-    name: (cls, _field_types(cls))
-    for name, cls in {**_stage_configs(), "train": TrainConfig}.items()
-}
+def _sections(train):
+    """{config-file section: (dataclass, {field: annotation})}; ``train``,
+    whose class is read from `head` and so loads it, only if `train`."""
+    classes = {**_stage_configs(), "train": _package.TrainConfig} if train else _stage_configs()
+    return {name: (cls, _field_types(cls)) for name, cls in classes.items()}
 
 
 def _text_lines(path, error, code):
@@ -102,7 +100,7 @@ def _text_lines(path, error, code):
 
 
 def _read_config_file(path):
-    values = {}
+    values, lines = {}, {}
     for lineno, line in enumerate(_text_lines(path, ConfigError, "config-invalid"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -110,28 +108,35 @@ def _read_config_file(path):
         if "=" not in line:
             raise ConfigError(f"config-invalid: {path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(
+                f"config-invalid: {path}:{lineno}: key {key!r} repeats line {lines[key]}"
+            )
+        values[key], lines[key] = value.strip(), lineno
     return values
 
 
 def resolve_config(args):
     """Defaults, overridden by the config file, overridden by flags.
 
-    Returns (PipelineConfig, TrainConfig, run_seed). The run seed is the
-    --seed flag when given, else the ``seed`` config key, else 0; the one in
-    use must lie in [0, 2^64).
+    Returns (PipelineConfig, TrainConfig, run_seed); the TrainConfig is
+    None unless the command is train-head or the file sets a ``train.`` key,
+    which every command checks. The run seed is the --seed flag when given,
+    else the ``seed`` config key, else 0; the one in use must lie in [0, 2^64).
     """
     raw = _read_config_file(args.config) if args.config else {}
-    sections = {name: {} for name in _SECTIONS}
+    known = _sections(args.command == "train-head" or any(k.startswith("train.") for k in raw))
+    sections = {name: {} for name in known}
     seed = 0
     for key, text in raw.items():
         if key == "seed":
             seed = _parse_text(int, text, key)
             continue
         section, _, field_name = key.partition(".")
-        if section not in _SECTIONS or not field_name:
+        if section not in known or not field_name:
             raise ConfigError(f"config-invalid: unknown config key {key!r}")
-        _, hints = _SECTIONS[section]
+        _, hints = known[section]
         if field_name not in hints:
             raise ConfigError(f"config-invalid: unknown config key {key!r}")
         sections[section][field_name] = _parse_text(hints[field_name], text, key)
@@ -144,9 +149,9 @@ def resolve_config(args):
         text = getattr(args, key, None)
         if text is not None:
             flag = "--" + key.replace("_", "-")
-            sections[section][key] = _parse_text(_SECTIONS[section][1][key], text, flag)
-    built = {name: _SECTIONS[name][0](**values) for name, values in sections.items()}
-    train_cfg = built.pop("train")
+            sections[section][key] = _parse_text(known[section][1][key], text, flag)
+    built = {name: known[name][0](**values) for name, values in sections.items()}
+    train_cfg = built.pop("train", None)
     return PipelineConfig(**built), train_cfg, run_seed
 
 
@@ -277,7 +282,7 @@ def _cmd_sweep(args):
     names = store.list_images_dir(args.test)
     # decoded one file at a time: each test image is noised at every level before the next
     test_images = (store.load_image(os.path.join(args.test, n)) for n in names)
-    report = sensitivity_sweep(base_feats, test_images, kind, levels, pipeline, seed=run_seed)
+    report = _package.sensitivity_sweep(base_feats, test_images, kind, levels, pipeline, run_seed)
     store.write_report(report, args.format, args.out, config=_config_record(pipeline, run_seed))
     return 0
 
@@ -311,7 +316,7 @@ def _cmd_train_head(args):
             raise DataError(f"unlabelable-id: no labels line can hold the id {sid!r}")
         raise DataError(f"label-missing: no label for {sid!r}")
     data = [(v, labels[v.source_id]) for v in features]
-    model, curve = train_head(data, train_cfg)
+    model, curve = _package.train_head(data, train_cfg)
     store.save_model(model, args.out, train_config=train_cfg)
     if args.curve:
         lines = ["epoch,mean_loss"]
@@ -361,6 +366,9 @@ def main(argv=None):
         return 3
     except OSError as exc:
         print(f"driftsketch: io-error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a fault of the program: named, and never read as a detection
+        print(f"driftsketch: internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -381,6 +381,9 @@ _POSITIVE = _within("(0, inf)")
 _NONNEGATIVE = _within("[0, inf)")
 _FINITE = _within("(-inf, inf)")
 
+# the noise lab's corruption kinds, named here so that the CLI lists them without loading it
+NOISE_KINDS = ("gaussian", "salt_pepper", "speckle", "poisson")
+
 
 def _rows(cls):
     """Rule: the rows of a report, an iterable of `cls` records, held as a

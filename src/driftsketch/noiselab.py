@@ -16,12 +16,11 @@ import numpy as np
 
 from .core import _COSINE, _FINITE, _NONNEGATIVE, _UNIT, ConfigError, DataError, FeatureVector
 from .core import ImageGrid, _batch, _check_fields, _check_seed, _decode_value, _one_of, _rows
-from .core import derive_seed, seeded_rng
+from .core import NOISE_KINDS, derive_seed, seeded_rng
 from .extract import extract_batch
 from .sketchlib import build_library, gate_check
 from .stats import drift_report
 
-NOISE_KINDS = ("gaussian", "salt_pepper", "speckle", "poisson")
 _NOISE_KIND = _one_of(*NOISE_KINDS)  # the rule of every noise kind, field or argument
 
 # Poisson photon scale: lambda = POISSON_BASE / level, so level in (0,1]
@@ -79,7 +78,9 @@ def gaussian_noise(img, sigma, seed=0):
     if sigma == 0.0:
         return img
     rng = seeded_rng(seed, "noise.gaussian")
-    return _replace_pixels(img, img.pixels + rng.standard_normal(img.pixels.size) * sigma)
+    with np.errstate(over="ignore"):  # a sigma past ~4e307 draws +-inf, which the clamp takes
+        shift = rng.standard_normal(img.pixels.size) * sigma
+    return _replace_pixels(img, img.pixels + shift)
 
 
 def salt_pepper(img, fraction, seed=0):

@@ -870,6 +870,29 @@ class TestErrors:
         report, _ = read_drift_report(out)
         assert report.ks_alpha == 0.01
 
+    @pytest.mark.parametrize(
+        "key, first, last", [("gate.j_alpha", "0.5", "0.7"), ("seed", "1", "2")]
+    )
+    def test_repeated_config_key_exits_two(self, tmp_path, baseline_dir, capsys, key, first, last):
+        """A key set twice is named with both its lines; neither value wins."""
+        cfg = _write_config(tmp_path, f"{key} = {first}\n# comment\n{key} = {last}")
+        out = tmp_path / "lib.dskl"
+        assert main(["build-baseline", baseline_dir, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"driftsketch: config-invalid: {cfg}:3: key {key!r} repeats line 1\n"
+        )
+        assert not out.exists()
+
+    def test_unexpected_exception_is_an_internal_error(self, tmp_path, monkeypatch, capsys):
+        """A fault of the program exits 3 with one named line and no traceback,
+        never 1, which reads as a detection."""
+        def fail(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(driftsketch.cli._COMMANDS, "split", fail)
+        assert main(["split", "ids.txt", "--out", str(tmp_path / "plan.json")]) == 3
+        assert capsys.readouterr().err == "driftsketch: internal-error: RuntimeError: boom\n"
+
 
 class TestNonUtf8Inputs:
     """A text input holding a byte that is not UTF-8 gets a named error that

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import driftsketch
 from driftsketch import ConfigError, DataError, ImageGrid, PipelineConfig, validate_image
-from driftsketch.cli import _SECTIONS
+from driftsketch.cli import _sections
 from driftsketch.core import DriftSketchError, _decode, _first_draw, _parse_text, derive_seed
 from driftsketch.core import seeded_rng
 from driftsketch.extract import ExtractConfig
@@ -200,7 +200,7 @@ class TestPipelineConfig:
 
 
 # a valid record of every config-file section, plus a noise spec
-_VALID = {name: cls() for name, (cls, _) in _SECTIONS.items()}
+_VALID = {name: cls() for name, (cls, _) in _sections(train=True).items()}
 _VALID["noise"] = NoiseSpec(kind="gaussian", level=0.1)
 
 # per record: a field, a value its constructor rejects, and the error it names

@@ -62,6 +62,20 @@ class TestGaussianNoise:
         with pytest.raises(ConfigError, match=error):
             gaussian_noise(constant_image(0.5), -0.1)
 
+    def test_huge_sigma_clamps_without_warning(self):
+        """At sigma 1e308 most draws overflow to +-inf, which the clamp takes
+        to 1 or 0; the suite turns a stray overflow warning into an error."""
+        img = constant_image(0.5, 16)
+        out = gaussian_noise(img, 1e308, seed=4)
+        draws = seeded_rng(4, "noise.gaussian").standard_normal(img.pixels.size)
+        np.testing.assert_array_equal(out.pixels, np.sign(draws) / 2 + 0.5)
+        levels = [0.0, 0.1, 1e308]
+        imgs = corpus(44, 4, "sweep-huge")
+        report = sensitivity_sweep(
+            extract_batch(imgs, ExtractConfig()), imgs, "gaussian", levels, PipelineConfig(), seed=8
+        )
+        assert [r.level for r in report.rows] == levels
+
 
 class TestSaltPepper:
     def test_zero_fraction_identity(self):
