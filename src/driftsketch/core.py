@@ -82,6 +82,9 @@ class ImageGrid:
         return self.pixels.reshape(self.height, self.width, self.channels).copy()
 
 
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
 def validate_image(img):
     """Raise DataError naming the first offending index if `img` is invalid."""
     if not (_is_integer(img.width) and _is_integer(img.height) and _is_integer(img.channels)):
@@ -93,19 +96,24 @@ def validate_image(img):
         raise DataError(f"dimension-mismatch: width={img.width}, height={img.height}")
     if img.channels not in (1, 3):
         raise DataError(f"dimension-mismatch: channels must be 1 or 3, got {img.channels}")
+    pixels = img.pixels
     expected = img.width * img.height * img.channels
-    if img.pixels.shape[0] != expected:
+    if pixels.shape[0] != expected:
         raise DataError(
-            f"dimension-mismatch: {img.pixels.shape[0]} pixels supplied, expected {expected}"
+            f"dimension-mismatch: {pixels.shape[0]} pixels supplied, expected {expected}"
         )
-    if img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0:
+    # as uint64, the bits of a float64 in [+0.0, 1.0] are at most those of
+    # 1.0, and the bits of anything else (-0.0 included) are larger: one pass
+    if pixels.dtype == np.float64 and pixels.view(np.uint64).max() <= _ONE_BITS:
+        return
+    if pixels.min() >= 0.0 and pixels.max() <= 1.0:
         return  # min and max propagate NaN, which fails both comparisons
-    finite = np.isfinite(img.pixels)
+    finite = np.isfinite(pixels)
     if not finite.all():
         idx = int(np.argmin(finite))
         raise DataError(f"non-finite-pixel({idx})")
-    idx = int(np.argmin((img.pixels >= 0.0) & (img.pixels <= 1.0)))
-    raise DataError(f"out-of-range-pixel({idx}): value {float(img.pixels[idx])!r}")
+    idx = int(np.argmin((pixels >= 0.0) & (pixels <= 1.0)))
+    raise DataError(f"out-of-range-pixel({idx}): value {float(pixels[idx])!r}")
 
 
 @dataclass(frozen=True)

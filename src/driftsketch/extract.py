@@ -10,6 +10,7 @@ random projection and L2 normalization. It is a pure function of
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Annotated
@@ -66,13 +67,15 @@ def _projection_matrix(seed, d_in, d_out):
 def _patch_geometry(height, width, grid):
     """(row starts, column starts, rows per band, columns per band, pixels
     per patch) of the g x g grid; floor-based cell boundaries, unambiguous
-    for non-divisible sizes."""
-    row_edges = [(height * i) // grid for i in range(grid + 1)]
-    col_edges = [(width * i) // grid for i in range(grid + 1)]
+    for non-divisible sizes. The starts and bands are intp and the pixel
+    counts float64, the types reduceat, repeat and the divisions take, so
+    no call converts them."""
+    row_edges = np.array([(height * i) // grid for i in range(grid + 1)], dtype=np.intp)
+    col_edges = np.array([(width * i) // grid for i in range(grid + 1)], dtype=np.intp)
     rows_per = np.diff(row_edges)
     cols_per = np.diff(col_edges)
-    counts = np.outer(rows_per, cols_per)
-    for arr in (rows_per, cols_per, counts):
+    counts = np.outer(rows_per, cols_per).astype(np.float64)
+    for arr in (row_edges, col_edges, rows_per, cols_per, counts):
         arr.flags.writeable = False
     return row_edges[:-1], col_edges[:-1], rows_per, cols_per, counts
 
@@ -108,18 +111,20 @@ def extract_builtin(img, cfg, source_id=""):
     vec = np.empty(ch * (2 * g * g + b), dtype=np.float64)
     out = vec.reshape(ch, 2 * g * g + b)
     means, stds = out[:, : 2 * g * g].reshape(ch, g, g, 2).transpose(3, 0, 1, 2)
-    np.divide(patch_sums(planes), counts, out=means, dtype=np.float64)
+    np.divide(patch_sums(planes), counts, out=means)
     # two-pass std: each pixel's deviation from its own patch's mean, squared in place
-    dev = np.repeat(np.repeat(means, rows_per, axis=1), cols_per, axis=2)
-    np.subtract(planes, dev, out=dev, dtype=np.float64)
-    np.multiply(dev, dev, out=dev, dtype=np.float64)
-    np.sqrt(np.divide(patch_sums(dev), counts, out=stds, dtype=np.float64), out=stds)
+    dev = means.repeat(rows_per, axis=1).repeat(cols_per, axis=2)
+    np.subtract(planes, dev, out=dev)
+    np.multiply(dev, dev, out=dev)
+    np.sqrt(np.divide(patch_sums(dev), counts, out=stds), out=stds)
 
     # right-closed bins (i/b, (i+1)/b], first bin closed at 0: ceil(x*b) is a
     # slot in 0..b, slot 0 (x = 0) folds into bin 0, and channel c counts into
-    # slots [c*(b+1), (c+1)*(b+1)) of one bincount (small float offsets, exact)
-    slots = np.ceil(np.multiply(planes, float(b), out=dev, dtype=np.float64), out=dev)
-    slots += (b + 1) * np.arange(ch, dtype=np.float64)[:, None, None]
+    # slots [c*(b+1), (c+1)*(b+1)) of one bincount (small float offsets, exact;
+    # a gray image's offsets are all zero)
+    slots = np.ceil(np.multiply(planes, float(b), out=dev), out=dev)
+    if ch > 1:
+        slots += (b + 1) * np.arange(ch, dtype=np.float64)[:, None, None]
     hist = np.bincount(slots.astype(np.intp).ravel(), minlength=ch * (b + 1)).reshape(ch, b + 1)
     hist[:, 1] += hist[:, 0]
     np.divide(hist[:, 1:], float(h * w), out=out[:, 2 * g * g :], dtype=np.float64)
@@ -133,7 +138,7 @@ def extract_builtin(img, cfg, source_id=""):
         vec = _projection_matrix(cfg.projection_seed, vec.shape[0], cfg.projection_dim) @ vec
     if cfg.l2_normalize:
         # sqrt(vec . vec) is what np.linalg.norm computes for a real vector
-        norm = np.sqrt(vec.dot(vec))
+        norm = math.sqrt(vec.dot(vec))
         if norm > 0.0:
             vec /= norm
     vec.flags.writeable = False  # new, so the vector holds it without a copy

@@ -294,8 +294,10 @@ def _quantize(values, q):
     checked as `tokenize` documents."""
     if q.clamp_lo is not None:
         values = np.clip(values, q.clamp_lo, q.clamp_hi)
-    with np.errstate(over="ignore"):
-        bins = np.floor((values - q.origin) / q.bin_width)
+    with np.errstate(over="ignore"):  # the subtraction and the division may overflow
+        bins = np.subtract(values, q.origin)
+        bins /= q.bin_width
+        np.floor(bins, out=bins)
     if not np.abs(bins).max(initial=0.0) < _BIN_LIMIT:  # also catches NaN
         bad = int(np.argmax(~(np.abs(bins) < _BIN_LIMIT)))
         raise DataError(

@@ -103,6 +103,10 @@ def _format_float(x):
     return repr(x)
 
 
+# what json.dumps calls for a str (json's C encoder where it is built)
+_jstr = json.encoder.encode_basestring_ascii
+
+
 def _jdump(obj, sort_keys=False):
     """Compact JSON with reals as ``_format_float`` writes them; NaN and the
     infinities, which JSON cannot carry, raise DataError."""
@@ -117,12 +121,12 @@ def _jdump(obj, sort_keys=False):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _jstr(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_jdump(v, sort_keys) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items()) if sort_keys else obj.items()
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_jdump(v, sort_keys)}" for k, v in items) + "}"
+        return "{" + ",".join(f"{_jstr(str(k))}:{_jdump(v, sort_keys)}" for k, v in items) + "}"
     raise TypeError(f"unserializable type {type(obj).__name__}")
 
 

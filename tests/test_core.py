@@ -63,20 +63,36 @@ class TestValidateImage:
         bad=st.lists(
             st.tuples(
                 st.integers(0, 39),
-                st.sampled_from([np.nan, np.inf, -np.inf, -1e-300, -0.5, 1.0 + 2**-52, 2.0, -0.0]),
+                st.sampled_from([
+                    np.nan, np.inf, -np.inf, -1e-300, -0.5, 1.0 + 2**-52, 2.0, -0.0,
+                    5e-324, -5e-324, np.nextafter(1.0, 0.0), np.finfo(np.float64).max,
+                    np.copysign(np.nan, -1.0),
+                ]),
             ),
             max_size=4,
         ),
+        negative_zeros=st.booleans(),
+        layout=st.sampled_from(["float64", "float32", "int64", ">f8", "strided"]),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_same_verdict_as_reference(self, n, bad):
-        """The min/max screen accepts and rejects what the reference's one
-        range mask does, with the same message: the first non-finite pixel,
-        else the first out of range. -0.0 is in range. A stand-in with a
-        grid's four fields is checked, since a grid checks itself when built."""
-        pixels = np.linspace(0.0, 1.0, n)
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_as_reference(self, n, bad, negative_zeros, layout):
+        """The bit-pattern screen, then the min/max test, accept and reject
+        what the reference's one range mask does, with the same message: the
+        first non-finite pixel, else the first out of range. -0.0 is in
+        range, also in an image of nothing else. A stand-in with a grid's
+        four fields is checked, since a grid checks itself when built, and
+        its pixels may be of another dtype, byte order or stride, whose bits
+        the screen must not read as float64's."""
+        pixels = np.full(n, -0.0) if negative_zeros else np.linspace(0.0, 1.0, n)
         for idx, value in bad:
             pixels[idx % n] = value
+        if layout == "strided":
+            pixels = np.repeat(pixels, 2)[::2]
+        elif layout == "int64":  # -2..2, of which 0 and 1 are in range
+            pixels = np.clip(np.nan_to_num(pixels), -2, 2).astype(np.int64)
+        elif layout != "float64":
+            with np.errstate(over="ignore"):  # float64's largest value is inf as float32
+                pixels = pixels.astype(layout)
         img = SimpleNamespace(width=n, height=1, channels=1, pixels=pixels)
 
         def verdict(check):

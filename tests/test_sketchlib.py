@@ -66,10 +66,20 @@ class TestTokenize:
         assert exact_jaccard(a, b) == 0.0
         assert exact_jaccard(a, c) == 1.0
 
-    @pytest.mark.parametrize("big", [1e20, -1e20, 1e308])
-    def test_bin_outside_int64_rejected(self, big):
+    @pytest.mark.parametrize(
+        "values, q",
+        [
+            pytest.param([1e20, 5.0], QuantConfig(), id="1e+20"),
+            pytest.param([-1e20, 5.0], QuantConfig(), id="-1e+20"),
+            pytest.param([1e308, 5.0], QuantConfig(), id="1e+308"),  # the division overflows
+            # the subtraction overflows
+            pytest.param([1e308], QuantConfig(origin=-1e308), id="1e+308-from--1e+308"),
+        ],
+    )
+    def test_bin_outside_int64_rejected(self, values, q):
+        # no RuntimeWarning either: the suite turns warnings into errors
         with pytest.raises(DataError, match="value-out-of-range: component 0"):
-            tokenize(FeatureVector(values=[big, 5.0]), QuantConfig())
+            tokenize(FeatureVector(values=values), q)
 
     def test_largest_in_range_bin_accepted(self):
         # 4.6e17 / 0.05 = 9.2e18 < 2**63

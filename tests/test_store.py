@@ -1060,6 +1060,20 @@ class TestRealsAsText:
             digits = len(text.split("e")[0].lstrip("-").replace(".", "").lstrip("0"))
             assert digits == 1 or float(f"{x:.{digits - 1}g}") != x
 
+    @given(
+        st.text(
+            st.one_of(
+                st.characters(),
+                st.integers(0, 0x10FFFF).map(chr),  # lone surrogates too
+                st.sampled_from('\x00\x1f\x7f"\\/\u2028\ud800\udfff'),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_strings_as_json_dumps_writes_them(self, s):
+        assert _jdump(s) == json.dumps(s)
+        assert _jdump({s: [s]}) == json.dumps({s: [s]}, separators=(",", ":"))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_no_json_for_a_non_finite_real(self, tmp_path, bad):
         with pytest.raises(DataError, match="^non-finite-value: JSON cannot carry "):
