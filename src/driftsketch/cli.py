@@ -18,7 +18,7 @@ from dataclasses import asdict, replace
 from . import store
 from .core import NOISE_KINDS, ConfigError, DataError, PipelineConfig, _check_seed, _distinct_ids
 from .core import _field_types, _package, _parse_text, _stage_configs
-from .extract import extract_builtin, extract_fingerprint, load_embeddings
+from .extract import EMBEDDING_MAGIC, extract_builtin, extract_fingerprint, load_embeddings
 from .sketchlib import GateReport, build_library, gate_check
 from .stats import drift_report
 
@@ -164,9 +164,9 @@ def _classify_input(path, other=None):
             head = fh.read(32)
     except OSError as exc:
         raise DataError(f"io-error: cannot read {path}: {exc}")
-    if head[:2] in (b"P5", b"P6"):
+    if head[:2] in (store.PGM_MAGIC, store.PPM_MAGIC):
         return "image"
-    if head.startswith(b"driftsketch-emb"):
+    if head.startswith(EMBEDDING_MAGIC.encode("ascii")):
         return "embeddings"
     if other is not None:
         return other

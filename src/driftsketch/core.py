@@ -318,6 +318,9 @@ def derive_seed(seed, label):
 _JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool, list: list, dict: dict}
 _BOOLS = {"true": True, "false": False, "1": True, "0": False}
 _UNTYPED = (object, np.ndarray)  # an array field is typed by its `_array` rule
+# a whole float below this magnitude is written as an integer (``store._format_float``),
+# so a ``float`` field also takes an integer below it that a float holds exactly
+_WHOLE_LIMIT = 1e17
 
 
 @lru_cache(maxsize=None)
@@ -443,7 +446,7 @@ def _typed(cls, values):
     """`values`, a dict holding every field of dataclass `cls`, each value
     typed in place by its annotation, then checked by its rule, in field
     order: an ``int`` takes an integer, a ``float`` a float or an integer as
-    ``_jdump`` writes a whole float (below 1e17 and exact), ``str``,
+    ``_jdump`` writes a whole float (below ``_WHOLE_LIMIT`` and exact), ``str``,
     ``bool``, ``list`` and ``dict`` that type, ``object`` and ``np.ndarray``
     anything, ``X | None`` also None, unruled, and a dataclass an instance
     of it, as it is, or a JSON object, decoded in turn. A NumPy scalar
@@ -480,7 +483,7 @@ def _read(field, value, name):
         value = value.item() if isinstance(value, np.generic) else value
         ok = isinstance(value, types) and (hint is bool) == isinstance(value, bool)
         if ok and hint is float:
-            ok = isinstance(value, float) or abs(value) < 1e17 and float(value) == value
+            ok = isinstance(value, float) or abs(value) < _WHOLE_LIMIT and float(value) == value
             value = float(value) if ok else value
         if not ok:
             kind = hint.__name__ + (" or null" if optional else "")

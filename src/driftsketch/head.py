@@ -8,6 +8,7 @@ update instead, so both update rules are available and tested.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Annotated
 
 import numpy as np
@@ -99,17 +100,23 @@ def _sigmoid(z):
 
 
 def predict(model, x):
-    """P(label=1 | x) = sigmoid(w . x + b)."""
+    """P(label=1 | x) = sigmoid(w . x + b), w . x exact where the dot product overflows."""
     values = _as_vector(x, "x").values
     if values.shape[0] != model.w.shape[0]:
         raise DataError(
             f"dimension-mismatch: input dim {values.shape[0]}, model dim {model.w.shape[0]}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        z = float(model.w @ values) + model.b
-    if math.isnan(z):  # an infinite w . x has a sigmoid; two of opposite signs do not
-        raise DataError("non-finite-value: w . x overflows")
-    return float(_sigmoid(z))
+        wx = float(model.w @ values)
+    if not math.isfinite(wx):
+        # a sum overflowed, maybe only in the order the dot product took: the
+        # exact w . x decides, rounded, or infinite where it is past the float range
+        exact = sum(Fraction(a) * Fraction(c) for a, c in zip(model.w.tolist(), values.tolist()))
+        try:
+            wx = float(exact)
+        except OverflowError:  # an infinite w . x has a sigmoid
+            wx = math.inf if exact > 0 else -math.inf
+    return float(_sigmoid(wx + model.b))
 
 
 def bce_loss(probs, labels):

@@ -28,11 +28,13 @@ Formats owned by this module:
   checked for the canonical form ``save_library`` writes; a v1 file's rows
   are deduplicated as ``SketchLibrary.from_minima`` does. So gate scores do
   not depend on which version a library came from.
-- Model checkpoints and split plans: one-line JSON followed by a
-  ``# blake2b=<hex>`` integrity line.
-- Every JSON document read back (checkpoint, split plan, library header,
-  report header and rows) is decoded by ``core._decode`` into the dataclass
-  it holds, typed by that class's annotations, after ``_check_schema``.
+- Model checkpoints and split plans: one JSON line, then the
+  ``# blake2b=<hex>`` line of that line. They and reports are read by one
+  reader (``_checked_text``), their ``# blake2b=`` lines checked by one
+  function and their kind and schema_version by ``_check_schema``, so each
+  fault has one text. Every JSON document read back (these, library
+  headers, report rows) is decoded by ``core._decode`` into the dataclass
+  it holds, typed by that class's annotations.
 - Reports (drift, sensitivity and gate): JSON-lines or CSV, one record per
   period, level or checked item, a trailing checksum record; CSV extras ride
   in ``#`` comment lines so the files stay directly plottable. One codec
@@ -65,13 +67,15 @@ import numpy as np
 
 from ._zstream import Body, checked, seal
 from .core import ConfigError, DataError, DriftSketchError, ImageGrid, StoreError, seeded_rng
-from .core import _at_least, _batch, _check_fields, _check_seed, _decode, _decode_value
-from .core import _distinct_ids, _field_plan, _field_types, _is_integer, _package, _parse_text
+from .core import _WHOLE_LIMIT, _at_least, _batch, _check_fields, _check_seed, _decode
+from .core import _decode_value, _distinct_ids, _field_plan, _field_types, _is_integer, _package
+from .core import _parse_text
 from .extract import _encode_embeddings
 from .sketchlib import QuantConfig, SketchConfig, SketchLibrary
 
 LIBRARY_MAGIC = b"DSKL"
 LIBRARY_VERSION = 4
+PGM_MAGIC, PPM_MAGIC = b"P5", b"P6"  # of a gray and of an RGB image
 _SCHEMA_VERSION = 1  # of every JSON document: checkpoints, split plans, reports, v1 libraries
 _CHECKSUM_PREFIX = "# blake2b="
 
@@ -96,9 +100,9 @@ def atomic_write_bytes(path, data):
 
 def _format_float(x):
     """The fewest digits that read back as the same float64 (``repr``); a
-    whole float below 1e17 is written as an integer, as in ``-0`` or ``3``."""
+    whole float below ``core._WHOLE_LIMIT`` is written as an integer, as in ``-0`` or ``3``."""
     x = float(x)
-    if x.is_integer() and abs(x) < 1e17:
+    if x.is_integer() and abs(x) < _WHOLE_LIMIT:
         return f"{x:.17g}"
     return repr(x)
 
@@ -108,8 +112,10 @@ _jstr = json.encoder.encode_basestring_ascii
 
 
 def _jdump(obj, sort_keys=False):
-    """Compact JSON with reals as ``_format_float`` writes them; NaN and the
-    infinities, which JSON cannot carry, raise DataError."""
+    """Compact JSON with reals as ``_format_float`` writes them. NaN and the
+    infinities raise DataError("non-finite-value"), and a value of another
+    type, or an object key that is not a str, DataError("unsupported-value"):
+    JSON cannot carry them as they are."""
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise DataError(f"non-finite-value: JSON cannot carry {obj!r}")
@@ -125,9 +131,12 @@ def _jdump(obj, sort_keys=False):
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_jdump(v, sort_keys) for v in obj) + "]"
     if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise DataError(f"unsupported-value: JSON object key {key!r} is not a string")
         items = sorted(obj.items()) if sort_keys else obj.items()
-        return "{" + ",".join(f"{_jstr(str(k))}:{_jdump(v, sort_keys)}" for k, v in items) + "}"
-    raise TypeError(f"unserializable type {type(obj).__name__}")
+        return "{" + ",".join(f"{_jstr(k)}:{_jdump(v, sort_keys)}" for k, v in items) + "}"
+    raise DataError(f"unsupported-value: JSON cannot carry a {type(obj).__name__}")
 
 
 def _json_int(text):
@@ -154,11 +163,16 @@ def _json_object(pairs):
 
 
 def _loads(text):
-    """Parse JSON as the writers here write it: ``-0`` is -0.0, and a number
-    past the float range or a key repeated in one object raises ValueError."""
-    return json.loads(
-        text, parse_int=_json_int, parse_float=_json_float, object_pairs_hook=_json_object
-    )
+    """Parse JSON, str or UTF-8 bytes, as the writers here write it: ``-0`` is
+    -0.0. Bytes not UTF-8, text not JSON or nested too deeply, a number past
+    the float range or a repeated key raise StoreError("malformed-payload")."""
+    try:
+        text = text.decode("utf-8") if isinstance(text, bytes) else text
+        return json.loads(
+            text, parse_int=_json_int, parse_float=_json_float, object_pairs_hook=_json_object
+        )
+    except (ValueError, RecursionError) as exc:
+        raise StoreError(f"malformed-payload: {exc}") from None
 
 
 def _malformed(exc):
@@ -175,10 +189,16 @@ def _decode_file(cls, obj, **given):
         raise _malformed(exc) from None
 
 
-def _check_schema(obj):
-    """Remove the ``schema_version`` of a JSON document; it must be 1."""
+def _check_schema(obj, kind=None):
+    """Remove the ``kind`` of a JSON document, which must be `kind` where that
+    is given, and its ``schema_version``, which must be 1."""
     if not isinstance(obj, dict):
-        raise StoreError(f"malformed-payload: expected an object, got {type(obj).__name__}")
+        what = "malformed-payload: expected an" if kind is None else f"bad-magic: expected a {kind}"
+        raise StoreError(f"{what} object, got {type(obj).__name__}")
+    if kind is not None:
+        found = obj.pop("kind", None)
+        if found != kind:
+            raise StoreError(f"bad-magic: expected kind {kind!r}, got {found!r}")
     version = obj.pop("schema_version", None)
     if not _is_integer(version) or version != _SCHEMA_VERSION:
         raise StoreError(f"version-unsupported: schema_version {version!r}")
@@ -203,9 +223,9 @@ def load_image(path):
     """
     with open(path, "rb", buffering=0) as fh:
         data = fh.read()
-    if len(data) < 2 or data[:2] not in (b"P5", b"P6"):
+    if data[:2] not in (PGM_MAGIC, PPM_MAGIC):
         raise StoreError(f"unsupported-format: expected P5 or P6 magic in {path}")
-    channels = 1 if data[:2] == b"P5" else 3
+    channels = 1 if data[:2] == PGM_MAGIC else 3
     header = _HEADER_FIELDS.match(data, 2)
     fields = []
     for token in header.groups():
@@ -245,7 +265,7 @@ def load_image(path):
 
 def save_image(img, path):
     """Encode an ImageGrid as binary PGM (1 channel) or PPM (3 channels)."""
-    magic = b"P5" if img.channels == 1 else b"P6"
+    magic = PGM_MAGIC if img.channels == 1 else PPM_MAGIC
     header = magic + f"\n{img.width} {img.height}\n255\n".encode("ascii")
     raster = np.rint(img.pixels * 255.0).astype(np.uint8).tobytes()
     atomic_write_bytes(path, header + raster)
@@ -355,7 +375,7 @@ def _read_library_v1(data):
     payload = checked(memoryview(data)[14:])
     if len(payload) != length:
         raise StoreError(f"malformed-payload: {len(payload) - length} bytes after the payload")
-    obj = _loads(bytes(payload).decode("utf-8"))  # load_library names a fault
+    obj = _loads(bytes(payload))
     _check_schema(obj)
     head = _decode(_LibraryV1, obj)
     return head, [e["source_id"] for e in head.entries], [e["minima"] for e in head.entries]
@@ -368,7 +388,7 @@ def _library_body(body, version):
     start = 8 + int.from_bytes(body.read(8), "little")
     header = body.read(start - 8)
     try:
-        obj = _loads(header.decode("utf-8"))
+        obj = _loads(header)
         if version == 2 and isinstance(obj, dict):
             obj["dim"] = None  # a v2 file's dimension is unknown, whatever its header says
         head = _decode(_LibraryHeader, obj)
@@ -379,7 +399,7 @@ def _library_body(body, version):
                 f"malformed-payload: m={m}, u={u}, k={k} disagree with {len(head.ids)} ids, "
                 f"sketch k {head.sketch.k!r} or {body.size - start} data bytes"
             )
-    except (StoreError, ConfigError, ValueError, RecursionError):
+    except (StoreError, ConfigError, ValueError):
         body.close()  # a fault in a zlib stream names itself before the header's
         raise
     distinct = np.empty((u, k), "<u8")
@@ -435,9 +455,8 @@ def load_library(data):
         return SketchLibrary(ids, rows, row_index, *configs)
     except StoreError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, DriftSketchError) as e:
-        # RecursionError: JSON nested too deeply for the parser; a DataError
-        # or ConfigError: what the library checks of itself as it is built
+    except (KeyError, TypeError, ValueError, OverflowError, DriftSketchError) as e:
+        # a DataError or ConfigError: what the library checks of itself as it is built
         raise _malformed(e)
 
 
@@ -451,42 +470,52 @@ def read_library(path):
 
 
 # ---------------------------------------------------------------------------
-# checked JSON documents (model checkpoints, split plans)
+# checked text files; checked JSON documents (model checkpoints, split plans)
 # ---------------------------------------------------------------------------
+
+
+def _checksum_line(covered):
+    """The ``# blake2b=`` line, with its newline, that checks the bytes `covered`."""
+    return f"{_CHECKSUM_PREFIX}{_digest(covered)}\n".encode("ascii")
+
+
+def _check_checksum_line(line, covered):
+    """Check `line`, a file's last line less its newline, as the ``_checksum_line`` of `covered`."""
+    if not line.startswith(_CHECKSUM_PREFIX):
+        raise StoreError("bad-magic: missing checksum line")
+    if line[len(_CHECKSUM_PREFIX) :] != _digest(covered):
+        raise StoreError("checksum-mismatch")
+
+
+def _checked_text(path, kind):
+    """(body, last line) of a checked text file of `kind`: every line but the
+    last, each with its newline, and the last, the checksum's, without."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw:
+        raise StoreError(f"bad-magic: empty {kind} file")
+    if not raw.endswith(b"\n"):
+        raise StoreError("checksum-mismatch: missing trailing newline")
+    cut = raw.rfind(b"\n", 0, len(raw) - 1) + 1
+    if not cut:
+        raise StoreError(f"bad-magic: not a {kind} file")
+    return raw[:cut], raw[cut:-1]
 
 
 def _write_checked_json(kind, fields, path):
     """Write the fields of a document of `kind`, as ``_read_checked_json`` reads it."""
     line = _jdump({"kind": kind, "schema_version": _SCHEMA_VERSION, **fields}).encode("utf-8")
-    checksum = f"{_CHECKSUM_PREFIX}{_digest(line)}\n".encode("ascii")
-    atomic_write_bytes(path, line + b"\n" + checksum)
+    atomic_write_bytes(path, line + b"\n" + _checksum_line(line))
 
 
 def _read_checked_json(path, kind):
-    """The JSON object of a checked document of `kind`, its checksum, kind
-    and schema_version checked, less those two keys."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    lines = raw.split(b"\n", 2)
-    if len(lines) < 3:
+    """The JSON object of a checked document of `kind`, less its kind and schema_version."""
+    body, last = _checked_text(path, kind)
+    _check_checksum_line(last.decode("ascii", errors="replace"), body[:-1])
+    if body.index(b"\n") < len(body) - 1:  # the checksum holds over more than one line
         raise StoreError(f"bad-magic: not a {kind} file")
-    if lines[2]:
-        raise StoreError(f"checksum-mismatch: {len(lines[2])} bytes after the integrity line")
-    payload, checksum_line = lines[0], lines[1].decode("ascii", errors="replace")
-    if not checksum_line.startswith(_CHECKSUM_PREFIX):
-        raise StoreError(f"bad-magic: missing integrity line in {kind} file")
-    if _digest(payload) != checksum_line[len(_CHECKSUM_PREFIX) :]:
-        raise StoreError("checksum-mismatch")
-    try:
-        obj = _loads(payload.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise _malformed(exc) from None
-    if not isinstance(obj, dict):
-        raise StoreError(f"bad-magic: expected a {kind} object, got {type(obj).__name__}")
-    found = obj.pop("kind", None)
-    if found != kind:
-        raise StoreError(f"bad-magic: expected kind {kind!r}, got {found!r}")
-    _check_schema(obj)
+    obj = _loads(body)
+    _check_schema(obj, kind)
     return obj
 
 
@@ -626,7 +655,7 @@ def encode_report(report, format, config=None):
         lines += ["# " + _jdump(header), ",".join(names)]
         lines += [",".join(_csv_cell(v) for v in r.values()) for r in records]
         body = ("\n".join(lines) + "\n").encode("utf-8")
-        return body + f"{_CHECKSUM_PREFIX}{_digest(body)}\n".encode("ascii")
+        return body + _checksum_line(body)
     raise ConfigError(f"config-invalid: unknown report format {format!r}")
 
 
@@ -635,31 +664,21 @@ def write_report(report, format, path, config=None):
     atomic_write_bytes(path, encode_report(report, format, config))
 
 
-def _read_report_lines(path, expected_kind):
-    """(header, records, config) of a report file, its checksum verified.
+def _read_report_lines(path, kind):
+    """(header, records, config) of a report file of `kind`, its checksum
+    verified and its header's kind and schema_version checked and removed.
 
     The digest is checked over the exact body bytes as stored, so any
     single-bit corruption is caught before parsing. A JSON-lines header
     loses its ``config``. Records are dicts of JSON values (JSON-lines) or
     of cells parsed by their column's annotation (CSV).
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw:
-        raise StoreError(f"bad-magic: empty {expected_kind} file")
-    if not raw.endswith(b"\n"):
-        raise StoreError("checksum-mismatch: missing trailing newline")
-    cut = raw.rfind(b"\n", 0, len(raw) - 1)
-    if cut < 0:
-        raise StoreError(f"bad-magic: not a {expected_kind} file")
-    body = raw[: cut + 1]
+    body, trailer = _checked_text(path, kind)
     try:
-        trailer = raw[cut + 1 : -1].decode("utf-8")
+        trailer = trailer.decode("utf-8")
         lines = body.decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError as exc:
         raise StoreError(f"checksum-mismatch: undecodable file ({exc})")
-    if not lines:
-        raise StoreError(f"bad-magic: not a {expected_kind} file")
     if lines[0].startswith("{"):
         # jsonl
         try:
@@ -670,42 +689,28 @@ def _read_report_lines(path, expected_kind):
             raise StoreError("bad-magic: missing checksum record")
         if _digest(body) != last.get("blake2b"):
             raise StoreError("checksum-mismatch")
-        try:
-            header = _loads(lines[0])
-            records = [_loads(ln) for ln in lines[1:]]
-        except (ValueError, RecursionError) as exc:
-            raise StoreError(f"malformed-payload: {exc}")
-        if header.get("kind") != expected_kind:
-            raise StoreError(
-                f"bad-magic: expected {expected_kind!r}, got {header.get('kind')!r}"
-            )
+        header, *records = map(_loads, lines)
+        _check_schema(header, kind)
         if "config" not in header:
             raise StoreError("malformed-payload: 'config'")
         return header, records, header.pop("config")
     # csv
-    if not trailer.startswith(_CHECKSUM_PREFIX):
-        raise StoreError("bad-magic: missing checksum line")
-    if _digest(body) != trailer[len(_CHECKSUM_PREFIX) :]:
-        raise StoreError("checksum-mismatch")
+    _check_checksum_line(trailer, body)
     config = None
     header = None
     data_lines = []
-    try:
-        for ln in lines:
-            if ln.startswith("# config="):
-                config = _loads(ln[len("# config=") :])
-            elif ln.startswith("# "):
-                header = _loads(ln[2:])
-            else:
-                data_lines.append(ln)
-    except (ValueError, RecursionError) as exc:
-        raise StoreError(f"malformed-payload: {exc}")
-    if not isinstance(header, dict) or header.get("kind") != expected_kind:
-        raise StoreError(f"bad-magic: expected {expected_kind!r} header")
+    for ln in lines:
+        if ln.startswith("# config="):
+            config = _loads(ln[len("# config=") :])
+        elif ln.startswith("# "):
+            header = _loads(ln[2:])
+        else:
+            data_lines.append(ln)
+    _check_schema(header, kind)
     if len(data_lines) < 1:
         raise StoreError("bad-magic: missing column header")
     columns = data_lines[0].split(",")
-    types = _field_types(_layout(expected_kind)[3])
+    types = _field_types(_layout(kind)[3])
     records = []
     for ln in data_lines[1:]:
         cells = _split_csv_line(ln)
@@ -720,8 +725,11 @@ def _read_cell(hint, text, name):
     """A CSV cell parsed by its column's annotation. It must be the text
     ``_csv_cell`` writes for that value, or for a real the 17 significant
     digits that earlier releases wrote, so a file loads to a report that
-    saves back to its own bytes."""
-    value = _parse_text(hint, text, name)
+    saves back to its own bytes; else StoreError("malformed-payload")."""
+    try:
+        value = _parse_text(hint, text, name)
+    except ConfigError as exc:
+        raise _malformed(exc) from None
     hint = _field_plan(hint)[0]
     if hint is str or _csv_cell(value) == text or hint is float and f"{value:.17g}" == text:
         return value
@@ -730,36 +738,22 @@ def _read_cell(hint, text, name):
     )
 
 
+# a CSV token as ``_csv_cell`` quotes: a quoted run, to its closing quote or the
+# end of the line, with "" for a quote; a run of other text; or a comma
+_CSV_TOKEN = re.compile(r'"((?:[^"]|"")*)"?|([^",]+)|,')
+
+
 def _split_csv_line(line):
-    # minimal CSV field splitter matching _csv_cell quoting; the csv module
-    # rejects the bare '\r' that _csv_cell leaves unquoted
-    if '"' not in line:
-        return line.split(",")
-    out = []
-    field = []
-    quoted = False
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if quoted:
-            if c == '"':
-                if i + 1 < len(line) and line[i + 1] == '"':
-                    field.append('"')
-                    i += 1
-                else:
-                    quoted = False
-            else:
-                field.append(c)
-        elif c == '"':
-            quoted = True
-        elif c == ",":
-            out.append("".join(field))
-            field = []
+    # the csv module rejects the bare '\r' that _csv_cell leaves unquoted
+    out, field = [], ""
+    for token in _CSV_TOKEN.finditer(line):
+        quoted, plain = token.groups()
+        if quoted is None and plain is None:
+            out.append(field)
+            field = ""
         else:
-            field.append(c)
-        i += 1
-    out.append("".join(field))
-    return out
+            field += plain if quoted is None else quoted.replace('""', '"')
+    return [*out, field]
 
 
 def read_report(path, kind):
@@ -774,12 +768,7 @@ def read_report(path, kind):
     if kind not in _REPORTS:
         raise ConfigError(f"config-invalid: unknown report kind {kind!r}")
     report_cls, _, rows_field, row_cls = _layout(kind)
-    try:
-        header, records, config = _read_report_lines(path, kind)
-    except ConfigError as exc:  # a CSV cell that does not parse
-        raise _malformed(exc) from None
-    del header["kind"]
-    _check_schema(header)
+    header, records, config = _read_report_lines(path, kind)
     rows = tuple(_decode_file(row_cls, r) for r in records)
     return _decode_file(report_cls, header, **{rows_field: rows}), config
 

@@ -934,6 +934,39 @@ class TestNonUtf8Inputs:
         assert not out.exists()
 
 
+class TestConfigAndLabelFiles:
+    """A config or labels file that cannot be opened, and a config line that
+    is not ``key = value`` or names no field of its section, are named
+    errors: exit 2 for the config file, 3 for the labels."""
+
+    def test_missing_config_file_exits_two(self, tmp_path, baseline_dir, capsys):
+        cfg, out = tmp_path / "absent.cfg", tmp_path / "x.emb"
+        assert main(["extract", baseline_dir, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"driftsketch: config-invalid: cannot read {cfg}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_labels_file_exits_three(self, tmp_path, capsys):
+        emb, lab = tmp_path / "train.emb", tmp_path / "absent.txt"
+        emb.write_text("driftsketch-emb v1 dim=2 count=2\ns0 0.1 0.2\ns1 0.3 0.4\n")
+        out = tmp_path / "m.json"
+        assert main(["train-head", str(emb), "--labels", str(lab), "--out", str(out)]) == 3
+        assert f"driftsketch: io-error: cannot read {lab}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("gate.j_alpha 0.5", "{cfg}:2: expected key = value"),
+         ("gate.bogus = 1", "unknown config key 'gate.bogus'")],
+    )
+    def test_config_line_exits_two(self, tmp_path, baseline_dir, capsys, line, message):
+        cfg = _write_config(tmp_path, "# a comment\n" + line)
+        out = tmp_path / "x.emb"
+        assert main(["extract", baseline_dir, "--config", cfg, "--out", str(out)]) == 2
+        message = message.format(cfg=cfg)
+        assert f"driftsketch: config-invalid: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRunSeed:
     """Every subcommand checks its run seed, from the flag or the config
     file, before any work: outside [0, 2^64) it exits 2 with invalid-seed."""

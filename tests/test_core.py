@@ -138,6 +138,16 @@ class TestValidateImage:
         except DataError:
             pass
 
+    def test_from_array_of_one_dimension(self):
+        with pytest.raises(
+            DataError, match="^dimension-mismatch: expected 2-D or 3-D array, got 1-D$"
+        ):
+            ImageGrid.from_array(np.zeros(4))
+
+    def test_no_width(self):
+        with pytest.raises(DataError, match="^dimension-mismatch: width=0, height=1$"):
+            ImageGrid(0, 1, 1, [])
+
     def test_from_array_round_trip(self):
         arr = np.linspace(0, 1, 12).reshape(2, 2, 3)
         img = ImageGrid.from_array(arr)

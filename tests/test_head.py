@@ -42,6 +42,23 @@ class TestPredict:
         assert predict(model, FeatureVector(values=[1.0])) == pytest.approx(1.0)
         assert predict(model, FeatureVector(values=[-1.0])) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize(
+        "w, x",
+        [([1e308, 1e308], [1e308, -1e308]), ([1e308, 1e308], [-1e308, 1e308]),
+         ([1e308, 1e308, -1e308, -1e308], [1.0, 1.0, 1.0, 1.0])],
+    )
+    def test_overflow_in_the_order_of_the_sum_only(self, w, x):
+        """The exact w . x is 0; a dot product summed in some orders, or
+        with fused multiply-adds, overflows to an infinity of either sign.
+        With 1e-300 more in the first component it is 1e8, not 0."""
+        assert predict(HeadModel(w=w, b=0.0), x) == 0.5
+        assert predict(HeadModel(w=[*w, 1e-300], b=0.0), [*x, 1e308]) == float(_sigmoid(1e8))
+
+    def test_an_overflowing_dot_product_saturates(self):
+        model = HeadModel(w=[1e308, 1e308], b=-1e308)
+        assert predict(model, [1e308, 1e308]) == 1.0
+        assert predict(model, [-1e308, -1e308]) == 0.0
+
     def test_dimension_mismatch(self):
         model = HeadModel(w=[1.0, 2.0], b=0.0)
         with pytest.raises(DataError, match="dimension-mismatch"):
@@ -155,6 +172,11 @@ class TestBceGradient:
         model = HeadModel(w=np.zeros(3), b=0.0)
         grad = bce_gradient(model, [(x, 1)])
         np.testing.assert_allclose(grad, [-0.5 * 2.0, -0.5 * -1.0, -0.5 * 0.5, -0.5])
+
+    def test_an_overflowing_gradient_is_named(self):
+        batch = [(FeatureVector(values=[1.7e308]), 0)] * 3
+        with pytest.raises(DataError, match="^non-finite-value: the gradient overflows$"):
+            bce_gradient(HeadModel(w=[0.0], b=0.0), batch)
 
     def test_saturated_predictions_zero_gradient(self):
         # z past +-745: exp underflows and predict returns exactly the label

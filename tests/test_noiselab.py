@@ -25,7 +25,7 @@ from driftsketch import (
 )
 from driftsketch.core import seeded_rng
 from driftsketch.extract import ExtractConfig
-from driftsketch.noiselab import NOISE_KINDS, POISSON_BASE, SensitivityRow
+from driftsketch.noiselab import NOISE_KINDS, POISSON_BASE, SensitivityReport, SensitivityRow
 from driftsketch.store import encode_report
 from synthcorpus import corpus, rgb_corpus, spearman
 
@@ -241,6 +241,10 @@ class TestNonFiniteReals:
 
 class TestSensitivitySweep:
     cfg = PipelineConfig().extract
+
+    def test_a_report_of_no_level(self):
+        with pytest.raises(DataError, match="^empty-report: at least one level required$"):
+            SensitivityReport("gaussian", [])
 
     def test_level_zero_on_identical_sets(self):
         imgs = corpus(31, 12, "sweep-id")

@@ -272,6 +272,11 @@ class TestGateCheck:
         feats = [_feature(rng.uniform(0, 1, 8), f"f{i}") for i in range(n)]
         return feats, build_library(feats, QuantConfig(), SketchConfig())
 
+    def test_empty_library(self):
+        lib = SketchLibrary.from_minima([], [], SketchConfig(), QuantConfig())
+        with pytest.raises(DataError, match="^empty-library$"):
+            gate_check(lib, _feature([0.5] * 8, "q"), GateConfig())
+
     def test_member_scores_one_under_max(self):
         feats, lib = self._library()
         res = gate_check(lib, feats[3], GateConfig(j_alpha=1.0, aggregation="max"))

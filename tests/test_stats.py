@@ -285,6 +285,15 @@ class TestDriftReport:
             for i in range(n)
         ]
 
+    def test_no_periods(self):
+        with pytest.raises(DataError, match="^empty-report: no periods supplied$"):
+            drift_report(self._batch(1), [], StatsConfig())
+
+    def test_a_gate_count_per_period(self):
+        base = self._batch(1)
+        with pytest.raises(DataError, match="^length-mismatch: 2 periods, 1 gate counts$"):
+            drift_report(base, [("p1", base), ("p2", base)], StatsConfig(), gate_flag_counts=[0])
+
     def test_baseline_copies_show_no_drift(self):
         base = self._batch(1)
         report = drift_report(base, [("p1", base), ("p2", base)], StatsConfig())

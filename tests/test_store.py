@@ -372,6 +372,22 @@ class TestLibraryPersistence:
         with pytest.raises(StoreError, match="bad-magic"):
             load_library(b"")
 
+    @pytest.mark.parametrize("size", [6, 13])
+    def test_cut_before_the_length(self, size):
+        with pytest.raises(StoreError, match="^checksum-mismatch: truncated file$"):
+            load_library(save_library(self._library())[:size])
+
+    def test_v1_payload_cut_short(self):
+        with pytest.raises(StoreError, match="^checksum-mismatch: truncated payload$"):
+            load_library(V1_LIBRARY.read_bytes()[:-1])
+
+    def test_v1_payload_that_is_not_an_object(self):
+        payload = b"[1]"
+        data = b"DSKL" + (1).to_bytes(2, "little") + len(payload).to_bytes(8, "little")
+        data += payload + hashlib.blake2b(payload, digest_size=8).digest()
+        with pytest.raises(StoreError, match="^malformed-payload: expected an object, got list$"):
+            load_library(data)
+
     def test_unknown_version(self):
         data = bytearray(save_library(self._library()))
         data[4] = 99
@@ -830,6 +846,8 @@ class TestCheckedJson:
     @pytest.mark.parametrize("extra", [b"x", b"\n", b"# blake2b=0\n"])
     @pytest.mark.parametrize("kind", ["model", "split"])
     def test_bytes_after_the_integrity_line(self, tmp_path, kind, extra):
+        """Bytes after the checksum line read as they do after a CSV report's:
+        the last line must be the checksum line of the lines before it."""
         path = tmp_path / "doc.json"
         if kind == "model":
             save_model(HeadModel(w=[0.5, -1.0], b=0.25), str(path))
@@ -837,9 +855,26 @@ class TestCheckedJson:
             save_split(split_dataset(["a", "b", "c"], 2, seed=0), str(path))
         path.write_bytes(path.read_bytes() + extra)
         loader = load_model if kind == "model" else load_split
-        with pytest.raises(
-            StoreError, match=f"^checksum-mismatch: {len(extra)} bytes after the integrity line$"
-        ):
+        message = {b"x": "checksum-mismatch: missing trailing newline",
+                   b"\n": "bad-magic: missing checksum line",
+                   b"# blake2b=0\n": "checksum-mismatch"}[extra]
+        with pytest.raises(StoreError, match=f"^{message}$"):
+            loader(str(path))
+        csv = tmp_path / "drift.csv"
+        write_report(_drift_report(), "csv", str(csv))
+        csv.write_bytes(csv.read_bytes() + extra)
+        with pytest.raises(StoreError, match=f"^{message}$"):
+            read_drift_report(str(csv))
+
+    @pytest.mark.parametrize("kind", ["head_model", "split_plan"])
+    def test_a_checksum_over_more_than_one_line(self, tmp_path, kind):
+        """A checked document is one JSON line: a blank line after it is
+        refused even under a checksum that covers it."""
+        path = tmp_path / "doc.json"
+        line = _MODEL_LINE if kind == "head_model" else _SPLIT_LINE
+        path.write_bytes(_checked_json(line + b"\n"))
+        loader = load_model if kind == "head_model" else load_split
+        with pytest.raises(StoreError, match=f"^bad-magic: not a {kind} file$"):
             loader(str(path))
 
     @pytest.mark.parametrize(
@@ -865,6 +900,92 @@ class TestCheckedJson:
             StoreError, match=rf"^malformed-payload: id 'b' in group {group}, outside \[0, 2\)$"
         ):
             load_split(str(path))
+
+
+class TestCheckedText:
+    """Checkpoints, split plans and reports in both formats are read through
+    one reader: each fault of the file's lines, checksum or kind has one text."""
+
+    KINDS = {"model": "head_model", "split": "split_plan", "jsonl": "drift_report",
+             "csv": "drift_report"}
+
+    @staticmethod
+    def _write(tmp_path, doc):
+        path = tmp_path / f"doc.{doc}"
+        if doc == "model":
+            save_model(HeadModel(w=[0.5, -1.0], b=0.25), str(path))
+        elif doc == "split":
+            save_split(split_dataset(["a", "b", "c"], 2, seed=0), str(path))
+        else:
+            write_report(_drift_report(), doc, str(path))
+        return path
+
+    @staticmethod
+    def _load(doc, path):
+        {"model": load_model, "split": load_split}.get(doc, read_drift_report)(str(path))
+
+    @pytest.mark.parametrize("doc", list(KINDS))
+    def test_lines_around_the_checksum(self, tmp_path, doc):
+        path = self._write(tmp_path, doc)
+        raw = path.read_bytes()
+        kind = self.KINDS[doc]
+        for damaged, message in [
+            (b"", f"bad-magic: empty {kind} file"),
+            (raw[:-1], "checksum-mismatch: missing trailing newline"),
+            (raw[: raw.index(b"\n") + 1], f"bad-magic: not a {kind} file"),
+            (raw + b"x\n", "checksum-mismatch: unparseable checksum record" if doc == "jsonl"
+             else "bad-magic: missing checksum line"),
+        ]:
+            path.write_bytes(damaged)
+            with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
+                self._load(doc, path)
+
+    @pytest.mark.parametrize("doc", list(KINDS))
+    def test_a_document_of_another_kind(self, tmp_path, doc):
+        path = self._write(tmp_path, doc)
+        kind = self.KINDS[doc]
+        old = b'"kind":"%s"' % kind.encode("ascii")
+        if doc in ("model", "split"):
+            path.write_bytes(_checked_json(path.read_bytes().split(b"\n")[0].replace(
+                old, b'"kind":"gate_report"')))
+        else:
+            TestReportPersistence._forge(path, old, b'"kind":"gate_report"')
+        message = f"bad-magic: expected kind {kind!r}, got 'gate_report'"
+        with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
+            self._load(doc, path)
+
+    def test_csv_report_without_a_column_header(self, tmp_path):
+        path = self._write(tmp_path, "csv")
+        body = b"".join(ln for ln in path.read_bytes().splitlines(keepends=True)[:-1]
+                        if ln.startswith(b"# "))
+        path.write_bytes(body + b"# blake2b=" + _digest(body).encode("ascii") + b"\n")
+        with pytest.raises(StoreError, match="^bad-magic: missing column header$"):
+            read_drift_report(str(path))
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [({"x": np.float32(0.5)}, "JSON cannot carry a float32"),
+         ({"x": {0.5}}, "JSON cannot carry a set"),
+         ({1: 2}, "JSON object key 1 is not a string")],
+        ids=["float32", "set", "int-key"],
+    )
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_a_config_that_json_cannot_carry(self, tmp_path, fmt, config, message):
+        """A key that is not a str was written as its str, so the config
+        read back as another dict."""
+        path = tmp_path / f"drift.{fmt}"
+        with pytest.raises(DataError, match=f"^unsupported-value: {message}$"):
+            write_report(_drift_report(), fmt, str(path), config=config)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(store.os, "replace", refuse)
+        with pytest.raises(OSError, match="^rename refused$"):
+            store.atomic_write_bytes(str(tmp_path / "out.bin"), b"data")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _drift_report():
@@ -1770,6 +1891,13 @@ class TestEmbeddingsV3:
         assert not out.exists()
         assert re.search(message, capsys.readouterr().err)
 
+    def test_no_newline_in_the_sealed_bytes(self, tmp_path):
+        path = tmp_path / "sealed.emb"
+        data = (_V3_HEAD + "42").encode("ascii")
+        path.write_bytes(data + hashlib.blake2b(data, digest_size=8).digest())
+        with pytest.raises(StoreError, match="^malformed-payload: header and id lines expected$"):
+            load_embeddings(str(path))
+
 
 # v1 text: n records of about dim values each, odd values among them, under a
 # header that is mostly right; blank lines, CRs, duplicate ids and wrong
@@ -2056,6 +2184,7 @@ class TestTypedDocuments:
             (b'"train":null', b'"train":7', "train must be TrainConfig or null, got 7"),
             (b'"train":null', b'"train":{"lr":0.1}', "'beta1'"),
             (b',"train":null', b"", "'train'"),
+            (b'"dim":2', b'"dim":3', "dim 3 but 2 weights"),
         ],
     )
     def test_model_checkpoint(self, tmp_path, old, new, message):
